@@ -17,7 +17,7 @@ from fractions import Fraction
 from .integral import j_compact, j_plain, p_poly
 from .modified import htilde_compact, htilde_plain
 from .nonsymmetric import e_permuted_basement, f_poly, integral_e
-from .polyring import KEEP, MPoly
+from .polyring import KEEP, DimensionError, EvaluationError, MPoly, NonPolynomialError
 from .quasisym import g_poly, qs_schur, schur_ssyt
 from .shapes import ShapeError
 from .verify import run_suite
@@ -40,6 +40,16 @@ def parse_shape(text: str) -> tuple[int, ...]:
     if any(p < 0 for p in parts):
         raise UsageError("shape parts must be nonnegative")
     return parts
+
+
+def parse_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise UsageError(f"--n {text!r} is not an integer")
+    if value < 0:
+        raise UsageError(f"--n must be nonnegative, got {value}")
+    return value
 
 
 def parse_value(text: str) -> int | Fraction:
@@ -74,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, aliases=list(aliases))
         p.add_argument("--shape", required=True, type=parse_shape)
         if needs_n:
-            p.add_argument("--n", required=True, type=int)
+            p.add_argument("--n", required=True, type=parse_count)
         p.add_argument("--q", type=parse_value, default=None)
         p.add_argument("--t", type=parse_value, default=None)
         p.add_argument("--json", action="store_true")
@@ -188,9 +198,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return run_verify(args)
         return run_family(args)
-    except ShapeError as exc:
-        raise UsageError(str(exc))
-    except ValueError as exc:
+    except (ShapeError, DimensionError, EvaluationError, NonPolynomialError, ValueError) as exc:
         raise UsageError(str(exc))
 
 

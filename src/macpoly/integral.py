@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from itertools import permutations, product as iproduct
 from typing import Mapping, Sequence
 
-from .polyring import MPoly, exact_div, one_minus_qt, pochhammer_tt
+from .polyring import MPoly, exact_div, one_minus_qt, pochhammer_tt, poly_sum
 from .nonsymmetric import EResult, f_poly
 from .shapes import (
     Diagram,
@@ -111,10 +111,8 @@ def j_plain(mu: Sequence[int], n: int) -> MPoly:
     """(1-t)^(number of parts) times the sum over nonattacking fillings of
     the column diagram of mu, entries in 1..n, no basement."""
     mu = _as_partition(mu)
-    shape = diagram(mu)
-    total = MPoly.zero(n)
-    for f in _iter_nonattacking(shape, n, ordered=False):
-        total = total + j_weight_poly(f, n)
+    fillings = _iter_nonattacking(diagram(mu), n, ordered=False)
+    total = poly_sum(n, (j_weight_poly(f, n) for f in fillings))
     return one_minus_qt(0, 1, n) ** len(mu) * total
 
 
@@ -138,10 +136,8 @@ def j_compact(mu: Sequence[int], n: int) -> JResult:
     of the increasing rearrangement of mu; equal to :func:`j_plain`."""
     mu = _as_partition(mu)
     stats = composition_stats(mu)
-    shape = diagram(stats.inc)
-    total = MPoly.zero(n)
-    for f in _iter_nonattacking(shape, n, ordered=True):
-        total = total + j_weight_poly(f, n)
+    fillings = _iter_nonattacking(diagram(stats.inc), n, ordered=True)
+    total = poly_sum(n, (j_weight_poly(f, n) for f in fillings))
     value = pochhammer_prefactor(stats.mult, n) * total
     return JResult(value, dict(stats.mult))
 

@@ -13,20 +13,22 @@ makes the two routes agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement, product as iproduct
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .polyring import Monomial, MPoly, t_multinomial
 from .shapes import (
     INF_BASEMENT,
-    Cell,
     Diagram,
     Filling,
     ShapeError,
+    ShapePlan,
     conjugate,
     diagram,
     inv,
     maj,
+    shape_plan,
 )
 
 
@@ -57,29 +59,48 @@ def column_leq(a: Sequence[int], b: Sequence[int]) -> bool:
     return column_sort_key(a) <= column_sort_key(b)
 
 
-def _height_blocks(shape: Diagram) -> list[tuple[int, int, int]]:
-    """Maximal runs of equal-height columns as (height, first_col, count)."""
-    blocks = []
-    col = 1
-    while col <= shape.n_cols:
-        h = shape.height(col)
-        end = col
-        while end + 1 <= shape.n_cols and shape.height(end + 1) == h:
-            end += 1
-        blocks.append((h, col, end - col + 1))
-        col = end + 1
-    return blocks
+def _block_runs(
+    plan: ShapePlan, flat: tuple[int, ...], key: Callable = column_sort_key
+) -> tuple[tuple[int, ...], ...] | None:
+    """Lengths of the runs of identical columns in each height block, or None
+    when some block's columns are not weakly increasing in column order."""
+    signature = []
+    for _, slices in plan.blocks:
+        runs: list[int] = []
+        prev = prev_key = None
+        for cols in slices:
+            column = flat[cols]
+            if runs and column == prev:
+                runs[-1] += 1
+                continue
+            column_key = key(column)
+            if runs and prev_key > column_key:
+                return None
+            runs.append(1)
+            prev, prev_key = column, column_key
+        signature.append(tuple(runs))
+    return tuple(signature)
+
+
+@lru_cache(maxsize=1024)
+def _multiplicity_terms(signature: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int], ...]:
+    """(t exponent, coefficient) pairs of the product over height blocks of
+    the Gaussian multinomials of the run lengths.
+
+    The value is q,t-only, so one entry serves every ambient n; the key is
+    the run signature alone, since the multinomials ignore column heights.
+    """
+    out = MPoly.one(0)
+    for runs in signature:
+        out = out * t_multinomial(sum(runs), runs)
+    return tuple(sorted((mono.t, c) for mono, c in out.terms.items()))
 
 
 def is_sorted_tableau(f: Filling) -> bool:
     """Columns of each height weakly increase left to right in column order."""
-    if not f.shape.is_partition():
+    if not f.plan.is_partition:
         raise ShapeError("sorted tableaux live on partition shapes")
-    for _, first, count in _height_blocks(f.shape):
-        keys = [column_sort_key(f.column(c)) for c in range(first, first + count)]
-        if any(k1 > k2 for k1, k2 in zip(keys, keys[1:])):
-            return False
-    return True
+    return _block_runs(f.plan, f.flat) is not None
 
 
 def iter_sorted_tableaux(shape: Diagram, n: int) -> Iterator[Filling]:
@@ -90,23 +111,14 @@ def iter_sorted_tableaux(shape: Diagram, n: int) -> Iterator[Filling]:
     """
     if not shape.is_partition():
         raise ShapeError("sorted tableaux live on partition shapes")
-    blocks = _height_blocks(shape)
+    plan = shape_plan(shape.heights)
     per_block = []
-    for h, _, count in blocks:
-        if h == 0:
-            per_block.append([()])
-            continue
+    for h, slices in plan.blocks:
         columns = sorted(iproduct(range(1, n + 1), repeat=h), key=column_sort_key)
-        per_block.append(list(combinations_with_replacement(columns, count)))
+        per_block.append(list(combinations_with_replacement(columns, len(slices))))
     for choice in iproduct(*per_block):
-        entries = {}
-        col = 0
-        for (h, _, count), block_cols in zip(blocks, choice):
-            for column in block_cols if h else [()] * count:
-                col += 1
-                for r, value in enumerate(column, start=1):
-                    entries[Cell(col, r)] = value
-        yield Filling(shape, entries, INF_BASEMENT)
+        flat = [v for block_cols in choice for column in block_cols for v in column]
+        yield Filling(shape, dict(zip(plan.cells, flat)), INF_BASEMENT)
 
 
 @dataclass(frozen=True)
@@ -118,28 +130,22 @@ class SortedTableau:
 
     @classmethod
     def certify(cls, f: Filling) -> "SortedTableau":
-        if not is_sorted_tableau(f):
+        if not f.plan.is_partition:
+            raise ShapeError("sorted tableaux live on partition shapes")
+        signature = _block_runs(f.plan, f.flat)
+        if signature is None:
             raise ShapeError("filling is not a sorted tableau")
-        blocks = []
-        for h, first, count in _height_blocks(f.shape):
-            runs: list[int] = []
-            prev = None
-            for c in range(first, first + count):
-                col = f.column(c)
-                if col == prev:
-                    runs[-1] += 1
-                else:
-                    runs.append(1)
-                    prev = col
-            blocks.append((h, tuple(runs)))
-        return cls(f, tuple(blocks))
+        heights = [h for h, _ in f.plan.blocks]
+        return cls(f, tuple(zip(heights, signature)))
 
     def multiplicity_t(self, n_ambient: int = 0) -> MPoly:
         """Product over height blocks of the Gaussian multinomials of runs."""
-        out = MPoly.one(n_ambient)
-        for _, runs in self.block_multiplicities:
-            out = out * t_multinomial(sum(runs), runs, n=n_ambient)
-        return out
+        signature = tuple(runs for _, runs in self.block_multiplicities)
+        zero = (0,) * n_ambient
+        return MPoly(
+            n_ambient,
+            {Monomial(zero, 0, k): c for k, c in _multiplicity_terms(signature)},
+        )
 
 
 def multiplicity_t(f: Filling, n_ambient: int = 0) -> MPoly:
@@ -155,28 +161,33 @@ def _as_partition(lam: Sequence[int]) -> tuple[int, ...]:
 
 def htilde_plain(lam: Sequence[int], n: int) -> MPoly:
     """Sum of x^sigma q^inv t^maj over all fillings with entries in 1..n."""
-    lam = _as_partition(lam)
-    shape = diagram(lam)
-    cells = shape.cells()
+    plan = shape_plan(_as_partition(lam))
+    values = range(1, n + 1)
     acc: dict[Monomial, int] = {}
-    for combo in iproduct(range(1, n + 1), repeat=len(cells)):
-        f = Filling(shape, dict(zip(cells, combo)), INF_BASEMENT)
-        exps = f.x_exponents(n)
-        mono = Monomial(exps, inv(f), maj(f))
+    for e in iproduct(values, repeat=len(plan.cells)):
+        mono = Monomial(tuple(map(e.count, values)), plan.inv(e), plan.maj(e))
         acc[mono] = acc.get(mono, 0) + 1
     return MPoly(n, acc)
 
 
 def htilde_compact(lam: Sequence[int], n: int) -> MPoly:
     """Same polynomial as :func:`htilde_plain`, summed over the sorted tableaux
-    of the conjugate diagram with weight x^sigma t^inv q^maj multiplicity_t."""
-    lam = _as_partition(lam)
-    shape = diagram(conjugate(lam))
-    total = MPoly.zero(n)
+    of the conjugate diagram with weight x^sigma t^inv q^maj multiplicity_t.
+
+    Each tableau is certified sorted against column keys computed once per
+    call; its multiplicity comes from the cache keyed by its run signature
+    and is shifted straight into one term map.
+    """
+    shape = diagram(conjugate(_as_partition(lam)))
+    plan = shape_plan(shape.heights)
+    key = lru_cache(maxsize=None)(column_sort_key)
+    acc: dict[Monomial, int] = {}
     for f in iter_sorted_tableaux(shape, n):
-        st = SortedTableau.certify(f)
-        weight = st.multiplicity_t(n).mul_monomial(
-            x=f.x_exponents(n), q=maj(f), t=inv(f)
-        )
-        total = total + weight
-    return total
+        signature = _block_runs(plan, f.flat, key)
+        if signature is None:
+            raise ShapeError("filling is not a sorted tableau")
+        x, q, t = f.x_exponents(n), maj(f), inv(f)
+        for k, c in _multiplicity_terms(signature):
+            mono = Monomial(x, q, t + k)
+            acc[mono] = acc.get(mono, 0) + c
+    return MPoly(n, acc)

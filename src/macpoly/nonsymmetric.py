@@ -23,6 +23,7 @@ from .polyring import (
     QtFactor,
     QtRational,
     one_minus_qt,
+    poly_sum,
 )
 from .shapes import (
     Cell,
@@ -193,12 +194,10 @@ def integral_e(alpha: Sequence[int], verify: bool = False) -> MPoly:
     n = len(alpha)
     stats = composition_stats(alpha)
     prefactor = pochhammer_prefactor(stats.mult, n)
-    total = MPoly.zero(n)
-    for f in iter_basement_fillings(alpha):
-        if not is_ordered(f):
-            raise AssertionError("basement filling lost the ordered property")
-        total = total + j_weight_poly(f, n)
-    value = prefactor * total
+    fillings = list(iter_basement_fillings(alpha))
+    if not all(is_ordered(f) for f in fillings):
+        raise AssertionError("basement filling lost the ordered property")
+    value = prefactor * poly_sum(n, (j_weight_poly(f, n) for f in fillings))
     if verify:
         cleared = e_permuted_basement(alpha).cleared_by(hook_product_inc(alpha))
         if cleared != value:

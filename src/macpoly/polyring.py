@@ -273,9 +273,6 @@ class MPoly:
             acc.setdefault(m.x, {})[Monomial((), m.q, m.t)] = c
         return {x: MPoly(0, terms) for x, terms in acc.items()}
 
-    def is_qt_only(self) -> bool:
-        return all(not any(m.x) for m in self.terms)
-
     # -- substitution --------------------------------------------------------
 
     def specialize(
@@ -379,6 +376,16 @@ class MPoly:
         return out
 
     __repr__ = __str__
+
+
+def poly_sum(n: int, polys: Iterable[MPoly]) -> MPoly:
+    """Sum of polynomials in ambient n, added into one term map rather than
+    copying a running total once per summand."""
+    acc: dict[Monomial, Scalar] = {}
+    for p in polys:
+        for mono, coeff in p.terms.items():
+            acc[mono] = acc.get(mono, 0) + coeff
+    return MPoly(n, acc)
 
 
 # -- division ----------------------------------------------------------------

@@ -20,8 +20,9 @@ cross-formula identities exercised by the acceptance suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product as iproduct
+from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import groupby, product as iproduct
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 #: basement sentinel that compares greater than every positive entry
@@ -83,25 +84,109 @@ def diagram(heights: Sequence[int]) -> Diagram:
     return Diagram(tuple(heights))
 
 
+class ShapePlan(NamedTuple):
+    """Index tables of one column-height tuple, built once by :func:`shape_plan`.
+
+    A filling's entries are read as a flat tuple in ``cells`` order (column
+    by column, bottom to top); every table holds positions in that tuple.
+    """
+
+    cells: tuple[Cell, ...]
+    is_partition: bool
+    #: row-1 pairs (u, v), u < v, that ``inv`` counts when u's entry is larger
+    inv_pairs: tuple[tuple[int, int], ...]
+    #: type-A triples (v, r), (u, r), (u, r-1) that ``inv`` tests
+    inv_triples: tuple[tuple[int, int, int], ...]
+    #: (cell, cell below, leg + 1) for every cell above row 1
+    steps: tuple[tuple[int, int, int], ...]
+    #: (cell, 0-based column, leg + 1) for every row-1 cell, against the basement
+    bottom: tuple[tuple[int, int, int], ...]
+    #: maximal runs of equal-height columns as (height, column slices)
+    blocks: tuple[tuple[int, tuple[slice, ...]], ...]
+
+    def inv(self, e: Sequence[int]) -> int:
+        """Counterclockwise triples, degenerate row-1 pairs included."""
+        total = 0
+        for i, j in self.inv_pairs:
+            if e[i] > e[j]:
+                total += 1
+        for a, b, c in self.inv_triples:
+            if is_counterclockwise(e[a], e[b], e[c]):
+                total += 1
+        return total
+
+    def descents(self, e: Sequence[int], basement=None) -> list[tuple[int, int]]:
+        """(cell, leg + 1) of each cell whose entry exceeds the one below it;
+        row-1 cells compare only with a permutation basement."""
+        out = [(i, w) for i, j, w in self.steps if e[i] > e[j]]
+        if isinstance(basement, tuple):
+            out += [(i, w) for i, col, w in self.bottom if e[i] > basement[col]]
+        return out
+
+    def maj(self, e: Sequence[int], basement=None) -> int:
+        """Sum of leg + 1 over the descent cells."""
+        return sum(w for _, w in self.descents(e, basement))
+
+
+@lru_cache(maxsize=256)
+def shape_plan(heights: tuple[int, ...]) -> ShapePlan:
+    """The plan of a column-height tuple; cached, so built once per shape."""
+    cells = Diagram(heights).cells()
+    index = {cell: i for i, cell in enumerate(cells)}
+    is_partition = all(a >= b for a, b in zip(heights, heights[1:]))
+    inv_pairs, inv_triples = [], []
+    if is_partition:
+        for u in range(1, len(heights) + 1):
+            for v in range(u + 1, len(heights) + 1):
+                if heights[v - 1] >= 1:
+                    inv_pairs.append((index[u, 1], index[v, 1]))
+                for r in range(2, heights[v - 1] + 1):
+                    inv_triples.append((index[v, r], index[u, r], index[u, r - 1]))
+    steps, bottom = [], []
+    for i, (c, r) in enumerate(cells):
+        weight = heights[c - 1] - r + 1
+        if r == 1:
+            bottom.append((i, c - 1, weight))
+        else:
+            steps.append((i, index[c, r - 1], weight))
+    blocks, start = [], 0
+    for h, group in groupby(heights):
+        count = len(list(group))
+        blocks.append((h, tuple(slice(start + k * h, start + (k + 1) * h) for k in range(count))))
+        start += count * h
+    return ShapePlan(
+        tuple(cells), is_partition, tuple(inv_pairs), tuple(inv_triples),
+        tuple(steps), tuple(bottom), tuple(blocks),
+    )
+
+
 @dataclass(frozen=True)
 class Filling:
     """Entry assignment for a diagram, with an optional basement row.
 
     ``basement`` is None (no row 0), the string "inf" (row 0 all infinity),
-    or a permutation tuple giving the row-0 entry per column.
+    or a permutation tuple giving the row-0 entry per column.  ``flat``
+    holds the entries in the order of ``plan.cells``.
     """
 
     shape: Diagram
     entries: Mapping[Cell, int]
     basement: tuple[int, ...] | str | None = None
+    plan: ShapePlan = field(init=False, repr=False, compare=False)
+    flat: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cells = set(self.shape.cells())
-        keys = {Cell(*k) for k in self.entries}
-        if keys != cells:
+        plan = shape_plan(self.shape.heights)
+        try:
+            flat = tuple(map(self.entries.__getitem__, plan.cells))
+        except KeyError:
+            flat = None
+        if flat is None or len(self.entries) != len(flat):
             raise ShapeError("entries do not cover the diagram exactly")
         if isinstance(self.basement, tuple) and len(self.basement) != self.shape.n_cols:
             raise ShapeError("permutation basement length != number of columns")
+        object.__setattr__(self, "plan", plan)
+        object.__setattr__(self, "flat", flat)
 
     def __getitem__(self, cell) -> int:
         return self.entries[Cell(*cell)]
@@ -271,20 +356,9 @@ def count_triples_partition(f: Filling) -> int:
 def inv(f: Filling) -> int:
     """Counterclockwise triples, degenerate row-1 pairs included."""
     _require_inf_basement(f)
-    if not f.shape.is_partition():
+    if not f.plan.is_partition:
         raise ShapeError("inv is defined on partition shapes")
-    h = f.shape.heights
-    total = 0
-    for u in range(1, f.shape.n_cols + 1):
-        for v in range(u + 1, f.shape.n_cols + 1):
-            for r in range(1, h[v - 1] + 1):
-                if r == 1:
-                    total += f[(u, 1)] > f[(v, 1)]
-                else:
-                    total += is_counterclockwise(
-                        f[(v, r)], f[(u, r)], f[(u, r - 1)]
-                    )
-    return total
+    return f.plan.inv(f.flat)
 
 
 def coinv_partition(f: Filling) -> int:
@@ -299,17 +373,12 @@ def des(f: Filling) -> set[Cell]:
     permutation basement row-1 cells compare with the basement entry; with
     no basement row-1 cells never descend.
     """
-    out = set()
-    for cell in f.shape.cells():
-        below = f.south(cell)
-        if below is not None and f[cell] > below:
-            out.add(cell)
-    return out
+    return {f.plan.cells[i] for i, _ in f.plan.descents(f.flat, f.basement)}
 
 
 def maj(f: Filling) -> int:
     """Sum of leg + 1 over the descent cells."""
-    return sum(leg(f.shape, cell) + 1 for cell in des(f))
+    return f.plan.maj(f.flat, f.basement)
 
 
 def coinv_comp(f: Filling) -> int:

@@ -7,7 +7,7 @@ import pytest
 from macpoly import cli
 from macpoly.integral import j_compact
 from macpoly.modified import htilde_plain
-from macpoly.polyring import MPoly
+from macpoly.polyring import DimensionError, EvaluationError, MPoly, NonPolynomialError
 from macpoly.quasisym import qs_schur
 
 
@@ -108,3 +108,40 @@ def test_verify_env_var_bounds(capsys, monkeypatch):
     code, out = run_cli(capsys, "verify", "j", "--max-n", "1")
     assert code == 0
     assert "normalization products agree: instances=3" in out
+
+
+def run_failing(capsys, *argv):
+    with pytest.raises(SystemExit) as err:
+        cli.main(list(argv))
+    captured = capsys.readouterr()
+    return err.value.code, captured.err
+
+
+def test_evaluation_error_exits_cleanly(capsys):
+    code, err = run_failing(capsys, "e", "--shape", "0,2,1", "--q", "1", "--t", "1")
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("exc", [EvaluationError, NonPolynomialError, DimensionError])
+def test_package_errors_exit_cleanly(capsys, monkeypatch, exc):
+    def fail(*args):
+        raise exc("boom")
+
+    monkeypatch.setattr(cli, "htilde_compact", fail)
+    code, err = run_failing(capsys, "htilde", "--shape", "2,1", "--n", "2")
+    assert code == 2
+    assert err == "error: boom\n"
+
+
+@pytest.mark.parametrize("family", ["htilde", "j"])
+def test_negative_n_rejected(capsys, family):
+    code, err = run_failing(capsys, family, "--shape", "2,1", "--n", "-1")
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "n=-1" not in err
+
+
+def test_zero_n_allowed(capsys):
+    code, out = run_cli(capsys, "htilde", "--shape", "2,1", "--n", "0")
+    assert code == 0 and out.strip() == "0"

@@ -253,3 +253,22 @@ def test_compactness_term_count():
     shape = diagram([2, 1, 1])
     packed = [f for f in iter_sorted_tableaux(shape, 3) if is_packed(f)]
     assert len(packed) == 32 < 81
+
+
+def test_multiplicity_cache_across_ambients_and_blocks():
+    # the cache is keyed by run signature only: a value that kept the ambient
+    # n, or confused the runs of different height blocks, breaks one of these
+    for lam, n in [((2, 2), 2), ((2, 2), 3), ((2, 2), 2), ((2, 2, 1, 1), 3)]:
+        assert htilde_compact(lam, n) == htilde_plain(lam, n), (lam, n)
+
+
+def test_compact_rejects_unsorted_enumeration(monkeypatch):
+    # the compact route certifies every tableau it is handed
+    import macpoly.modified as modified
+
+    def unsorted(shape, n):
+        yield Filling(shape, {Cell(1, 1): 2, Cell(2, 1): 1}, INF_BASEMENT)
+
+    monkeypatch.setattr(modified, "iter_sorted_tableaux", unsorted)
+    with pytest.raises(ShapeError):
+        modified.htilde_compact((2,), 2)
