@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 
 from .integral import j_compact, j_plain, p_poly
 from .modified import htilde_compact, htilde_plain
@@ -42,13 +43,13 @@ def parse_shape(text: str) -> tuple[int, ...]:
     return parts
 
 
-def parse_count(text: str) -> int:
+def parse_count(text: str, name: str = "--n") -> int:
     try:
         value = int(text)
     except ValueError:
-        raise UsageError(f"--n {text!r} is not an integer")
+        raise UsageError(f"{name} {text!r} is not an integer")
     if value < 0:
-        raise UsageError(f"--n must be nonnegative, got {value}")
+        raise UsageError(f"{name} must be nonnegative, got {value}")
     return value
 
 
@@ -109,8 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify")
     v.add_argument("suite", choices=["all", "htilde", "j", "qsym", "fixtures"])
-    v.add_argument("--max-size", type=int, default=None)
-    v.add_argument("--max-n", type=int, default=None)
+    v.add_argument("--max-size", type=partial(parse_count, name="--max-size"), default=None)
+    v.add_argument("--max-n", type=partial(parse_count, name="--max-n"), default=None)
     return parser
 
 
@@ -183,7 +184,7 @@ def run_family(args) -> int:
 def run_verify(args) -> int:
     max_size = args.max_size
     if max_size is None and os.environ.get("MACPOLY_VERIFY_MAX_SIZE"):
-        max_size = int(os.environ["MACPOLY_VERIFY_MAX_SIZE"])
+        max_size = parse_count(os.environ["MACPOLY_VERIFY_MAX_SIZE"], "MACPOLY_VERIFY_MAX_SIZE")
     results = run_suite(args.suite, max_size, args.max_n)
     for result in results:
         print(result.line())

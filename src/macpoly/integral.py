@@ -157,5 +157,5 @@ def p_poly(lam: Sequence[int], n: int) -> EResult:
     lam = _as_partition(lam)
     out = EResult(n)
     for alpha in compositions_rearranging(lam, n):
-        out = out + f_poly(alpha)
+        out += f_poly(alpha)
     return out

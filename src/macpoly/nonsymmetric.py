@@ -14,7 +14,7 @@ from the one below contributes (1-t) over (1 - q^(leg+1) t^(arm+1)).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product as iproduct
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .polyring import (
@@ -26,16 +26,15 @@ from .polyring import (
     poly_sum,
 )
 from .shapes import (
-    Cell,
     Filling,
     arm_composition,
     coinv_comp,
     composition_stats,
     diagram,
-    is_nonattacking,
     is_ordered,
     leg,
     maj,
+    shape_plan,
 )
 
 
@@ -54,12 +53,17 @@ class EResult:
         else:
             self.coeffs[exps] = value
 
-    def __add__(self, other: "EResult") -> "EResult":
+    def __iadd__(self, other: "EResult") -> "EResult":
+        """Add ``other`` in place, term by term in its order."""
         if self.n != other.n:
             raise ValueError("ambient mismatch")
-        out = EResult(self.n, dict(self.coeffs))
         for exps, value in other.coeffs.items():
-            out.add_term(exps, value)
+            self.add_term(exps, value)
+        return self
+
+    def __add__(self, other: "EResult") -> "EResult":
+        out = EResult(self.n, dict(self.coeffs))
+        out += other
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -79,11 +83,13 @@ class EResult:
     def cleared_by(self, multiplier: MPoly) -> MPoly:
         """Multiply every coefficient by a q,t-polynomial and demand that all
         denominators cancel; returns the resulting honest polynomial."""
-        total = MPoly.zero(self.n)
-        for exps, value in self.coeffs.items():
-            coeff = (value * multiplier).to_polynomial().extended(self.n)
-            total = total + coeff.mul_monomial(x=exps)
-        return total
+        return poly_sum(
+            self.n,
+            (
+                (value * multiplier).to_polynomial().extended(self.n).mul_monomial(x=exps)
+                for exps, value in self.coeffs.items()
+            ),
+        )
 
     def to_mpoly(self) -> MPoly:
         """Succeeds when every coefficient is already polynomial."""
@@ -91,12 +97,13 @@ class EResult:
 
     def specialize(self, q, t) -> MPoly:
         """Evaluate q and t, producing a plain polynomial in x."""
-        total = MPoly.zero(self.n)
-        for exps, value in self.coeffs.items():
-            total = total + MPoly.monomial(
-                self.n, x=exps, coeff=value.specialize(q=q, t=t)
-            )
-        return total
+        return poly_sum(
+            self.n,
+            (
+                MPoly.monomial(self.n, x=exps, coeff=value.specialize(q=q, t=t))
+                for exps, value in self.coeffs.items()
+            ),
+        )
 
     def specialize_q_zero(self) -> "EResult":
         out = EResult(self.n)
@@ -133,36 +140,62 @@ def iter_basement_fillings(alpha: Sequence[int]) -> Iterator[Filling]:
     """Nonattacking fillings of the increasing diagram of alpha with the
     maximal-length sorting permutation as basement, entries in 1..len(alpha).
 
-    Row 1 is pinned to the basement; only the cells above row 1 are searched.
+    Row 1 is pinned to the basement; the cells above it are filled by
+    backtracking in cell order, values ascending, each attacking pair checked
+    as soon as both of its cells are set.  The order is that of filtering
+    every assignment of the free cells, the last cell varying fastest.
     """
     stats = composition_stats(alpha)
     shape = diagram(stats.inc)
-    n = len(stats.inc)
-    base: dict[Cell, int] = {}
-    for col in range(1, shape.n_cols + 1):
-        if shape.height(col) >= 1:
-            base[Cell(col, 1)] = stats.beta[col - 1]
-    free = [c for c in shape.cells() if c.row >= 2]
-    for combo in iproduct(range(1, n + 1), repeat=len(free)):
-        entries = dict(base)
-        entries.update(zip(free, combo))
-        f = Filling(shape, entries, stats.beta)
-        if is_nonattacking(f):
-            yield f
+    plan = shape_plan(shape.heights)
+    values = range(1, len(stats.inc) + 1)
+    e = [0] * len(plan.cells)
+    for i, col, _ in plan.bottom:
+        e[i] = stats.beta[col]
+    free = [i for i, _, _ in plan.steps]
+
+    def fill(k: int) -> Iterator[Filling]:
+        if k == len(free):
+            yield Filling(shape, dict(zip(plan.cells, e)), stats.beta)
+            return
+        i = free[k]
+        taken = {e[j] for j in plan.attacks[i]}
+        for v in values:
+            if v not in taken:
+                e[i] = v
+                yield from fill(k + 1)
+
+    yield from fill(0)
+
+
+@lru_cache(maxsize=256)
+def _weight_factors(heights: tuple[int, ...]) -> tuple[tuple[int, int | None, int, QtFactor], ...]:
+    """Per cell, in cell order: (cell, cell below or None in row 1, column,
+    the factor 1 - q^(leg+1) t^(arm+1))."""
+    shape = diagram(heights)
+    plan = shape_plan(heights)
+    below = {i: j for i, j, _ in plan.steps}
+    return tuple(
+        (i, below.get(i), cell.col, QtFactor(leg(shape, cell) + 1, arm_composition(shape, cell) + 1))
+        for i, cell in enumerate(plan.cells)
+    )
+
+
+@lru_cache(maxsize=64)
+def _one_minus_t_power(k: int) -> MPoly:
+    return one_minus_qt(0, 1) ** k
 
 
 def filling_weight(f: Filling) -> QtRational:
     """q^maj t^coinv times the (1-t)/(1 - q^(leg+1) t^(arm+1)) cell product
     over cells whose entry differs from the entry below."""
-    shape = f.shape
-    num = MPoly.monomial(0, q=maj(f), t=coinv_comp(f))
+    e = f.flat
     den: list[QtFactor] = []
-    for cell in shape.cells():
-        below = f.south(cell)
-        if below is None or f[cell] == below:
-            continue
-        num = num * one_minus_qt(0, 1)
-        den.append(QtFactor(leg(shape, cell) + 1, arm_composition(shape, cell) + 1))
+    for i, j, col, factor in _weight_factors(f.shape.heights):
+        below = f.basement_entry(col) if j is None else e[j]
+        if below is not None and e[i] != below:
+            den.append(factor)
+    num = _one_minus_t_power(len(den)).mul_monomial(q=maj(f), t=coinv_comp(f))
     return QtRational(num, den)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -448,8 +449,10 @@ def exact_div(p: MPoly, d: MPoly) -> MPoly:
 # -- q,t building blocks -------------------------------------------------------
 
 
+@lru_cache(maxsize=1024)
 def one_minus_qt(a: int, b: int, n: int = 0) -> MPoly:
-    """The binomial 1 - q^a t^b in ambient n."""
+    """The binomial 1 - q^a t^b in ambient n; cached, which is safe because
+    an MPoly is never changed after it is built."""
     return MPoly.one(n) - MPoly.monomial(n, q=a, t=b)
 
 
@@ -504,29 +507,66 @@ class QtFactor(NamedTuple):
         return one_minus_qt(self.a, self.b, n)
 
 
+def divide_binomial(p: MPoly, a: int, b: int) -> MPoly | None:
+    """p / (1 - q^a t^b) when the division is exact, else None.
+
+    The terms of p fall into chains m, m + (a, b), m + 2(a, b), ... in the
+    (q, t) exponents.  Along a chain the quotient's coefficient is the
+    running sum of p's coefficients, so the division is exact iff every
+    chain sums to zero.  A non-integer coefficient counts as "does not
+    divide", as it does for :func:`divmod_poly`.
+    """
+    if a < 0 or b < 1:
+        raise ValueError(f"invalid binomial divisor 1 - q^{a} t^{b}")
+    # each term's chain, keyed by its lowest point, and its step from there
+    chains: dict[tuple, dict[int, int]] = {}
+    for (x, q, t), c in p.terms.items():
+        if not isinstance(c, int):
+            return None
+        k = min(q // a, t // b) if a else t // b
+        chains.setdefault((x, q - k * a, t - k * b), {})[k] = c
+    quo: dict[Monomial, Scalar] = {}
+    for (x, q0, t0), coeffs in chains.items():
+        if sum(coeffs.values()):
+            return None
+        run = 0
+        for k in range(min(coeffs), max(coeffs)):
+            run += coeffs.get(k, 0)
+            if run:
+                quo[Monomial(x, q0 + k * a, t0 + k * b)] = run
+    out = MPoly.__new__(MPoly)
+    out.n = p.n
+    out.terms = quo
+    return out
+
+
 def _reduce(num: MPoly, den: tuple[QtFactor, ...]) -> tuple[MPoly, tuple[QtFactor, ...]]:
+    """Divide out, in order, each factor that divides the numerator.
+
+    One pass suffices: a factor that does not divide num divides no quotient
+    of num either, so a factor that fails once never succeeds later.
+    """
     if num.is_zero():
         return num, ()
-    remaining = list(den)
-    progress = True
-    while progress and remaining:
-        progress = False
-        for i, f in enumerate(remaining):
-            quo, rem = divmod_poly(num, f.poly())
-            if rem.is_zero():
-                num = quo
-                del remaining[i]
-                progress = True
-                break
-    return num, tuple(sorted(remaining))
+    kept: list[QtFactor] = []
+    for f in den:
+        quo = None if f in kept else divide_binomial(num, f.a, f.b)
+        if quo is None:
+            kept.append(f)
+        else:
+            num = quo
+    return num, tuple(sorted(kept))
 
 
 class QtRational:
     """Element of Z[q,t] localized at the binomials 1 - q^a t^b.
 
-    The denominator is a multiset of :class:`QtFactor`; construction reduces
-    to a fixpoint by exact division, so equal values usually have equal parts
-    (equality still cross-multiplies to be safe).
+    The denominator is a multiset of :class:`QtFactor`; construction divides
+    out, greedily and in the order given, every factor that divides the
+    numerator exactly.  The reduced form is therefore not canonical: it
+    depends on the order in which a value's terms were added, and so does
+    its JSON output.  Equality cross-multiplies, so equal values compare
+    equal whatever their form.
     """
 
     __slots__ = ("num", "den")

@@ -37,7 +37,7 @@ def g_poly(gamma: Sequence[int], n: int) -> EResult:
     """Sum of f_poly over every placement of gamma's parts among n slots."""
     total = EResult(n)
     for alpha in compositions_with_support(gamma, n):
-        total = total + f_poly(alpha)
+        total += f_poly(alpha)
     return total
 
 

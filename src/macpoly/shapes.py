@@ -103,6 +103,16 @@ class ShapePlan(NamedTuple):
     bottom: tuple[tuple[int, int, int], ...]
     #: maximal runs of equal-height columns as (height, column slices)
     blocks: tuple[tuple[int, tuple[slice, ...]], ...]
+    #: per cell, the earlier cells it attacks: same row, or the row below in
+    #: a column to its left
+    attacks: tuple[tuple[int, ...], ...]
+    #: triples above row 1 that ``coinv`` tests: type A (v, r), (u, r),
+    #: (u, r-1) and type B (u, r-1), (v, r), (v, r-1), for columns u < v
+    coinv_triples: tuple[tuple[int, int, int], ...]
+    #: row-1 type-A pairs (u, v) with u's 0-based column
+    coinv_pairs: tuple[tuple[int, int, int], ...]
+    #: row-1 type-B cells v with the 0-based columns of u and v
+    coinv_bottom: tuple[tuple[int, int, int], ...]
 
     def inv(self, e: Sequence[int]) -> int:
         """Counterclockwise triples, degenerate row-1 pairs included."""
@@ -126,6 +136,25 @@ class ShapePlan(NamedTuple):
     def maj(self, e: Sequence[int], basement=None) -> int:
         """Sum of leg + 1 over the descent cells."""
         return sum(w for _, w in self.descents(e, basement))
+
+    def coinv(self, e: Sequence[int], basement=None) -> int:
+        """Clockwise triples of types A and B; see :func:`coinv_comp`."""
+        total = 0
+        for a, b, c in self.coinv_triples:
+            if is_clockwise(e[a], e[b], e[c]):
+                total += 1
+        if isinstance(basement, tuple):
+            for i, j, col in self.coinv_pairs:
+                if is_clockwise(e[j], e[i], basement[col]):
+                    total += 1
+            for j, left, right in self.coinv_bottom:
+                if is_clockwise(basement[left], e[j], basement[right]):
+                    total += 1
+        else:
+            for i, j, _ in self.coinv_pairs:
+                if e[i] < e[j]:
+                    total += 1
+        return total
 
 
 @lru_cache(maxsize=256)
@@ -154,9 +183,28 @@ def shape_plan(heights: tuple[int, ...]) -> ShapePlan:
         count = len(list(group))
         blocks.append((h, tuple(slice(start + k * h, start + (k + 1) * h) for k in range(count))))
         start += count * h
+    attacks = tuple(
+        tuple(index[u, s] for u in range(1, c) for s in (r, r - 1) if (u, s) in index)
+        for c, r in cells
+    )
+    coinv_triples, coinv_pairs, coinv_bottom = [], [], []
+    for u in range(1, len(heights) + 1):
+        for v in range(u + 1, len(heights) + 1):
+            hu, hv = heights[u - 1], heights[v - 1]
+            if hu >= hv:
+                for r in range(2, hv + 1):
+                    coinv_triples.append((index[v, r], index[u, r], index[u, r - 1]))
+                if hv >= 1:
+                    coinv_pairs.append((index[u, 1], index[v, 1], u - 1))
+            else:
+                for r in range(2, min(hu + 1, hv) + 1):
+                    coinv_triples.append((index[u, r - 1], index[v, r], index[v, r - 1]))
+                if hv >= 1:
+                    coinv_bottom.append((index[v, 1], u - 1, v - 1))
     return ShapePlan(
         tuple(cells), is_partition, tuple(inv_pairs), tuple(inv_triples),
-        tuple(steps), tuple(bottom), tuple(blocks),
+        tuple(steps), tuple(bottom), tuple(blocks), attacks,
+        tuple(coinv_triples), tuple(coinv_pairs), tuple(coinv_bottom),
     )
 
 
@@ -393,39 +441,7 @@ def coinv_comp(f: Filling) -> int:
     when there is no permutation basement, the row-0-completed triple
     otherwise.
     """
-    h = f.shape.heights
-    perm_base = isinstance(f.basement, tuple)
-    total = 0
-    for left in range(1, f.shape.n_cols + 1):
-        hl = h[left - 1]
-        for right in range(left + 1, f.shape.n_cols + 1):
-            hr = h[right - 1]
-            if hl >= hr:
-                # type A
-                for r in range(2, hr + 1):
-                    total += is_clockwise(
-                        f[(right, r)], f[(left, r)], f[(left, r - 1)]
-                    )
-                if hr >= 1:
-                    if perm_base:
-                        total += is_clockwise(
-                            f[(right, 1)], f[(left, 1)], f.basement_entry(left)
-                        )
-                    else:
-                        total += f[(left, 1)] < f[(right, 1)]
-            else:
-                # type B
-                for r in range(2, min(hl + 1, hr) + 1):
-                    total += is_clockwise(
-                        f[(left, r - 1)], f[(right, r)], f[(right, r - 1)]
-                    )
-                if perm_base and hr >= 1:
-                    total += is_clockwise(
-                        f.basement_entry(left),
-                        f[(right, 1)],
-                        f.basement_entry(right),
-                    )
-    return total
+    return f.plan.coinv(f.flat, f.basement)
 
 
 def is_nonattacking(f: Filling) -> bool:
@@ -435,21 +451,15 @@ def is_nonattacking(f: Filling) -> bool:
     A permutation basement participates as row 0, which pins every row-1
     entry to the basement value below it on weakly increasing shapes.
     """
-    h = f.shape.heights
-    ncols = f.shape.n_cols
-    for left in range(1, ncols + 1):
-        for right in range(left + 1, ncols + 1):
-            top = min(h[left - 1], h[right - 1])
-            for r in range(1, top + 1):
-                if f[(left, r)] == f[(right, r)]:
-                    return False
-            # rightmost strictly above: (right, r) against (left, r-1)
-            for r in range(2, h[right - 1] + 1):
-                if r - 1 <= h[left - 1] and f[(right, r)] == f[(left, r - 1)]:
-                    return False
-            if isinstance(f.basement, tuple) and h[right - 1] >= 1:
-                if f[(right, 1)] == f.basement[left - 1]:
-                    return False
+    e = f.flat
+    for i, partners in enumerate(f.plan.attacks):
+        for j in partners:
+            if e[i] == e[j]:
+                return False
+    if isinstance(f.basement, tuple):
+        for i, col, _ in f.plan.bottom:
+            if e[i] in f.basement[:col]:
+                return False
     return True
 
 

@@ -145,3 +145,17 @@ def test_negative_n_rejected(capsys, family):
 def test_zero_n_allowed(capsys):
     code, out = run_cli(capsys, "htilde", "--shape", "2,1", "--n", "0")
     assert code == 0 and out.strip() == "0"
+
+
+@pytest.mark.parametrize("flag", ["--max-size", "--max-n"])
+def test_negative_verify_bound_rejected(capsys, flag):
+    code, err = run_failing(capsys, "verify", "htilde", flag, "-1")
+    assert code == 2
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+
+
+def test_negative_verify_env_bound_rejected(capsys, monkeypatch):
+    monkeypatch.setenv("MACPOLY_VERIFY_MAX_SIZE", "-1")
+    code, err = run_failing(capsys, "verify", "htilde")
+    assert code == 2
+    assert err.startswith("error: MACPOLY_VERIFY_MAX_SIZE ") and err.count("\n") == 1

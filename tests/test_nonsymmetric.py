@@ -1,5 +1,7 @@
 """Permuted-basement E / F values and their integral forms."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -12,12 +14,19 @@ from macpoly.nonsymmetric import (
     integral_e,
     iter_basement_fillings,
 )
+from macpoly.integral import p_poly
 from macpoly.polyring import MPoly, QtFactor, QtRational, pochhammer_tt
+from macpoly.quasisym import g_poly
 from macpoly.shapes import (
+    INF_BASEMENT,
+    arm_composition,
+    coinv_comp,
     composition_stats,
     diagram,
     enumerate_fillings,
     is_nonattacking,
+    leg,
+    maj,
 )
 
 
@@ -57,25 +66,24 @@ def test_single_column_of_two():
 
 
 def test_row_one_matches_basement_brute_force():
-    for alpha in [(1, 0), (0, 1), (2, 0), (1, 2), (0, 2, 1), (1, 1, 2)]:
+    alphas = [(1, 0), (0, 1), (2, 0), (1, 2), (0, 2, 1), (1, 1, 2), (0, 2, 1, 0, 2), (3, 0, 1, 1, 0)]
+    for alpha in alphas:
         stats = composition_stats(alpha)
-        fast = {
-            tuple(sorted(f.entries.items()))
-            for f in iter_basement_fillings(alpha)
-        }
-        brute = {
-            tuple(sorted(f.entries.items()))
+        fast = [f.flat for f in iter_basement_fillings(alpha)]
+        # the brute-force listing varies the first cell fastest; sorting the
+        # flat tuples puts it in the enumerator's order, last cell fastest
+        brute = sorted(
+            f.flat
             for f in enumerate_fillings(
                 diagram(stats.inc),
                 len(alpha),
                 predicate=is_nonattacking,
                 basement=stats.beta,
             )
-        }
+        )
         assert fast == brute
-        for key in fast:
-            entries = dict(key)
-            for (col, row), value in entries.items():
+        for f in iter_basement_fillings(alpha):
+            for (col, row), value in f.entries.items():
                 if row == 1:
                     assert value == stats.beta[col - 1]
 
@@ -147,3 +155,66 @@ def test_filling_weight_trivial_cell():
     # a one-cell filling pinned to its basement weighs exactly 1
     f = next(iter_basement_fillings((1,)))
     assert filling_weight(f) == QtRational.one()
+
+
+def cell_by_cell_weight(f):
+    """The weight rebuilt cell by cell from leg, arm and the entry below."""
+    num = MPoly.monomial(0, q=maj(f), t=coinv_comp(f))
+    den = []
+    for cell in f.shape.cells():
+        below = f.south(cell)
+        if below is None or f[cell] == below:
+            continue
+        num = num * qt_one_minus_t()
+        den.append(QtFactor(leg(f.shape, cell) + 1, arm_composition(f.shape, cell) + 1))
+    return QtRational(num, den)
+
+
+@pytest.mark.parametrize(
+    "fillings",
+    [
+        lambda: iter_basement_fillings((0, 2, 1, 0, 2)),
+        lambda: iter_basement_fillings((3, 0, 1, 1)),
+        lambda: enumerate_fillings(diagram((1, 2)), 2, basement=INF_BASEMENT),
+        lambda: enumerate_fillings(diagram((2, 1)), 2),
+    ],
+)
+def test_filling_weight_matches_cell_by_cell_form(fillings):
+    # same numerator and denominator, not merely an equal value
+    for f in fillings():
+        fast, slow = filling_weight(f), cell_by_cell_weight(f)
+        assert (fast.num, fast.den) == (slow.num, slow.den)
+
+
+# The reduced form of a sum depends on how its terms were added and reduced,
+# and the JSON output prints that form.  Summing every numerator over the full
+# hook product and reducing once gives equal values but prints the first three
+# differently.
+PINNED_FORMS = [
+    pytest.param(
+        lambda: p_poly((3, 2), 4),
+        "a001f126f40b60e11dac8c48292dc77b4508de9402b137cfa04b0b31cf184cc3",
+        id="p(3,2)/4",
+    ),
+    pytest.param(
+        lambda: g_poly((2, 3), 4),
+        "55677b9fd0ccb8da336c645e19f2b0e37082f507c655ed08a1f9c3b152d4fed6",
+        id="g(2,3)/4",
+    ),
+    pytest.param(
+        lambda: g_poly((3, 2), 4),
+        "ee930c3fb49984e3549a66e4888804f0b5b6127947dd6082a8bb7ed8bb603f2a",
+        id="g(3,2)/4",
+    ),
+    pytest.param(
+        lambda: f_poly((0, 2, 2, 0, 2)),
+        "02bfcdcdc9932a5f48f77c6eecd65ae26d02d274c1b146e1944d4c3d6014e512",
+        id="f(0,2,2,0,2)",
+    ),
+]
+
+
+@pytest.mark.parametrize("compute, expected", PINNED_FORMS)
+def test_printed_form_is_pinned(compute, expected):
+    text = json.dumps(compute().to_json_obj(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == expected

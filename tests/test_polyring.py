@@ -15,6 +15,7 @@ from macpoly.polyring import (
     NonPolynomialError,
     QtFactor,
     QtRational,
+    divide_binomial,
     divmod_poly,
     exact_div,
     gaussian_binomial,
@@ -352,3 +353,80 @@ def test_qt_add_mul_consistency(du, dv):
     for f in p.den:
         rhs = rhs * f.poly()
     assert lhs == rhs
+
+
+# -- the binomial divider against the general division ----------------------------
+
+
+@st.composite
+def binomial_multiples(draw):
+    """(p, a, b): a sparse q,t-polynomial times 1 - q^a t^b, sometimes plus a
+    perturbation.  Exponents up to 6 against steps up to 3 leave gaps along
+    the chains."""
+    a, b = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+
+    def sparse(max_terms):
+        terms = {}
+        for _ in range(draw(st.integers(0, max_terms))):
+            mono = Monomial((), draw(st.integers(0, 6)), draw(st.integers(0, 6)))
+            terms[mono] = draw(st.integers(-4, 4))
+        return MPoly(0, terms)
+
+    p = sparse(5) * one_minus_qt(a, b)
+    if draw(st.booleans()):
+        p = p + sparse(2)
+    return p, a, b
+
+
+@settings(max_examples=300)
+@given(binomial_multiples())
+def test_divide_binomial_matches_divmod(data):
+    p, a, b = data
+    quo, rem = divmod_poly(p, one_minus_qt(a, b))
+    fast = divide_binomial(p, a, b)
+    if rem.is_zero():
+        assert fast == quo
+    else:
+        assert fast is None
+
+
+def test_divide_binomial_chain_with_gap_and_zero_q_step():
+    # (1 - t^2) * (1 + t^4): the chain 0, 2, 4, 6 has a zero at 2
+    p = one_minus_qt(0, 2) * (MPoly.one(0) + MPoly.monomial(0, t=4))
+    assert divide_binomial(p, 0, 2) == MPoly.one(0) + MPoly.monomial(0, t=4)
+    assert divide_binomial(p, 0, 1) == exact_div(p, one_minus_qt(0, 1))
+    assert divide_binomial(p, 1, 1) is None
+
+
+def test_divide_binomial_refuses_non_integer_coefficients():
+    p = one_minus_qt(1, 1) * Fraction(1, 2)
+    assert not divmod_poly(p, one_minus_qt(1, 1))[1].is_zero()
+    assert divide_binomial(p, 1, 1) is None
+
+
+@pytest.mark.parametrize(
+    "quotient, a, b, extra",
+    [
+        ({(0, 0): 3, (2, 1): 1, (0, 5): -1}, 1, 2, {}),
+        ({(0, 0): 1, (3, 0): -2, (6, 0): 1}, 0, 1, {}),
+        ({(1, 1): 2, (4, 4): 1}, 1, 1, {}),
+        ({(0, 0): 1, (2, 3): 5}, 2, 1, {(1, 0): 1}),
+    ],
+)
+def test_divide_binomial_agrees_with_sympy(quotient, a, b, extra):
+    sympy = pytest.importorskip("sympy")
+    q, t = sympy.symbols("q t")
+
+    def to_sympy(poly):
+        return sum(c * q**m.q * t**m.t for m, c in poly.terms.items())
+
+    def from_terms(terms):
+        return MPoly(0, {Monomial((), i, j): c for (i, j), c in terms.items()})
+
+    p = from_terms(quotient) * one_minus_qt(a, b) + from_terms(extra)
+    fast = divide_binomial(p, a, b)
+    quo, rem = sympy.div(to_sympy(p), 1 - q**a * t**b, q, t)
+    if rem == 0:
+        assert fast is not None and sympy.expand(to_sympy(fast) - quo) == 0
+    else:
+        assert fast is None

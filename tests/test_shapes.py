@@ -28,6 +28,7 @@ from macpoly.shapes import (
     enumerate_fillings,
     filling_from_fixture,
     inv,
+    is_clockwise,
     is_counterclockwise,
     is_nonattacking,
     is_ordered,
@@ -262,6 +263,65 @@ def test_coinv_single_row_counts_noninversions():
     # a lone row with no basement: pairs in increasing order are the coinversions
     filling = make_filling([1, 1, 1], [[2], [1], [3]])
     assert coinv_comp(filling) == 2  # (2,3) and (1,3)
+
+
+def coinv_by_cells(f):
+    """coinv_comp read cell by cell from the column pairs, without the plan."""
+    h = f.shape.heights
+    perm = isinstance(f.basement, tuple)
+    total = 0
+    for left in range(1, len(h) + 1):
+        for right in range(left + 1, len(h) + 1):
+            hl, hr = h[left - 1], h[right - 1]
+            if hl >= hr:
+                for r in range(2, hr + 1):
+                    total += is_clockwise(f[(right, r)], f[(left, r)], f[(left, r - 1)])
+                if hr >= 1:
+                    if perm:
+                        total += is_clockwise(f[(right, 1)], f[(left, 1)], f.basement[left - 1])
+                    else:
+                        total += f[(left, 1)] < f[(right, 1)]
+            else:
+                for r in range(2, min(hl + 1, hr) + 1):
+                    total += is_clockwise(f[(left, r - 1)], f[(right, r)], f[(right, r - 1)])
+                if perm and hr >= 1:
+                    total += is_clockwise(f.basement[left - 1], f[(right, 1)], f.basement[right - 1])
+    return total
+
+
+def attacking_by_cells(f):
+    """Whether two cells attack, tested on every pair of cells."""
+    for (c1, r1), (c2, r2) in permutations(f.shape.cells(), 2):
+        if c1 < c2 and r1 in (r2, r2 - 1) and f[(c1, r1)] == f[(c2, r2)]:
+            return True
+    if isinstance(f.basement, tuple):
+        for c, r in f.shape.cells():
+            if r == 1 and f[(c, 1)] in f.basement[: c - 1]:
+                return True
+    return False
+
+
+@st.composite
+def random_fillings(draw):
+    heights = draw(st.lists(st.integers(0, 3), max_size=5))
+    n = draw(st.integers(1, 4))
+    shape = diagram(heights)
+    entries = {cell: draw(st.integers(1, n)) for cell in shape.cells()}
+    basement = draw(
+        st.one_of(
+            st.none(),
+            st.just(INF_BASEMENT),
+            st.permutations(range(1, len(heights) + 1)).map(tuple),
+        )
+    )
+    return Filling(shape, entries, basement)
+
+
+@settings(max_examples=300)
+@given(random_fillings())
+def test_plan_statistics_match_cell_by_cell(f):
+    assert coinv_comp(f) == coinv_by_cells(f)
+    assert is_nonattacking(f) == (not attacking_by_cells(f))
 
 
 # -- attacking / ordered / packed -------------------------------------------------
