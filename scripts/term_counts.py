@@ -11,14 +11,7 @@ the increasing diagram versus all nonattacking fillings of the decreasing one.
 import argparse
 
 from macpoly.modified import iter_sorted_tableaux
-from macpoly.shapes import (
-    composition_stats,
-    conjugate,
-    diagram,
-    enumerate_fillings,
-    is_nonattacking,
-    is_ordered,
-)
+from macpoly.shapes import composition_stats, conjugate, diagram, iter_nonattacking
 from macpoly.verify import partitions_up_to
 
 
@@ -38,15 +31,9 @@ def main() -> None:
 
     print(f"\nintegral form, n = {n}: ordered vs all nonattacking fillings")
     for mu in partitions_up_to(args.max_size):
-        inc_shape = diagram(composition_stats(mu).inc)
-        ordered_count = sum(
-            1
-            for f in enumerate_fillings(inc_shape, n, predicate=is_nonattacking)
-            if is_ordered(f)
-        )
-        plain_count = sum(
-            1 for _ in enumerate_fillings(diagram(mu), n, predicate=is_nonattacking)
-        )
+        inc = composition_stats(mu).inc
+        ordered_count = sum(1 for _ in iter_nonattacking(inc, n, ordered=True))
+        plain_count = sum(1 for _ in iter_nonattacking(mu, n))
         print(f"  shape {mu}: {ordered_count:6d} vs {plain_count:6d}")
 
 

@@ -20,7 +20,7 @@ from .modified import htilde_compact, htilde_plain
 from .nonsymmetric import e_permuted_basement, f_poly, integral_e
 from .polyring import KEEP, DimensionError, EvaluationError, MPoly, NonPolynomialError
 from .quasisym import g_poly, qs_schur, schur_ssyt
-from .shapes import ShapeError
+from .shapes import ShapeError, as_partition
 from .verify import run_suite
 
 MPOLY_FAMILIES = {"htilde", "j", "qschur", "schur"}
@@ -60,12 +60,13 @@ def parse_value(text: str) -> int | Fraction:
 
 
 def require_partition(shape: tuple[int, ...]) -> tuple[int, ...]:
-    if any(a < b for a, b in zip(shape, shape[1:])) or any(p <= 0 for p in shape):
+    try:
+        return as_partition(shape)
+    except ShapeError:
         raise UsageError(
             f"{shape} is not a partition (weakly decreasing, positive parts); "
             "input is not sorted for you"
-        )
-    return shape
+        ) from None
 
 
 def require_strong(shape: tuple[int, ...]) -> tuple[int, ...]:

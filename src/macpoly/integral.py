@@ -3,57 +3,50 @@ products, and the symmetric P assembled from its nonsymmetric pieces."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations, product as iproduct
-from typing import Mapping, Sequence
+from functools import lru_cache
+from itertools import permutations
+from typing import Iterable, Mapping, Sequence
 
-from .polyring import MPoly, exact_div, one_minus_qt, pochhammer_tt, poly_sum
-from .nonsymmetric import EResult, f_poly
+from .polyring import (
+    Monomial,
+    MPoly,
+    divide_binomials,
+    one_minus_qt,
+    pochhammer_factors,
+    pochhammer_tt,
+)
+from .nonsymmetric import EResult, _weight_factors, f_poly
 from .shapes import (
-    Diagram,
     Filling,
-    ShapeError,
-    arm_composition,
     arm_partition,
+    as_partition,
     coinv_comp,
     composition_stats,
     conjugate,
     diagram,
+    enumerate_fillings,
     is_nonattacking,
-    is_ordered,
+    iter_nonattacking,
     leg,
     maj,
+    shape_plan,
 )
-
-
-def _as_partition(mu: Sequence[int]) -> tuple[int, ...]:
-    mu = tuple(mu)
-    if any(a < b for a, b in zip(mu, mu[1:])) or any(p <= 0 for p in mu):
-        raise ShapeError(f"{mu} is not a partition with positive parts")
-    return mu
 
 
 def hook_product(mu: Sequence[int], n_ambient: int = 0) -> MPoly:
     """Normalization product of a partition: over the conjugate column diagram
-    with 1 - q^arm t^(leg+1), equal by transposition to the product over the
-    column diagram of mu with 1 - q^leg t^(arm+1).  Both are computed and
-    must agree."""
-    mu = _as_partition(mu)
-    shape_a = diagram(conjugate(mu))
-    form_a = MPoly.one(n_ambient)
-    for cell in shape_a.cells():
-        form_a = form_a * one_minus_qt(
-            arm_partition(shape_a, cell), leg(shape_a, cell) + 1, n_ambient
+    with 1 - q^arm t^(leg+1).  By transposition it equals the product over
+    the column diagram of mu with 1 - q^leg t^(arm+1); the identity battery
+    checks that."""
+    shape = diagram(conjugate(as_partition(mu)))
+    out = MPoly.one(n_ambient)
+    for cell in shape.cells():
+        out = out * one_minus_qt(
+            arm_partition(shape, cell), leg(shape, cell) + 1, n_ambient
         )
-    shape_b = diagram(mu)
-    form_b = MPoly.one(n_ambient)
-    for cell in shape_b.cells():
-        form_b = form_b * one_minus_qt(
-            leg(shape_b, cell), arm_partition(shape_b, cell) + 1, n_ambient
-        )
-    if form_a != form_b:
-        raise AssertionError("the two normalization-product forms disagree")
-    return form_a
+    return out
 
 
 def pochhammer_prefactor(mult: Mapping[int, int], n_ambient: int = 0) -> MPoly:
@@ -68,52 +61,78 @@ def hook_product_inc(alpha: Sequence[int], n_ambient: int = 0) -> MPoly:
     """Pochhammer prefactor times the above-bottom-row cell binomials of the
     increasing diagram of alpha."""
     stats = composition_stats(alpha)
-    shape = diagram(stats.inc)
     out = pochhammer_prefactor(stats.mult, n_ambient)
-    for cell in shape.cells():
-        if cell.row >= 2:
-            out = out * one_minus_qt(
-                leg(shape, cell) + 1, arm_composition(shape, cell) + 1, n_ambient
-            )
+    for _, below, _, factor in _weight_factors(stats.inc):
+        if below is not None:
+            out = out * factor.poly(n_ambient)
     return out
+
+
+@lru_cache(maxsize=4096)
+def _j_factor_terms(
+    heights: tuple[int, ...], mask: tuple[bool, ...], pochhammer: tuple[int, ...]
+) -> tuple[tuple[int, int, int], ...]:
+    """(q exponent, t exponent, coefficient) terms of the q,t part of a J
+    weight: the product of (t;t)_m over ``pochhammer``, times, for each cell
+    above row 1, 1 - q^(leg+1) t^(arm+1) where ``mask`` says its entry
+    repeats the one below and 1 - t where it differs."""
+    out = MPoly.one(0)
+    for m in pochhammer:
+        out = out * pochhammer_tt(m)
+    factors = (factor for _, j, _, factor in _weight_factors(heights) if j is not None)
+    for repeat, factor in zip(mask, factors):
+        out = out * (factor.poly() if repeat else one_minus_qt(0, 1))
+    return tuple((mono.q, mono.t, c) for mono, c in out.terms.items())
+
+
+def j_weight_sum(
+    heights: Sequence[int],
+    n: int,
+    fillings: Iterable[Filling],
+    pochhammer: Sequence[int] = (),
+) -> MPoly:
+    """The product of (t;t)_m over ``pochhammer`` times the sum of the J
+    weights of ``fillings``, all of the diagram with column heights
+    ``heights``.
+
+    A J weight is x^sigma q^maj t^coinv times, over the cells above row 1,
+    1 - q^(leg+1) t^(arm+1) where the entry repeats the one below and 1 - t
+    where it differs.  Fillings are counted by (repeat mask, x, maj, coinv),
+    and each distinct key is expanded once against the q,t product cached
+    per (shape, mask, prefactor).
+    """
+    heights = tuple(heights)
+    pochhammer = tuple(sorted(pochhammer))
+    steps = shape_plan(heights).steps
+    values = range(1, n + 1)
+    counts: Counter = Counter()
+    for f in fillings:
+        e = f.flat
+        x = tuple(map(e.count, values))
+        if sum(x) != len(e):
+            raise ValueError(f"entry outside alphabet 1..{n}")
+        counts[tuple(e[i] == e[j] for i, j, _ in steps), x, maj(f), coinv_comp(f)] += 1
+    acc: dict[Monomial, int] = {}
+    for (mask, x, q, t), c in counts.items():
+        for a, b, k in _j_factor_terms(heights, mask, pochhammer):
+            mono = Monomial(x, q + a, t + b)
+            acc[mono] = acc.get(mono, 0) + c * k
+    return MPoly(n, acc)
 
 
 def j_weight_poly(f: Filling, n: int) -> MPoly:
     """x^sigma q^maj t^coinv times the above-row-1 cell factors: the binomial
     1 - q^(leg+1) t^(arm+1) where the entry repeats the one below, 1 - t
     where it differs."""
-    shape = f.shape
-    out = MPoly.monomial(n, x=f.x_exponents(n), q=maj(f), t=coinv_comp(f))
-    for cell in shape.cells():
-        if cell.row < 2:
-            continue
-        if f[cell] == f[(cell.col, cell.row - 1)]:
-            out = out * one_minus_qt(
-                leg(shape, cell) + 1, arm_composition(shape, cell) + 1, n
-            )
-        else:
-            out = out * one_minus_qt(0, 1, n)
-    return out
-
-
-def _iter_nonattacking(shape: Diagram, n: int, ordered: bool):
-    cells = shape.cells()
-    for combo in iproduct(range(1, n + 1), repeat=len(cells)):
-        f = Filling(shape, dict(zip(cells, combo)))
-        if not is_nonattacking(f):
-            continue
-        if ordered and not is_ordered(f):
-            continue
-        yield f
+    return j_weight_sum(f.shape.heights, n, [f])
 
 
 def j_plain(mu: Sequence[int], n: int) -> MPoly:
     """(1-t)^(number of parts) times the sum over nonattacking fillings of
     the column diagram of mu, entries in 1..n, no basement."""
-    mu = _as_partition(mu)
-    fillings = _iter_nonattacking(diagram(mu), n, ordered=False)
-    total = poly_sum(n, (j_weight_poly(f, n) for f in fillings))
-    return one_minus_qt(0, 1, n) ** len(mu) * total
+    mu = as_partition(mu)
+    fillings = enumerate_fillings(diagram(mu), n, predicate=is_nonattacking)
+    return j_weight_sum(mu, n, fillings, (1,) * len(mu))
 
 
 @dataclass(frozen=True)
@@ -125,20 +144,25 @@ class JResult:
 
     def quotient(self) -> MPoly:
         """The integer-coefficient polynomial left after dividing the value
-        by the Pochhammer prefactor; exact by construction."""
-        return exact_div(
-            self.value, pochhammer_prefactor(self.mult_prefactor, self.value.n)
+        by the Pochhammer prefactor; raises
+        :class:`~macpoly.polyring.NonPolynomialError` when it does not
+        divide."""
+        return divide_binomials(
+            self.value, pochhammer_factors(self.mult_prefactor.values())
         )
 
 
 def j_compact(mu: Sequence[int], n: int) -> JResult:
     """Pochhammer prefactor times the sum over ordered nonattacking fillings
     of the increasing rearrangement of mu; equal to :func:`j_plain`."""
-    mu = _as_partition(mu)
-    stats = composition_stats(mu)
-    fillings = _iter_nonattacking(diagram(stats.inc), n, ordered=True)
-    total = poly_sum(n, (j_weight_poly(f, n) for f in fillings))
-    value = pochhammer_prefactor(stats.mult, n) * total
+    stats = composition_stats(as_partition(mu))
+    shape = diagram(stats.inc)
+    cells = shape_plan(stats.inc).cells
+    fillings = (
+        Filling(shape, dict(zip(cells, e)))
+        for e in iter_nonattacking(stats.inc, n, ordered=True)
+    )
+    value = j_weight_sum(stats.inc, n, fillings, tuple(stats.mult.values()))
     return JResult(value, dict(stats.mult))
 
 
@@ -154,7 +178,7 @@ def compositions_rearranging(lam: Sequence[int], n: int) -> list[tuple[int, ...]
 def p_poly(lam: Sequence[int], n: int) -> EResult:
     """Monic symmetric value: the sum of f_poly over all weak compositions of
     length n that sort to lam."""
-    lam = _as_partition(lam)
+    lam = as_partition(lam)
     out = EResult(n)
     for alpha in compositions_rearranging(lam, n):
         out += f_poly(alpha)

@@ -24,6 +24,7 @@ from .shapes import (
     Filling,
     ShapeError,
     ShapePlan,
+    as_partition,
     conjugate,
     diagram,
     inv,
@@ -152,16 +153,9 @@ def multiplicity_t(f: Filling, n_ambient: int = 0) -> MPoly:
     return SortedTableau.certify(f).multiplicity_t(n_ambient)
 
 
-def _as_partition(lam: Sequence[int]) -> tuple[int, ...]:
-    lam = tuple(lam)
-    if any(a < b for a, b in zip(lam, lam[1:])) or any(p <= 0 for p in lam):
-        raise ShapeError(f"{lam} is not a partition with positive parts")
-    return lam
-
-
 def htilde_plain(lam: Sequence[int], n: int) -> MPoly:
     """Sum of x^sigma q^inv t^maj over all fillings with entries in 1..n."""
-    plan = shape_plan(_as_partition(lam))
+    plan = shape_plan(as_partition(lam))
     values = range(1, n + 1)
     acc: dict[Monomial, int] = {}
     for e in iproduct(values, repeat=len(plan.cells)):
@@ -178,7 +172,7 @@ def htilde_compact(lam: Sequence[int], n: int) -> MPoly:
     call; its multiplicity comes from the cache keyed by its run signature
     and is shifted straight into one term map.
     """
-    shape = diagram(conjugate(_as_partition(lam)))
+    shape = diagram(conjugate(as_partition(lam)))
     plan = shape_plan(shape.heights)
     key = lru_cache(maxsize=None)(column_sort_key)
     acc: dict[Monomial, int] = {}

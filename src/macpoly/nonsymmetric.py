@@ -31,7 +31,7 @@ from .shapes import (
     coinv_comp,
     composition_stats,
     diagram,
-    is_ordered,
+    iter_nonattacking,
     leg,
     maj,
     shape_plan,
@@ -147,25 +147,10 @@ def iter_basement_fillings(alpha: Sequence[int]) -> Iterator[Filling]:
     """
     stats = composition_stats(alpha)
     shape = diagram(stats.inc)
-    plan = shape_plan(shape.heights)
-    values = range(1, len(stats.inc) + 1)
-    e = [0] * len(plan.cells)
-    for i, col, _ in plan.bottom:
-        e[i] = stats.beta[col]
-    free = [i for i, _, _ in plan.steps]
-
-    def fill(k: int) -> Iterator[Filling]:
-        if k == len(free):
-            yield Filling(shape, dict(zip(plan.cells, e)), stats.beta)
-            return
-        i = free[k]
-        taken = {e[j] for j in plan.attacks[i]}
-        for v in values:
-            if v not in taken:
-                e[i] = v
-                yield from fill(k + 1)
-
-    yield from fill(0)
+    plan = shape_plan(stats.inc)
+    pinned = {i: stats.beta[col] for i, col, _ in plan.bottom}
+    for e in iter_nonattacking(stats.inc, len(stats.inc), pinned):
+        yield Filling(shape, dict(zip(plan.cells, e)), stats.beta)
 
 
 @lru_cache(maxsize=256)
@@ -221,16 +206,13 @@ def integral_e(alpha: Sequence[int], verify: bool = False) -> MPoly:
     With ``verify=True`` the same value is recomputed as the multiplier-
     cleared product of :func:`e_permuted_basement`, and the two must agree.
     """
-    from .integral import j_weight_poly, pochhammer_prefactor, hook_product_inc
+    from .integral import hook_product_inc, j_weight_sum
 
     alpha = tuple(alpha)
     n = len(alpha)
     stats = composition_stats(alpha)
-    prefactor = pochhammer_prefactor(stats.mult, n)
-    fillings = list(iter_basement_fillings(alpha))
-    if not all(is_ordered(f) for f in fillings):
-        raise AssertionError("basement filling lost the ordered property")
-    value = prefactor * poly_sum(n, (j_weight_poly(f, n) for f in fillings))
+    fillings = iter_basement_fillings(alpha)
+    value = j_weight_sum(stats.inc, n, fillings, tuple(stats.mult.values()))
     if verify:
         cleared = e_permuted_basement(alpha).cleared_by(hook_product_inc(alpha))
         if cleared != value:

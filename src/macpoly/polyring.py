@@ -466,13 +466,17 @@ def pochhammer_tt(m: int, n: int = 0) -> MPoly:
     return result
 
 
+def pochhammer_factors(ms: Iterable[int]) -> list[tuple[int, int]]:
+    """The binomials 1 - t^i of the product of (t;t)_m over ms, as (0, i)."""
+    return [(0, i) for m in ms for i in range(1, m + 1)]
+
+
 def gaussian_binomial(m: int, k: int, n: int = 0) -> MPoly:
-    """t-binomial coefficient (m choose k)_t, computed by exact division."""
+    """t-binomial coefficient (m choose k)_t: (t;t)_m divided along chains by
+    the factors of (t;t)_k and (t;t)_(m-k)."""
     if not 0 <= k <= m:
         raise ValueError(f"need 0 <= k <= m, got ({m}, {k})")
-    num = pochhammer_tt(m, n)
-    den = pochhammer_tt(k, n) * pochhammer_tt(m - k, n)
-    return exact_div(num, den)
+    return divide_binomials(pochhammer_tt(m, n), pochhammer_factors((k, m - k)))
 
 
 def t_multinomial(total: int, parts: Sequence[int], n: int = 0) -> MPoly:
@@ -538,6 +542,22 @@ def divide_binomial(p: MPoly, a: int, b: int) -> MPoly | None:
     out.n = p.n
     out.terms = quo
     return out
+
+
+def divide_binomials(p: MPoly, factors: Iterable[tuple[int, int]]) -> MPoly:
+    """p divided by the product of 1 - q^a t^b over ``factors``, one binomial
+    at a time by :func:`divide_binomial`.
+
+    Raises :class:`NonPolynomialError` when the product does not divide p.
+    Since Z[x, q, t] has unique factorization, that happens exactly when one
+    of the successive divisions is not exact.
+    """
+    for a, b in factors:
+        quo = divide_binomial(p, a, b)
+        if quo is None:
+            raise NonPolynomialError(f"1 - q^{a}*t^{b} does not divide exactly")
+        p = quo
+    return p
 
 
 def _reduce(num: MPoly, den: tuple[QtFactor, ...]) -> tuple[MPoly, tuple[QtFactor, ...]]:

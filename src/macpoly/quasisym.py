@@ -9,7 +9,7 @@ from typing import Optional, Sequence, Union
 
 from .polyring import MPoly, QtRational
 from .nonsymmetric import EResult, f_poly
-from .shapes import ShapeError
+from .shapes import ShapeError, as_partition
 
 
 def _strong_composition(gamma: Sequence[int]) -> tuple[int, ...]:
@@ -99,9 +99,7 @@ def qsym_decompose(p: Union[MPoly, EResult], n: int | None = None) -> QSymDecomp
 def schur_ssyt(lam: Sequence[int], n: int) -> MPoly:
     """Classical tableau generating function: rows weakly increase, columns
     strictly increase, entries in 1..n.  Used purely as an external oracle."""
-    lam = tuple(lam)
-    if any(a < b for a, b in zip(lam, lam[1:])) or any(p <= 0 for p in lam):
-        raise ShapeError(f"{lam} is not a partition with positive parts")
+    lam = as_partition(lam)
     total = MPoly.zero(n)
     if not lam:
         return MPoly.one(n)

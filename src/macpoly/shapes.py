@@ -305,6 +305,14 @@ def composition_stats(alpha: Sequence[int]) -> CompositionStats:
     return CompositionStats(inc, dec, beta, plus, len(plus), mult)
 
 
+def as_partition(mu: Sequence[int]) -> tuple[int, ...]:
+    """mu as a tuple, checked weakly decreasing with positive parts."""
+    mu = tuple(mu)
+    if any(a < b for a, b in zip(mu, mu[1:])) or any(p <= 0 for p in mu):
+        raise ShapeError(f"{mu} is not a partition with positive parts")
+    return mu
+
+
 def conjugate(partition: Sequence[int]) -> tuple[int, ...]:
     """Transpose of a partition diagram."""
     parts = tuple(partition)
@@ -490,10 +498,11 @@ def enumerate_fillings(
     """Yield every filling with entries in 1..alphabet_max passing `predicate`.
 
     Deterministic order: colexicographic on the entry vector indexed by cells
-    sorted by (col, row), i.e. the first cell varies fastest.
+    sorted by (col, row), i.e. the first cell varies fastest.  An empty
+    alphabet fills only the empty diagram.
     """
-    if alphabet_max < 1:
-        raise ValueError("alphabet_max must be at least 1")
+    if alphabet_max < 0:
+        raise ValueError("alphabet_max must be nonnegative")
     cells = shape.cells()
     if not cells:
         f = Filling(shape, {}, basement)
@@ -505,6 +514,57 @@ def enumerate_fillings(
         f = Filling(shape, entries, basement)
         if predicate is None or predicate(f):
             yield f
+
+
+def iter_nonattacking(
+    heights: Sequence[int],
+    n: int,
+    pinned: Mapping[int, int] | None = None,
+    ordered: bool = False,
+) -> Iterator[tuple[int, ...]]:
+    """Flat entry tuples (plan cell order) of the nonattacking fillings of
+    the diagram with column heights ``heights``, entries in 1..n.
+
+    Cells are filled by backtracking in plan order, values ascending, so the
+    tuples come in lexicographic order; a value is dropped as soon as it
+    equals an already set cell it attacks.  ``pinned`` fixes the entries of
+    some cells (by position), e.g. row 1 against a permutation basement.
+    With ``ordered``, each row-1 entry of an equal-height block is bounded
+    below the entry to its left, which is the rule of :func:`is_ordered`.
+    """
+    plan = shape_plan(tuple(heights))
+    pinned = pinned or {}
+    # row-1 cell -> the row-1 cell to its left in the same block
+    left = {
+        b.start: a.start
+        for h, slices in plan.blocks
+        if ordered and h
+        for a, b in zip(slices, slices[1:])
+    }
+    rules = [(plan.attacks[i], left.get(i), pinned.get(i)) for i in range(len(plan.cells))]
+    last = len(rules) - 1
+    e = [0] * len(rules)
+
+    def fill(i: int) -> Iterator[tuple[int, ...]]:
+        partners, bound, fixed = rules[i]
+        top = n if bound is None else e[bound] - 1
+        taken = {e[j] for j in partners}
+        if fixed is None:
+            values = range(1, top + 1)
+        else:
+            values = (fixed,) if 1 <= fixed <= top else ()
+        for v in values:
+            if v not in taken:
+                e[i] = v
+                if i == last:
+                    yield tuple(e)
+                else:
+                    yield from fill(i + 1)
+
+    if rules:
+        yield from fill(0)
+    else:
+        yield ()
 
 
 # -- fixture files ----------------------------------------------------------------

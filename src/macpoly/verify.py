@@ -16,17 +16,17 @@ from importlib import resources
 from typing import Callable, Iterator
 
 from .integral import (
+    JResult,
     compositions_rearranging,
     j_compact,
     j_plain,
     p_poly,
-    pochhammer_prefactor,
     hook_product,
     hook_product_inc,
 )
 from .modified import SortedTableau, htilde_compact, htilde_plain, iter_sorted_tableaux, multiplicity_t
-from .nonsymmetric import EResult, f_poly, integral_e
-from .polyring import MPoly, Monomial, QtFactor, QtRational, exact_div, t_multinomial
+from .nonsymmetric import EResult, f_poly, integral_e, iter_basement_fillings
+from .polyring import MPoly, Monomial, QtFactor, QtRational, one_minus_qt, t_multinomial
 from .quasisym import (
     g_poly,
     qs_schur,
@@ -35,12 +35,15 @@ from .quasisym import (
     schur_ssyt,
 )
 from .shapes import (
+    arm_partition,
     composition_stats,
     coinv_comp,
     diagram,
     filling_from_fixture,
     inv,
+    is_ordered,
     is_packed,
+    leg,
     maj,
 )
 
@@ -199,11 +202,23 @@ def check_htilde_symmetry(max_size: int = 5, max_n: int = 4) -> CheckResult:
 # -- integral-form checks --------------------------------------------------------------
 
 
+def hook_product_by_columns(mu: tuple[int, ...]) -> MPoly:
+    """The other form of :func:`hook_product`: over the column diagram of mu,
+    with 1 - q^leg t^(arm+1)."""
+    shape = diagram(mu)
+    out = MPoly.one(0)
+    for cell in shape.cells():
+        out = out * one_minus_qt(leg(shape, cell), arm_partition(shape, cell) + 1)
+    return out
+
+
 def check_pr_products(max_size: int = 8) -> CheckResult:
     def body():
         count = 0
         for mu in partitions_up_to(max_size):
-            assert hook_product(mu) == hook_product_inc(composition_stats(mu).inc), f"mu={mu}"
+            value = hook_product(mu)
+            assert value == hook_product_by_columns(mu), f"mu={mu}: the two forms differ"
+            assert value == hook_product_inc(composition_stats(mu).inc), f"mu={mu}"
             count += 1
         return count, f"|shape| <= {max_size}"
 
@@ -267,16 +282,18 @@ def check_integrality(max_size: int = 5, max_n: int = 4) -> CheckResult:
         for mu in partitions_up_to(max_size):
             for n in range(1, max_n + 1):
                 stats = composition_stats(mu)
-                quotient = exact_div(j_plain(mu, n), pochhammer_prefactor(stats.mult, n))
+                quotient = JResult(j_plain(mu, n), stats.mult).quotient()
                 assert all(isinstance(c, int) for c in quotient.terms.values())
                 count += 1
         for n in range(1, max_n + 1):
             for alpha in weak_compositions_up_to(max_size, n):
                 if sum(alpha) == 0:
                     continue
+                assert all(is_ordered(f) for f in iter_basement_fillings(alpha)), (
+                    f"alpha={alpha}: a basement filling is not ordered"
+                )
                 stats = composition_stats(alpha)
-                value = integral_e(alpha, verify=True)
-                exact_div(value, pochhammer_prefactor(stats.mult, n))
+                JResult(integral_e(alpha, verify=True), stats.mult).quotient()
                 count += 1
         return count, "Pochhammer divisibility, both forms"
 

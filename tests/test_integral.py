@@ -1,27 +1,47 @@
 """PR products, the two J routes, and the P assembly."""
 
+import random
+
 import pytest
 
 from macpoly.integral import (
+    JResult,
     compositions_rearranging,
     j_compact,
     j_plain,
+    j_weight_poly,
+    j_weight_sum,
     p_poly,
     pochhammer_prefactor,
     hook_product,
     hook_product_inc,
 )
-from macpoly.nonsymmetric import EResult
+from macpoly.nonsymmetric import EResult, iter_basement_fillings
 from macpoly.polyring import (
     MPoly,
+    NonPolynomialError,
     QtFactor,
     QtRational,
     exact_div,
     one_minus_qt,
+    poly_sum,
     pochhammer_tt,
 )
-from macpoly.shapes import ShapeError, composition_stats, diagram, is_nonattacking, is_ordered
-from macpoly.shapes import enumerate_fillings
+from macpoly.shapes import (
+    Filling,
+    ShapeError,
+    arm_composition,
+    coinv_comp,
+    composition_stats,
+    diagram,
+    enumerate_fillings,
+    is_nonattacking,
+    is_ordered,
+    iter_nonattacking,
+    leg,
+    maj,
+)
+from macpoly.verify import hook_product_by_columns, partitions_up_to, weak_compositions_up_to
 
 
 def x_mono(n, exps, **kw):
@@ -44,6 +64,11 @@ def test_hook_product_two_cell_shapes():
 def test_hook_product_column_of_n_is_pochhammer():
     for n in range(1, 6):
         assert hook_product((1,) * n) == pochhammer_tt(n)
+
+
+def test_hook_product_forms_agree():
+    for mu in partitions_up_to(8):
+        assert hook_product(mu) == hook_product_by_columns(mu), mu
 
 
 @pytest.mark.parametrize(
@@ -123,6 +148,110 @@ def test_j_plain_divisible_by_pochhammer_prefactor(mu, n):
 def test_j_result_quotient():
     res = j_compact((2, 1), 2)
     assert res.quotient() * pochhammer_prefactor(res.mult_prefactor, 2) == res.value
+    assert res.quotient() == exact_div(res.value, pochhammer_prefactor(res.mult_prefactor, 2))
+
+
+def test_j_result_quotient_refuses_a_non_multiple():
+    value = one_minus_qt(0, 1, 1) * MPoly.monomial(1, x=(1,))
+    with pytest.raises(NonPolynomialError):
+        JResult(value, {1: 2}).quotient()
+
+
+def test_j_with_no_variables():
+    assert j_plain((2, 1), 0).is_zero()
+    assert j_compact((2, 1), 0).value.is_zero()
+    assert j_plain((), 0) == j_compact((), 0).value == MPoly.one(0)
+
+
+# -- the compiled J weights against the cell-by-cell form ------------------------
+
+
+def j_weight_by_cells(f, n):
+    """The J weight of one filling, multiplied out cell by cell."""
+    shape = f.shape
+    out = MPoly.monomial(n, x=f.x_exponents(n), q=maj(f), t=coinv_comp(f))
+    for cell in shape.cells():
+        if cell.row < 2:
+            continue
+        if f[cell] == f[(cell.col, cell.row - 1)]:
+            out = out * one_minus_qt(
+                leg(shape, cell) + 1, arm_composition(shape, cell) + 1, n
+            )
+        else:
+            out = out * one_minus_qt(0, 1, n)
+    return out
+
+
+def random_nonattacking(rng, heights, n, count):
+    """Up to ``count`` random nonattacking fillings, no basement."""
+    shape = diagram(heights)
+    out = []
+    for _ in range(50 * count):
+        entries = {cell: rng.randint(1, n) for cell in shape.cells()}
+        f = Filling(shape, entries)
+        if is_nonattacking(f):
+            out.append(f)
+            if len(out) == count:
+                break
+    return out
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_compiled_weights_match_cell_by_cell_without_basement(seed):
+    rng = random.Random(seed)
+    heights = tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 4)))
+    n = rng.randint(1, 4)
+    fillings = random_nonattacking(rng, heights, n, 12)
+    for f in fillings:
+        assert j_weight_poly(f, n) == j_weight_by_cells(f, n)
+    ms = tuple(rng.randint(0, 2) for _ in range(rng.randint(0, 2)))
+    prefactor = MPoly.one(n)
+    for m in ms:
+        prefactor = prefactor * pochhammer_tt(m, n)
+    expected = prefactor * poly_sum(n, (j_weight_by_cells(f, n) for f in fillings))
+    assert j_weight_sum(heights, n, fillings, ms) == expected
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_compiled_weights_match_cell_by_cell_with_basement(seed):
+    rng = random.Random(100 + seed)
+    alpha = tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 4)))
+    n = len(alpha)
+    fillings = list(iter_basement_fillings(alpha))
+    for f in rng.sample(fillings, min(12, len(fillings))):
+        assert j_weight_poly(f, n) == j_weight_by_cells(f, n)
+    stats = composition_stats(alpha)
+    expected = pochhammer_prefactor(stats.mult, n) * poly_sum(
+        n, (j_weight_by_cells(f, n) for f in fillings)
+    )
+    assert j_weight_sum(stats.inc, n, fillings, tuple(stats.mult.values())) == expected
+
+
+def test_j_weight_poly_rejects_entries_outside_the_alphabet():
+    f = Filling(diagram((1,)), {(1, 1): 3})
+    with pytest.raises(ValueError):
+        j_weight_poly(f, 2)
+
+
+# -- the pruned enumerator ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("heights", [(1, 1, 2, 3), (2, 2, 2), (2, 4), (0, 2, 2)])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pruned_enumerator_matches_filtering(heights, n):
+    shape = diagram(heights)
+    nonattacking = [f for f in enumerate_fillings(shape, n, predicate=is_nonattacking)]
+    expected = sorted(f.flat for f in nonattacking)
+    assert list(iter_nonattacking(heights, n)) == expected
+    ordered = sorted(f.flat for f in nonattacking if is_ordered(f))
+    assert list(iter_nonattacking(heights, n, ordered=True)) == ordered
+
+
+def test_basement_fillings_are_ordered_on_the_integral_window():
+    # weak compositions of length 5 with 4 <= |alpha| <= 6
+    for alpha in weak_compositions_up_to(6, 5):
+        if sum(alpha) >= 4:
+            assert all(is_ordered(f) for f in iter_basement_fillings(alpha)), alpha
 
 
 # -- P assembly --------------------------------------------------------------------

@@ -16,10 +16,12 @@ from macpoly.polyring import (
     QtFactor,
     QtRational,
     divide_binomial,
+    divide_binomials,
     divmod_poly,
     exact_div,
     gaussian_binomial,
     one_minus_qt,
+    pochhammer_factors,
     pochhammer_tt,
     t_multinomial,
 )
@@ -430,3 +432,60 @@ def test_divide_binomial_agrees_with_sympy(quotient, a, b, extra):
         assert fast is not None and sympy.expand(to_sympy(fast) - quo) == 0
     else:
         assert fast is None
+
+
+@st.composite
+def pochhammer_multiples(draw):
+    """(p, ms): a sparse polynomial in x_1, x_2, q, t times the product of
+    (t;t)_m over ms, sometimes plus a perturbation."""
+    ms = draw(st.lists(st.integers(0, 3), max_size=3))
+
+    def sparse(max_terms):
+        terms = {}
+        for _ in range(draw(st.integers(0, max_terms))):
+            mono = Monomial(
+                (draw(st.integers(0, 2)), draw(st.integers(0, 2))),
+                draw(st.integers(0, 3)),
+                draw(st.integers(0, 6)),
+            )
+            terms[mono] = draw(st.integers(-4, 4))
+        return MPoly(2, terms)
+
+    p = sparse(4)
+    for m in ms:
+        p = p * pochhammer_tt(m, 2)
+    if draw(st.booleans()):
+        p = p + sparse(2)
+    return p, ms
+
+
+@settings(max_examples=200)
+@given(pochhammer_multiples())
+def test_divide_binomials_matches_exact_div(data):
+    p, ms = data
+    divisor = MPoly.one(2)
+    for m in ms:
+        divisor = divisor * pochhammer_tt(m, 2)
+    try:
+        expected = exact_div(p, divisor)
+    except NonPolynomialError:
+        with pytest.raises(NonPolynomialError):
+            divide_binomials(p, pochhammer_factors(ms))
+    else:
+        assert divide_binomials(p, pochhammer_factors(ms)) == expected
+
+
+def test_divide_binomials_raises_on_a_later_factor():
+    # 1 - t divides, (1 - t)^2 does not
+    p = one_minus_qt(0, 1) * (MPoly.one(0) + qpoly())
+    assert divide_binomials(p, [(0, 1)]) == MPoly.one(0) + qpoly()
+    with pytest.raises(NonPolynomialError):
+        divide_binomials(p, [(0, 1), (0, 1)])
+
+
+@pytest.mark.parametrize("m", range(9))
+def test_gaussian_binomial_unchanged_by_chain_division(m):
+    for k in range(m + 1):
+        for n in (0, 2):
+            den = pochhammer_tt(k, n) * pochhammer_tt(m - k, n)
+            assert gaussian_binomial(m, k, n) == exact_div(pochhammer_tt(m, n), den)
