@@ -15,16 +15,13 @@ import sys
 from fractions import Fraction
 from functools import partial
 
-from .integral import j_compact, j_plain, p_poly
+from .integral import hook_product_inc, j_compact, j_plain, p_poly
 from .modified import htilde_compact, htilde_plain
 from .nonsymmetric import e_permuted_basement, f_poly, integral_e
 from .polyring import KEEP, DimensionError, EvaluationError, MPoly, NonPolynomialError
 from .quasisym import g_poly, qs_schur, schur_ssyt
 from .shapes import ShapeError, as_partition
 from .verify import run_suite
-
-MPOLY_FAMILIES = {"htilde", "j", "qschur", "schur"}
-ERESULT_FAMILIES = {"e", "f", "p", "g"}
 
 
 class UsageError(SystemExit):
@@ -69,12 +66,6 @@ def require_partition(shape: tuple[int, ...]) -> tuple[int, ...]:
         ) from None
 
 
-def require_strong(shape: tuple[int, ...]) -> tuple[int, ...]:
-    if any(p <= 0 for p in shape):
-        raise UsageError(f"{shape} must have positive parts only")
-    return shape
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="macpoly",
@@ -82,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_family(name, aliases=(), partition=False, strong=False, needs_n=True):
+    def add_family(name, aliases=(), partition=False, needs_n=True):
         p = sub.add_parser(name, aliases=list(aliases))
         p.add_argument("--shape", required=True, type=parse_shape)
         if needs_n:
@@ -90,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q", type=parse_value, default=None)
         p.add_argument("--t", type=parse_value, default=None)
         p.add_argument("--json", action="store_true")
-        p.set_defaults(family=name, partition=partition, strong=strong)
+        p.set_defaults(family=name, partition=partition)
         return p
 
     ht = add_family("htilde", partition=True)
@@ -105,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--verify", action="store_true",
                        help="with --integral: also run the multiplier-cleared route")
     add_family("p", partition=True)
-    add_family("g", aliases=("gpoly",), strong=True)
-    add_family("qschur", strong=True)
+    add_family("g", aliases=("gpoly",))
+    add_family("qschur")
     add_family("schur", partition=True)
 
     v = sub.add_parser("verify")
@@ -151,8 +142,6 @@ def run_family(args) -> int:
     shape = args.shape
     if args.partition:
         shape = require_partition(shape)
-    if args.strong:
-        shape = require_strong(shape)
     q, t = _specialize_args(args)
 
     if family == "htilde":
@@ -163,8 +152,12 @@ def run_family(args) -> int:
         poly = j_compact(shape, args.n).value if args.formula == "compact" else j_plain(shape, args.n)
         _emit_mpoly(poly.specialize(q=q, t=t), args)
     elif family in ("e", "f"):
-        if getattr(args, "integral", False):
-            poly = integral_e(shape, verify=getattr(args, "verify", False))
+        if args.integral:
+            poly = integral_e(shape)
+            if args.verify:
+                cleared = e_permuted_basement(shape).cleared_by(hook_product_inc(shape))
+                if cleared != poly:
+                    raise NonPolynomialError("integral-form routes disagree; convention bug")
             _emit_mpoly(poly.specialize(q=q, t=t), args)
         else:
             fn = e_permuted_basement if family == "e" else f_poly

@@ -17,10 +17,9 @@ from .polyring import (
     pochhammer_factors,
     pochhammer_tt,
 )
-from .nonsymmetric import EResult, _weight_factors, f_poly
+from .nonsymmetric import EResult, f_poly
 from .shapes import (
     Filling,
-    arm_partition,
     as_partition,
     coinv_comp,
     composition_stats,
@@ -29,7 +28,6 @@ from .shapes import (
     enumerate_fillings,
     is_nonattacking,
     iter_nonattacking,
-    leg,
     maj,
     shape_plan,
 )
@@ -40,12 +38,9 @@ def hook_product(mu: Sequence[int], n_ambient: int = 0) -> MPoly:
     with 1 - q^arm t^(leg+1).  By transposition it equals the product over
     the column diagram of mu with 1 - q^leg t^(arm+1); the identity battery
     checks that."""
-    shape = diagram(conjugate(as_partition(mu)))
     out = MPoly.one(n_ambient)
-    for cell in shape.cells():
-        out = out * one_minus_qt(
-            arm_partition(shape, cell), leg(shape, cell) + 1, n_ambient
-        )
+    for leg1, arm1 in shape_plan(conjugate(as_partition(mu))).hooks:
+        out = out * one_minus_qt(arm1 - 1, leg1, n_ambient)
     return out
 
 
@@ -62,9 +57,10 @@ def hook_product_inc(alpha: Sequence[int], n_ambient: int = 0) -> MPoly:
     increasing diagram of alpha."""
     stats = composition_stats(alpha)
     out = pochhammer_prefactor(stats.mult, n_ambient)
-    for _, below, _, factor in _weight_factors(stats.inc):
+    plan = shape_plan(stats.inc)
+    for below, hook in zip(plan.below, plan.hooks):
         if below is not None:
-            out = out * factor.poly(n_ambient)
+            out = out * one_minus_qt(*hook, n_ambient)
     return out
 
 
@@ -79,9 +75,10 @@ def _j_factor_terms(
     out = MPoly.one(0)
     for m in pochhammer:
         out = out * pochhammer_tt(m)
-    factors = (factor for _, j, _, factor in _weight_factors(heights) if j is not None)
-    for repeat, factor in zip(mask, factors):
-        out = out * (factor.poly() if repeat else one_minus_qt(0, 1))
+    plan = shape_plan(heights)
+    hooks = (hook for j, hook in zip(plan.below, plan.hooks) if j is not None)
+    for repeat, hook in zip(mask, hooks):
+        out = out * (one_minus_qt(*hook) if repeat else one_minus_qt(0, 1))
     return tuple((mono.q, mono.t, c) for mono, c in out.terms.items())
 
 

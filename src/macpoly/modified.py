@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product as iproduct
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .polyring import Monomial, MPoly, t_multinomial
 from .shapes import (
@@ -60,27 +60,30 @@ def column_leq(a: Sequence[int], b: Sequence[int]) -> bool:
     return column_sort_key(a) <= column_sort_key(b)
 
 
-def _block_runs(
-    plan: ShapePlan, flat: tuple[int, ...], key: Callable = column_sort_key
-) -> tuple[tuple[int, ...], ...] | None:
-    """Lengths of the runs of identical columns in each height block, or None
-    when some block's columns are not weakly increasing in column order."""
+def _block_runs(plan: ShapePlan, flat: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Lengths of the runs of identical columns in each height block."""
     signature = []
     for _, slices in plan.blocks:
         runs: list[int] = []
-        prev = prev_key = None
+        prev = None
         for cols in slices:
             column = flat[cols]
             if runs and column == prev:
                 runs[-1] += 1
-                continue
-            column_key = key(column)
-            if runs and prev_key > column_key:
-                return None
-            runs.append(1)
-            prev, prev_key = column, column_key
+            else:
+                runs.append(1)
+                prev = column
         signature.append(tuple(runs))
     return tuple(signature)
+
+
+def _columns_sorted(plan: ShapePlan, flat: tuple[int, ...]) -> bool:
+    """Whether the columns of each height block weakly increase in column order."""
+    return all(
+        column_leq(flat[a], flat[b])
+        for _, slices in plan.blocks
+        for a, b in zip(slices, slices[1:])
+    )
 
 
 @lru_cache(maxsize=1024)
@@ -101,7 +104,7 @@ def is_sorted_tableau(f: Filling) -> bool:
     """Columns of each height weakly increase left to right in column order."""
     if not f.plan.is_partition:
         raise ShapeError("sorted tableaux live on partition shapes")
-    return _block_runs(f.plan, f.flat) is not None
+    return _columns_sorted(f.plan, f.flat)
 
 
 def iter_sorted_tableaux(shape: Diagram, n: int) -> Iterator[Filling]:
@@ -133,11 +136,10 @@ class SortedTableau:
     def certify(cls, f: Filling) -> "SortedTableau":
         if not f.plan.is_partition:
             raise ShapeError("sorted tableaux live on partition shapes")
-        signature = _block_runs(f.plan, f.flat)
-        if signature is None:
+        if not _columns_sorted(f.plan, f.flat):
             raise ShapeError("filling is not a sorted tableau")
         heights = [h for h, _ in f.plan.blocks]
-        return cls(f, tuple(zip(heights, signature)))
+        return cls(f, tuple(zip(heights, _block_runs(f.plan, f.flat))))
 
     def multiplicity_t(self, n_ambient: int = 0) -> MPoly:
         """Product over height blocks of the Gaussian multinomials of runs."""
@@ -168,20 +170,16 @@ def htilde_compact(lam: Sequence[int], n: int) -> MPoly:
     """Same polynomial as :func:`htilde_plain`, summed over the sorted tableaux
     of the conjugate diagram with weight x^sigma t^inv q^maj multiplicity_t.
 
-    Each tableau is certified sorted against column keys computed once per
-    call; its multiplicity comes from the cache keyed by its run signature
-    and is shifted straight into one term map.
+    The tableaux come sorted from :func:`iter_sorted_tableaux`; each one's
+    multiplicity comes from the cache keyed by its run signature and is
+    shifted straight into one term map.
     """
     shape = diagram(conjugate(as_partition(lam)))
     plan = shape_plan(shape.heights)
-    key = lru_cache(maxsize=None)(column_sort_key)
     acc: dict[Monomial, int] = {}
     for f in iter_sorted_tableaux(shape, n):
-        signature = _block_runs(plan, f.flat, key)
-        if signature is None:
-            raise ShapeError("filling is not a sorted tableau")
         x, q, t = f.x_exponents(n), maj(f), inv(f)
-        for k, c in _multiplicity_terms(signature):
+        for k, c in _multiplicity_terms(_block_runs(plan, f.flat)):
             mono = Monomial(x, q, t + k)
             acc[mono] = acc.get(mono, 0) + c
     return MPoly(n, acc)

@@ -17,22 +17,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .polyring import (
-    MPoly,
-    NonPolynomialError,
-    QtFactor,
-    QtRational,
-    one_minus_qt,
-    poly_sum,
-)
+from .polyring import MPoly, QtRational, one_minus_qt, poly_sum
 from .shapes import (
     Filling,
-    arm_composition,
     coinv_comp,
     composition_stats,
     diagram,
     iter_nonattacking,
-    leg,
     maj,
     shape_plan,
 )
@@ -90,10 +81,6 @@ class EResult:
                 for exps, value in self.coeffs.items()
             ),
         )
-
-    def to_mpoly(self) -> MPoly:
-        """Succeeds when every coefficient is already polynomial."""
-        return self.cleared_by(MPoly.one(0))
 
     def specialize(self, q, t) -> MPoly:
         """Evaluate q and t, producing a plain polynomial in x."""
@@ -153,19 +140,6 @@ def iter_basement_fillings(alpha: Sequence[int]) -> Iterator[Filling]:
         yield Filling(shape, dict(zip(plan.cells, e)), stats.beta)
 
 
-@lru_cache(maxsize=256)
-def _weight_factors(heights: tuple[int, ...]) -> tuple[tuple[int, int | None, int, QtFactor], ...]:
-    """Per cell, in cell order: (cell, cell below or None in row 1, column,
-    the factor 1 - q^(leg+1) t^(arm+1))."""
-    shape = diagram(heights)
-    plan = shape_plan(heights)
-    below = {i: j for i, j, _ in plan.steps}
-    return tuple(
-        (i, below.get(i), cell.col, QtFactor(leg(shape, cell) + 1, arm_composition(shape, cell) + 1))
-        for i, cell in enumerate(plan.cells)
-    )
-
-
 @lru_cache(maxsize=64)
 def _one_minus_t_power(k: int) -> MPoly:
     return one_minus_qt(0, 1) ** k
@@ -174,12 +148,12 @@ def _one_minus_t_power(k: int) -> MPoly:
 def filling_weight(f: Filling) -> QtRational:
     """q^maj t^coinv times the (1-t)/(1 - q^(leg+1) t^(arm+1)) cell product
     over cells whose entry differs from the entry below."""
-    e = f.flat
-    den: list[QtFactor] = []
-    for i, j, col, factor in _weight_factors(f.shape.heights):
-        below = f.basement_entry(col) if j is None else e[j]
+    e, plan = f.flat, f.plan
+    den: list[tuple[int, int]] = []
+    for i, (j, hook) in enumerate(zip(plan.below, plan.hooks)):
+        below = f.basement_entry(plan.cells[i].col) if j is None else e[j]
         if below is not None and e[i] != below:
-            den.append(factor)
+            den.append(hook)
     num = _one_minus_t_power(len(den)).mul_monomial(q=maj(f), t=coinv_comp(f))
     return QtRational(num, den)
 
@@ -199,24 +173,15 @@ def f_poly(alpha: Sequence[int]) -> EResult:
     return e_permuted_basement(alpha)
 
 
-def integral_e(alpha: Sequence[int], verify: bool = False) -> MPoly:
+def integral_e(alpha: Sequence[int]) -> MPoly:
     """Integral form: the Pochhammer prefactor times the per-filling products
     with denominators replaced by honest binomial factors.
 
-    With ``verify=True`` the same value is recomputed as the multiplier-
-    cleared product of :func:`e_permuted_basement`, and the two must agree.
+    It equals ``e_permuted_basement(alpha).cleared_by(hook_product_inc(alpha))``;
+    the identity battery checks that.
     """
-    from .integral import hook_product_inc, j_weight_sum
+    from .integral import j_weight_sum
 
-    alpha = tuple(alpha)
-    n = len(alpha)
     stats = composition_stats(alpha)
     fillings = iter_basement_fillings(alpha)
-    value = j_weight_sum(stats.inc, n, fillings, tuple(stats.mult.values()))
-    if verify:
-        cleared = e_permuted_basement(alpha).cleared_by(hook_product_inc(alpha))
-        if cleared != value:
-            raise NonPolynomialError(
-                "integral-form routes disagree; convention bug"
-            )
-    return value
+    return j_weight_sum(stats.inc, len(stats.inc), fillings, tuple(stats.mult.values()))

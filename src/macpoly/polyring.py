@@ -16,6 +16,7 @@ points; the core ring stays over the integers.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
@@ -578,6 +579,13 @@ def _reduce(num: MPoly, den: tuple[QtFactor, ...]) -> tuple[MPoly, tuple[QtFacto
     return num, tuple(sorted(kept))
 
 
+def _times(poly: MPoly, factors: Iterable[QtFactor]) -> MPoly:
+    """poly multiplied by each binomial factor in turn."""
+    for f in factors:
+        poly = poly * f.poly()
+    return poly
+
+
 class QtRational:
     """Element of Z[q,t] localized at the binomials 1 - q^a t^b.
 
@@ -630,18 +638,10 @@ class QtRational:
     def __add__(self, other: "QtRational") -> "QtRational":
         if isinstance(other, (int, Fraction)):
             other = QtRational.from_int(other)
-        from collections import Counter
-
         mine, theirs = Counter(self.den), Counter(other.den)
         lcm = mine | theirs
-        num = self.num
-        for f, mult in (lcm - mine).items():
-            for _ in range(mult):
-                num = num * f.poly()
-        onum = other.num
-        for f, mult in (lcm - theirs).items():
-            for _ in range(mult):
-                onum = onum * f.poly()
+        num = _times(self.num, (lcm - mine).elements())
+        onum = _times(other.num, (lcm - theirs).elements())
         return QtRational(num + onum, tuple(lcm.elements()))
 
     def __neg__(self) -> "QtRational":
@@ -659,13 +659,7 @@ class QtRational:
             return NotImplemented
         if self.num == other.num and self.den == other.den:
             return True
-        left = self.num
-        for f in other.den:
-            left = left * f.poly()
-        right = other.num
-        for f in self.den:
-            right = right * f.poly()
-        return left == right
+        return _times(self.num, other.den) == _times(other.num, self.den)
 
     def __hash__(self):
         raise TypeError("QtRational is not hashable (compare by value)")

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence, Union
 
-from .polyring import MPoly, QtRational
+from .polyring import Monomial, MPoly, QtRational, poly_sum
 from .nonsymmetric import EResult, f_poly
 from .shapes import ShapeError, as_partition
 
@@ -100,19 +100,19 @@ def schur_ssyt(lam: Sequence[int], n: int) -> MPoly:
     """Classical tableau generating function: rows weakly increase, columns
     strictly increase, entries in 1..n.  Used purely as an external oracle."""
     lam = as_partition(lam)
-    total = MPoly.zero(n)
     if not lam:
         return MPoly.one(n)
     rows = [[0] * width for width in lam]
+    counts: dict[tuple[int, ...], int] = {}
 
     def fill(r: int, c: int) -> None:
-        nonlocal total
         if r == len(lam):
             exps = [0] * n
             for row in rows:
                 for v in row:
                     exps[v - 1] += 1
-            total = total + MPoly.monomial(n, x=tuple(exps))
+            key = tuple(exps)
+            counts[key] = counts.get(key, 0) + 1
             return
         nr, nc = (r, c + 1) if c + 1 < lam[r] else (r + 1, 0)
         lo = 1
@@ -126,7 +126,7 @@ def schur_ssyt(lam: Sequence[int], n: int) -> MPoly:
         rows[r][c] = 0
 
     fill(0, 0)
-    return total
+    return MPoly(n, {Monomial(x, 0, 0): c for x, c in counts.items()})
 
 
 def qs_schur(gamma: Sequence[int], n: int) -> MPoly:
@@ -155,7 +155,6 @@ def t_atom_check(alpha: Sequence[int]) -> bool:
         return all(not any(exps) for exps in fq0.coeffs)
     from .integral import compositions_rearranging
 
-    total = MPoly.zero(n)
-    for beta in compositions_rearranging(lam, n):
-        total = total + f_poly(beta).specialize(q=0, t=0)
+    betas = compositions_rearranging(lam, n)
+    total = poly_sum(n, (f_poly(beta).specialize(q=0, t=0) for beta in betas))
     return total == schur_ssyt(lam, n)

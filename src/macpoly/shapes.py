@@ -101,6 +101,10 @@ class ShapePlan(NamedTuple):
     steps: tuple[tuple[int, int, int], ...]
     #: (cell, 0-based column, leg + 1) for every row-1 cell, against the basement
     bottom: tuple[tuple[int, int, int], ...]
+    #: per cell, the cell below it, or None in row 1
+    below: tuple[int | None, ...]
+    #: per cell, (leg + 1, arm + 1) with the composition arm
+    hooks: tuple[tuple[int, int], ...]
     #: maximal runs of equal-height columns as (height, column slices)
     blocks: tuple[tuple[int, tuple[slice, ...]], ...]
     #: per cell, the earlier cells it attacks: same row, or the row below in
@@ -160,7 +164,8 @@ class ShapePlan(NamedTuple):
 @lru_cache(maxsize=256)
 def shape_plan(heights: tuple[int, ...]) -> ShapePlan:
     """The plan of a column-height tuple; cached, so built once per shape."""
-    cells = Diagram(heights).cells()
+    shape = Diagram(heights)
+    cells = shape.cells()
     index = {cell: i for i, cell in enumerate(cells)}
     is_partition = all(a >= b for a, b in zip(heights, heights[1:]))
     inv_pairs, inv_triples = [], []
@@ -171,13 +176,14 @@ def shape_plan(heights: tuple[int, ...]) -> ShapePlan:
                     inv_pairs.append((index[u, 1], index[v, 1]))
                 for r in range(2, heights[v - 1] + 1):
                     inv_triples.append((index[v, r], index[u, r], index[u, r - 1]))
+    below = tuple(index.get((c, r - 1)) for c, r in cells)
+    hooks = tuple((leg(shape, cell) + 1, arm_composition(shape, cell) + 1) for cell in cells)
     steps, bottom = [], []
-    for i, (c, r) in enumerate(cells):
-        weight = heights[c - 1] - r + 1
-        if r == 1:
-            bottom.append((i, c - 1, weight))
+    for i, (cell, j, (weight, _)) in enumerate(zip(cells, below, hooks)):
+        if j is None:
+            bottom.append((i, cell.col - 1, weight))
         else:
-            steps.append((i, index[c, r - 1], weight))
+            steps.append((i, j, weight))
     blocks, start = [], 0
     for h, group in groupby(heights):
         count = len(list(group))
@@ -203,7 +209,7 @@ def shape_plan(heights: tuple[int, ...]) -> ShapePlan:
                     coinv_bottom.append((index[v, 1], u - 1, v - 1))
     return ShapePlan(
         tuple(cells), is_partition, tuple(inv_pairs), tuple(inv_triples),
-        tuple(steps), tuple(bottom), tuple(blocks), attacks,
+        tuple(steps), tuple(bottom), below, hooks, tuple(blocks), attacks,
         tuple(coinv_triples), tuple(coinv_pairs), tuple(coinv_bottom),
     )
 
@@ -381,45 +387,16 @@ def is_clockwise(a, b, c) -> bool:
     return (a > b > c) or (c > a > b) or (b > c > a)
 
 
-def classify_triple_A(a, b, c) -> str:
-    """Classify a type-A entry triple; infinity compares above every entry."""
-    if is_counterclockwise(a, b, c):
-        return "counterclockwise"
-    if is_clockwise(a, b, c):
-        return "clockwise"
-    return "neither"
-
-
-def classify_triple_B(a, b, c) -> bool:
-    """Whether a type-B entry triple matches the counterclockwise pattern."""
-    return is_counterclockwise(a, b, c)
-
-
 # -- filling statistics ----------------------------------------------------------
-
-
-def _require_inf_basement(f: Filling) -> None:
-    if f.basement != INF_BASEMENT:
-        raise ShapeError("statistic requires the infinity basement")
-
-
-def count_triples_partition(f: Filling) -> int:
-    """Total number of triples (degenerate ones included) on a partition shape."""
-    h = f.shape.heights
-    return sum(h[v] for u in range(len(h)) for v in range(u + 1, len(h)))
 
 
 def inv(f: Filling) -> int:
     """Counterclockwise triples, degenerate row-1 pairs included."""
-    _require_inf_basement(f)
+    if f.basement != INF_BASEMENT:
+        raise ShapeError("statistic requires the infinity basement")
     if not f.plan.is_partition:
         raise ShapeError("inv is defined on partition shapes")
     return f.plan.inv(f.flat)
-
-
-def coinv_partition(f: Filling) -> int:
-    """Triples that are not counterclockwise."""
-    return count_triples_partition(f) - inv(f)
 
 
 def des(f: Filling) -> set[Cell]:
@@ -475,12 +452,13 @@ def is_ordered(f: Filling) -> bool:
     """Bottom-row entries under equal-height column blocks strictly decrease."""
     if not f.shape.is_weakly_increasing():
         raise ShapeError("ordered fillings live on weakly increasing shapes")
-    h = f.shape.heights
-    for col in range(1, f.shape.n_cols):
-        if h[col - 1] >= 1 and h[col - 1] == h[col]:
-            if not f[(col, 1)] > f[(col + 1, 1)]:
-                return False
-    return True
+    e = f.flat
+    return all(
+        e[a.start] > e[b.start]
+        for h, slices in f.plan.blocks
+        if h
+        for a, b in zip(slices, slices[1:])
+    )
 
 
 def is_packed(f: Filling) -> bool:

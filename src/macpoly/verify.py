@@ -25,7 +25,7 @@ from .integral import (
     hook_product_inc,
 )
 from .modified import SortedTableau, htilde_compact, htilde_plain, iter_sorted_tableaux, multiplicity_t
-from .nonsymmetric import EResult, f_poly, integral_e, iter_basement_fillings
+from .nonsymmetric import EResult, e_permuted_basement, f_poly, integral_e, iter_basement_fillings
 from .polyring import MPoly, Monomial, QtFactor, QtRational, one_minus_qt, t_multinomial
 from .quasisym import (
     g_poly,
@@ -292,8 +292,10 @@ def check_integrality(max_size: int = 5, max_n: int = 4) -> CheckResult:
                 assert all(is_ordered(f) for f in iter_basement_fillings(alpha)), (
                     f"alpha={alpha}: a basement filling is not ordered"
                 )
-                stats = composition_stats(alpha)
-                JResult(integral_e(alpha, verify=True), stats.mult).quotient()
+                value = integral_e(alpha)
+                cleared = e_permuted_basement(alpha).cleared_by(hook_product_inc(alpha))
+                assert value == cleared, f"alpha={alpha}: the integral-form routes disagree"
+                JResult(value, composition_stats(alpha).mult).quotient()
                 count += 1
         return count, "Pochhammer divisibility, both forms"
 

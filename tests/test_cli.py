@@ -70,6 +70,14 @@ def test_e_integral_with_verify(capsys):
     assert code == 0 and out.strip()
 
 
+def test_e_integral_verify_reports_disagreement(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "integral_e", lambda alpha: MPoly.zero(len(alpha)))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["e", "--shape", "0,2,1", "--integral", "--verify"])
+    assert err.value.code == 2
+    assert "routes disagree" in capsys.readouterr().err
+
+
 def test_partition_families_reject_unsorted(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["j", "--shape", "1,2", "--n", "2"])

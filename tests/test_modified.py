@@ -263,12 +263,15 @@ def test_multiplicity_cache_across_ambients_and_blocks():
 
 
 def test_compact_rejects_unsorted_enumeration(monkeypatch):
-    # the compact route certifies every tableau it is handed
+    # the compact route trusts its enumerator; the identity battery catches
+    # an enumerator that yields an unsorted tableau
     import macpoly.modified as modified
+    from macpoly.verify import check_htilde_equivalence
 
     def unsorted(shape, n):
-        yield Filling(shape, {Cell(1, 1): 2, Cell(2, 1): 1}, INF_BASEMENT)
+        # every filling, unsorted ones such as columns (2), (1) included
+        yield from enumerate_fillings(shape, n, basement=INF_BASEMENT)
 
     monkeypatch.setattr(modified, "iter_sorted_tableaux", unsorted)
-    with pytest.raises(ShapeError):
-        modified.htilde_compact((2,), 2)
+    result = check_htilde_equivalence(max_size=2, max_n=2)
+    assert not result.passed and "lam=(2,), n=2" in result.detail

@@ -14,7 +14,7 @@ from macpoly.nonsymmetric import (
     integral_e,
     iter_basement_fillings,
 )
-from macpoly.integral import p_poly
+from macpoly.integral import hook_product_inc, p_poly
 from macpoly.polyring import MPoly, QtFactor, QtRational, pochhammer_tt
 from macpoly.quasisym import g_poly
 from macpoly.shapes import (
@@ -124,7 +124,7 @@ def test_integral_e_all_ones():
     # one ordered filling: x_1..x_n times (t;t)_n
     for n in (2, 3, 4):
         alpha = (1,) * n
-        value = integral_e(alpha, verify=True)
+        value = integral_e(alpha)
         assert value == MPoly.monomial(n, x=(1,) * n) * pochhammer_tt(n, n)
 
 
@@ -137,7 +137,15 @@ def test_integral_e_zero_composition():
     [(1, 0), (2, 0), (0, 2), (1, 2), (2, 1), (1, 1, 0), (0, 2, 1), (2, 0, 2), (1, 3)],
 )
 def test_integral_e_routes_agree(alpha):
-    integral_e(alpha, verify=True)
+    assert integral_e(alpha) == e_permuted_basement(alpha).cleared_by(hook_product_inc(alpha))
+
+
+def test_battery_catches_integral_e_disagreement(monkeypatch):
+    import macpoly.verify as verify
+
+    monkeypatch.setattr(verify, "integral_e", lambda alpha: MPoly.zero(len(alpha)))
+    result = verify.check_integrality(max_size=1, max_n=1)
+    assert not result.passed and "alpha=(1,)" in result.detail
 
 
 @pytest.mark.parametrize("alpha", [(2, 1), (0, 2, 1), (2, 2)])

