@@ -15,9 +15,9 @@ import sys
 from fractions import Fraction
 from functools import partial
 
-from .integral import hook_product_inc, j_compact, j_plain, p_poly
+from .integral import hook_product_inc, integral_e, j_compact, j_plain, p_poly
 from .modified import htilde_compact, htilde_plain
-from .nonsymmetric import e_permuted_basement, f_poly, integral_e
+from .nonsymmetric import e_permuted_basement, f_poly
 from .polyring import KEEP, DimensionError, EvaluationError, MPoly, NonPolynomialError
 from .quasisym import g_poly, qs_schur, schur_ssyt
 from .shapes import ShapeError, as_partition

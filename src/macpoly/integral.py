@@ -1,5 +1,6 @@
-"""Integral-form polynomials J by two routes, the hook normalization
-products, and the symmetric P assembled from its nonsymmetric pieces."""
+"""Integral-form polynomials J by two routes, the integral form of E, the
+hook normalization products, and the symmetric P assembled from its
+nonsymmetric pieces."""
 
 from __future__ import annotations
 
@@ -13,11 +14,10 @@ from .polyring import (
     Monomial,
     MPoly,
     divide_binomials,
-    one_minus_qt,
     pochhammer_factors,
-    pochhammer_tt,
+    times_binomials,
 )
-from .nonsymmetric import EResult, f_poly
+from .nonsymmetric import EResult, f_poly, iter_basement_fillings
 from .shapes import (
     Filling,
     as_partition,
@@ -38,30 +38,22 @@ def hook_product(mu: Sequence[int], n_ambient: int = 0) -> MPoly:
     with 1 - q^arm t^(leg+1).  By transposition it equals the product over
     the column diagram of mu with 1 - q^leg t^(arm+1); the identity battery
     checks that."""
-    out = MPoly.one(n_ambient)
-    for leg1, arm1 in shape_plan(conjugate(as_partition(mu))).hooks:
-        out = out * one_minus_qt(arm1 - 1, leg1, n_ambient)
-    return out
+    hooks = shape_plan(conjugate(as_partition(mu))).hooks
+    return times_binomials(MPoly.one(n_ambient), ((arm1 - 1, leg1) for leg1, arm1 in hooks))
 
 
 def pochhammer_prefactor(mult: Mapping[int, int], n_ambient: int = 0) -> MPoly:
     """Product of (t;t)_{m} over the positive-part multiplicities m."""
-    out = MPoly.one(n_ambient)
-    for m in mult.values():
-        out = out * pochhammer_tt(m, n_ambient)
-    return out
+    return times_binomials(MPoly.one(n_ambient), pochhammer_factors(mult.values()))
 
 
 def hook_product_inc(alpha: Sequence[int], n_ambient: int = 0) -> MPoly:
     """Pochhammer prefactor times the above-bottom-row cell binomials of the
     increasing diagram of alpha."""
     stats = composition_stats(alpha)
-    out = pochhammer_prefactor(stats.mult, n_ambient)
     plan = shape_plan(stats.inc)
-    for below, hook in zip(plan.below, plan.hooks):
-        if below is not None:
-            out = out * one_minus_qt(*hook, n_ambient)
-    return out
+    hooks = (hook for below, hook in zip(plan.below, plan.hooks) if below is not None)
+    return times_binomials(pochhammer_prefactor(stats.mult, n_ambient), hooks)
 
 
 @lru_cache(maxsize=4096)
@@ -72,13 +64,10 @@ def _j_factor_terms(
     weight: the product of (t;t)_m over ``pochhammer``, times, for each cell
     above row 1, 1 - q^(leg+1) t^(arm+1) where ``mask`` says its entry
     repeats the one below and 1 - t where it differs."""
-    out = MPoly.one(0)
-    for m in pochhammer:
-        out = out * pochhammer_tt(m)
     plan = shape_plan(heights)
     hooks = (hook for j, hook in zip(plan.below, plan.hooks) if j is not None)
-    for repeat, hook in zip(mask, hooks):
-        out = out * (one_minus_qt(*hook) if repeat else one_minus_qt(0, 1))
+    cells = [hook if repeat else (0, 1) for repeat, hook in zip(mask, hooks)]
+    out = times_binomials(MPoly.one(0), pochhammer_factors(pochhammer) + cells)
     return tuple((mono.q, mono.t, c) for mono, c in out.terms.items())
 
 
@@ -101,14 +90,10 @@ def j_weight_sum(
     heights = tuple(heights)
     pochhammer = tuple(sorted(pochhammer))
     steps = shape_plan(heights).steps
-    values = range(1, n + 1)
     counts: Counter = Counter()
     for f in fillings:
-        e = f.flat
-        x = tuple(map(e.count, values))
-        if sum(x) != len(e):
-            raise ValueError(f"entry outside alphabet 1..{n}")
-        counts[tuple(e[i] == e[j] for i, j, _ in steps), x, maj(f), coinv_comp(f)] += 1
+        mask = tuple(f.flat[i] == f.flat[j] for i, j, _ in steps)
+        counts[mask, f.x_exponents(n), maj(f), coinv_comp(f)] += 1
     acc: dict[Monomial, int] = {}
     for (mask, x, q, t), c in counts.items():
         for a, b, k in _j_factor_terms(heights, mask, pochhammer):
@@ -154,13 +139,21 @@ def j_compact(mu: Sequence[int], n: int) -> JResult:
     of the increasing rearrangement of mu; equal to :func:`j_plain`."""
     stats = composition_stats(as_partition(mu))
     shape = diagram(stats.inc)
-    cells = shape_plan(stats.inc).cells
-    fillings = (
-        Filling(shape, dict(zip(cells, e)))
-        for e in iter_nonattacking(stats.inc, n, ordered=True)
-    )
+    fillings = (Filling(shape, e) for e in iter_nonattacking(stats.inc, n, ordered=True))
     value = j_weight_sum(stats.inc, n, fillings, tuple(stats.mult.values()))
     return JResult(value, dict(stats.mult))
+
+
+def integral_e(alpha: Sequence[int]) -> MPoly:
+    """Integral form: the Pochhammer prefactor times the per-filling products
+    with denominators replaced by honest binomial factors.
+
+    It equals ``e_permuted_basement(alpha).cleared_by(hook_product_inc(alpha))``;
+    the identity battery checks that.
+    """
+    stats = composition_stats(alpha)
+    fillings = iter_basement_fillings(alpha)
+    return j_weight_sum(stats.inc, len(stats.inc), fillings, tuple(stats.mult.values()))
 
 
 def compositions_rearranging(lam: Sequence[int], n: int) -> list[tuple[int, ...]]:

@@ -121,8 +121,8 @@ def iter_sorted_tableaux(shape: Diagram, n: int) -> Iterator[Filling]:
         columns = sorted(iproduct(range(1, n + 1), repeat=h), key=column_sort_key)
         per_block.append(list(combinations_with_replacement(columns, len(slices))))
     for choice in iproduct(*per_block):
-        flat = [v for block_cols in choice for column in block_cols for v in column]
-        yield Filling(shape, dict(zip(plan.cells, flat)), INF_BASEMENT)
+        flat = tuple(v for block_cols in choice for column in block_cols for v in column)
+        yield Filling(shape, flat, INF_BASEMENT)
 
 
 @dataclass(frozen=True)

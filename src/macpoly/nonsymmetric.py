@@ -1,5 +1,6 @@
-"""Permuted-basement nonsymmetric polynomials E, the F alias, and their
-integral forms.
+"""Permuted-basement nonsymmetric polynomials E and the F alias.  Their
+integral form, :func:`macpoly.integral.integral_e`, sums J weights over the
+same basement fillings.
 
 An E value is indexed by a weak composition alpha of length n (the variable
 count): fillings live on the increasing rearrangement of alpha with the
@@ -137,7 +138,7 @@ def iter_basement_fillings(alpha: Sequence[int]) -> Iterator[Filling]:
     plan = shape_plan(stats.inc)
     pinned = {i: stats.beta[col] for i, col, _ in plan.bottom}
     for e in iter_nonattacking(stats.inc, len(stats.inc), pinned):
-        yield Filling(shape, dict(zip(plan.cells, e)), stats.beta)
+        yield Filling(shape, e, stats.beta)
 
 
 @lru_cache(maxsize=64)
@@ -171,17 +172,3 @@ def e_permuted_basement(alpha: Sequence[int]) -> EResult:
 def f_poly(alpha: Sequence[int]) -> EResult:
     """Alias: the permuted-basement value attached to alpha itself."""
     return e_permuted_basement(alpha)
-
-
-def integral_e(alpha: Sequence[int]) -> MPoly:
-    """Integral form: the Pochhammer prefactor times the per-filling products
-    with denominators replaced by honest binomial factors.
-
-    It equals ``e_permuted_basement(alpha).cleared_by(hook_product_inc(alpha))``;
-    the identity battery checks that.
-    """
-    from .integral import j_weight_sum
-
-    stats = composition_stats(alpha)
-    fillings = iter_basement_fillings(alpha)
-    return j_weight_sum(stats.inc, len(stats.inc), fillings, tuple(stats.mult.values()))

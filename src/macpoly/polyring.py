@@ -457,14 +457,19 @@ def one_minus_qt(a: int, b: int, n: int = 0) -> MPoly:
     return MPoly.one(n) - MPoly.monomial(n, q=a, t=b)
 
 
+def times_binomials(poly: MPoly, factors: Iterable[tuple[int, int]]) -> MPoly:
+    """poly multiplied by 1 - q^a t^b for each (a, b) in ``factors``, in turn,
+    in poly's ambient n."""
+    for a, b in factors:
+        poly = poly * one_minus_qt(a, b, poly.n)
+    return poly
+
+
 def pochhammer_tt(m: int, n: int = 0) -> MPoly:
     """(t;t)_m = prod_{i=1..m} (1 - t^i); the empty product for m = 0."""
     if m < 0:
         raise ValueError("negative Pochhammer index")
-    result = MPoly.one(n)
-    for i in range(1, m + 1):
-        result = result * one_minus_qt(0, i, n)
-    return result
+    return times_binomials(MPoly.one(n), pochhammer_factors((m,)))
 
 
 def pochhammer_factors(ms: Iterable[int]) -> list[tuple[int, int]]:
@@ -579,13 +584,6 @@ def _reduce(num: MPoly, den: tuple[QtFactor, ...]) -> tuple[MPoly, tuple[QtFacto
     return num, tuple(sorted(kept))
 
 
-def _times(poly: MPoly, factors: Iterable[QtFactor]) -> MPoly:
-    """poly multiplied by each binomial factor in turn."""
-    for f in factors:
-        poly = poly * f.poly()
-    return poly
-
-
 class QtRational:
     """Element of Z[q,t] localized at the binomials 1 - q^a t^b.
 
@@ -640,8 +638,8 @@ class QtRational:
             other = QtRational.from_int(other)
         mine, theirs = Counter(self.den), Counter(other.den)
         lcm = mine | theirs
-        num = _times(self.num, (lcm - mine).elements())
-        onum = _times(other.num, (lcm - theirs).elements())
+        num = times_binomials(self.num, (lcm - mine).elements())
+        onum = times_binomials(other.num, (lcm - theirs).elements())
         return QtRational(num + onum, tuple(lcm.elements()))
 
     def __neg__(self) -> "QtRational":
@@ -659,7 +657,7 @@ class QtRational:
             return NotImplemented
         if self.num == other.num and self.den == other.den:
             return True
-        return _times(self.num, other.den) == _times(other.num, self.den)
+        return times_binomials(self.num, other.den) == times_binomials(other.num, self.den)
 
     def __hash__(self):
         raise TypeError("QtRational is not hashable (compare by value)")

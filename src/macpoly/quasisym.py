@@ -4,9 +4,10 @@ specializations, and an independent tableau oracle for cross-validation."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Optional, Sequence, Union
 
+from .integral import compositions_rearranging
 from .polyring import Monomial, MPoly, QtRational, poly_sum
 from .nonsymmetric import EResult, f_poly
 from .shapes import ShapeError, as_partition
@@ -136,8 +137,6 @@ def qs_schur(gamma: Sequence[int], n: int) -> MPoly:
 
 def rearrangement_classes(lam: Sequence[int]) -> list[tuple[int, ...]]:
     """Distinct orderings of the parts of lam (strong compositions)."""
-    from itertools import permutations
-
     return sorted(set(permutations(tuple(lam))))
 
 
@@ -153,8 +152,6 @@ def t_atom_check(alpha: Sequence[int]) -> bool:
     lam = tuple(sorted((a for a in alpha if a > 0), reverse=True))
     if not lam:
         return all(not any(exps) for exps in fq0.coeffs)
-    from .integral import compositions_rearranging
-
     betas = compositions_rearranging(lam, n)
     total = poly_sum(n, (f_poly(beta).specialize(q=0, t=0) for beta in betas))
     return total == schur_ssyt(lam, n)

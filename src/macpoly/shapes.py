@@ -218,29 +218,37 @@ def shape_plan(heights: tuple[int, ...]) -> ShapePlan:
 class Filling:
     """Entry assignment for a diagram, with an optional basement row.
 
+    ``flat`` holds the entries in the order of ``plan.cells`` (column by
+    column, bottom to top); a cell map enters through :meth:`from_entries`.
     ``basement`` is None (no row 0), the string "inf" (row 0 all infinity),
-    or a permutation tuple giving the row-0 entry per column.  ``flat``
-    holds the entries in the order of ``plan.cells``.
+    or a permutation tuple giving the row-0 entry per column.
     """
 
     shape: Diagram
-    entries: Mapping[Cell, int]
+    flat: tuple[int, ...]
     basement: tuple[int, ...] | str | None = None
     plan: ShapePlan = field(init=False, repr=False, compare=False)
-    flat: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         plan = shape_plan(self.shape.heights)
-        try:
-            flat = tuple(map(self.entries.__getitem__, plan.cells))
-        except KeyError:
-            flat = None
-        if flat is None or len(self.entries) != len(flat):
-            raise ShapeError("entries do not cover the diagram exactly")
+        if not isinstance(self.flat, tuple) or len(self.flat) != len(plan.cells):
+            raise ShapeError(f"flat entries must be a tuple of {len(plan.cells)} values")
         if isinstance(self.basement, tuple) and len(self.basement) != self.shape.n_cols:
             raise ShapeError("permutation basement length != number of columns")
         object.__setattr__(self, "plan", plan)
-        object.__setattr__(self, "flat", flat)
+
+    @classmethod
+    def from_entries(cls, shape: Diagram, entries: Mapping, basement=None) -> "Filling":
+        """The filling of a cell -> entry map that covers the diagram exactly."""
+        cells = shape_plan(shape.heights).cells
+        if len(entries) != len(cells) or not all(cell in entries for cell in cells):
+            raise ShapeError("entries do not cover the diagram exactly")
+        return cls(shape, tuple(map(entries.__getitem__, cells)), basement)
+
+    @property
+    def entries(self) -> dict[Cell, int]:
+        """The entries keyed by cell, built afresh on each read."""
+        return dict(zip(self.plan.cells, self.flat))
 
     def __getitem__(self, cell) -> int:
         return self.entries[Cell(*cell)]
@@ -261,18 +269,15 @@ class Filling:
 
     def column(self, col: int) -> tuple[int, ...]:
         """Column entries read bottom to top."""
-        return tuple(
-            self.entries[Cell(col, r)] for r in range(1, self.shape.height(col) + 1)
-        )
+        entries = self.entries
+        return tuple(entries[Cell(col, r)] for r in range(1, self.shape.height(col) + 1))
 
     def x_exponents(self, n: int) -> tuple[int, ...]:
         """Exponent vector of the monomial weight in x_1..x_n."""
-        exps = [0] * n
-        for value in self.entries.values():
-            if value > n:
-                raise ValueError(f"entry {value} outside alphabet 1..{n}")
-            exps[value - 1] += 1
-        return tuple(exps)
+        exps = tuple(map(self.flat.count, range(1, n + 1)))
+        if sum(exps) != len(self.flat):
+            raise ValueError(f"entry outside alphabet 1..{n}")
+        return exps
 
 
 # -- composition bookkeeping ---------------------------------------------------
@@ -463,7 +468,7 @@ def is_ordered(f: Filling) -> bool:
 
 def is_packed(f: Filling) -> bool:
     """Entries above the basement form an initial segment 1..k."""
-    values = set(f.entries.values())
+    values = set(f.flat)
     return values == set(range(1, len(values) + 1))
 
 
@@ -481,15 +486,8 @@ def enumerate_fillings(
     """
     if alphabet_max < 0:
         raise ValueError("alphabet_max must be nonnegative")
-    cells = shape.cells()
-    if not cells:
-        f = Filling(shape, {}, basement)
-        if predicate is None or predicate(f):
-            yield f
-        return
-    for combo in iproduct(range(1, alphabet_max + 1), repeat=len(cells)):
-        entries = dict(zip(cells, reversed(combo)))
-        f = Filling(shape, entries, basement)
+    for combo in iproduct(range(1, alphabet_max + 1), repeat=shape.size):
+        f = Filling(shape, combo[::-1], basement)
         if predicate is None or predicate(f):
             yield f
 
@@ -563,4 +561,4 @@ def filling_from_fixture(obj: Mapping) -> tuple[Filling, Mapping]:
     else:
         basement = tuple(base)
     entries = {Cell(c, r): v for c, r, v in obj["entries"]}
-    return Filling(diagram(obj["shape"]), entries, basement), obj.get("expected", {})
+    return Filling.from_entries(diagram(obj["shape"]), entries, basement), obj.get("expected", {})

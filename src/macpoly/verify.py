@@ -13,11 +13,13 @@ import random
 import time
 from dataclasses import dataclass
 from importlib import resources
+from math import factorial
 from typing import Callable, Iterator
 
 from .integral import (
     JResult,
     compositions_rearranging,
+    integral_e,
     j_compact,
     j_plain,
     p_poly,
@@ -25,7 +27,7 @@ from .integral import (
     hook_product_inc,
 )
 from .modified import SortedTableau, htilde_compact, htilde_plain, iter_sorted_tableaux, multiplicity_t
-from .nonsymmetric import EResult, e_permuted_basement, f_poly, integral_e, iter_basement_fillings
+from .nonsymmetric import EResult, e_permuted_basement, f_poly, iter_basement_fillings
 from .polyring import MPoly, Monomial, QtFactor, QtRational, one_minus_qt, t_multinomial
 from .quasisym import (
     g_poly,
@@ -39,8 +41,10 @@ from .shapes import (
     composition_stats,
     coinv_comp,
     diagram,
+    enumerate_fillings,
     filling_from_fixture,
     inv,
+    is_nonattacking,
     is_ordered,
     is_packed,
     leg,
@@ -63,12 +67,16 @@ class CheckResult:
 
 
 def _run(name: str, body: Callable[[], tuple[int, str]]) -> CheckResult:
+    """Run one check; a failed assertion or any other exception from the
+    code under check is a FAIL, and the battery goes on."""
     start = time.perf_counter()
     try:
         instances, detail = body()
         passed = True
     except AssertionError as exc:
         instances, detail, passed = 0, str(exc), False
+    except Exception as exc:
+        instances, detail, passed = 0, f"{type(exc).__name__}: {exc}", False
     return CheckResult(name, instances, passed, time.perf_counter() - start, detail)
 
 
@@ -239,8 +247,6 @@ def check_j_equivalence(max_size: int = 5, max_n: int = 4) -> CheckResult:
 
 def check_j_ones_closed_form(max_n: int = 5) -> CheckResult:
     def body():
-        from .shapes import enumerate_fillings, is_nonattacking, is_ordered
-
         count = 0
         for n in range(1, max_n + 1):
             mu = (1,) * n
@@ -425,8 +431,6 @@ def check_properties(cases: int = 1000, seed: int = 20240613) -> CheckResult:
                 parts.append(part)
                 remaining -= part
             value = t_multinomial(total, parts).specialize(t=1).constant_term()
-            from math import factorial
-
             expected = factorial(total)
             for part in parts:
                 expected //= factorial(part)

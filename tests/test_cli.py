@@ -4,11 +4,12 @@ import json
 
 import pytest
 
-from macpoly import cli
+from macpoly import cli, verify
 from macpoly.integral import j_compact
 from macpoly.modified import htilde_plain
 from macpoly.polyring import DimensionError, EvaluationError, MPoly, NonPolynomialError
 from macpoly.quasisym import qs_schur
+from macpoly.shapes import ShapeError
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +102,19 @@ def test_verify_fixtures(capsys):
     code, out = run_cli(capsys, "verify", "fixtures")
     assert code == 0
     assert "tableau listing" in out and "PASS" in out and "FAIL" not in out
+
+
+def test_verify_reports_a_raising_route_as_fail(capsys, monkeypatch):
+    def broken(lam, n):
+        raise ShapeError("broken route")
+
+    monkeypatch.setattr(verify, "htilde_compact", broken)
+    equivalence, symmetry = verify.run_suite("htilde", 2, 2)
+    assert not equivalence.passed and equivalence.detail == "ShapeError: broken route"
+    assert symmetry.passed and symmetry.instances > 0
+    code, out = run_cli(capsys, "verify", "htilde", "--max-size", "2", "--max-n", "2")
+    assert code == 1
+    assert "FAIL  [ShapeError: broken route]" in out and "1/2 checks passed" in out
 
 
 def test_verify_small_bounds(capsys):

@@ -188,7 +188,7 @@ def random_nonattacking(rng, heights, n, count):
     out = []
     for _ in range(50 * count):
         entries = {cell: rng.randint(1, n) for cell in shape.cells()}
-        f = Filling(shape, entries)
+        f = Filling.from_entries(shape, entries)
         if is_nonattacking(f):
             out.append(f)
             if len(out) == count:
@@ -228,7 +228,7 @@ def test_compiled_weights_match_cell_by_cell_with_basement(seed):
 
 
 def test_j_weight_poly_rejects_entries_outside_the_alphabet():
-    f = Filling(diagram((1,)), {(1, 1): 3})
+    f = Filling.from_entries(diagram((1,)), {(1, 1): 3})
     with pytest.raises(ValueError):
         j_weight_poly(f, 2)
 

@@ -73,7 +73,7 @@ def test_sorted_constant_fillings():
     shape = diagram([2, 2, 1])
     cells = shape.cells()
     for value in (1, 2, 3):
-        f = Filling(shape, {c: value for c in cells}, INF_BASEMENT)
+        f = Filling.from_entries(shape, {c: value for c in cells}, INF_BASEMENT)
         assert is_sorted_tableau(f)
 
 
@@ -91,7 +91,7 @@ def test_fixture_multiplicity_t(sorted_tableau_fixture):
 
 def test_multiplicity_identical_columns():
     shape = diagram([2, 2])
-    f = Filling(
+    f = Filling.from_entries(
         shape,
         {Cell(1, 1): 3, Cell(1, 2): 1, Cell(2, 1): 3, Cell(2, 2): 1},
         INF_BASEMENT,
@@ -101,7 +101,7 @@ def test_multiplicity_identical_columns():
 
 def test_multiplicity_distinct_columns_is_t_factorial():
     shape = diagram([1, 1, 1])
-    f = Filling(shape, {Cell(1, 1): 1, Cell(2, 1): 2, Cell(3, 1): 3}, INF_BASEMENT)
+    f = Filling.from_entries(shape, {Cell(1, 1): 1, Cell(2, 1): 2, Cell(3, 1): 3}, INF_BASEMENT)
     assert multiplicity_t(f) == t_multinomial(3, [1, 1, 1])
 
 

@@ -11,10 +11,9 @@ from macpoly.nonsymmetric import (
     e_permuted_basement,
     f_poly,
     filling_weight,
-    integral_e,
     iter_basement_fillings,
 )
-from macpoly.integral import hook_product_inc, p_poly
+from macpoly.integral import hook_product_inc, integral_e, p_poly
 from macpoly.polyring import MPoly, QtFactor, QtRational, pochhammer_tt
 from macpoly.quasisym import g_poly
 from macpoly.shapes import (

@@ -50,6 +50,13 @@ def test_integral_e_digests_up_to_size_5(workloads):
     assert mismatches(workloads, cases) == []
 
 
+def test_integral_pinned_digests(workloads):
+    # both J routes on the J anchors at n = 4, plus the E anchors
+    cases = workloads.pinned_cases("integral")
+    assert {c.fn for c in cases} == {"j_compact", "j_plain", "integral_e"}
+    assert mismatches(workloads, cases) == []
+
+
 def test_symmetric_window_digests(workloads):
     cases = [c for c in workloads.all_window_cases("symmetric") if not c.pinned]
     assert mismatches(workloads, cases) == []

@@ -56,7 +56,7 @@ def make_filling(heights, columns, basement=None):
     for c, col in enumerate(columns, start=1):
         for r, value in enumerate(col, start=1):
             entries[Cell(c, r)] = value
-    return Filling(diagram(heights), entries, basement)
+    return Filling.from_entries(diagram(heights), entries, basement)
 
 
 # -- composition bookkeeping ----------------------------------------------------
@@ -326,7 +326,7 @@ def random_fillings(draw):
             st.permutations(range(1, len(heights) + 1)).map(tuple),
         )
     )
-    return Filling(shape, entries, basement)
+    return Filling.from_entries(shape, entries, basement)
 
 
 @settings(max_examples=300)
@@ -389,7 +389,7 @@ def resort_bottom_blocks(filling):
             for c, v in zip(range(col, end + 1), values):
                 entries[Cell(c, 1)] = v
         col = end + 1
-    return Filling(filling.shape, entries, filling.basement)
+    return Filling.from_entries(filling.shape, entries, filling.basement)
 
 
 def test_resorting_ordered_filling_is_identity():
@@ -431,6 +431,32 @@ def test_enumerate_colex_order():
 def test_enumerate_empty_shape():
     fillings = list(enumerate_fillings(diagram([0, 0]), 2))
     assert len(fillings) == 1 and fillings[0].entries == {}
+
+
+# -- the flat-tuple boundary ----------------------------------------------------------
+
+
+def test_filling_takes_only_a_full_flat_tuple():
+    shape = diagram([2, 1])
+    f = Filling(shape, (1, 2, 3))
+    assert f.entries == {Cell(1, 1): 1, Cell(1, 2): 2, Cell(2, 1): 3}
+    assert f.column(1) == (1, 2) and f[(2, 1)] == 3
+    for bad in ({Cell(1, 1): 1, Cell(1, 2): 2, Cell(2, 1): 3}, (1, 2), [1, 2, 3]):
+        with pytest.raises(ShapeError):
+            Filling(shape, bad)
+    with pytest.raises(ShapeError):
+        Filling(shape, (1, 2, 3), (1,))
+
+
+def test_from_entries_needs_exact_cover():
+    shape = diagram([2, 1])
+    entries = {Cell(1, 1): 1, Cell(1, 2): 2, Cell(2, 1): 3}
+    assert Filling.from_entries(shape, entries) == Filling(shape, (1, 2, 3))
+    missing = {Cell(1, 1): 1, Cell(2, 1): 3}
+    extra = {**entries, Cell(3, 1): 4}
+    for bad in (missing, extra):
+        with pytest.raises(ShapeError, match="do not cover"):
+            Filling.from_entries(shape, bad)
 
 
 # -- fixture schema round trip ---------------------------------------------------
