@@ -51,9 +51,10 @@ def parse_count(text: str, name: str = "--n") -> int:
 
 
 def parse_value(text: str) -> int | Fraction:
-    if "/" in text:
-        return Fraction(text)
-    return int(text)
+    try:
+        return Fraction(text) if "/" in text else int(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"value {text!r} is not an integer or a fraction a/b with b != 0") from None
 
 
 def require_partition(shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -193,7 +194,9 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return run_verify(args)
         return run_family(args)
-    except (ShapeError, DimensionError, EvaluationError, NonPolynomialError, ValueError) as exc:
+    except (
+        ShapeError, DimensionError, EvaluationError, NonPolynomialError, ValueError, OverflowError
+    ) as exc:
         raise UsageError(str(exc))
 
 

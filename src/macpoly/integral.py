@@ -29,7 +29,6 @@ from .shapes import (
     is_nonattacking,
     iter_nonattacking,
     maj,
-    shape_plan,
 )
 
 
@@ -38,7 +37,7 @@ def hook_product(mu: Sequence[int], n_ambient: int = 0) -> MPoly:
     with 1 - q^arm t^(leg+1).  By transposition it equals the product over
     the column diagram of mu with 1 - q^leg t^(arm+1); the identity battery
     checks that."""
-    hooks = shape_plan(conjugate(as_partition(mu))).hooks
+    hooks = diagram(conjugate(as_partition(mu))).hooks
     return times_binomials(MPoly.one(n_ambient), ((arm1 - 1, leg1) for leg1, arm1 in hooks))
 
 
@@ -51,8 +50,8 @@ def hook_product_inc(alpha: Sequence[int], n_ambient: int = 0) -> MPoly:
     """Pochhammer prefactor times the above-bottom-row cell binomials of the
     increasing diagram of alpha."""
     stats = composition_stats(alpha)
-    plan = shape_plan(stats.inc)
-    hooks = (hook for below, hook in zip(plan.below, plan.hooks) if below is not None)
+    shape = diagram(stats.inc)
+    hooks = (hook for below, hook in zip(shape.below, shape.hooks) if below is not None)
     return times_binomials(pochhammer_prefactor(stats.mult, n_ambient), hooks)
 
 
@@ -64,8 +63,8 @@ def _j_factor_terms(
     weight: the product of (t;t)_m over ``pochhammer``, times, for each cell
     above row 1, 1 - q^(leg+1) t^(arm+1) where ``mask`` says its entry
     repeats the one below and 1 - t where it differs."""
-    plan = shape_plan(heights)
-    hooks = (hook for j, hook in zip(plan.below, plan.hooks) if j is not None)
+    shape = diagram(heights)
+    hooks = (hook for j, hook in zip(shape.below, shape.hooks) if j is not None)
     cells = [hook if repeat else (0, 1) for repeat, hook in zip(mask, hooks)]
     out = times_binomials(MPoly.one(0), pochhammer_factors(pochhammer) + cells)
     return tuple((mono.q, mono.t, c) for mono, c in out.terms.items())
@@ -89,7 +88,7 @@ def j_weight_sum(
     """
     heights = tuple(heights)
     pochhammer = tuple(sorted(pochhammer))
-    steps = shape_plan(heights).steps
+    steps = diagram(heights).steps
     counts: Counter = Counter()
     for f in fillings:
         mask = tuple(f.flat[i] == f.flat[j] for i, j, _ in steps)

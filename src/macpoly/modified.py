@@ -23,13 +23,11 @@ from .shapes import (
     Diagram,
     Filling,
     ShapeError,
-    ShapePlan,
     as_partition,
     conjugate,
     diagram,
     inv,
     maj,
-    shape_plan,
 )
 
 
@@ -60,10 +58,10 @@ def column_leq(a: Sequence[int], b: Sequence[int]) -> bool:
     return column_sort_key(a) <= column_sort_key(b)
 
 
-def _block_runs(plan: ShapePlan, flat: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+def _block_runs(shape: Diagram, flat: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Lengths of the runs of identical columns in each height block."""
     signature = []
-    for _, slices in plan.blocks:
+    for _, slices in shape.blocks:
         runs: list[int] = []
         prev = None
         for cols in slices:
@@ -77,11 +75,11 @@ def _block_runs(plan: ShapePlan, flat: tuple[int, ...]) -> tuple[tuple[int, ...]
     return tuple(signature)
 
 
-def _columns_sorted(plan: ShapePlan, flat: tuple[int, ...]) -> bool:
+def _columns_sorted(shape: Diagram, flat: tuple[int, ...]) -> bool:
     """Whether the columns of each height block weakly increase in column order."""
     return all(
         column_leq(flat[a], flat[b])
-        for _, slices in plan.blocks
+        for _, slices in shape.blocks
         for a, b in zip(slices, slices[1:])
     )
 
@@ -102,9 +100,9 @@ def _multiplicity_terms(signature: tuple[tuple[int, ...], ...]) -> tuple[tuple[i
 
 def is_sorted_tableau(f: Filling) -> bool:
     """Columns of each height weakly increase left to right in column order."""
-    if not f.plan.is_partition:
+    if not f.shape.is_partition:
         raise ShapeError("sorted tableaux live on partition shapes")
-    return _columns_sorted(f.plan, f.flat)
+    return _columns_sorted(f.shape, f.flat)
 
 
 def iter_sorted_tableaux(shape: Diagram, n: int) -> Iterator[Filling]:
@@ -113,11 +111,10 @@ def iter_sorted_tableaux(shape: Diagram, n: int) -> Iterator[Filling]:
     Generated directly: per height block, weakly increasing column sequences
     are combinations-with-replacement over the key-sorted column alphabet.
     """
-    if not shape.is_partition():
+    if not shape.is_partition:
         raise ShapeError("sorted tableaux live on partition shapes")
-    plan = shape_plan(shape.heights)
     per_block = []
-    for h, slices in plan.blocks:
+    for h, slices in shape.blocks:
         columns = sorted(iproduct(range(1, n + 1), repeat=h), key=column_sort_key)
         per_block.append(list(combinations_with_replacement(columns, len(slices))))
     for choice in iproduct(*per_block):
@@ -134,12 +131,12 @@ class SortedTableau:
 
     @classmethod
     def certify(cls, f: Filling) -> "SortedTableau":
-        if not f.plan.is_partition:
+        if not f.shape.is_partition:
             raise ShapeError("sorted tableaux live on partition shapes")
-        if not _columns_sorted(f.plan, f.flat):
+        if not _columns_sorted(f.shape, f.flat):
             raise ShapeError("filling is not a sorted tableau")
-        heights = [h for h, _ in f.plan.blocks]
-        return cls(f, tuple(zip(heights, _block_runs(f.plan, f.flat))))
+        heights = [h for h, _ in f.shape.blocks]
+        return cls(f, tuple(zip(heights, _block_runs(f.shape, f.flat))))
 
     def multiplicity_t(self, n_ambient: int = 0) -> MPoly:
         """Product over height blocks of the Gaussian multinomials of runs."""
@@ -157,11 +154,11 @@ def multiplicity_t(f: Filling, n_ambient: int = 0) -> MPoly:
 
 def htilde_plain(lam: Sequence[int], n: int) -> MPoly:
     """Sum of x^sigma q^inv t^maj over all fillings with entries in 1..n."""
-    plan = shape_plan(as_partition(lam))
+    shape = diagram(as_partition(lam))
     values = range(1, n + 1)
     acc: dict[Monomial, int] = {}
-    for e in iproduct(values, repeat=len(plan.cells)):
-        mono = Monomial(tuple(map(e.count, values)), plan.inv(e), plan.maj(e))
+    for e in iproduct(values, repeat=len(shape.cells)):
+        mono = Monomial(tuple(map(e.count, values)), shape.inv(e), shape.maj(e))
         acc[mono] = acc.get(mono, 0) + 1
     return MPoly(n, acc)
 
@@ -175,11 +172,10 @@ def htilde_compact(lam: Sequence[int], n: int) -> MPoly:
     shifted straight into one term map.
     """
     shape = diagram(conjugate(as_partition(lam)))
-    plan = shape_plan(shape.heights)
     acc: dict[Monomial, int] = {}
     for f in iter_sorted_tableaux(shape, n):
         x, q, t = f.x_exponents(n), maj(f), inv(f)
-        for k, c in _multiplicity_terms(_block_runs(plan, f.flat)):
+        for k, c in _multiplicity_terms(_block_runs(shape, f.flat)):
             mono = Monomial(x, q, t + k)
             acc[mono] = acc.get(mono, 0) + c
     return MPoly(n, acc)

@@ -26,7 +26,6 @@ from .shapes import (
     diagram,
     iter_nonattacking,
     maj,
-    shape_plan,
 )
 
 
@@ -135,8 +134,7 @@ def iter_basement_fillings(alpha: Sequence[int]) -> Iterator[Filling]:
     """
     stats = composition_stats(alpha)
     shape = diagram(stats.inc)
-    plan = shape_plan(stats.inc)
-    pinned = {i: stats.beta[col] for i, col, _ in plan.bottom}
+    pinned = {i: stats.beta[col] for i, col, _ in shape.bottom}
     for e in iter_nonattacking(stats.inc, len(stats.inc), pinned):
         yield Filling(shape, e, stats.beta)
 
@@ -149,10 +147,10 @@ def _one_minus_t_power(k: int) -> MPoly:
 def filling_weight(f: Filling) -> QtRational:
     """q^maj t^coinv times the (1-t)/(1 - q^(leg+1) t^(arm+1)) cell product
     over cells whose entry differs from the entry below."""
-    e, plan = f.flat, f.plan
+    e, shape = f.flat, f.shape
     den: list[tuple[int, int]] = []
-    for i, (j, hook) in enumerate(zip(plan.below, plan.hooks)):
-        below = f.basement_entry(plan.cells[i].col) if j is None else e[j]
+    for i, (j, hook) in enumerate(zip(shape.below, shape.hooks)):
+        below = f.basement_entry(shape.cells[i].col) if j is None else e[j]
         if below is not None and e[i] != below:
             den.append(hook)
     num = _one_minus_t_power(len(den)).mul_monomial(q=maj(f), t=coinv_comp(f))

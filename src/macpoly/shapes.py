@@ -20,7 +20,7 @@ cross-formula identities exercised by the acceptance suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby, product as iproduct
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
@@ -41,62 +41,19 @@ class Cell(NamedTuple):
     row: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Diagram:
-    """Column-height vector; column i (1-based) holds heights[i-1] cells."""
+    """Column-height tuple with its index tables, built once by :func:`diagram`.
 
-    heights: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(h < 0 for h in self.heights):
-            raise ShapeError(f"negative column height in {self.heights}")
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.heights)
-
-    @property
-    def size(self) -> int:
-        return sum(self.heights)
-
-    def height(self, col: int) -> int:
-        return self.heights[col - 1]
-
-    def cells(self) -> list[Cell]:
-        return [
-            Cell(c, r)
-            for c in range(1, self.n_cols + 1)
-            for r in range(1, self.heights[c - 1] + 1)
-        ]
-
-    def contains(self, cell: Cell) -> bool:
-        c, r = cell
-        return 1 <= c <= self.n_cols and 1 <= r <= self.heights[c - 1]
-
-    def is_partition(self) -> bool:
-        return all(a >= b for a, b in zip(self.heights, self.heights[1:]))
-
-    def is_weakly_increasing(self) -> bool:
-        return all(a <= b for a, b in zip(self.heights, self.heights[1:]))
-
-
-def diagram(heights: Sequence[int]) -> Diagram:
-    return Diagram(tuple(heights))
-
-
-class ShapePlan(NamedTuple):
-    """Index tables of one column-height tuple, built once by :func:`shape_plan`.
-
-    A filling's entries are read as a flat tuple in ``cells`` order (column
-    by column, bottom to top); every table holds positions in that tuple.
+    Column i (1-based) holds ``heights[i-1]`` cells.  A filling's entries are
+    read as a flat tuple in ``cells`` order (column by column, bottom to
+    top); every table holds positions in that tuple.  Diagrams compare and
+    hash by their heights.
     """
 
+    heights: tuple[int, ...]
     cells: tuple[Cell, ...]
     is_partition: bool
-    #: row-1 pairs (u, v), u < v, that ``inv`` counts when u's entry is larger
-    inv_pairs: tuple[tuple[int, int], ...]
-    #: type-A triples (v, r), (u, r), (u, r-1) that ``inv`` tests
-    inv_triples: tuple[tuple[int, int, int], ...]
     #: (cell, cell below, leg + 1) for every cell above row 1
     steps: tuple[tuple[int, int, int], ...]
     #: (cell, 0-based column, leg + 1) for every row-1 cell, against the basement
@@ -118,13 +75,26 @@ class ShapePlan(NamedTuple):
     #: row-1 type-B cells v with the 0-based columns of u and v
     coinv_bottom: tuple[tuple[int, int, int], ...]
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Diagram):
+            return NotImplemented
+        return self.heights == other.heights
+
+    def __hash__(self) -> int:
+        return hash(self.heights)
+
+    def __repr__(self) -> str:
+        return f"Diagram(heights={self.heights!r})"
+
     def inv(self, e: Sequence[int]) -> int:
-        """Counterclockwise triples, degenerate row-1 pairs included."""
+        """Counterclockwise triples, degenerate row-1 pairs included; defined
+        on partition shapes, where every column pair is type A, so the pairs
+        and triples are those of ``coinv``."""
         total = 0
-        for i, j in self.inv_pairs:
+        for i, j, _ in self.coinv_pairs:
             if e[i] > e[j]:
                 total += 1
-        for a, b, c in self.inv_triples:
+        for a, b, c in self.coinv_triples:
             if is_counterclockwise(e[a], e[b], e[c]):
                 total += 1
         return total
@@ -161,23 +131,19 @@ class ShapePlan(NamedTuple):
         return total
 
 
+def diagram(heights: Sequence[int]) -> Diagram:
+    """The diagram of a column-height sequence; cached, so built once per shape."""
+    return _build_diagram(tuple(heights))
+
+
 @lru_cache(maxsize=256)
-def shape_plan(heights: tuple[int, ...]) -> ShapePlan:
-    """The plan of a column-height tuple; cached, so built once per shape."""
-    shape = Diagram(heights)
-    cells = shape.cells()
+def _build_diagram(heights: tuple[int, ...]) -> Diagram:
+    if any(h < 0 for h in heights):
+        raise ShapeError(f"negative column height in {heights}")
+    cells = tuple(Cell(c, r) for c, h in enumerate(heights, 1) for r in range(1, h + 1))
     index = {cell: i for i, cell in enumerate(cells)}
-    is_partition = all(a >= b for a, b in zip(heights, heights[1:]))
-    inv_pairs, inv_triples = [], []
-    if is_partition:
-        for u in range(1, len(heights) + 1):
-            for v in range(u + 1, len(heights) + 1):
-                if heights[v - 1] >= 1:
-                    inv_pairs.append((index[u, 1], index[v, 1]))
-                for r in range(2, heights[v - 1] + 1):
-                    inv_triples.append((index[v, r], index[u, r], index[u, r - 1]))
     below = tuple(index.get((c, r - 1)) for c, r in cells)
-    hooks = tuple((leg(shape, cell) + 1, arm_composition(shape, cell) + 1) for cell in cells)
+    hooks = tuple((leg(heights, cell) + 1, arm_composition(heights, cell) + 1) for cell in cells)
     steps, bottom = [], []
     for i, (cell, j, (weight, _)) in enumerate(zip(cells, below, hooks)):
         if j is None:
@@ -207,8 +173,8 @@ def shape_plan(heights: tuple[int, ...]) -> ShapePlan:
                     coinv_triples.append((index[u, r - 1], index[v, r], index[v, r - 1]))
                 if hv >= 1:
                     coinv_bottom.append((index[v, 1], u - 1, v - 1))
-    return ShapePlan(
-        tuple(cells), is_partition, tuple(inv_pairs), tuple(inv_triples),
+    return Diagram(
+        heights, cells, all(a >= b for a, b in zip(heights, heights[1:])),
         tuple(steps), tuple(bottom), below, hooks, tuple(blocks), attacks,
         tuple(coinv_triples), tuple(coinv_pairs), tuple(coinv_bottom),
     )
@@ -218,7 +184,7 @@ def shape_plan(heights: tuple[int, ...]) -> ShapePlan:
 class Filling:
     """Entry assignment for a diagram, with an optional basement row.
 
-    ``flat`` holds the entries in the order of ``plan.cells`` (column by
+    ``flat`` holds the entries in the order of ``shape.cells`` (column by
     column, bottom to top); a cell map enters through :meth:`from_entries`.
     ``basement`` is None (no row 0), the string "inf" (row 0 all infinity),
     or a permutation tuple giving the row-0 entry per column.
@@ -227,20 +193,18 @@ class Filling:
     shape: Diagram
     flat: tuple[int, ...]
     basement: tuple[int, ...] | str | None = None
-    plan: ShapePlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        plan = shape_plan(self.shape.heights)
-        if not isinstance(self.flat, tuple) or len(self.flat) != len(plan.cells):
-            raise ShapeError(f"flat entries must be a tuple of {len(plan.cells)} values")
-        if isinstance(self.basement, tuple) and len(self.basement) != self.shape.n_cols:
+        size = len(self.shape.cells)
+        if not isinstance(self.flat, tuple) or len(self.flat) != size:
+            raise ShapeError(f"flat entries must be a tuple of {size} values")
+        if isinstance(self.basement, tuple) and len(self.basement) != len(self.shape.heights):
             raise ShapeError("permutation basement length != number of columns")
-        object.__setattr__(self, "plan", plan)
 
     @classmethod
     def from_entries(cls, shape: Diagram, entries: Mapping, basement=None) -> "Filling":
         """The filling of a cell -> entry map that covers the diagram exactly."""
-        cells = shape_plan(shape.heights).cells
+        cells = shape.cells
         if len(entries) != len(cells) or not all(cell in entries for cell in cells):
             raise ShapeError("entries do not cover the diagram exactly")
         return cls(shape, tuple(map(entries.__getitem__, cells)), basement)
@@ -248,7 +212,7 @@ class Filling:
     @property
     def entries(self) -> dict[Cell, int]:
         """The entries keyed by cell, built afresh on each read."""
-        return dict(zip(self.plan.cells, self.flat))
+        return dict(zip(self.shape.cells, self.flat))
 
     def __getitem__(self, cell) -> int:
         return self.entries[Cell(*cell)]
@@ -270,7 +234,7 @@ class Filling:
     def column(self, col: int) -> tuple[int, ...]:
         """Column entries read bottom to top."""
         entries = self.entries
-        return tuple(entries[Cell(col, r)] for r in range(1, self.shape.height(col) + 1))
+        return tuple(entries[Cell(col, r)] for r in range(1, self.shape.heights[col - 1] + 1))
 
     def x_exponents(self, n: int) -> tuple[int, ...]:
         """Exponent vector of the monomial weight in x_1..x_n."""
@@ -338,44 +302,35 @@ def conjugate(partition: Sequence[int]) -> tuple[int, ...]:
 # -- cell statistics -----------------------------------------------------------
 
 
-def leg(shape: Diagram, cell) -> int:
+def _inside(heights: Sequence[int], cell) -> Cell:
+    """``cell`` as a Cell, checked to lie in the diagram of ``heights``."""
+    cell = Cell(*cell)
+    if not (1 <= cell.col <= len(heights) and 1 <= cell.row <= heights[cell.col - 1]):
+        raise ShapeError(f"cell {cell} outside {tuple(heights)}")
+    return cell
+
+
+def leg(heights: Sequence[int], cell) -> int:
     """Number of cells above `cell` in its column."""
-    cell = Cell(*cell)
-    if not shape.contains(cell):
-        raise ShapeError(f"cell {cell} outside {shape.heights}")
-    return shape.height(cell.col) - cell.row
+    col, row = _inside(heights, cell)
+    return heights[col - 1] - row
 
 
-def arm_partition(shape: Diagram, cell) -> int:
+def arm_partition(heights: Sequence[int], cell) -> int:
     """Number of cells to the right in the same row (partition shapes)."""
-    cell = Cell(*cell)
-    if not shape.is_partition():
+    if any(a < b for a, b in zip(heights, heights[1:])):
         raise ShapeError("arm_partition needs weakly decreasing heights")
-    if not shape.contains(cell):
-        raise ShapeError(f"cell {cell} outside {shape.heights}")
-    return sum(1 for v in range(cell.col + 1, shape.n_cols + 1)
-               if shape.height(v) >= cell.row)
+    col, row = _inside(heights, cell)
+    return sum(1 for h in heights[col:] if h >= row)
 
 
-def arm_composition(shape: Diagram, cell) -> int:
+def arm_composition(heights: Sequence[int], cell) -> int:
     """Composition-shape arm: weakly-shorter columns to the right in this row,
     plus strictly-shorter columns to the left owning a cell one row below."""
-    cell = Cell(*cell)
-    if not shape.contains(cell):
-        raise ShapeError(f"cell {cell} outside {shape.heights}")
-    h = shape.height(cell.col)
-    right = sum(
-        1
-        for v in range(cell.col + 1, shape.n_cols + 1)
-        if cell.row <= shape.height(v) <= h
-    )
-    left = 0
-    if cell.row > 1:
-        left = sum(
-            1
-            for v in range(1, cell.col)
-            if cell.row - 1 <= shape.height(v) < h
-        )
+    col, row = _inside(heights, cell)
+    h = heights[col - 1]
+    right = sum(1 for v in heights[col:] if row <= v <= h)
+    left = sum(1 for v in heights[:col - 1] if row - 1 <= v < h) if row > 1 else 0
     return right + left
 
 
@@ -399,9 +354,9 @@ def inv(f: Filling) -> int:
     """Counterclockwise triples, degenerate row-1 pairs included."""
     if f.basement != INF_BASEMENT:
         raise ShapeError("statistic requires the infinity basement")
-    if not f.plan.is_partition:
+    if not f.shape.is_partition:
         raise ShapeError("inv is defined on partition shapes")
-    return f.plan.inv(f.flat)
+    return f.shape.inv(f.flat)
 
 
 def des(f: Filling) -> set[Cell]:
@@ -411,12 +366,12 @@ def des(f: Filling) -> set[Cell]:
     permutation basement row-1 cells compare with the basement entry; with
     no basement row-1 cells never descend.
     """
-    return {f.plan.cells[i] for i, _ in f.plan.descents(f.flat, f.basement)}
+    return {f.shape.cells[i] for i, _ in f.shape.descents(f.flat, f.basement)}
 
 
 def maj(f: Filling) -> int:
     """Sum of leg + 1 over the descent cells."""
-    return f.plan.maj(f.flat, f.basement)
+    return f.shape.maj(f.flat, f.basement)
 
 
 def coinv_comp(f: Filling) -> int:
@@ -431,7 +386,7 @@ def coinv_comp(f: Filling) -> int:
     when there is no permutation basement, the row-0-completed triple
     otherwise.
     """
-    return f.plan.coinv(f.flat, f.basement)
+    return f.shape.coinv(f.flat, f.basement)
 
 
 def is_nonattacking(f: Filling) -> bool:
@@ -442,12 +397,12 @@ def is_nonattacking(f: Filling) -> bool:
     entry to the basement value below it on weakly increasing shapes.
     """
     e = f.flat
-    for i, partners in enumerate(f.plan.attacks):
+    for i, partners in enumerate(f.shape.attacks):
         for j in partners:
             if e[i] == e[j]:
                 return False
     if isinstance(f.basement, tuple):
-        for i, col, _ in f.plan.bottom:
+        for i, col, _ in f.shape.bottom:
             if e[i] in f.basement[:col]:
                 return False
     return True
@@ -455,12 +410,13 @@ def is_nonattacking(f: Filling) -> bool:
 
 def is_ordered(f: Filling) -> bool:
     """Bottom-row entries under equal-height column blocks strictly decrease."""
-    if not f.shape.is_weakly_increasing():
+    h = f.shape.heights
+    if any(a > b for a, b in zip(h, h[1:])):
         raise ShapeError("ordered fillings live on weakly increasing shapes")
     e = f.flat
     return all(
         e[a.start] > e[b.start]
-        for h, slices in f.plan.blocks
+        for h, slices in f.shape.blocks
         if h
         for a, b in zip(slices, slices[1:])
     )
@@ -486,7 +442,7 @@ def enumerate_fillings(
     """
     if alphabet_max < 0:
         raise ValueError("alphabet_max must be nonnegative")
-    for combo in iproduct(range(1, alphabet_max + 1), repeat=shape.size):
+    for combo in iproduct(range(1, alphabet_max + 1), repeat=len(shape.cells)):
         f = Filling(shape, combo[::-1], basement)
         if predicate is None or predicate(f):
             yield f
@@ -498,26 +454,26 @@ def iter_nonattacking(
     pinned: Mapping[int, int] | None = None,
     ordered: bool = False,
 ) -> Iterator[tuple[int, ...]]:
-    """Flat entry tuples (plan cell order) of the nonattacking fillings of
+    """Flat entry tuples (cell order) of the nonattacking fillings of
     the diagram with column heights ``heights``, entries in 1..n.
 
-    Cells are filled by backtracking in plan order, values ascending, so the
+    Cells are filled by backtracking in cell order, values ascending, so the
     tuples come in lexicographic order; a value is dropped as soon as it
     equals an already set cell it attacks.  ``pinned`` fixes the entries of
     some cells (by position), e.g. row 1 against a permutation basement.
     With ``ordered``, each row-1 entry of an equal-height block is bounded
     below the entry to its left, which is the rule of :func:`is_ordered`.
     """
-    plan = shape_plan(tuple(heights))
+    shape = diagram(heights)
     pinned = pinned or {}
     # row-1 cell -> the row-1 cell to its left in the same block
     left = {
         b.start: a.start
-        for h, slices in plan.blocks
+        for h, slices in shape.blocks
         if ordered and h
         for a, b in zip(slices, slices[1:])
     }
-    rules = [(plan.attacks[i], left.get(i), pinned.get(i)) for i in range(len(plan.cells))]
+    rules = [(shape.attacks[i], left.get(i), pinned.get(i)) for i in range(len(shape.cells))]
     last = len(rules) - 1
     e = [0] * len(rules)
 

@@ -213,10 +213,9 @@ def check_htilde_symmetry(max_size: int = 5, max_n: int = 4) -> CheckResult:
 def hook_product_by_columns(mu: tuple[int, ...]) -> MPoly:
     """The other form of :func:`hook_product`: over the column diagram of mu,
     with 1 - q^leg t^(arm+1)."""
-    shape = diagram(mu)
     out = MPoly.one(0)
-    for cell in shape.cells():
-        out = out * one_minus_qt(leg(shape, cell), arm_partition(shape, cell) + 1)
+    for cell in diagram(mu).cells:
+        out = out * one_minus_qt(leg(mu, cell), arm_partition(mu, cell) + 1)
     return out
 
 

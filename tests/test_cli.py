@@ -181,3 +181,19 @@ def test_negative_verify_env_bound_rejected(capsys, monkeypatch):
     code, err = run_failing(capsys, "verify", "htilde")
     assert code == 2
     assert err.startswith("error: MACPOLY_VERIFY_MAX_SIZE ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("htilde", "--shape", "1", "--n", "1", "--q", "1/0"),
+        ("htilde", "--shape", "1", "--n", "1", "--t", "1/0"),
+        ("htilde", "--shape", "1", "--n", "1", "--q", "x"),
+        ("p", "--shape", "1", "--n", "99999999999999999999"),
+    ],
+    ids=["q-zero-denominator", "t-zero-denominator", "q-not-a-number", "n-overflow"],
+)
+def test_bad_values_exit_with_one_line(capsys, argv):
+    code, err = run_failing(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1

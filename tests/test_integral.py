@@ -170,12 +170,12 @@ def j_weight_by_cells(f, n):
     """The J weight of one filling, multiplied out cell by cell."""
     shape = f.shape
     out = MPoly.monomial(n, x=f.x_exponents(n), q=maj(f), t=coinv_comp(f))
-    for cell in shape.cells():
+    for cell in shape.cells:
         if cell.row < 2:
             continue
         if f[cell] == f[(cell.col, cell.row - 1)]:
             out = out * one_minus_qt(
-                leg(shape, cell) + 1, arm_composition(shape, cell) + 1, n
+                leg(shape.heights, cell) + 1, arm_composition(shape.heights, cell) + 1, n
             )
         else:
             out = out * one_minus_qt(0, 1, n)
@@ -187,7 +187,7 @@ def random_nonattacking(rng, heights, n, count):
     shape = diagram(heights)
     out = []
     for _ in range(50 * count):
-        entries = {cell: rng.randint(1, n) for cell in shape.cells()}
+        entries = {cell: rng.randint(1, n) for cell in shape.cells}
         f = Filling.from_entries(shape, entries)
         if is_nonattacking(f):
             out.append(f)

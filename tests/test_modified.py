@@ -71,7 +71,7 @@ def test_fixture_is_sorted(sorted_tableau_fixture):
 
 def test_sorted_constant_fillings():
     shape = diagram([2, 2, 1])
-    cells = shape.cells()
+    cells = shape.cells
     for value in (1, 2, 3):
         f = Filling.from_entries(shape, {c: value for c in cells}, INF_BASEMENT)
         assert is_sorted_tableau(f)
@@ -138,7 +138,7 @@ def test_sorted_tableaux_partition_into_rearrangement_classes():
         SortedTableau.certify(f).multiplicity_t().specialize(t=1).constant_term()
         for f in iter_sorted_tableaux(shape, n)
     )
-    assert total == n ** shape.size
+    assert total == n ** len(shape.cells)
 
 
 # -- the 32-tableau listing fixture ---------------------------------------------------

@@ -168,12 +168,12 @@ def cell_by_cell_weight(f):
     """The weight rebuilt cell by cell from leg, arm and the entry below."""
     num = MPoly.monomial(0, q=maj(f), t=coinv_comp(f))
     den = []
-    for cell in f.shape.cells():
+    for cell in f.shape.cells:
         below = f.south(cell)
         if below is None or f[cell] == below:
             continue
         num = num * qt_one_minus_t()
-        den.append(QtFactor(leg(f.shape, cell) + 1, arm_composition(f.shape, cell) + 1))
+        den.append(QtFactor(leg(f.shape.heights, cell) + 1, arm_composition(f.shape.heights, cell) + 1))
     return QtRational(num, den)
 
 

@@ -1,5 +1,7 @@
 """Diagram / filling statistics tests, including the shipped fixtures."""
 
+import copy
+import dataclasses
 import json
 from importlib import resources
 from itertools import permutations
@@ -31,7 +33,6 @@ from macpoly.shapes import (
     is_packed,
     leg,
     maj,
-    shape_plan,
 )
 
 
@@ -118,43 +119,39 @@ def test_conjugate():
 
 
 def test_leg():
-    shape = diagram([3])
-    assert leg(shape, (1, 1)) == 2
-    assert leg(shape, (1, 3)) == 0
+    assert leg((3,), (1, 1)) == 2
+    assert leg([3], (1, 3)) == 0
     with pytest.raises(ShapeError):
-        leg(shape, (2, 1))
+        leg((3,), (2, 1))
 
 
 def test_arm_partition():
     # a row of three cells: two cells to the right of the leftmost
-    assert arm_partition(diagram([1, 1, 1]), (1, 1)) == 2
-    assert arm_partition(diagram([3, 1]), (1, 1)) == 1
-    shape = diagram([4])
-    assert all(arm_partition(shape, (1, r)) == 0 for r in range(1, 5))
+    assert arm_partition((1, 1, 1), (1, 1)) == 2
+    assert arm_partition([3, 1], (1, 1)) == 1
+    assert all(arm_partition((4,), (1, r)) == 0 for r in range(1, 5))
 
 
 def test_arm_composition_examples():
-    shape = diagram([1, 2, 2, 2, 3])
-    assert arm_composition(shape, (5, 2)) == 4
-    assert all(arm_composition(diagram([4]), (1, r)) == 0 for r in range(1, 5))
+    assert arm_composition((1, 2, 2, 2, 3), (5, 2)) == 4
+    assert all(arm_composition((4,), (1, r)) == 0 for r in range(1, 5))
 
 
 def test_arm_composition_agrees_on_partition_shapes():
     for heights in [(3, 2, 1), (2, 2), (4, 1, 1), (3, 3, 3)]:
-        shape = diagram(heights)
-        for cell in shape.cells():
-            assert arm_composition(shape, cell) == arm_partition(shape, cell)
+        for cell in diagram(heights).cells:
+            assert arm_composition(heights, cell) == arm_partition(heights, cell)
 
 
 def test_plan_below_and_hooks():
-    shape = diagram([0, 2, 3, 1, 3])
-    plan = shape_plan(shape.heights)
-    for cell, below, hook in zip(plan.cells, plan.below, plan.hooks):
+    heights = (0, 2, 3, 1, 3)
+    shape = diagram(heights)
+    for cell, below, hook in zip(shape.cells, shape.below, shape.hooks):
         if cell.row == 1:
             assert below is None
         else:
-            assert plan.cells[below] == (cell.col, cell.row - 1)
-        assert hook == (leg(shape, cell) + 1, arm_composition(shape, cell) + 1)
+            assert shape.cells[below] == (cell.col, cell.row - 1)
+        assert hook == (leg(heights, cell) + 1, arm_composition(heights, cell) + 1)
 
 
 # -- triples -----------------------------------------------------------------------
@@ -278,7 +275,7 @@ def test_coinv_single_row_counts_noninversions():
 
 
 def coinv_by_cells(f):
-    """coinv_comp read cell by cell from the column pairs, without the plan."""
+    """coinv_comp read cell by cell from the column pairs, without the diagram tables."""
     h = f.shape.heights
     perm = isinstance(f.basement, tuple)
     total = 0
@@ -303,11 +300,11 @@ def coinv_by_cells(f):
 
 def attacking_by_cells(f):
     """Whether two cells attack, tested on every pair of cells."""
-    for (c1, r1), (c2, r2) in permutations(f.shape.cells(), 2):
+    for (c1, r1), (c2, r2) in permutations(f.shape.cells, 2):
         if c1 < c2 and r1 in (r2, r2 - 1) and f[(c1, r1)] == f[(c2, r2)]:
             return True
     if isinstance(f.basement, tuple):
-        for c, r in f.shape.cells():
+        for c, r in f.shape.cells:
             if r == 1 and f[(c, 1)] in f.basement[: c - 1]:
                 return True
     return False
@@ -318,7 +315,7 @@ def random_fillings(draw):
     heights = draw(st.lists(st.integers(0, 3), max_size=5))
     n = draw(st.integers(1, 4))
     shape = diagram(heights)
-    entries = {cell: draw(st.integers(1, n)) for cell in shape.cells()}
+    entries = {cell: draw(st.integers(1, n)) for cell in shape.cells}
     basement = draw(
         st.one_of(
             st.none(),
@@ -334,6 +331,34 @@ def random_fillings(draw):
 def test_plan_statistics_match_cell_by_cell(f):
     assert coinv_comp(f) == coinv_by_cells(f)
     assert is_nonattacking(f) == (not attacking_by_cells(f))
+
+
+def inv_by_cells(f):
+    """inv read cell by cell from the column pairs of a partition shape."""
+    h = f.shape.heights
+    total = 0
+    for left in range(1, len(h) + 1):
+        for right in range(left + 1, len(h) + 1):
+            if h[right - 1] >= 1:
+                total += f[(left, 1)] > f[(right, 1)]
+            for r in range(2, h[right - 1] + 1):
+                total += is_counterclockwise(f[(right, r)], f[(left, r)], f[(left, r - 1)])
+    return total
+
+
+@st.composite
+def random_partition_fillings(draw):
+    heights = sorted(draw(st.lists(st.integers(0, 3), max_size=5)), reverse=True)
+    n = draw(st.integers(1, 4))
+    shape = diagram(heights)
+    entries = {cell: draw(st.integers(1, n)) for cell in shape.cells}
+    return Filling.from_entries(shape, entries, INF_BASEMENT)
+
+
+@settings(max_examples=200)
+@given(random_partition_fillings())
+def test_inv_matches_cell_by_cell(f):
+    assert inv(f) == inv_by_cells(f)
 
 
 # -- attacking / ordered / packed -------------------------------------------------
@@ -378,9 +403,9 @@ def resort_bottom_blocks(filling):
     h = filling.shape.heights
     entries = dict(filling.entries)
     col = 1
-    while col <= filling.shape.n_cols:
+    while col <= len(h):
         end = col
-        while end + 1 <= filling.shape.n_cols and h[end] == h[col - 1]:
+        while end + 1 <= len(h) and h[end] == h[col - 1]:
             end += 1
         if h[col - 1] >= 1:
             values = sorted(
@@ -431,6 +456,49 @@ def test_enumerate_colex_order():
 def test_enumerate_empty_shape():
     fillings = list(enumerate_fillings(diagram([0, 0]), 2))
     assert len(fillings) == 1 and fillings[0].entries == {}
+
+
+# -- the diagram type -----------------------------------------------------------------
+
+
+def test_diagram_is_cached_per_heights():
+    assert diagram((2, 1)) is diagram([2, 1])
+    assert diagram((2, 1)) != diagram((1, 2))
+    assert diagram(()).cells == () and diagram(()).is_partition
+
+
+def test_equal_diagrams_hash_equal():
+    shape = diagram((3, 1, 2))
+    twin = copy.copy(shape)
+    assert twin is not shape
+    assert twin == shape and hash(twin) == hash(shape)
+    assert Filling(twin, (1, 2, 3, 4, 5, 6)) == Filling(shape, (1, 2, 3, 4, 5, 6))
+    assert shape != shape.heights
+
+
+def test_diagram_rejects_negative_height():
+    with pytest.raises(ShapeError, match="negative"):
+        diagram((2, -1))
+
+
+def test_diagram_is_not_a_heights_sequence():
+    shape = diagram((2, 1))
+    with pytest.raises(TypeError):
+        diagram(shape)
+    for fn in (leg, arm_partition, arm_composition):
+        with pytest.raises(TypeError):
+            fn(shape, (1, 1))
+
+
+def test_filling_fields():
+    assert [f.name for f in dataclasses.fields(Filling)] == ["shape", "flat", "basement"]
+
+
+def test_cell_functions_reject_cells_outside_heights():
+    for fn in (leg, arm_partition, arm_composition):
+        for cell in ((0, 1), (1, 0), (1, 3), (2, 2), (3, 1)):
+            with pytest.raises(ShapeError, match="outside"):
+                fn((2, 1), cell)
 
 
 # -- the flat-tuple boundary ----------------------------------------------------------
