@@ -47,6 +47,8 @@ def parse_count(text: str, name: str = "--n") -> int:
         raise UsageError(f"{name} {text!r} is not an integer")
     if value < 0:
         raise UsageError(f"{name} must be nonnegative, got {value}")
+    if value > sys.maxsize:
+        raise UsageError(f"{name} must be at most {sys.maxsize}, got {value}")
     return value
 
 

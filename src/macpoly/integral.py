@@ -11,10 +11,10 @@ from itertools import permutations
 from typing import Iterable, Mapping, Sequence
 
 from .polyring import (
-    Monomial,
     MPoly,
     divide_binomials,
     pochhammer_factors,
+    tally,
     times_binomials,
 )
 from .nonsymmetric import EResult, f_poly, iter_basement_fillings
@@ -82,7 +82,7 @@ def j_weight_sum(
 
     A J weight is x^sigma q^maj t^coinv times, over the cells above row 1,
     1 - q^(leg+1) t^(arm+1) where the entry repeats the one below and 1 - t
-    where it differs.  Fillings are counted by (repeat mask, x, maj, coinv),
+    where it differs.  Fillings are counted by (x, maj, coinv, repeat mask),
     and each distinct key is expanded once against the q,t product cached
     per (shape, mask, prefactor).
     """
@@ -92,13 +92,8 @@ def j_weight_sum(
     counts: Counter = Counter()
     for f in fillings:
         mask = tuple(f.flat[i] == f.flat[j] for i, j, _ in steps)
-        counts[mask, f.x_exponents(n), maj(f), coinv_comp(f)] += 1
-    acc: dict[Monomial, int] = {}
-    for (mask, x, q, t), c in counts.items():
-        for a, b, k in _j_factor_terms(heights, mask, pochhammer):
-            mono = Monomial(x, q + a, t + b)
-            acc[mono] = acc.get(mono, 0) + c * k
-    return MPoly(n, acc)
+        counts[f.x_exponents(n), maj(f), coinv_comp(f), mask] += 1
+    return tally(n, counts, lambda mask: _j_factor_terms(heights, mask, pochhammer))
 
 
 def j_weight_poly(f: Filling, n: int) -> MPoly:

@@ -6,18 +6,19 @@ Each group has a unique representative whose columns are sorted under the
 column order: columns compare at their first differing entry, cyclically
 relative to the shared entry just below (the infinity basement below row 1
 makes that first comparison the plain numeric one).  The t-multinomial
-``multiplicity_t`` restores each group's inversion-statistic mass, which is what
-makes the two routes agree.
+``SortedTableau.multiplicity_t`` restores each group's inversion-statistic
+mass, which is what makes the two routes agree.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product as iproduct
 from typing import Iterator, Sequence
 
-from .polyring import Monomial, MPoly, t_multinomial
+from .polyring import Monomial, MPoly, t_multinomial, tally
 from .shapes import (
     INF_BASEMENT,
     Diagram,
@@ -75,19 +76,11 @@ def _block_runs(shape: Diagram, flat: tuple[int, ...]) -> tuple[tuple[int, ...],
     return tuple(signature)
 
 
-def _columns_sorted(shape: Diagram, flat: tuple[int, ...]) -> bool:
-    """Whether the columns of each height block weakly increase in column order."""
-    return all(
-        column_leq(flat[a], flat[b])
-        for _, slices in shape.blocks
-        for a, b in zip(slices, slices[1:])
-    )
-
-
 @lru_cache(maxsize=1024)
-def _multiplicity_terms(signature: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int], ...]:
-    """(t exponent, coefficient) pairs of the product over height blocks of
-    the Gaussian multinomials of the run lengths.
+def _multiplicity_terms(signature: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int, int], ...]:
+    """(q exponent, t exponent, coefficient) terms of the product over height
+    blocks of the Gaussian multinomials of the run lengths; the q exponent
+    is always 0.
 
     The value is q,t-only, so one entry serves every ambient n; the key is
     the run signature alone, since the multinomials ignore column heights.
@@ -95,14 +88,18 @@ def _multiplicity_terms(signature: tuple[tuple[int, ...], ...]) -> tuple[tuple[i
     out = MPoly.one(0)
     for runs in signature:
         out = out * t_multinomial(sum(runs), runs)
-    return tuple(sorted((mono.t, c) for mono, c in out.terms.items()))
+    return tuple(sorted((0, mono.t, c) for mono, c in out.terms.items()))
 
 
 def is_sorted_tableau(f: Filling) -> bool:
     """Columns of each height weakly increase left to right in column order."""
     if not f.shape.is_partition:
         raise ShapeError("sorted tableaux live on partition shapes")
-    return _columns_sorted(f.shape, f.flat)
+    return all(
+        column_leq(f.flat[a], f.flat[b])
+        for _, slices in f.shape.blocks
+        for a, b in zip(slices, slices[1:])
+    )
 
 
 def iter_sorted_tableaux(shape: Diagram, n: int) -> Iterator[Filling]:
@@ -131,9 +128,7 @@ class SortedTableau:
 
     @classmethod
     def certify(cls, f: Filling) -> "SortedTableau":
-        if not f.shape.is_partition:
-            raise ShapeError("sorted tableaux live on partition shapes")
-        if not _columns_sorted(f.shape, f.flat):
+        if not is_sorted_tableau(f):
             raise ShapeError("filling is not a sorted tableau")
         heights = [h for h, _ in f.shape.blocks]
         return cls(f, tuple(zip(heights, _block_runs(f.shape, f.flat))))
@@ -144,38 +139,31 @@ class SortedTableau:
         zero = (0,) * n_ambient
         return MPoly(
             n_ambient,
-            {Monomial(zero, 0, k): c for k, c in _multiplicity_terms(signature)},
+            {Monomial(zero, q, t): c for q, t, c in _multiplicity_terms(signature)},
         )
-
-
-def multiplicity_t(f: Filling, n_ambient: int = 0) -> MPoly:
-    return SortedTableau.certify(f).multiplicity_t(n_ambient)
 
 
 def htilde_plain(lam: Sequence[int], n: int) -> MPoly:
     """Sum of x^sigma q^inv t^maj over all fillings with entries in 1..n."""
     shape = diagram(as_partition(lam))
     values = range(1, n + 1)
-    acc: dict[Monomial, int] = {}
-    for e in iproduct(values, repeat=len(shape.cells)):
-        mono = Monomial(tuple(map(e.count, values)), shape.inv(e), shape.maj(e))
-        acc[mono] = acc.get(mono, 0) + 1
-    return MPoly(n, acc)
+    monomials = (
+        Monomial(tuple(map(e.count, values)), shape.inv(e), shape.maj(e))
+        for e in iproduct(values, repeat=len(shape.cells))
+    )
+    return MPoly(n, Counter(monomials))
 
 
 def htilde_compact(lam: Sequence[int], n: int) -> MPoly:
     """Same polynomial as :func:`htilde_plain`, summed over the sorted tableaux
     of the conjugate diagram with weight x^sigma t^inv q^maj multiplicity_t.
 
-    The tableaux come sorted from :func:`iter_sorted_tableaux`; each one's
-    multiplicity comes from the cache keyed by its run signature and is
-    shifted straight into one term map.
+    The tableaux come sorted from :func:`iter_sorted_tableaux`.  They are
+    counted by (x, maj, inv, run signature), and each distinct key is
+    expanded once against the multiplicity cached per run signature.
     """
     shape = diagram(conjugate(as_partition(lam)))
-    acc: dict[Monomial, int] = {}
+    counts: Counter = Counter()
     for f in iter_sorted_tableaux(shape, n):
-        x, q, t = f.x_exponents(n), maj(f), inv(f)
-        for k, c in _multiplicity_terms(_block_runs(shape, f.flat)):
-            mono = Monomial(x, q, t + k)
-            acc[mono] = acc.get(mono, 0) + c
-    return MPoly(n, acc)
+        counts[f.x_exponents(n), maj(f), inv(f), _block_runs(shape, f.flat)] += 1
+    return tally(n, counts, _multiplicity_terms)

@@ -106,9 +106,6 @@ class EResult:
             out.add_term(tuple(es), value)
         return out
 
-    def total_x_degrees(self) -> set[int]:
-        return {sum(exps) for exps in self.coeffs}
-
     def to_json_obj(self) -> dict:
         items = []
         for exps in sorted(self.coeffs, reverse=True):

@@ -19,7 +19,7 @@ import json
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -390,6 +390,18 @@ def poly_sum(n: int, polys: Iterable[MPoly]) -> MPoly:
     return MPoly(n, acc)
 
 
+def tally(n: int, counts: Mapping[tuple, int], expand: Callable) -> MPoly:
+    """Sum over ((x, q, t, key), c) in ``counts`` of c x^x q^q t^t times the
+    q,t polynomial whose (q exponent, t exponent, coefficient) terms are
+    ``expand(key)``: a route counts its fillings by key, so each key expands once."""
+    acc: dict[Monomial, Scalar] = {}
+    for (x, q, t, key), c in counts.items():
+        for a, b, k in expand(key):
+            mono = Monomial(x, q + a, t + b)
+            acc[mono] = acc.get(mono, 0) + c * k
+    return MPoly(n, acc)
+
+
 # -- division ----------------------------------------------------------------
 
 
@@ -437,14 +449,6 @@ def divmod_poly(p: MPoly, d: MPoly) -> tuple[MPoly, MPoly]:
         else:
             rem[mono] = coeff
     return MPoly(p.n, quo), MPoly(p.n, rem)
-
-
-def exact_div(p: MPoly, d: MPoly) -> MPoly:
-    """Divide exactly, raising :class:`NonPolynomialError` on a remainder."""
-    quo, rem = divmod_poly(p, d)
-    if not rem.is_zero():
-        raise NonPolynomialError(f"{d} does not divide exactly (remainder {rem})")
-    return quo
 
 
 # -- q,t building blocks -------------------------------------------------------

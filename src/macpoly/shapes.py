@@ -99,17 +99,13 @@ class Diagram:
                 total += 1
         return total
 
-    def descents(self, e: Sequence[int], basement=None) -> list[tuple[int, int]]:
-        """(cell, leg + 1) of each cell whose entry exceeds the one below it;
-        row-1 cells compare only with a permutation basement."""
-        out = [(i, w) for i, j, w in self.steps if e[i] > e[j]]
-        if isinstance(basement, tuple):
-            out += [(i, w) for i, col, w in self.bottom if e[i] > basement[col]]
-        return out
-
     def maj(self, e: Sequence[int], basement=None) -> int:
-        """Sum of leg + 1 over the descent cells."""
-        return sum(w for _, w in self.descents(e, basement))
+        """Sum of leg + 1 over the cells whose entry exceeds the one below
+        it; row-1 cells compare only with a permutation basement."""
+        total = sum(w for i, j, w in self.steps if e[i] > e[j])
+        if isinstance(basement, tuple):
+            total += sum(w for i, col, w in self.bottom if e[i] > basement[col])
+        return total
 
     def coinv(self, e: Sequence[int], basement=None) -> int:
         """Clockwise triples of types A and B; see :func:`coinv_comp`."""
@@ -224,18 +220,6 @@ class Filling:
             return INFINITY
         return self.basement[col - 1]
 
-    def south(self, cell):
-        """Entry directly below: a diagram entry, a basement entry, or None."""
-        c, r = cell
-        if r > 1:
-            return self.entries[Cell(c, r - 1)]
-        return self.basement_entry(c)
-
-    def column(self, col: int) -> tuple[int, ...]:
-        """Column entries read bottom to top."""
-        entries = self.entries
-        return tuple(entries[Cell(col, r)] for r in range(1, self.shape.heights[col - 1] + 1))
-
     def x_exponents(self, n: int) -> tuple[int, ...]:
         """Exponent vector of the monomial weight in x_1..x_n."""
         exps = tuple(map(self.flat.count, range(1, n + 1)))
@@ -251,10 +235,7 @@ class CompositionStats(NamedTuple):
     """Derived data of a weak composition, computed once and shared."""
 
     inc: tuple[int, ...]
-    dec: tuple[int, ...]
     beta: tuple[int, ...]
-    plus: tuple[int, ...]
-    ell: int
     mult: Mapping[int, int]
 
 
@@ -263,21 +244,21 @@ def composition_stats(alpha: Sequence[int]) -> CompositionStats:
 
     ``beta`` is 1-based: position i of the increasing rearrangement draws
     the part alpha[beta[i]-1], and among permutations doing so it has maximal
-    length (equal parts are taken in reverse position order).
+    length (equal parts are taken in reverse position order).  ``mult``
+    maps each positive part to its multiplicity.
     """
     alpha = tuple(alpha)
     if any(a < 0 for a in alpha):
         raise ShapeError(f"negative part in {alpha}")
     inc = tuple(sorted(alpha))
-    dec = tuple(sorted(alpha, reverse=True))
     beta = tuple(
         sorted(range(1, len(alpha) + 1), key=lambda i: (alpha[i - 1], -i))
     )
-    plus = tuple(a for a in alpha if a > 0)
     mult: dict[int, int] = {}
-    for a in plus:
-        mult[a] = mult.get(a, 0) + 1
-    return CompositionStats(inc, dec, beta, plus, len(plus), mult)
+    for a in alpha:
+        if a > 0:
+            mult[a] = mult.get(a, 0) + 1
+    return CompositionStats(inc, beta, mult)
 
 
 def as_partition(mu: Sequence[int]) -> tuple[int, ...]:
@@ -359,18 +340,9 @@ def inv(f: Filling) -> int:
     return f.shape.inv(f.flat)
 
 
-def des(f: Filling) -> set[Cell]:
-    """Cells whose entry strictly exceeds the entry below them.
-
-    Against the infinity basement no row-1 cell descends; against a
-    permutation basement row-1 cells compare with the basement entry; with
-    no basement row-1 cells never descend.
-    """
-    return {f.shape.cells[i] for i, _ in f.shape.descents(f.flat, f.basement)}
-
-
 def maj(f: Filling) -> int:
-    """Sum of leg + 1 over the descent cells."""
+    """Sum of leg + 1 over the cells whose entry exceeds the one below; see
+    :meth:`Diagram.maj`."""
     return f.shape.maj(f.flat, f.basement)
 
 

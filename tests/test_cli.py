@@ -1,6 +1,7 @@
 """Command-line surface: dispatch, validation, serialization, determinism."""
 
 import json
+import sys
 
 import pytest
 
@@ -174,6 +175,29 @@ def test_negative_verify_bound_rejected(capsys, flag):
     code, err = run_failing(capsys, "verify", "htilde", flag, "-1")
     assert code == 2
     assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+
+
+ABOVE_MAXSIZE = str(sys.maxsize + 1)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        pytest.param((family, "--shape", "2,1", "--n", ABOVE_MAXSIZE), "--n", id=family)
+        for family in ("htilde", "j", "p", "g", "qschur", "schur")
+    ]
+    + [
+        pytest.param(("verify", "htilde", flag, ABOVE_MAXSIZE), flag, id=flag)
+        for flag in ("--max-size", "--max-n")
+    ]
+    + [pytest.param(("verify", "htilde"), "MACPOLY_VERIFY_MAX_SIZE", id="env")],
+)
+def test_count_above_maxsize_rejected(capsys, monkeypatch, argv, flag):
+    if not flag.startswith("--"):
+        monkeypatch.setenv(flag, ABOVE_MAXSIZE)
+    code, err = run_failing(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"error: {flag} must be at most {sys.maxsize},") and err.count("\n") == 1
 
 
 def test_negative_verify_env_bound_rejected(capsys, monkeypatch):

@@ -13,7 +13,6 @@ from macpoly.modified import (
     htilde_plain,
     is_sorted_tableau,
     iter_sorted_tableaux,
-    multiplicity_t,
 )
 from macpoly.polyring import MPoly, t_multinomial
 from macpoly.shapes import (
@@ -86,7 +85,7 @@ def test_fixture_multiplicity_t(sorted_tableau_fixture):
         * t_multinomial(2, [1, 1])
         * t_multinomial(4, [2, 2])
     )
-    assert multiplicity_t(sorted_tableau_fixture) == expected
+    assert SortedTableau.certify(sorted_tableau_fixture).multiplicity_t() == expected
 
 
 def test_multiplicity_identical_columns():
@@ -96,17 +95,18 @@ def test_multiplicity_identical_columns():
         {Cell(1, 1): 3, Cell(1, 2): 1, Cell(2, 1): 3, Cell(2, 2): 1},
         INF_BASEMENT,
     )
-    assert multiplicity_t(f) == MPoly.one(0)
+    assert SortedTableau.certify(f).multiplicity_t() == MPoly.one(0)
 
 
 def test_multiplicity_distinct_columns_is_t_factorial():
     shape = diagram([1, 1, 1])
     f = Filling.from_entries(shape, {Cell(1, 1): 1, Cell(2, 1): 2, Cell(3, 1): 3}, INF_BASEMENT)
-    assert multiplicity_t(f) == t_multinomial(3, [1, 1, 1])
+    assert SortedTableau.certify(f).multiplicity_t() == t_multinomial(3, [1, 1, 1])
 
 
 def test_multiplicity_at_one_counts_rearrangements(sorted_tableau_fixture):
-    value = multiplicity_t(sorted_tableau_fixture).specialize(t=1).constant_term()
+    mult = SortedTableau.certify(sorted_tableau_fixture).multiplicity_t()
+    value = mult.specialize(t=1).constant_term()
     # block rearrangements: 3!/2! * 2! * 4!/(2!2!)
     assert value == 3 * 2 * 6
 
@@ -164,7 +164,7 @@ def test_listing_packed_sorted_tableaux(tableau_listing):
         e_inv, e_maj, e_perm = expected[key]
         assert inv(f) == e_inv
         assert maj(f) == e_maj
-        got = multiplicity_t(f)
+        got = SortedTableau.certify(f).multiplicity_t()
         coeffs = tuple(
             got.terms.get(mono, 0)
             for mono in sorted(got.terms, key=lambda m: m.t)

@@ -90,7 +90,7 @@ def test_row_one_matches_basement_brute_force():
 def test_x_degree_is_composition_size():
     for alpha in [(1, 2, 0), (2, 2), (0, 3, 1)]:
         e = e_permuted_basement(alpha)
-        assert e.total_x_degrees() == {sum(alpha)}
+        assert {sum(exps) for exps in e.coeffs} == {sum(alpha)}
 
 
 def test_denominators_are_weight_shaped():
@@ -150,12 +150,12 @@ def test_battery_catches_integral_e_disagreement(monkeypatch):
 @pytest.mark.parametrize("alpha", [(2, 1), (0, 2, 1), (2, 2)])
 def test_integral_e_divisible_by_prefactor(alpha):
     from macpoly.integral import pochhammer_prefactor
-    from macpoly.polyring import exact_div
+    from macpoly.polyring import divmod_poly
 
     stats = composition_stats(alpha)
     n = len(alpha)
     value = integral_e(alpha)
-    exact_div(value, pochhammer_prefactor(stats.mult, n))
+    assert divmod_poly(value, pochhammer_prefactor(stats.mult, n))[1].is_zero()
 
 
 def test_filling_weight_trivial_cell():
@@ -169,7 +169,7 @@ def cell_by_cell_weight(f):
     num = MPoly.monomial(0, q=maj(f), t=coinv_comp(f))
     den = []
     for cell in f.shape.cells:
-        below = f.south(cell)
+        below = f[cell.col, cell.row - 1] if cell.row > 1 else f.basement_entry(cell.col)
         if below is None or f[cell] == below:
             continue
         num = num * qt_one_minus_t()

@@ -18,12 +18,13 @@ from macpoly.polyring import (
     divide_binomial,
     divide_binomials,
     divmod_poly,
-    exact_div,
     gaussian_binomial,
     one_minus_qt,
     pochhammer_factors,
     pochhammer_tt,
+    poly_sum,
     t_multinomial,
+    tally,
 )
 
 
@@ -37,6 +38,14 @@ def qpoly(n=0):
 
 def tpoly(n=0):
     return MPoly.monomial(n, t=1)
+
+
+def exact_div(p, d):
+    """Oracle divider: p / d by :func:`divmod_poly`, raising on a remainder."""
+    quo, rem = divmod_poly(p, d)
+    if not rem.is_zero():
+        raise NonPolynomialError(f"{d} does not divide {p}")
+    return quo
 
 
 # -- add / mul examples ---------------------------------------------------
@@ -473,6 +482,43 @@ def test_divide_binomials_matches_exact_div(data):
             divide_binomials(p, pochhammer_factors(ms))
     else:
         assert divide_binomials(p, pochhammer_factors(ms)) == expected
+
+
+@st.composite
+def tally_inputs(draw):
+    """(counts, expansions): counts keyed by (x, q, t, key) in ambient 2, and
+    each key's (q exponent, t exponent, coefficient) terms.  The key
+    "cancels" expands to terms that sum to zero, and it is always counted."""
+    expansions = {"cancels": ((1, 2, 3), (1, 2, -3))}
+    small = st.integers(0, 2)
+    for key in range(draw(st.integers(0, 3))):
+        expansions[key] = tuple(draw(st.lists(st.tuples(small, small, st.integers(-3, 3)), max_size=3)))
+    keys = st.sampled_from(sorted(expansions, key=str))
+    counts = draw(
+        st.dictionaries(st.tuples(st.tuples(small, small), small, small, keys), st.integers(1, 5), max_size=6)
+    )
+    counts[(1, 0), 0, 0, "cancels"] = draw(st.integers(1, 5))
+    return counts, expansions
+
+
+@settings(max_examples=200)
+@given(tally_inputs())
+def test_tally_matches_expanding_every_key(data):
+    counts, expansions = data
+    by_hand = poly_sum(
+        2,
+        (
+            MPoly.monomial(2, x=x, q=q + a, t=t + b, coeff=c * k)
+            for (x, q, t, key), c in counts.items()
+            for a, b, k in expansions[key]
+        ),
+    )
+    assert tally(2, counts, expansions.__getitem__) == by_hand
+
+
+def test_tally_drops_a_key_that_cancels():
+    expansions = {"cancels": ((1, 2, 3), (1, 2, -3))}
+    assert tally(1, {((2,), 0, 0, "cancels"): 4}, expansions.__getitem__).terms == {}
 
 
 def test_divide_binomials_raises_on_a_later_factor():

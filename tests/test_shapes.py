@@ -21,7 +21,6 @@ from macpoly.shapes import (
     coinv_comp,
     composition_stats,
     conjugate,
-    des,
     diagram,
     enumerate_fillings,
     filling_from_fixture,
@@ -66,10 +65,7 @@ def make_filling(heights, columns, basement=None):
 def test_composition_stats_worked_example():
     stats = composition_stats((0, 2, 0, 2, 1, 3))
     assert stats.inc == (0, 0, 1, 2, 2, 3)
-    assert stats.dec == (3, 2, 2, 1, 0, 0)
     assert stats.beta == (3, 1, 5, 4, 2, 6)
-    assert stats.plus == (2, 2, 1, 3)
-    assert stats.ell == 4
     assert stats.mult == {2: 2, 1: 1, 3: 1}
 
 
@@ -79,8 +75,7 @@ def test_composition_stats_ties():
 
 def test_composition_stats_empty():
     stats = composition_stats(())
-    assert stats.inc == () and stats.dec == () and stats.beta == ()
-    assert stats.plus == () and stats.ell == 0 and stats.mult == {}
+    assert stats.inc == () and stats.beta == () and stats.mult == {}
 
 
 def perm_length(p):
@@ -212,7 +207,8 @@ def test_maj_ordered_filling_fixture(ordered_filling_fixture):
 def test_maj_weakly_decreasing_columns():
     filling = make_filling([3, 2], [[3, 2, 1], [5, 5]], INF_BASEMENT)
     assert maj(filling) == 0
-    assert des(filling) == set()
+    # against a permutation basement both row-1 cells descend: leg + 1 = 3, 2
+    assert filling.shape.maj(filling.flat, (2, 1)) == 3 + 2
 
 
 # -- composition-shape coinv -----------------------------------------------------
@@ -508,7 +504,7 @@ def test_filling_takes_only_a_full_flat_tuple():
     shape = diagram([2, 1])
     f = Filling(shape, (1, 2, 3))
     assert f.entries == {Cell(1, 1): 1, Cell(1, 2): 2, Cell(2, 1): 3}
-    assert f.column(1) == (1, 2) and f[(2, 1)] == 3
+    assert f[(1, 2)] == 2 and f[(2, 1)] == 3
     for bad in ({Cell(1, 1): 1, Cell(1, 2): 2, Cell(2, 1): 3}, (1, 2), [1, 2, 3]):
         with pytest.raises(ShapeError):
             Filling(shape, bad)
@@ -536,4 +532,4 @@ def test_fixture_parsing(sorted_tableau_fixture, ordered_filling_fixture):
     assert f2.shape.heights == (5, 5, 5, 2, 2, 1, 1, 1, 1)
     f4, _ = ordered_filling_fixture
     assert f4.basement is None
-    assert f4.column(5) == (6, 7, 3)
+    assert tuple(f4[5, r] for r in (1, 2, 3)) == (6, 7, 3)
