@@ -4,13 +4,15 @@
 For the modified family: sorted tableaux of the conjugate diagram versus all
 n^|shape| fillings.  For the integral form: ordered nonattacking fillings of
 the increasing diagram versus all nonattacking fillings of the decreasing one.
+Last, per size, the words of weakly decreasing content that ``htilde_plain``
+sums versus all n^size words (the count depends on the size alone).
 
     python scripts/term_counts.py --max-size 5 --n 3
 """
 
 import argparse
 
-from macpoly.modified import iter_sorted_tableaux
+from macpoly.modified import iter_dominant_words, iter_sorted_tableaux
 from macpoly.shapes import composition_stats, conjugate, diagram, iter_nonattacking
 from macpoly.verify import partitions_up_to
 
@@ -35,6 +37,13 @@ def main() -> None:
         ordered_count = sum(1 for _ in iter_nonattacking(inc, n, ordered=True))
         plain_count = sum(1 for _ in iter_nonattacking(mu, n))
         print(f"  shape {mu}: {ordered_count:6d} vs {plain_count:6d}")
+
+    print(f"\nmodified family, n = {n}: words of dominant content vs all words")
+    for size in range(1, args.max_size + 1):
+        dominant_count = sum(1 for _ in iter_dominant_words(size, n))
+        plain_count = n ** size
+        print(f"  size {size}: {dominant_count:6d} vs {plain_count:6d}"
+              f"  ({dominant_count / plain_count:.1%})")
 
 
 if __name__ == "__main__":

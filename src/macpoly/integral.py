@@ -7,17 +7,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 from typing import Iterable, Mapping, Sequence
 
 from .polyring import (
-    MPoly,
-    divide_binomials,
-    pochhammer_factors,
-    tally,
-    times_binomials,
+    MPoly, distinct_permutations, divide_binomials, expand_orbits, is_dominant,
+    pochhammer_factors, tally, times_binomials,
 )
-from .nonsymmetric import EResult, f_poly, iter_basement_fillings
+from .nonsymmetric import EResult, _e_terms, iter_basement_fillings
 from .shapes import (
     Filling,
     as_partition,
@@ -155,15 +151,14 @@ def compositions_rearranging(lam: Sequence[int], n: int) -> list[tuple[int, ...]
     lam = tuple(lam)
     if len([p for p in lam if p > 0]) > n:
         raise ValueError(f"{lam} has more than {n} positive parts")
-    padded = tuple(lam) + (0,) * (n - len(lam))
-    return sorted(set(permutations(padded)))
+    return list(distinct_permutations(lam + (0,) * (n - len(lam))))
 
 
 def p_poly(lam: Sequence[int], n: int) -> EResult:
     """Monic symmetric value: the sum of f_poly over all weak compositions of
-    length n that sort to lam."""
-    lam = as_partition(lam)
+    length n that sort to lam.  P is symmetric, so each composition adds only
+    its dominant terms, which are then written under every rearrangement."""
     out = EResult(n)
-    for alpha in compositions_rearranging(lam, n):
-        out += f_poly(alpha)
-    return out
+    for alpha in compositions_rearranging(as_partition(lam), n):
+        out += _e_terms(alpha, is_dominant)
+    return EResult(n, expand_orbits(out.coeffs, distinct_permutations))

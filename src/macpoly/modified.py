@@ -18,7 +18,9 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, product as iproduct
 from typing import Iterator, Sequence
 
-from .polyring import Monomial, MPoly, t_multinomial, tally
+from .polyring import (
+    Monomial, MPoly, distinct_permutations, expand_orbits, is_dominant, t_multinomial, tally,
+)
 from .shapes import (
     INF_BASEMENT,
     Diagram,
@@ -143,27 +145,41 @@ class SortedTableau:
         )
 
 
-def htilde_plain(lam: Sequence[int], n: int) -> MPoly:
-    """Sum of x^sigma q^inv t^maj over all fillings with entries in 1..n."""
-    shape = diagram(as_partition(lam))
+def iter_dominant_words(size: int, n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(content, word) for every word of length ``size`` over 1..n of weakly
+    decreasing content, as the distinct rearrangements of each sorted word."""
     values = range(1, n + 1)
-    monomials = (
-        Monomial(tuple(map(e.count, values)), shape.inv(e), shape.maj(e))
-        for e in iproduct(values, repeat=len(shape.cells))
-    )
-    return MPoly(n, Counter(monomials))
+    for sorted_word in combinations_with_replacement(values, size):
+        x = tuple(map(sorted_word.count, values))
+        if is_dominant(x):
+            for word in distinct_permutations(sorted_word):
+                yield x, word
+
+
+def htilde_plain(lam: Sequence[int], n: int) -> MPoly:
+    """Sum of x^sigma q^inv t^maj over all fillings with entries in 1..n: over
+    those of dominant content, each term then written under every
+    rearrangement of x, since the value is symmetric."""
+    shape = diagram(as_partition(lam))
+    words = iter_dominant_words(len(shape.cells), n)
+    monomials = (Monomial(x, shape.inv(e), shape.maj(e)) for x, e in words)
+    return MPoly(n, expand_orbits(Counter(monomials), distinct_permutations))
 
 
 def htilde_compact(lam: Sequence[int], n: int) -> MPoly:
     """Same polynomial as :func:`htilde_plain`, summed over the sorted tableaux
     of the conjugate diagram with weight x^sigma t^inv q^maj multiplicity_t.
 
-    The tableaux come sorted from :func:`iter_sorted_tableaux`.  They are
-    counted by (x, maj, inv, run signature), and each distinct key is
-    expanded once against the multiplicity cached per run signature.
+    The tableaux come sorted from :func:`iter_sorted_tableaux`.  Those of
+    dominant content are counted by (x, maj, inv, run signature), each key is
+    expanded once against the multiplicity cached per run signature, and each
+    term is written under every rearrangement of x.
     """
     shape = diagram(conjugate(as_partition(lam)))
     counts: Counter = Counter()
     for f in iter_sorted_tableaux(shape, n):
-        counts[f.x_exponents(n), maj(f), inv(f), _block_runs(shape, f.flat)] += 1
-    return tally(n, counts, _multiplicity_terms)
+        x = f.x_exponents(n)
+        if is_dominant(x):
+            counts[x, maj(f), inv(f), _block_runs(shape, f.flat)] += 1
+    dominant = tally(n, counts, _multiplicity_terms)
+    return MPoly(n, expand_orbits(dominant.terms, distinct_permutations))

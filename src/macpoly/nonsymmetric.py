@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .polyring import MPoly, QtRational, one_minus_qt, poly_sum
 from .shapes import (
@@ -156,11 +156,17 @@ def filling_weight(f: Filling) -> QtRational:
 
 def e_permuted_basement(alpha: Sequence[int]) -> EResult:
     """Sum of x^sigma wt(sigma) over the nonattacking basement fillings."""
-    alpha = tuple(alpha)
+    return _e_terms(alpha, lambda exps: True)
+
+
+def _e_terms(alpha: Sequence[int], keep: Callable[[tuple[int, ...]], bool]) -> EResult:
+    """The terms of :func:`e_permuted_basement` at exponent vectors passing ``keep``."""
     n = len(alpha)
     out = EResult(n)
     for f in iter_basement_fillings(alpha):
-        out.add_term(f.x_exponents(n), filling_weight(f))
+        exps = f.x_exponents(n)
+        if keep(exps):
+            out.add_term(exps, filling_weight(f))
     return out
 
 

@@ -19,7 +19,8 @@ import json
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
+from itertools import combinations
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -400,6 +401,56 @@ def tally(n: int, counts: Mapping[tuple, int], expand: Callable) -> MPoly:
             mono = Monomial(x, q + a, t + b)
             acc[mono] = acc.get(mono, 0) + c * k
     return MPoly(n, acc)
+
+
+# -- orbits of exponent vectors ---------------------------------------------------
+
+
+def distinct_permutations(items: Iterable) -> Iterator[tuple]:
+    """Each distinct rearrangement of ``items`` once, in lexicographic order, by
+    next-permutation steps: a multinomial count, not the n! of ``permutations``."""
+    a = sorted(items)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = a[:i:-1]
+
+
+def placements(x: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Each vector of len(x) whose nonzero parts read x's in order, by combinations of positions."""
+    parts = [e for e in x if e]
+    for support in combinations(range(len(x)), len(parts)):
+        spots = dict(zip(support, parts))
+        yield tuple(spots.get(i, 0) for i in range(len(x)))
+
+
+def is_dominant(x: Sequence[int]) -> bool:
+    """Weakly decreasing: the representative of a symmetric orbit."""
+    return all(a >= b for a, b in zip(x, x[1:]))
+
+
+def has_prefix_support(x: Sequence[int]) -> bool:
+    """Nonzero parts first: the representative of a quasisymmetric orbit."""
+    return 0 not in x[: len(x) - x.count(0)]
+
+
+def expand_orbits(terms: Mapping, orbit: Callable[[tuple], Iterable[tuple]]) -> dict:
+    """Each value of ``terms`` under every member of its key's ``orbit`` (a Monomial's x
+    part moves); values are shared, as no MPoly or QtRational changes once built."""
+    out = {}
+    for key, value in terms.items():
+        mono = isinstance(key, Monomial)
+        for x in orbit(key.x if mono else key):
+            out[Monomial(x, key.q, key.t) if mono else x] = value
+    return out
 
 
 # -- division ----------------------------------------------------------------

@@ -3,43 +3,38 @@ specializations, and an independent tableau oracle for cross-validation."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from .integral import compositions_rearranging
-from .polyring import Monomial, MPoly, QtRational, poly_sum
-from .nonsymmetric import EResult, f_poly
-from .shapes import ShapeError, as_partition
-
-
-def _strong_composition(gamma: Sequence[int]) -> tuple[int, ...]:
-    gamma = tuple(gamma)
-    if not all(p > 0 for p in gamma):
-        raise ShapeError(f"{gamma} must have positive parts only")
-    return gamma
+from .polyring import (
+    Monomial, MPoly, QtRational, distinct_permutations, expand_orbits, has_prefix_support,
+    placements, poly_sum,
+)
+from .nonsymmetric import EResult, _e_terms, f_poly, iter_basement_fillings
+from .shapes import ShapeError, as_partition, coinv_comp, maj
 
 
 def compositions_with_support(gamma: Sequence[int], n: int) -> list[tuple[int, ...]]:
     """Weak compositions of length n whose positive parts read gamma in order."""
-    gamma = _strong_composition(gamma)
+    gamma = tuple(gamma)
+    if not all(p > 0 for p in gamma):
+        raise ShapeError(f"{gamma} must have positive parts only")
     if len(gamma) > n:
         raise ValueError(f"{gamma} is longer than n={n}")
-    out = []
-    for support in combinations(range(n), len(gamma)):
-        alpha = [0] * n
-        for pos, part in zip(support, gamma):
-            alpha[pos] = part
-        out.append(tuple(alpha))
-    return out
+    return list(placements(gamma + (0,) * (n - len(gamma))))
 
 
 def g_poly(gamma: Sequence[int], n: int) -> EResult:
-    """Sum of f_poly over every placement of gamma's parts among n slots."""
+    """Sum of f_poly over every placement of gamma's parts among n slots.  G is
+    quasisymmetric, so each placement adds only its terms at prefix supports,
+    which are then written under every placement of their parts."""
     total = EResult(n)
     for alpha in compositions_with_support(gamma, n):
-        total += f_poly(alpha)
-    return total
+        total += _e_terms(alpha, has_prefix_support)
+    return EResult(n, expand_orbits(total.coeffs, placements))
 
 
 @dataclass
@@ -51,12 +46,6 @@ class QSymDecomposition:
     witness: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
 
 
-def _coefficient_table(p: Union[MPoly, EResult]):
-    if isinstance(p, EResult):
-        return dict(p.coeffs), QtRational.zero(), p.n
-    return p.qt_coefficients(), MPoly.zero(0), p.n
-
-
 def qsym_decompose(p: Union[MPoly, EResult], n: int | None = None) -> QSymDecomposition:
     """Check invariance of coefficients along increasing variable supports.
 
@@ -65,9 +54,11 @@ def qsym_decompose(p: Union[MPoly, EResult], n: int | None = None) -> QSymDecomp
     increasing choice of indices.  When it is, the common coefficients per
     gamma reassemble the input from monomial quasisymmetric sums.
     """
-    table, zero, ambient = _coefficient_table(p)
-    if n is None:
-        n = ambient
+    if isinstance(p, EResult):
+        table, zero = dict(p.coeffs), QtRational.zero()
+    else:
+        table, zero = p.qt_coefficients(), MPoly.zero(0)
+    n = p.n if n is None else n
     by_gamma: dict[tuple[int, ...], dict[tuple[int, ...], object]] = {}
     for exps, coeff in table.items():
         gamma = tuple(e for e in exps if e)
@@ -76,23 +67,15 @@ def qsym_decompose(p: Union[MPoly, EResult], n: int | None = None) -> QSymDecomp
 
     coeffs: dict[tuple[int, ...], object] = {}
     for gamma, supports in sorted(by_gamma.items()):
-        if not gamma:
-            coeffs[gamma] = supports.get((), zero)
-            continue
-        reference = None
-        ref_support = None
+        reference = ref_support = None
         for support in combinations(range(n), len(gamma)):
             value = supports.get(support, zero)
             if reference is None:
                 reference, ref_support = value, support
             elif value != reference:
-                def embed(sup):
-                    exps = [0] * n
-                    for pos, part in zip(sup, gamma):
-                        exps[pos] = part
-                    return tuple(exps)
-
-                return QSymDecomposition(False, {}, (embed(ref_support), embed(support)))
+                spots = [dict(zip(s, gamma)) for s in (ref_support, support)]
+                witness = tuple(tuple(d.get(i, 0) for i in range(n)) for d in spots)
+                return QSymDecomposition(False, {}, witness)
         coeffs[gamma] = reference
     return QSymDecomposition(True, coeffs)
 
@@ -131,13 +114,21 @@ def schur_ssyt(lam: Sequence[int], n: int) -> MPoly:
 
 
 def qs_schur(gamma: Sequence[int], n: int) -> MPoly:
-    """The q = t = 0 specialization of :func:`g_poly`."""
-    return g_poly(gamma, n).specialize(q=0, t=0)
+    """The q = t = 0 specialization of :func:`g_poly`: every denominator
+    1 - q^a t^b (b >= 1) is 1 there, so it counts, by content at prefix
+    supports, the basement fillings with maj = coinv = 0, then expands."""
+    counts: Counter = Counter()
+    for alpha in compositions_with_support(gamma, n):
+        for f in iter_basement_fillings(alpha):
+            exps = f.x_exponents(n)
+            if has_prefix_support(exps) and not maj(f) and not coinv_comp(f):
+                counts[Monomial(exps, 0, 0)] += 1
+    return MPoly(n, expand_orbits(counts, placements))
 
 
 def rearrangement_classes(lam: Sequence[int]) -> list[tuple[int, ...]]:
     """Distinct orderings of the parts of lam (strong compositions)."""
-    return sorted(set(permutations(tuple(lam))))
+    return list(distinct_permutations(lam))
 
 
 def t_atom_check(alpha: Sequence[int]) -> bool:

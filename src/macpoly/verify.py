@@ -11,8 +11,10 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+from itertools import product as iproduct
 from math import factorial
 from typing import Callable, Iterator
 
@@ -30,6 +32,7 @@ from .modified import SortedTableau, htilde_compact, htilde_plain, iter_sorted_t
 from .nonsymmetric import EResult, e_permuted_basement, f_poly, iter_basement_fillings
 from .polyring import MPoly, Monomial, QtFactor, QtRational, one_minus_qt, t_multinomial
 from .quasisym import (
+    compositions_with_support,
     g_poly,
     qs_schur,
     qsym_decompose,
@@ -193,12 +196,30 @@ def check_htilde_equivalence(max_size: int = 6, max_n: int = 4) -> CheckResult:
     return _run("compact vs plain modified-Macdonald", body)
 
 
+def htilde_all_words(lam: tuple[int, ...], n: int) -> MPoly:
+    """Sum of x^sigma q^inv t^maj over all n^|lam| fillings: the full-content
+    sum that :func:`htilde_plain` reduces to weakly decreasing content."""
+    shape, values = diagram(lam), range(1, n + 1)
+    words = iproduct(values, repeat=len(shape.cells))
+    monomials = (Monomial(tuple(map(e.count, values)), shape.inv(e), shape.maj(e)) for e in words)
+    return MPoly(n, Counter(monomials))
+
+
+def f_sum(alphas: list[tuple[int, ...]], n: int) -> EResult:
+    """Sum of f_poly over ``alphas``, at every exponent vector unlike p_poly and g_poly."""
+    total = EResult(n)
+    for alpha in alphas:
+        total += f_poly(alpha)
+    return total
+
+
 def check_htilde_symmetry(max_size: int = 5, max_n: int = 4) -> CheckResult:
     def body():
         count = 0
         for lam in partitions_up_to(max_size):
             for n in range(1, max_n + 1):
-                p = htilde_plain(lam, n)
+                p = htilde_all_words(lam, n)
+                assert p == htilde_plain(lam, n), f"lam={lam}, n={n}: all words != htilde_plain"
                 for i in range(1, n):
                     assert p.swap_x(i, i + 1) == p, f"lam={lam}, n={n}, swap {i}"
                     count += 1
@@ -308,7 +329,7 @@ def check_p_symmetry(max_size: int = 5, max_n: int = 4) -> CheckResult:
         for lam in partitions_up_to(max_size):
             parts = len(lam)
             for n in range(parts, max_n + 1):
-                p = p_poly(lam, n)
+                p = f_sum(compositions_rearranging(lam, n), n)
                 for i in range(1, n):
                     assert p.swap_x(i, i + 1) == p, f"lam={lam}, n={n}"
                     count += 1
@@ -325,7 +346,7 @@ def check_quasisymmetry(max_size: int = 5, max_n: int = 5) -> CheckResult:
         count = 0
         for gamma in strong_compositions_up_to(max_size):
             for n in range(len(gamma), max_n + 1):
-                result = qsym_decompose(g_poly(gamma, n))
+                result = qsym_decompose(f_sum(compositions_with_support(gamma, n), n))
                 assert result.is_quasisymmetric, f"gamma={gamma}, n={n}: {result.witness}"
                 count += 1
         return count, f"|shape| <= {max_size}, n <= {max_n}"

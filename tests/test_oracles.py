@@ -1,7 +1,8 @@
 """Identities that relate a family to itself at other inputs (q<->t duality
 of the modified family, stability under setting x_{n+1} = 0), and oracles
 that share no statistics code with the routes they check (specializations
-of the modified family and of P).
+of the modified family and of P, and the Schur positivity of the modified
+family, peeled off with the tableau oracle).
 
 They run here rather than in the ``verify`` battery, whose check names and
 instance counts are pinned by ``perfbench/reference.json``.
@@ -100,3 +101,28 @@ def test_p_at_q_equals_t_is_schur():
                 assert value.specialize(q=c, t=c) == schur, (lam, n, c)
                 count += 1
     assert count == 44
+
+
+def n_statistic(mu):
+    """n(mu): the sum of (i - 1) mu_i."""
+    return sum(i * part for i, part in enumerate(mu))
+
+
+def test_htilde_is_schur_positive():
+    # peel s_nu off in reverse lex order: s_nu is x^nu plus lex-smaller monomials
+    count = 0
+    for mu in partitions_up_to(6):
+        d = n = sum(mu)
+        rest = htilde_plain(mu, n).qt_coefficients()
+        coeffs = {}
+        for nu in sorted((nu for nu in partitions_up_to(d) if sum(nu) == d), reverse=True):
+            c = coeffs[nu] = rest.get(nu + (0,) * (n - len(nu)), MPoly.zero(0))
+            assert all(k > 0 for k in c.terms.values()), (mu, nu, c)
+            for mono, k in schur_ssyt(nu, n).terms.items():
+                rest[mono.x] = rest.get(mono.x, MPoly.zero(0)) - c * k
+        assert not any(rest.values()), mu
+        assert coeffs[(d,)] == MPoly.one(0), mu
+        corner = MPoly.monomial(0, q=n_statistic(mu), t=n_statistic(conjugate(mu)))
+        assert coeffs[(1,) * d] == corner, mu
+        count += 1
+    assert count == 29

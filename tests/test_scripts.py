@@ -19,4 +19,7 @@ def test_term_counts_runs():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "  shape (2, 1):      2 vs      4" in proc.stdout.splitlines()
+    lines = proc.stdout.splitlines()
+    assert "  shape (2, 1):      2 vs      4" in lines
+    # (3, 0) has 1 word and (2, 1) has 3: the dominant contents of size 3 at n = 2
+    assert "  size 3:      4 vs      8  (50.0%)" in lines
