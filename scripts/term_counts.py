@@ -1,20 +1,26 @@
 #!/usr/bin/env python3
 """Measure how much smaller the compact enumerations are than the plain ones.
 
-For the modified family: sorted tableaux of the conjugate diagram versus all
+For the modified family: sorted tableaux of the diagram ``htilde_compact``
+walks (the conjugate one, or the shape's own where that has fewer) versus all
 n^|shape| fillings.  For the integral form: ordered nonattacking fillings of
 the increasing diagram versus all nonattacking fillings of the decreasing one.
 Last, per size, the words of weakly decreasing content that ``htilde_plain``
-sums versus all n^size words (the count depends on the size alone).
+sums versus all n^size words (the count depends on the size alone).  A share
+is printed only where the all-fillings count is nonzero (not at n = 0).
 
     python scripts/term_counts.py --max-size 5 --n 3
 """
 
 import argparse
 
-from macpoly.modified import iter_dominant_words, iter_sorted_tableaux
-from macpoly.shapes import composition_stats, conjugate, diagram, iter_nonattacking
+from macpoly.modified import compact_side, iter_dominant_words, iter_sorted_tableaux
+from macpoly.shapes import composition_stats, iter_nonattacking
 from macpoly.verify import partitions_up_to
+
+
+def share(part: int, whole: int) -> str:
+    return f"  ({part / whole:.1%})" if whole else ""
 
 
 def main() -> None:
@@ -24,12 +30,13 @@ def main() -> None:
     args = parser.parse_args()
     n = args.n
 
-    print(f"modified family, n = {n}: sorted tableaux vs all fillings")
+    print(f"modified family, n = {n}: sorted tableaux on the side htilde_compact walks"
+          " vs all fillings")
     for lam in partitions_up_to(args.max_size):
-        sorted_count = sum(1 for _ in iter_sorted_tableaux(diagram(conjugate(lam)), n))
+        sorted_count = sum(1 for _ in iter_sorted_tableaux(compact_side(lam, n)[0], n))
         plain_count = n ** sum(lam)
         print(f"  shape {lam}: {sorted_count:6d} vs {plain_count:6d}"
-              f"  ({sorted_count / plain_count:.1%})")
+              f"{share(sorted_count, plain_count)}")
 
     print(f"\nintegral form, n = {n}: ordered vs all nonattacking fillings")
     for mu in partitions_up_to(args.max_size):
@@ -43,7 +50,7 @@ def main() -> None:
         dominant_count = sum(1 for _ in iter_dominant_words(size, n))
         plain_count = n ** size
         print(f"  size {size}: {dominant_count:6d} vs {plain_count:6d}"
-              f"  ({dominant_count / plain_count:.1%})")
+              f"{share(dominant_count, plain_count)}")
 
 
 if __name__ == "__main__":

@@ -8,6 +8,10 @@ relative to the shared entry just below (the infinity basement below row 1
 makes that first comparison the plain numeric one).  The t-multinomial
 ``SortedTableau.multiplicity_t`` restores each group's inversion-statistic
 mass, which is what makes the two routes agree.
+
+The compact sum over lam's conjugate diagram is H~_lam; over lam's own it is
+H~_lam'(x; q, t) = H~_lam(x; t, q) by q<->t duality (Macdonald, ch. VI), so
+swapping q and t there is exact and ``htilde_compact`` walks the smaller side.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product as iproduct
+from math import comb, prod
 from typing import Iterator, Sequence
 
 from .polyring import (
@@ -34,11 +39,6 @@ from .shapes import (
 )
 
 
-def _wrap_key(below: int, value: int) -> tuple[int, int]:
-    # order values cyclically starting just above `below`
-    return (0, value) if value > below else (1, value)
-
-
 def column_sort_key(column: Sequence[int]) -> tuple:
     """Sort key realizing the column order on equal-height columns.
 
@@ -46,12 +46,10 @@ def column_sort_key(column: Sequence[int]) -> tuple:
     basement); each later entry compares cyclically relative to the entry
     below it, which is exactly the no-counterclockwise-triple tie rule.
     """
-    if not column:
-        return ()
-    key: list = [column[0]]
-    for below, value in zip(column, column[1:]):
-        key.append(_wrap_key(below, value))
-    return tuple(key)
+    # each later value is ordered cyclically starting just above the one below
+    return tuple(column[:1]) + tuple(
+        (0, value) if value > below else (1, value) for below, value in zip(column, column[1:])
+    )
 
 
 def column_leq(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -108,17 +106,17 @@ def iter_sorted_tableaux(shape: Diagram, n: int) -> Iterator[Filling]:
     """All sorted tableaux of `shape` with entries in 1..n.
 
     Generated directly: per height block, weakly increasing column sequences
-    are combinations-with-replacement over the key-sorted column alphabet.
+    are combinations-with-replacement over the key-sorted column alphabet,
+    each flattened once, so a tableau is one concatenation of block tuples.
     """
     if not shape.is_partition:
         raise ShapeError("sorted tableaux live on partition shapes")
     per_block = []
     for h, slices in shape.blocks:
         columns = sorted(iproduct(range(1, n + 1), repeat=h), key=column_sort_key)
-        per_block.append(list(combinations_with_replacement(columns, len(slices))))
+        per_block.append([sum(cols, ()) for cols in combinations_with_replacement(columns, len(slices))])
     for choice in iproduct(*per_block):
-        flat = tuple(v for block_cols in choice for column in block_cols for v in column)
-        yield Filling(shape, flat, INF_BASEMENT)
+        yield Filling(shape, sum(choice, ()), INF_BASEMENT)
 
 
 @dataclass(frozen=True)
@@ -137,12 +135,9 @@ class SortedTableau:
 
     def multiplicity_t(self, n_ambient: int = 0) -> MPoly:
         """Product over height blocks of the Gaussian multinomials of runs."""
-        signature = tuple(runs for _, runs in self.block_multiplicities)
         zero = (0,) * n_ambient
-        return MPoly(
-            n_ambient,
-            {Monomial(zero, q, t): c for q, t, c in _multiplicity_terms(signature)},
-        )
+        terms = _multiplicity_terms(tuple(runs for _, runs in self.block_multiplicities))
+        return MPoly(n_ambient, {Monomial(zero, q, t): c for q, t, c in terms})
 
 
 def iter_dominant_words(size: int, n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -163,23 +158,38 @@ def htilde_plain(lam: Sequence[int], n: int) -> MPoly:
     shape = diagram(as_partition(lam))
     words = iter_dominant_words(len(shape.cells), n)
     monomials = (Monomial(x, shape.inv(e), shape.maj(e)) for x, e in words)
-    return MPoly(n, expand_orbits(Counter(monomials), distinct_permutations))
+    return MPoly._trusted(n, expand_orbits(Counter(monomials), distinct_permutations))
+
+
+def compact_side(lam: Sequence[int], n: int) -> tuple[Diagram, bool]:
+    """The diagram :func:`htilde_compact` sums over, and whether it then swaps q and t:
+    lam's own where that has strictly fewer sorted tableaux, else the conjugate one.
+    A diagram has, per block of k columns of height h, C(n^h + k - 1, k) of them."""
+    lam = as_partition(lam)
+    sides = (diagram(conjugate(lam)), False), (diagram(lam), True)
+    return min(sides, key=lambda side: prod(
+        comb(max(n, 0) ** h + len(cols) - 1, len(cols)) for h, cols in side[0].blocks
+    ))
 
 
 def htilde_compact(lam: Sequence[int], n: int) -> MPoly:
-    """Same polynomial as :func:`htilde_plain`, summed over the sorted tableaux
-    of the conjugate diagram with weight x^sigma t^inv q^maj multiplicity_t.
+    """Same polynomial as :func:`htilde_plain`, summed with weight
+    x^sigma q^maj t^inv multiplicity_t over the sorted tableaux of the diagram
+    :func:`compact_side` picks: the conjugate one, or lam's own and then a q<->t
+    swap, exact by duality (see the module docstring).
 
-    The tableaux come sorted from :func:`iter_sorted_tableaux`.  Those of
-    dominant content are counted by (x, maj, inv, run signature), each key is
-    expanded once against the multiplicity cached per run signature, and each
-    term is written under every rearrangement of x.
+    Tableaux of dominant content are counted by (x, maj, inv, run signature),
+    each key is expanded once against the multiplicity cached per run
+    signature, and each term is written under every rearrangement of x.
     """
-    shape = diagram(conjugate(as_partition(lam)))
+    shape, swapped = compact_side(lam, n)
+    values = range(1, n + 1)
     counts: Counter = Counter()
     for f in iter_sorted_tableaux(shape, n):
-        x = f.x_exponents(n)
+        x = tuple(map(f.flat.count, values))
         if is_dominant(x):
             counts[x, maj(f), inv(f), _block_runs(shape, f.flat)] += 1
     dominant = tally(n, counts, _multiplicity_terms)
-    return MPoly(n, expand_orbits(dominant.terms, distinct_permutations))
+    if swapped:
+        dominant = dominant.swap_qt()
+    return MPoly._trusted(n, expand_orbits(dominant.terms, distinct_permutations))

@@ -20,6 +20,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import ge
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -107,6 +108,15 @@ class MPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, n: int, terms: dict[Monomial, Scalar]) -> "MPoly":
+        """The polynomial whose term map is ``terms`` itself, unchecked: for maps
+        built in ambient n with nonzero coefficients and nonnegative exponents."""
+        out = cls.__new__(cls)
+        out.n = n
+        out.terms = terms
+        return out
+
+    @classmethod
     def zero(cls, n: int) -> "MPoly":
         return cls(n)
 
@@ -177,16 +187,10 @@ class MPoly:
                 acc[mono] = c
             else:
                 acc.pop(mono, None)
-        out = MPoly.__new__(MPoly)
-        out.n = self.n
-        out.terms = acc
-        return out
+        return MPoly._trusted(self.n, acc)
 
     def __neg__(self) -> "MPoly":
-        out = MPoly.__new__(MPoly)
-        out.n = self.n
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return MPoly._trusted(self.n, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
@@ -195,12 +199,9 @@ class MPoly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return MPoly.zero(self.n)
-            out = MPoly.__new__(MPoly)
-            out.n = self.n
-            out.terms = {
-                m: _normalize_scalar(c * other) for m, c in self.terms.items()
-            }
-            return out
+            return MPoly._trusted(
+                self.n, {m: _normalize_scalar(c * other) for m, c in self.terms.items()}
+            )
         self._check(other)
         acc: dict[Monomial, Scalar] = {}
         for m1, c1 in self.terms.items():
@@ -211,10 +212,7 @@ class MPoly:
                     acc[mono] = c
                 else:
                     acc.pop(mono, None)
-        out = MPoly.__new__(MPoly)
-        out.n = self.n
-        out.terms = acc
-        return out
+        return MPoly._trusted(self.n, acc)
 
     __rmul__ = __mul__
 
@@ -232,10 +230,7 @@ class MPoly:
 
     def mul_monomial(self, x: Sequence[int] = (), q: int = 0, t: int = 0) -> "MPoly":
         shift = Monomial(tuple(x) if x else (0,) * self.n, q, t)
-        out = MPoly.__new__(MPoly)
-        out.n = self.n
-        out.terms = {m * shift: c for m, c in self.terms.items()}
-        return out
+        return MPoly._trusted(self.n, {m * shift: c for m, c in self.terms.items()})
 
     # -- structural helpers --------------------------------------------------
 
@@ -246,16 +241,10 @@ class MPoly:
         if n == self.n:
             return self
         pad = (0,) * (n - self.n)
-        out = MPoly.__new__(MPoly)
-        out.n = n
-        out.terms = {Monomial(m.x + pad, m.q, m.t): c for m, c in self.terms.items()}
-        return out
+        return MPoly._trusted(n, {Monomial(m.x + pad, m.q, m.t): c for m, c in self.terms.items()})
 
     def swap_qt(self) -> "MPoly":
-        out = MPoly.__new__(MPoly)
-        out.n = self.n
-        out.terms = {Monomial(m.x, m.t, m.q): c for m, c in self.terms.items()}
-        return out
+        return MPoly._trusted(self.n, {Monomial(m.x, m.t, m.q): c for m, c in self.terms.items()})
 
     def swap_x(self, i: int, j: int) -> "MPoly":
         """Exchange the variables x_i and x_j (1-based)."""
@@ -264,10 +253,7 @@ class MPoly:
             xs = list(m.x)
             xs[i - 1], xs[j - 1] = xs[j - 1], xs[i - 1]
             acc[Monomial(tuple(xs), m.q, m.t)] = c
-        out = MPoly.__new__(MPoly)
-        out.n = self.n
-        out.terms = acc
-        return out
+        return MPoly._trusted(self.n, acc)
 
     def qt_coefficients(self) -> dict[tuple[int, ...], "MPoly"]:
         """Group terms by x-part; values are q,t-only polynomials (n = 0)."""
@@ -434,7 +420,7 @@ def placements(x: Sequence[int]) -> Iterator[tuple[int, ...]]:
 
 def is_dominant(x: Sequence[int]) -> bool:
     """Weakly decreasing: the representative of a symmetric orbit."""
-    return all(a >= b for a, b in zip(x, x[1:]))
+    return all(map(ge, x, x[1:]))
 
 
 def has_prefix_support(x: Sequence[int]) -> bool:
@@ -444,12 +430,17 @@ def has_prefix_support(x: Sequence[int]) -> bool:
 
 def expand_orbits(terms: Mapping, orbit: Callable[[tuple], Iterable[tuple]]) -> dict:
     """Each value of ``terms`` under every member of its key's ``orbit`` (a Monomial's x
-    part moves); values are shared, as no MPoly or QtRational changes once built."""
+    part moves), each orbit listed once; values are shared, as no MPoly or QtRational
+    changes once built."""
     out = {}
+    orbits: dict = {}
     for key, value in terms.items():
         mono = isinstance(key, Monomial)
-        for x in orbit(key.x if mono else key):
-            out[Monomial(x, key.q, key.t) if mono else x] = value
+        x = key.x if mono else key
+        if x not in orbits:
+            orbits[x] = tuple(orbit(x))
+        for y in orbits[x]:
+            out[Monomial(y, key.q, key.t) if mono else y] = value
     return out
 
 
@@ -599,10 +590,7 @@ def divide_binomial(p: MPoly, a: int, b: int) -> MPoly | None:
             run += coeffs.get(k, 0)
             if run:
                 quo[Monomial(x, q0 + k * a, t0 + k * b)] = run
-    out = MPoly.__new__(MPoly)
-    out.n = p.n
-    out.terms = quo
-    return out
+    return MPoly._trusted(p.n, quo)
 
 
 def divide_binomials(p: MPoly, factors: Iterable[tuple[int, int]]) -> MPoly:

@@ -5,10 +5,12 @@ from importlib import resources
 
 import pytest
 
+import macpoly.modified as modified
 from macpoly.modified import (
     SortedTableau,
     column_leq,
     column_sort_key,
+    compact_side,
     htilde_compact,
     htilde_plain,
     is_sorted_tableau,
@@ -20,6 +22,7 @@ from macpoly.shapes import (
     Cell,
     Filling,
     ShapeError,
+    conjugate,
     diagram,
     enumerate_fillings,
     filling_from_fixture,
@@ -275,3 +278,40 @@ def test_compact_rejects_unsorted_enumeration(monkeypatch):
     monkeypatch.setattr(modified, "iter_sorted_tableaux", unsorted)
     result = check_htilde_equivalence(max_size=2, max_n=2)
     assert not result.passed and "lam=(2,), n=2" in result.detail
+
+
+@pytest.mark.parametrize(
+    "lam,n,walked,swapped",
+    [
+        ((2, 2, 2, 2), 4, 3876, True),
+        ((4, 4), 4, 3876, False),
+        ((3, 3), 4, 816, False),
+        ((2, 2, 2), 4, 816, True),
+        # a tie (a self-conjugate shape) stays on the conjugate side
+        ((3, 2, 1), 4, 4096, False),
+    ],
+)
+def test_compact_walks_the_side_with_fewer_tableaux(monkeypatch, lam, n, walked, swapped):
+    walks = []
+    enumerate_sorted = modified.iter_sorted_tableaux
+
+    def counted(shape, n):
+        walks.append([shape.heights, 0])
+        for f in enumerate_sorted(shape, n):
+            walks[-1][1] += 1
+            yield f
+
+    monkeypatch.setattr(modified, "iter_sorted_tableaux", counted)
+    result = htilde_compact(lam, n)
+    side = lam if swapped else conjugate(lam)
+    assert walks == [[side, walked]]
+    assert compact_side(lam, n) == (diagram(side), swapped)
+    assert result == htilde_plain(lam, n)
+
+
+def test_compact_degenerate_inputs():
+    # the empty shape is the constant 1 in any ambient; no entries, no tableaux
+    assert htilde_compact((), 0) == MPoly.one(0)
+    assert htilde_compact((), 1) == MPoly.one(1)
+    assert htilde_compact((2, 1), 0) == MPoly.zero(0)
+    assert compact_side((), 0) == (diagram(()), False)

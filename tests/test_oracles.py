@@ -45,6 +45,17 @@ def test_htilde_q_t_duality():
     assert count == 3 * 18
 
 
+def test_htilde_plain_q_t_duality():
+    # plain against plain: no sorted tableaux and no q<->t side choice, so a
+    # slip in the compact route's side rule cannot pass both sides
+    count = 0
+    for mu in partitions_up_to(5):
+        for n in range(4):
+            assert htilde_plain(mu, n) == htilde_plain(conjugate(mu), n).swap_qt(), (mu, n)
+            count += 1
+    assert count == 4 * 18
+
+
 @pytest.mark.parametrize(
     "family, shapes, min_n",
     [
