@@ -7,16 +7,26 @@ n^|shape| fillings.  For the integral form: ordered nonattacking fillings of
 the increasing diagram versus all nonattacking fillings of the decreasing one.
 Last, per size, the words of weakly decreasing content that ``htilde_plain``
 sums versus all n^size words (the count depends on the size alone).  A share
-is printed only where the all-fillings count is nonzero (not at n = 0).
+is printed only where the all-fillings count is nonzero (not at n = 0).  Then,
+for P on the shapes the symmetric benchmark pins, at n = 5: the basement
+fillings enumerated over every composition, those of dominant content that
+``p_poly`` keeps, and the distinct weights it builds for them.
 
     python scripts/term_counts.py --max-size 5 --n 3
 """
 
 import argparse
 
+from macpoly.integral import compositions_rearranging
 from macpoly.modified import compact_side, iter_dominant_words, iter_sorted_tableaux
+from macpoly.nonsymmetric import _e_weights, iter_basement_fillings
+from macpoly.polyring import is_dominant
 from macpoly.shapes import composition_stats, iter_nonattacking
 from macpoly.verify import partitions_up_to
+
+#: the shapes whose P the symmetric benchmark pins, and its variable count
+SYMMETRIC_ANCHORS = ((3, 2, 1), (3, 2), (3, 1, 1), (2, 2, 1))
+SYMMETRIC_N = 5
 
 
 def share(part: int, whole: int) -> str:
@@ -51,6 +61,18 @@ def main() -> None:
         plain_count = n ** size
         print(f"  size {size}: {dominant_count:6d} vs {plain_count:6d}"
               f"{share(dominant_count, plain_count)}")
+
+    print(f"\nP, n = {SYMMETRIC_N}: basement fillings enumerated, kept (dominant content),"
+          " weights built")
+    for lam in SYMMETRIC_ANCHORS:
+        enumerated = kept = built = 0
+        for alpha in compositions_rearranging(lam, SYMMETRIC_N):
+            enumerated += sum(1 for _ in iter_basement_fillings(alpha))
+            weights = [weight for _, weight in _e_weights(alpha, is_dominant)]
+            kept += len(weights)
+            # fillings with the same weight key share one built weight
+            built += len({id(weight) for weight in weights})
+        print(f"  shape {lam}: {enumerated:6d} enumerated, {kept:6d} kept, {built:6d} weights")
 
 
 if __name__ == "__main__":

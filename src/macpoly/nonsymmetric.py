@@ -9,7 +9,11 @@ to copy the basement, so enumeration assigns row 1 directly and searches the
 cells above; a test cross-checks this against brute-force filtering.
 
 Coefficients are :class:`QtRational` values: each cell whose entry differs
-from the one below contributes (1-t) over (1 - q^(leg+1) t^(arm+1)).
+from the one below contributes (1-t) over (1 - q^(leg+1) t^(arm+1)).  The
+sums behind E, P and G read the enumerator's flat tuples, test content
+before building anything, and build one weight per distinct (denominator
+hooks, maj, coinv) within a call; the weights are added in filling order,
+since a :class:`QtRational`'s reduced form depends on that order.
 """
 
 from __future__ import annotations
@@ -18,8 +22,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
-from .polyring import MPoly, QtRational, one_minus_qt, poly_sum
+from .polyring import (
+    Monomial, MPoly, NonPolynomialError, QtRational, Scalar, divide_binomials, one_minus_qt,
+    poly_sum,
+)
 from .shapes import (
+    Diagram,
     Filling,
     coinv_comp,
     composition_stats,
@@ -73,14 +81,28 @@ class EResult:
 
     def cleared_by(self, multiplier: MPoly) -> MPoly:
         """Multiply every coefficient by a q,t-polynomial and demand that all
-        denominators cancel; returns the resulting honest polynomial."""
-        return poly_sum(
-            self.n,
-            (
-                (value * multiplier).to_polynomial().extended(self.n).mul_monomial(x=exps)
-                for exps, value in self.coeffs.items()
-            ),
-        )
+        denominators cancel; returns the resulting honest polynomial.
+
+        The multiplier is divided once by each distinct denominator, and each
+        numerator with that denominator is multiplied by the quotient.  Where
+        the multiplier alone is not divisible, the coefficient is multiplied
+        first and reduced, so its numerator can supply the missing factor;
+        a denominator that still survives raises
+        :class:`~macpoly.polyring.NonPolynomialError`.
+        """
+        quotients: dict[tuple, MPoly | None] = {}
+        acc: dict[Monomial, Scalar] = {}
+        for exps, value in self.coeffs.items():
+            if value.den not in quotients:
+                try:
+                    quotients[value.den] = divide_binomials(multiplier, value.den)
+                except NonPolynomialError:
+                    quotients[value.den] = None
+            quo = quotients[value.den]
+            poly = (value * multiplier).to_polynomial() if quo is None else value.num * quo
+            for m, c in poly.terms.items():
+                acc[Monomial(exps, m.q, m.t)] = c
+        return MPoly(self.n, acc)
 
     def specialize(self, q, t) -> MPoly:
         """Evaluate q and t, producing a plain polynomial in x."""
@@ -129,11 +151,20 @@ def iter_basement_fillings(alpha: Sequence[int]) -> Iterator[Filling]:
     as soon as both of its cells are set.  The order is that of filtering
     every assignment of the free cells, the last cell varying fastest.
     """
+    shape, beta, tuples = _basement_tuples(alpha)
+    for e in tuples:
+        yield Filling(shape, e, beta)
+
+
+def _basement_tuples(
+    alpha: Sequence[int],
+) -> tuple[Diagram, tuple[int, ...], Iterator[tuple[int, ...]]]:
+    """The increasing diagram of alpha, its basement, and the flat entry
+    tuples of :func:`iter_basement_fillings`, in its order."""
     stats = composition_stats(alpha)
     shape = diagram(stats.inc)
     pinned = {i: stats.beta[col] for i, col, _ in shape.bottom}
-    for e in iter_nonattacking(stats.inc, len(stats.inc), pinned):
-        yield Filling(shape, e, stats.beta)
+    return shape, stats.beta, iter_nonattacking(stats.inc, len(stats.inc), pinned)
 
 
 @lru_cache(maxsize=64)
@@ -161,13 +192,42 @@ def e_permuted_basement(alpha: Sequence[int]) -> EResult:
 
 def _e_terms(alpha: Sequence[int], keep: Callable[[tuple[int, ...]], bool]) -> EResult:
     """The terms of :func:`e_permuted_basement` at exponent vectors passing ``keep``."""
-    n = len(alpha)
-    out = EResult(n)
-    for f in iter_basement_fillings(alpha):
-        exps = f.x_exponents(n)
-        if keep(exps):
-            out.add_term(exps, filling_weight(f))
+    out = EResult(len(alpha))
+    for exps, weight in _e_weights(alpha, keep):
+        out.add_term(exps, weight)
     return out
+
+
+def _e_weights(
+    alpha: Sequence[int], keep: Callable[[tuple[int, ...]], bool]
+) -> Iterator[tuple[tuple[int, ...], QtRational]]:
+    """(exponent vector, weight) of each basement filling whose content passes
+    ``keep``, in filling order.
+
+    Each basement tuple's content is tested before anything is built.  A
+    kept tuple's weight is fixed by the hooks of the cells whose entry
+    differs from the one below (row 1 copies the basement, so only cells
+    above it) together with maj and coinv; :func:`filling_weight` builds it
+    once per such key in this call, and tuples with the same key share it.
+    """
+    n = len(alpha)
+    shape, beta, tuples = _basement_tuples(alpha)
+    steps = [(i, j, shape.hooks[i]) for i, j, _ in shape.steps]
+    letters = range(1, n + 1)
+    weights: dict[tuple, QtRational] = {}
+    for e in tuples:
+        exps = tuple(map(e.count, letters))
+        if not keep(exps):
+            continue
+        key = (
+            tuple(hook for i, j, hook in steps if e[i] != e[j]),
+            shape.maj(e, beta),
+            shape.coinv(e, beta),
+        )
+        weight = weights.get(key)
+        if weight is None:
+            weight = weights[key] = filling_weight(Filling(shape, e, beta))
+        yield exps, weight
 
 
 def f_poly(alpha: Sequence[int]) -> EResult:

@@ -571,20 +571,30 @@ def divide_binomial(p: MPoly, a: int, b: int) -> MPoly | None:
     running sum of p's coefficients, so the division is exact iff every
     chain sums to zero.  A non-integer coefficient counts as "does not
     divide", as it does for :func:`divmod_poly`.
+
+    Most divisions tried are not exact, so the chain sums come first, in one
+    pass over the terms: a point's chain is fixed by its x part, b*q - a*t
+    (the line through it) and q mod a (which of the line's a/gcd(a, b)
+    interleaved chains), or by x, q and t mod b when a = 0.  The chains
+    themselves, and the quotient, are built only when every sum is zero.
     """
     if a < 0 or b < 1:
         raise ValueError(f"invalid binomial divisor 1 - q^{a} t^{b}")
-    # each term's chain, keyed by its lowest point, and its step from there
-    chains: dict[tuple, dict[int, int]] = {}
+    sums: dict[tuple, int] = {}
     for (x, q, t), c in p.terms.items():
         if not isinstance(c, int):
             return None
+        key = (x, b * q - a * t, q % a) if a else (x, q, t % b)
+        sums[key] = sums.get(key, 0) + c
+    if any(sums.values()):
+        return None
+    # each term's chain, keyed by its lowest point, and its step from there
+    chains: dict[tuple, dict[int, int]] = {}
+    for (x, q, t), c in p.terms.items():
         k = min(q // a, t // b) if a else t // b
         chains.setdefault((x, q - k * a, t - k * b), {})[k] = c
     quo: dict[Monomial, Scalar] = {}
     for (x, q0, t0), coeffs in chains.items():
-        if sum(coeffs.values()):
-            return None
         run = 0
         for k in range(min(coeffs), max(coeffs)):
             run += coeffs.get(k, 0)
@@ -679,6 +689,10 @@ class QtRational:
     def __add__(self, other: "QtRational") -> "QtRational":
         if isinstance(other, (int, Fraction)):
             other = QtRational.from_int(other)
+        if self.den == other.den:
+            # a reduced denominator is a sorted tuple, which is what the lcm
+            # below would list
+            return QtRational(self.num + other.num, self.den)
         mine, theirs = Counter(self.den), Counter(other.den)
         lcm = mine | theirs
         num = times_binomials(self.num, (lcm - mine).elements())

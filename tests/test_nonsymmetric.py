@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from itertools import product
 
 import pytest
 
@@ -13,9 +14,23 @@ from macpoly.nonsymmetric import (
     filling_weight,
     iter_basement_fillings,
 )
-from macpoly.integral import hook_product_inc, integral_e, p_poly
-from macpoly.polyring import MPoly, QtFactor, QtRational, pochhammer_tt
-from macpoly.quasisym import g_poly
+from macpoly.integral import compositions_rearranging, hook_product_inc, integral_e, p_poly
+from macpoly.polyring import (
+    MPoly,
+    NonPolynomialError,
+    QtFactor,
+    QtRational,
+    distinct_permutations,
+    divide_binomials,
+    expand_orbits,
+    has_prefix_support,
+    is_dominant,
+    one_minus_qt,
+    placements,
+    pochhammer_tt,
+    poly_sum,
+)
+from macpoly.quasisym import compositions_with_support, g_poly
 from macpoly.shapes import (
     INF_BASEMENT,
     arm_composition,
@@ -225,3 +240,100 @@ PINNED_FORMS = [
 def test_printed_form_is_pinned(compute, expected):
     text = json.dumps(compute().to_json_obj(), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == expected
+
+
+# -- printed-form oracle ----------------------------------------------------------
+
+
+def weak_compositions(max_size, max_len):
+    return [
+        alpha
+        for length in range(1, max_len + 1)
+        for alpha in product(range(max_size + 1), repeat=length)
+        if sum(alpha) <= max_size
+    ]
+
+
+SMALL_ALPHAS = weak_compositions(4, 4)
+E_ANCHORS = [(0, 0, 4, 2, 0), (0, 3, 0, 3, 0), (3, 0, 2, 0, 1), (0, 2, 2, 0, 2)]
+
+
+def filling_order_sum(alpha, keep=lambda exps: True):
+    """The E sum filling by filling: a Filling per basement filling and its
+    weight added in enumeration order, with no weight shared between fillings."""
+    n = len(alpha)
+    out = EResult(n)
+    for f in iter_basement_fillings(alpha):
+        exps = f.x_exponents(n)
+        if keep(exps):
+            out.add_term(exps, filling_weight(f))
+    return out
+
+
+def printed(value):
+    return json.dumps(value.to_json_obj(), sort_keys=True, separators=(",", ":"))
+
+
+def test_e_prints_as_the_filling_order_sum():
+    # shared weights must leave every coefficient's additions, and so its
+    # reduced form, as they are when each filling is weighed on its own
+    differ = [
+        alpha
+        for alpha in SMALL_ALPHAS + E_ANCHORS
+        if printed(e_permuted_basement(alpha)) != printed(filling_order_sum(alpha))
+    ]
+    assert differ == []
+
+
+@pytest.mark.parametrize("lam, n", [((2, 1), 3), ((2, 2), 3)])
+def test_p_and_g_print_as_the_filling_order_sum(lam, n):
+    total = EResult(n)
+    for alpha in compositions_rearranging(lam, n):
+        total += filling_order_sum(alpha, is_dominant)
+    expected = EResult(n, expand_orbits(total.coeffs, distinct_permutations))
+    assert printed(p_poly(lam, n)) == printed(expected)
+
+    total = EResult(n)
+    for alpha in compositions_with_support(lam, n):
+        total += filling_order_sum(alpha, has_prefix_support)
+    expected = EResult(n, expand_orbits(total.coeffs, placements))
+    assert printed(g_poly(lam, n)) == printed(expected)
+
+
+# -- clearing denominators ----------------------------------------------------------
+
+
+def cleared_one_by_one(e, multiplier):
+    """Each coefficient times the multiplier, reduced, then summed."""
+    return poly_sum(
+        e.n,
+        (
+            (value * multiplier).to_polynomial().extended(e.n).mul_monomial(x=exps)
+            for exps, value in e.coeffs.items()
+        ),
+    )
+
+
+def test_cleared_by_matches_clearing_each_coefficient():
+    differ = []
+    for alpha in SMALL_ALPHAS:
+        e, multiplier = e_permuted_basement(alpha), hook_product_inc(alpha)
+        if e.cleared_by(multiplier) != cleared_one_by_one(e, multiplier):
+            differ.append(alpha)
+    assert differ == []
+
+
+def test_cleared_by_falls_back_when_the_numerator_supplies_a_factor():
+    # 1 - q^2 t^2 does not divide 1 - qt, but (1 + qt)(1 - qt) is 1 - q^2 t^2
+    value = QtRational(MPoly.one(0) + MPoly.monomial(0, q=1, t=1), [QtFactor(2, 2)])
+    assert value.den == (QtFactor(2, 2),)
+    with pytest.raises(NonPolynomialError):
+        divide_binomials(one_minus_qt(1, 1), value.den)
+    e = EResult(1, {(2,): value})
+    assert e.cleared_by(one_minus_qt(1, 1)) == MPoly.monomial(1, x=(2,))
+
+
+def test_cleared_by_raises_on_a_surviving_denominator():
+    e = EResult(1, {(1,): QtRational(MPoly.one(0), [QtFactor(1, 1)])})
+    with pytest.raises(NonPolynomialError):
+        e.cleared_by(one_minus_qt(0, 1))

@@ -1,6 +1,7 @@
 """Arithmetic-layer unit and property tests."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from macpoly.polyring import (
     poly_sum,
     t_multinomial,
     tally,
+    times_binomials,
 )
 
 
@@ -366,6 +368,55 @@ def test_qt_add_mul_consistency(du, dv):
     assert lhs == rhs
 
 
+def counter_lcm_add(u, v):
+    """u + v over the lcm of the two denominators, as a Counter of factors."""
+    mine, theirs = Counter(u.den), Counter(v.den)
+    lcm = mine | theirs
+    num = times_binomials(u.num, (lcm - mine).elements())
+    onum = times_binomials(v.num, (lcm - theirs).elements())
+    return QtRational(num + onum, tuple(lcm.elements()))
+
+
+#: denominators with repeats and reducible members: 1 - q^2 t^2 = (1 - qt)(1 + qt)
+#: and 1 - t^2 = (1 - t)(1 + t), so the reduced form depends on the factor order
+REDUCIBLE_FACTORS = [QtFactor(0, 1), QtFactor(0, 2), QtFactor(1, 1), QtFactor(2, 2), QtFactor(1, 2)]
+
+
+@st.composite
+def reducible_rationals(draw, den=None):
+    """A QtRational whose numerator often shares a factor with its denominator."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        mono = Monomial((), draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+        terms[mono] = draw(st.integers(-3, 3))
+    num = MPoly(0, terms)
+    sharing = [
+        one_minus_qt(1, 1), one_minus_qt(0, 1), MPoly.one(0) + MPoly.monomial(0, q=1, t=1),
+        MPoly.one(0) + tpoly(),
+    ]
+    for poly in draw(st.lists(st.sampled_from(sharing), max_size=2)):
+        num = num * poly
+    if den is None:
+        den = draw(st.lists(st.sampled_from(REDUCIBLE_FACTORS), max_size=3))
+    return QtRational(num, den)
+
+
+@st.composite
+def rational_pairs(draw):
+    """Two QtRationals, the second half the time built over the first's denominator."""
+    u = draw(reducible_rationals())
+    v = draw(reducible_rationals(u.den if draw(st.booleans()) else None))
+    return u, v
+
+
+@settings(max_examples=300)
+@given(rational_pairs())
+def test_qt_add_matches_counter_lcm_reference(pair):
+    u, v = pair
+    got, expected = u + v, counter_lcm_add(u, v)
+    assert (got.num, got.den) == (expected.num, expected.den)
+
+
 # -- the binomial divider against the general division ----------------------------
 
 
@@ -407,6 +458,15 @@ def test_divide_binomial_chain_with_gap_and_zero_q_step():
     assert divide_binomial(p, 0, 2) == MPoly.one(0) + MPoly.monomial(0, t=4)
     assert divide_binomial(p, 0, 1) == exact_div(p, one_minus_qt(0, 1))
     assert divide_binomial(p, 1, 1) is None
+
+
+def test_divide_binomial_tells_apart_chains_on_one_line():
+    # for a = 2, b = 4 the points (0, 0) and (1, 2) both have b*q - a*t = 0,
+    # but (1, 2) - (0, 0) is not a multiple of (2, 4): two chains, not one
+    p = MPoly.one(0) - MPoly.monomial(0, q=1, t=2)
+    assert not divmod_poly(p, one_minus_qt(2, 4))[1].is_zero()
+    assert divide_binomial(p, 2, 4) is None
+    assert divide_binomial(p * one_minus_qt(2, 4), 2, 4) == p
 
 
 def test_divide_binomial_refuses_non_integer_coefficients():

@@ -30,6 +30,9 @@ def test_term_counts_runs():
     # the modified-family section counts the side htilde_compact walks:
     # (1, 1)'s own diagram, 3 sorted tableaux, not its conjugate's 4
     assert "  shape (1, 1):      3 vs      4  (75.0%)" in lines
+    # P((3,2,1)) at n = 5 weighs only the fillings of dominant content, and
+    # fillings with one weight key share one weight
+    assert "  shape (3, 2, 1):   2160 enumerated,    217 kept,    195 weights" in lines
 
 
 def test_term_counts_at_n_zero():
