@@ -10,7 +10,8 @@ sums versus all n^size words (the count depends on the size alone).  A share
 is printed only where the all-fillings count is nonzero (not at n = 0).  Then,
 for P on the shapes the symmetric benchmark pins, at n = 5: the basement
 fillings enumerated over every composition, those of dominant content that
-``p_poly`` keeps, and the distinct weights it builds for them.
+``p_poly`` keeps, and the distinct weights it builds for them, which the
+compositions of one call share.
 
     python scripts/term_counts.py --max-size 5 --n 3
 """
@@ -19,7 +20,7 @@ import argparse
 
 from macpoly.integral import compositions_rearranging
 from macpoly.modified import compact_side, iter_dominant_words, iter_sorted_tableaux
-from macpoly.nonsymmetric import _e_weights, iter_basement_fillings
+from macpoly.nonsymmetric import _basement_walk, iter_basement_fillings
 from macpoly.polyring import is_dominant
 from macpoly.shapes import composition_stats, iter_nonattacking
 from macpoly.verify import partitions_up_to
@@ -65,13 +66,12 @@ def main() -> None:
     print(f"\nP, n = {SYMMETRIC_N}: basement fillings enumerated, kept (dominant content),"
           " weights built")
     for lam in SYMMETRIC_ANCHORS:
-        enumerated = kept = built = 0
-        for alpha in compositions_rearranging(lam, SYMMETRIC_N):
-            enumerated += sum(1 for _ in iter_basement_fillings(alpha))
-            weights = [weight for _, weight in _e_weights(alpha, is_dominant)]
-            kept += len(weights)
-            # fillings with the same weight key share one built weight
-            built += len({id(weight) for weight in weights})
+        alphas = compositions_rearranging(lam, SYMMETRIC_N)
+        enumerated = sum(1 for alpha in alphas for _ in iter_basement_fillings(alpha))
+        keys = [key for key, _ in _basement_walk(alphas, SYMMETRIC_N, is_dominant)]
+        kept = len(keys)
+        # one weight per distinct (maj, coinv, repeat mask) over the whole call
+        built = len({key[1:] for key in keys})
         print(f"  shape {lam}: {enumerated:6d} enumerated, {kept:6d} kept, {built:6d} weights")
 
 

@@ -13,7 +13,7 @@ from .polyring import (
     MPoly, distinct_permutations, divide_binomials, expand_orbits, is_dominant,
     pochhammer_factors, tally, times_binomials,
 )
-from .nonsymmetric import EResult, _e_terms, iter_basement_fillings
+from .nonsymmetric import EResult, _basement_walk, _e_sum
 from .shapes import (
     Filling,
     as_partition,
@@ -142,8 +142,9 @@ def integral_e(alpha: Sequence[int]) -> MPoly:
     the identity battery checks that.
     """
     stats = composition_stats(alpha)
-    fillings = iter_basement_fillings(alpha)
-    return j_weight_sum(stats.inc, len(stats.inc), fillings, tuple(stats.mult.values()))
+    n, pochhammer = len(stats.inc), tuple(sorted(stats.mult.values()))
+    counts = Counter(key for key, _ in _basement_walk([alpha], n, lambda exps: True))
+    return tally(n, counts, lambda mask: _j_factor_terms(stats.inc, mask, pochhammer))
 
 
 def compositions_rearranging(lam: Sequence[int], n: int) -> list[tuple[int, ...]]:
@@ -158,7 +159,5 @@ def p_poly(lam: Sequence[int], n: int) -> EResult:
     """Monic symmetric value: the sum of f_poly over all weak compositions of
     length n that sort to lam.  P is symmetric, so each composition adds only
     its dominant terms, which are then written under every rearrangement."""
-    out = EResult(n)
-    for alpha in compositions_rearranging(as_partition(lam), n):
-        out += _e_terms(alpha, is_dominant)
+    out = _e_sum(compositions_rearranging(as_partition(lam), n), n, is_dominant)
     return EResult(n, expand_orbits(out.coeffs, distinct_permutations))

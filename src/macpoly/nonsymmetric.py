@@ -9,22 +9,23 @@ to copy the basement, so enumeration assigns row 1 directly and searches the
 cells above; a test cross-checks this against brute-force filtering.
 
 Coefficients are :class:`QtRational` values: each cell whose entry differs
-from the one below contributes (1-t) over (1 - q^(leg+1) t^(arm+1)).  The
-sums behind E, P and G read the enumerator's flat tuples, test content
-before building anything, and build one weight per distinct (denominator
-hooks, maj, coinv) within a call; the weights are added in filling order,
-since a :class:`QtRational`'s reduced form depends on that order.
+from the one below contributes (1-t) over (1 - q^(leg+1) t^(arm+1)).  E, P,
+G, qs_schur and the integral form of E read one walk over the basement
+fillings of one orbit of compositions; they share one increasing diagram, so
+a repeat mask over its cells fixes a weight's hooks.  A sum counts each kept
+filling by (x, maj, coinv, repeat mask) and weighs each distinct key once.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .polyring import (
-    Monomial, MPoly, NonPolynomialError, QtRational, Scalar, divide_binomials, one_minus_qt,
-    poly_sum,
+    Monomial, MPoly, NonPolynomialError, QtFactor, QtRational, Scalar, divide_binomials,
+    one_minus_qt, poly_sum,
 )
 from .shapes import (
     Diagram,
@@ -35,6 +36,9 @@ from .shapes import (
     iter_nonattacking,
     maj,
 )
+
+#: a test on the content (exponent vector) of a filling
+Keep = Callable[[tuple[int, ...]], bool]
 
 
 @dataclass
@@ -174,60 +178,56 @@ def _one_minus_t_power(k: int) -> MPoly:
 
 def filling_weight(f: Filling) -> QtRational:
     """q^maj t^coinv times the (1-t)/(1 - q^(leg+1) t^(arm+1)) cell product
-    over cells whose entry differs from the entry below."""
+    over cells whose entry differs from the entry below.  No hook divides the
+    numerator (its terms share q-exponent maj, every hook has leg + 1 >= 1)."""
     e, shape = f.flat, f.shape
-    den: list[tuple[int, int]] = []
+    den: list[QtFactor] = []
     for i, (j, hook) in enumerate(zip(shape.below, shape.hooks)):
         below = f.basement_entry(shape.cells[i].col) if j is None else e[j]
         if below is not None and e[i] != below:
-            den.append(hook)
+            den.append(QtFactor(*hook))
     num = _one_minus_t_power(len(den)).mul_monomial(q=maj(f), t=coinv_comp(f))
-    return QtRational(num, den)
+    return QtRational._trusted(num, tuple(sorted(den)))
 
 
 def e_permuted_basement(alpha: Sequence[int]) -> EResult:
     """Sum of x^sigma wt(sigma) over the nonattacking basement fillings."""
-    return _e_terms(alpha, lambda exps: True)
+    return _e_sum([alpha], len(alpha), lambda exps: True)
 
 
-def _e_terms(alpha: Sequence[int], keep: Callable[[tuple[int, ...]], bool]) -> EResult:
-    """The terms of :func:`e_permuted_basement` at exponent vectors passing ``keep``."""
-    out = EResult(len(alpha))
-    for exps, weight in _e_weights(alpha, keep):
-        out.add_term(exps, weight)
-    return out
-
-
-def _e_weights(
-    alpha: Sequence[int], keep: Callable[[tuple[int, ...]], bool]
-) -> Iterator[tuple[tuple[int, ...], QtRational]]:
-    """(exponent vector, weight) of each basement filling whose content passes
-    ``keep``, in filling order.
-
-    Each basement tuple's content is tested before anything is built.  A
-    kept tuple's weight is fixed by the hooks of the cells whose entry
-    differs from the one below (row 1 copies the basement, so only cells
-    above it) together with maj and coinv; :func:`filling_weight` builds it
-    once per such key in this call, and tuples with the same key share it.
-    """
-    n = len(alpha)
-    shape, beta, tuples = _basement_tuples(alpha)
-    steps = [(i, j, shape.hooks[i]) for i, j, _ in shape.steps]
+def _basement_walk(alphas: Iterable[Sequence[int]], n: int, keep: Keep) -> Iterator[tuple]:
+    """``((x, maj, coinv, repeat mask), (shape, entries, basement))`` for each
+    basement filling of each of ``alphas`` whose content x over 1..n passes
+    ``keep``, which is tested first; the second item is the :class:`Filling`'s
+    arguments.  The compositions must rearrange the same parts (one orbit), so
+    that they share one increasing diagram: then the mask, which says which
+    cells of ``shape.steps`` repeat the entry below, fixes a weight's hooks."""
     letters = range(1, n + 1)
-    weights: dict[tuple, QtRational] = {}
-    for e in tuples:
-        exps = tuple(map(e.count, letters))
-        if not keep(exps):
-            continue
-        key = (
-            tuple(hook for i, j, hook in steps if e[i] != e[j]),
-            shape.maj(e, beta),
-            shape.coinv(e, beta),
-        )
-        weight = weights.get(key)
-        if weight is None:
-            weight = weights[key] = filling_weight(Filling(shape, e, beta))
-        yield exps, weight
+    for alpha in alphas:
+        shape, beta, tuples = _basement_tuples(alpha)
+        for e in tuples:
+            exps = tuple(map(e.count, letters))
+            if keep(exps):
+                mask = tuple(e[i] == e[j] for i, j, _ in shape.steps)
+                yield (exps, shape.maj(e, beta), shape.coinv(e, beta), mask), (shape, e, beta)
+
+
+def _e_sum(alphas: Iterable[Sequence[int]], n: int, keep: Keep) -> EResult:
+    """The sum of :func:`e_permuted_basement` over ``alphas``, one orbit as in
+    :func:`_basement_walk`, at the exponent vectors passing ``keep``.  Keys are
+    counted over every composition, each distinct (maj, coinv, mask) weight is
+    built once, and each key adds its weight times its count once."""
+    counts: Counter = Counter()
+    fillings: dict[tuple, tuple] = {}
+    for key, args in _basement_walk(alphas, n, keep):
+        counts[key] += 1
+        fillings.setdefault(key[1:], args)
+    weights = {key: filling_weight(Filling(*args)) for key, args in fillings.items()}
+    out = EResult(n)
+    for key, c in counts.items():
+        weight = weights[key[1:]]
+        out.add_term(key[0], QtRational._trusted(weight.num * c, weight.den))
+    return out
 
 
 def f_poly(alpha: Sequence[int]) -> EResult:

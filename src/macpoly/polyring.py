@@ -660,6 +660,14 @@ class QtRational:
         self.num, self.den = _reduce(num, den)
 
     @classmethod
+    def _trusted(cls, num: MPoly, den: tuple[QtFactor, ...]) -> "QtRational":
+        """The fraction num / den as given, unreduced: for a q,t-only numerator
+        and a sorted tuple of factors of which none divides it."""
+        out = cls.__new__(cls)
+        out.num, out.den = num, den
+        return out
+
+    @classmethod
     def from_int(cls, c: Scalar) -> "QtRational":
         return cls(MPoly.const(0, c))
 
@@ -700,9 +708,7 @@ class QtRational:
         return QtRational(num + onum, tuple(lcm.elements()))
 
     def __neg__(self) -> "QtRational":
-        out = QtRational.__new__(QtRational)
-        out.num, out.den = -self.num, self.den
-        return out
+        return QtRational._trusted(-self.num, self.den)
 
     def __sub__(self, other: "QtRational") -> "QtRational":
         return self + (-other)

@@ -13,8 +13,8 @@ from .polyring import (
     Monomial, MPoly, QtRational, distinct_permutations, expand_orbits, has_prefix_support,
     placements, poly_sum,
 )
-from .nonsymmetric import EResult, _e_terms, f_poly, iter_basement_fillings
-from .shapes import ShapeError, as_partition, coinv_comp, maj
+from .nonsymmetric import EResult, _basement_walk, _e_sum, f_poly
+from .shapes import ShapeError, as_partition
 
 
 def compositions_with_support(gamma: Sequence[int], n: int) -> list[tuple[int, ...]]:
@@ -31,9 +31,7 @@ def g_poly(gamma: Sequence[int], n: int) -> EResult:
     """Sum of f_poly over every placement of gamma's parts among n slots.  G is
     quasisymmetric, so each placement adds only its terms at prefix supports,
     which are then written under every placement of their parts."""
-    total = EResult(n)
-    for alpha in compositions_with_support(gamma, n):
-        total += _e_terms(alpha, has_prefix_support)
+    total = _e_sum(compositions_with_support(gamma, n), n, has_prefix_support)
     return EResult(n, expand_orbits(total.coeffs, placements))
 
 
@@ -117,12 +115,8 @@ def qs_schur(gamma: Sequence[int], n: int) -> MPoly:
     """The q = t = 0 specialization of :func:`g_poly`: every denominator
     1 - q^a t^b (b >= 1) is 1 there, so it counts, by content at prefix
     supports, the basement fillings with maj = coinv = 0, then expands."""
-    counts: Counter = Counter()
-    for alpha in compositions_with_support(gamma, n):
-        for f in iter_basement_fillings(alpha):
-            exps = f.x_exponents(n)
-            if has_prefix_support(exps) and not maj(f) and not coinv_comp(f):
-                counts[Monomial(exps, 0, 0)] += 1
+    walk = _basement_walk(compositions_with_support(gamma, n), n, has_prefix_support)
+    counts = Counter(Monomial(x, 0, 0) for (x, q, t, _), _ in walk if not q and not t)
     return MPoly(n, expand_orbits(counts, placements))
 
 

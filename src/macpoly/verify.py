@@ -29,7 +29,7 @@ from .integral import (
     hook_product_inc,
 )
 from .modified import SortedTableau, htilde_compact, htilde_plain, iter_sorted_tableaux
-from .nonsymmetric import EResult, e_permuted_basement, f_poly, iter_basement_fillings
+from .nonsymmetric import EResult, _e_sum, e_permuted_basement, f_poly, iter_basement_fillings
 from .polyring import MPoly, Monomial, QtFactor, QtRational, one_minus_qt, t_multinomial
 from .quasisym import (
     compositions_with_support,
@@ -206,11 +206,9 @@ def htilde_all_words(lam: tuple[int, ...], n: int) -> MPoly:
 
 
 def f_sum(alphas: list[tuple[int, ...]], n: int) -> EResult:
-    """Sum of f_poly over ``alphas``, at every exponent vector unlike p_poly and g_poly."""
-    total = EResult(n)
-    for alpha in alphas:
-        total += f_poly(alpha)
-    return total
+    """Sum of f_poly over ``alphas`` (one orbit), at every exponent vector
+    unlike p_poly and g_poly."""
+    return _e_sum(alphas, n, lambda exps: True)
 
 
 def check_htilde_symmetry(max_size: int = 5, max_n: int = 4) -> CheckResult:

@@ -14,7 +14,13 @@ from macpoly.nonsymmetric import (
     filling_weight,
     iter_basement_fillings,
 )
-from macpoly.integral import compositions_rearranging, hook_product_inc, integral_e, p_poly
+from macpoly.integral import (
+    compositions_rearranging,
+    hook_product_inc,
+    integral_e,
+    j_weight_sum,
+    p_poly,
+)
 from macpoly.polyring import (
     MPoly,
     NonPolynomialError,
@@ -272,6 +278,25 @@ def filling_order_sum(alpha, keep=lambda exps: True):
 
 def printed(value):
     return json.dumps(value.to_json_obj(), sort_keys=True, separators=(",", ":"))
+
+
+def test_integral_e_matches_the_filling_by_filling_j_sum():
+    differ = []
+    for alpha in SMALL_ALPHAS:
+        stats = composition_stats(alpha)
+        fillings = iter_basement_fillings(alpha)
+        expected = j_weight_sum(stats.inc, len(alpha), fillings, stats.mult.values())
+        if integral_e(alpha) != expected:
+            differ.append(alpha)
+    assert differ == []
+
+
+def test_filling_weight_is_already_reduced():
+    # built without reducing, yet in the form the reducing constructor gives
+    for alpha in SMALL_ALPHAS:
+        for f in iter_basement_fillings(alpha):
+            fast, reduced = filling_weight(f), cell_by_cell_weight(f)
+            assert (fast.num, fast.den) == (reduced.num, reduced.den), f.flat
 
 
 def test_e_prints_as_the_filling_order_sum():

@@ -1,10 +1,13 @@
 """Quasisymmetric values, the checker, and the tableau oracle."""
 
+from collections import Counter
+from itertools import product
+
 import pytest
 
 from macpoly.integral import p_poly
-from macpoly.nonsymmetric import EResult, f_poly
-from macpoly.polyring import MPoly, QtRational
+from macpoly.nonsymmetric import EResult, f_poly, iter_basement_fillings
+from macpoly.polyring import Monomial, MPoly, QtRational, expand_orbits, has_prefix_support, placements
 from macpoly.quasisym import (
     compositions_with_support,
     g_poly,
@@ -14,7 +17,7 @@ from macpoly.quasisym import (
     schur_ssyt,
     t_atom_check,
 )
-from macpoly.shapes import ShapeError
+from macpoly.shapes import ShapeError, coinv_comp, maj
 
 
 def x_mono(n, exps, **kw):
@@ -141,6 +144,33 @@ def test_qs_schur_sums_to_schur(lam, n):
     for gamma in rearrangement_classes(lam):
         total = total + qs_schur(gamma, n)
     assert total == schur_ssyt(lam, n)
+
+
+def qs_schur_by_fillings(gamma, n):
+    """qs_schur filling by filling: a Filling per basement filling, its
+    content, maj and coinv read from the Filling."""
+    counts = Counter()
+    for alpha in compositions_with_support(gamma, n):
+        for f in iter_basement_fillings(alpha):
+            exps = f.x_exponents(n)
+            if has_prefix_support(exps) and not maj(f) and not coinv_comp(f):
+                counts[Monomial(exps, 0, 0)] += 1
+    return MPoly(n, expand_orbits(counts, placements))
+
+
+STRONG_UP_TO_4 = [
+    gamma for k in range(1, 5) for gamma in product(range(1, 5), repeat=k) if sum(gamma) <= 4
+]
+
+
+def test_qs_schur_matches_the_filling_by_filling_count():
+    differ = [
+        (gamma, n)
+        for gamma in STRONG_UP_TO_4
+        for n in range(len(gamma), 5)
+        if qs_schur(gamma, n) != qs_schur_by_fillings(gamma, n)
+    ]
+    assert differ == []
 
 
 @pytest.mark.parametrize("gamma,n", [((1, 2), 3), ((2, 1), 3), ((2, 1, 1), 4)])

@@ -57,6 +57,13 @@ def test_integral_pinned_digests(workloads):
     assert mismatches(workloads, cases) == []
 
 
+def test_symmetric_pinned_digests(workloads):
+    # P, G, qs_schur and schur_ssyt on the symmetric anchors at n = 5
+    cases = workloads.pinned_cases("symmetric")
+    assert {c.args[1] for c in cases} == {5}
+    assert mismatches(workloads, cases) == []
+
+
 def test_symmetric_window_digests(workloads):
     cases = [c for c in workloads.all_window_cases("symmetric") if not c.pinned]
     assert mismatches(workloads, cases) == []
