@@ -11,23 +11,29 @@ is printed only where the all-fillings count is nonzero (not at n = 0).  Then,
 for P on the shapes the symmetric benchmark pins, at n = 5: the basement
 fillings enumerated over every composition, those of dominant content that
 ``p_poly`` keeps, and the distinct weights it builds for them, which the
-compositions of one call share.
+compositions of one call share.  Last, for J on the shapes the integral
+benchmark pins, at n = 4: per route, the distinct (x, maj, coinv, repeat
+mask) keys its fillings are counted by, and the keys of dominant x that it
+expands, since J is symmetric.
 
     python scripts/term_counts.py --max-size 5 --n 3
 """
 
 import argparse
 
-from macpoly.integral import compositions_rearranging
+from macpoly.integral import compositions_rearranging, j_keys
 from macpoly.modified import compact_side, iter_dominant_words, iter_sorted_tableaux
 from macpoly.nonsymmetric import _basement_walk, iter_basement_fillings
 from macpoly.polyring import is_dominant
-from macpoly.shapes import composition_stats, iter_nonattacking
+from macpoly.shapes import Filling, composition_stats, diagram, iter_nonattacking
 from macpoly.verify import partitions_up_to
 
 #: the shapes whose P the symmetric benchmark pins, and its variable count
 SYMMETRIC_ANCHORS = ((3, 2, 1), (3, 2), (3, 1, 1), (2, 2, 1))
 SYMMETRIC_N = 5
+#: the shapes whose J the integral benchmark pins, and its variable count
+INTEGRAL_ANCHORS = ((2, 2, 1), (3, 2, 1), (3, 3), (4, 2), (2, 2, 2), (3, 2, 1, 1))
+INTEGRAL_N = 4
 
 
 def share(part: int, whole: int) -> str:
@@ -73,6 +79,17 @@ def main() -> None:
         # one weight per distinct (maj, coinv, repeat mask) over the whole call
         built = len({key[1:] for key in keys})
         print(f"  shape {lam}: {enumerated:6d} enumerated, {kept:6d} kept, {built:6d} weights")
+
+    print(f"\nJ, n = {INTEGRAL_N}: weight keys counted, and those of dominant x tallied")
+    for mu in INTEGRAL_ANCHORS:
+        line = []
+        for name, heights, ordered in (("j_plain", mu, False),
+                                       ("j_compact", composition_stats(mu).inc, True)):
+            flats = iter_nonattacking(heights, INTEGRAL_N, ordered=ordered)
+            keys = j_keys(heights, INTEGRAL_N, (Filling(diagram(heights), e) for e in flats))
+            dominant = sum(1 for key in keys if is_dominant(key[0]))
+            line.append(f"{name} {len(keys):6d} counted, {dominant:5d} tallied")
+        print(f"  shape {mu}: " + "; ".join(line))
 
 
 if __name__ == "__main__":

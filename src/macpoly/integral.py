@@ -66,11 +66,22 @@ def _j_factor_terms(
     return tuple((mono.q, mono.t, c) for mono, c in out.terms.items())
 
 
+def j_keys(heights: Sequence[int], n: int, fillings: Iterable[Filling]) -> Counter:
+    """Fillings of the diagram of ``heights`` counted by (x, maj, coinv, repeat mask)."""
+    steps = diagram(heights).steps
+    counts: Counter = Counter()
+    for f in fillings:
+        mask = tuple(f.flat[i] == f.flat[j] for i, j, _ in steps)
+        counts[f.x_exponents(n), maj(f), coinv_comp(f), mask] += 1
+    return counts
+
+
 def j_weight_sum(
     heights: Sequence[int],
     n: int,
     fillings: Iterable[Filling],
     pochhammer: Sequence[int] = (),
+    symmetric: bool = False,
 ) -> MPoly:
     """The product of (t;t)_m over ``pochhammer`` times the sum of the J
     weights of ``fillings``, all of the diagram with column heights
@@ -80,16 +91,16 @@ def j_weight_sum(
     1 - q^(leg+1) t^(arm+1) where the entry repeats the one below and 1 - t
     where it differs.  Fillings are counted by (x, maj, coinv, repeat mask),
     and each distinct key is expanded once against the q,t product cached
-    per (shape, mask, prefactor).
+    per (shape, mask, prefactor).  A ``symmetric`` sum expands only the keys
+    of dominant x, then writes each term under every rearrangement of x.
     """
     heights = tuple(heights)
     pochhammer = tuple(sorted(pochhammer))
-    steps = diagram(heights).steps
-    counts: Counter = Counter()
-    for f in fillings:
-        mask = tuple(f.flat[i] == f.flat[j] for i, j, _ in steps)
-        counts[f.x_exponents(n), maj(f), coinv_comp(f), mask] += 1
-    return tally(n, counts, lambda mask: _j_factor_terms(heights, mask, pochhammer))
+    counts = j_keys(heights, n, fillings)
+    if symmetric:
+        counts = {key: c for key, c in counts.items() if is_dominant(key[0])}
+    out = tally(n, counts, lambda mask: _j_factor_terms(heights, mask, pochhammer))
+    return MPoly._trusted(n, expand_orbits(out.terms, distinct_permutations)) if symmetric else out
 
 
 def j_weight_poly(f: Filling, n: int) -> MPoly:
@@ -104,7 +115,7 @@ def j_plain(mu: Sequence[int], n: int) -> MPoly:
     the column diagram of mu, entries in 1..n, no basement."""
     mu = as_partition(mu)
     fillings = enumerate_fillings(diagram(mu), n, predicate=is_nonattacking)
-    return j_weight_sum(mu, n, fillings, (1,) * len(mu))
+    return j_weight_sum(mu, n, fillings, (1,) * len(mu), symmetric=True)
 
 
 @dataclass(frozen=True)
@@ -130,7 +141,7 @@ def j_compact(mu: Sequence[int], n: int) -> JResult:
     stats = composition_stats(as_partition(mu))
     shape = diagram(stats.inc)
     fillings = (Filling(shape, e) for e in iter_nonattacking(stats.inc, n, ordered=True))
-    value = j_weight_sum(stats.inc, n, fillings, tuple(stats.mult.values()))
+    value = j_weight_sum(stats.inc, n, fillings, tuple(stats.mult.values()), symmetric=True)
     return JResult(value, dict(stats.mult))
 
 

@@ -380,13 +380,14 @@ def poly_sum(n: int, polys: Iterable[MPoly]) -> MPoly:
 def tally(n: int, counts: Mapping[tuple, int], expand: Callable) -> MPoly:
     """Sum over ((x, q, t, key), c) in ``counts`` of c x^x q^q t^t times the
     q,t polynomial whose (q exponent, t exponent, coefficient) terms are
-    ``expand(key)``: a route counts its fillings by key, so each key expands once."""
+    ``expand(key)``: a route counts its fillings by key, so each key expands once.
+    Unchecked: x has length n, exponents are nonnegative and counts integers."""
     acc: dict[Monomial, Scalar] = {}
     for (x, q, t, key), c in counts.items():
         for a, b, k in expand(key):
             mono = Monomial(x, q + a, t + b)
             acc[mono] = acc.get(mono, 0) + c * k
-    return MPoly(n, acc)
+    return MPoly._trusted(n, {m: c for m, c in acc.items() if c})
 
 
 # -- orbits of exponent vectors ---------------------------------------------------

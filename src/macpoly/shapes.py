@@ -67,6 +67,8 @@ class Diagram:
     #: per cell, the earlier cells it attacks: same row, or the row below in
     #: a column to its left
     attacks: tuple[tuple[int, ...], ...]
+    #: the (cell, earlier cell) pairs of ``attacks`` as one flat tuple
+    attack_pairs: tuple[tuple[int, int], ...]
     #: triples above row 1 that ``coinv`` tests: type A (v, r), (u, r),
     #: (u, r-1) and type B (u, r-1), (v, r), (v, r-1), for columns u < v
     coinv_triples: tuple[tuple[int, int, int], ...]
@@ -172,6 +174,7 @@ def _build_diagram(heights: tuple[int, ...]) -> Diagram:
     return Diagram(
         heights, cells, all(a >= b for a, b in zip(heights, heights[1:])),
         tuple(steps), tuple(bottom), below, hooks, tuple(blocks), attacks,
+        tuple((i, j) for i, partners in enumerate(attacks) for j in partners),
         tuple(coinv_triples), tuple(coinv_pairs), tuple(coinv_bottom),
     )
 
@@ -369,15 +372,11 @@ def is_nonattacking(f: Filling) -> bool:
     entry to the basement value below it on weakly increasing shapes.
     """
     e = f.flat
-    for i, partners in enumerate(f.shape.attacks):
-        for j in partners:
-            if e[i] == e[j]:
-                return False
-    if isinstance(f.basement, tuple):
-        for i, col, _ in f.shape.bottom:
-            if e[i] in f.basement[:col]:
-                return False
-    return True
+    for i, j in f.shape.attack_pairs:
+        if e[i] == e[j]:
+            return False
+    b = f.basement
+    return not isinstance(b, tuple) or all(e[i] not in b[:col] for i, col, _ in f.shape.bottom)
 
 
 def is_ordered(f: Filling) -> bool:

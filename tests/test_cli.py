@@ -93,6 +93,22 @@ def test_strong_family_rejects_zeros(capsys):
         cli.main(["g", "--shape", "1,0,2", "--n", "3"])
 
 
+@pytest.mark.parametrize("family", ["p", "g", "qschur", "schur", "j"])
+def test_fewer_variables_than_parts_prints_zero(capsys, family):
+    code, out = run_cli(capsys, family, "--shape", "2,1", "--n", "1")
+    assert code == 0 and out == "0\n"
+    code, out = run_cli(capsys, family, "--shape", "2,1", "--n", "1", "--json")
+    obj = json.loads(out)
+    assert code == 0 and obj["n"] == 1 and obj.get("terms", obj.get("coeffs")) == []
+    code, out = run_cli(capsys, family, "--shape", "2,1", "--n", "0", "--q", "1", "--t", "2")
+    assert code == 0 and out == "0\n"
+
+
+def test_zero_part_is_refused_before_the_variable_count(capsys):
+    code, err = run_failing(capsys, "g", "--shape", "2,0,1", "--n", "1")
+    assert code == 2 and err.startswith("error: ")
+
+
 def test_gpoly_alias(capsys):
     _, a = run_cli(capsys, "g", "--shape", "1,1", "--n", "2", "--json")
     _, b = run_cli(capsys, "gpoly", "--shape", "1,1", "--n", "2", "--json")

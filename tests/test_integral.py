@@ -4,10 +4,13 @@ import random
 
 import pytest
 
+from macpoly import integral
 from macpoly.integral import (
     JResult,
+    _j_factor_terms,
     compositions_rearranging,
     j_compact,
+    j_keys,
     j_plain,
     j_weight_poly,
     j_weight_sum,
@@ -24,8 +27,10 @@ from macpoly.polyring import (
     QtRational,
     divmod_poly,
     one_minus_qt,
+    is_dominant,
     poly_sum,
     pochhammer_tt,
+    tally,
 )
 from macpoly.shapes import (
     Filling,
@@ -163,6 +168,55 @@ def test_j_with_no_variables():
     assert j_plain((2, 1), 0).is_zero()
     assert j_compact((2, 1), 0).value.is_zero()
     assert j_plain((), 0) == j_compact((), 0).value == MPoly.one(0)
+
+
+# -- the orbit reduction of the J routes against expanding every key ----------
+
+
+def plain_fillings(mu, n):
+    return enumerate_fillings(diagram(mu), n, predicate=is_nonattacking)
+
+
+def ordered_fillings(inc, n):
+    return (Filling(diagram(inc), e) for e in iter_nonattacking(inc, n, ordered=True))
+
+
+def j_every_key(heights, n, fillings, pochhammer):
+    """The J weight sum with every (x, maj, coinv, mask) key expanded over
+    all of x: no orbit reduction."""
+    pochhammer = tuple(sorted(pochhammer))
+    counts = j_keys(heights, n, fillings)
+    return tally(n, counts, lambda mask: _j_factor_terms(tuple(heights), mask, pochhammer))
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_j_routes_match_expanding_every_key(n):
+    for mu in ((),) + tuple(partitions_up_to(5)):
+        expected = j_every_key(mu, n, plain_fillings(mu, n), (1,) * len(mu))
+        assert j_plain(mu, n).to_json() == expected.to_json(), (mu, n)
+        inc, _, mult = composition_stats(mu)
+        expected = j_every_key(inc, n, ordered_fillings(inc, n), tuple(mult.values()))
+        assert j_compact(mu, n).value.to_json() == expected.to_json(), (mu, n)
+
+
+@pytest.mark.parametrize("mu", [(2, 2, 1), (3, 2, 1), (3, 3)])
+def test_j_routes_tally_only_the_keys_of_dominant_x(monkeypatch, mu):
+    # every orbit's terms are equal, so the output alone cannot tell how many keys were expanded
+    tallied = []
+
+    def spy(n, counts, expand):
+        tallied.append([x for x, *_ in counts])
+        return tally(n, counts, expand)
+
+    monkeypatch.setattr(integral, "tally", spy)
+    j_plain(mu, 4)
+    j_compact(mu, 4)
+    plain = j_keys(mu, 4, plain_fillings(mu, 4))
+    inc = composition_stats(mu).inc
+    ordered = j_keys(inc, 4, ordered_fillings(inc, 4))
+    assert tallied == [
+        [x for x, *_ in keys if is_dominant(x)] for keys in (plain, ordered)
+    ]
 
 
 # -- the compiled J weights against the cell-by-cell form ------------------------

@@ -581,6 +581,33 @@ def test_tally_drops_a_key_that_cancels():
     assert tally(1, {((2,), 0, 0, "cancels"): 4}, expansions.__getitem__).terms == {}
 
 
+def by_checked_constructor(n, counts, expansions):
+    """The tally's sum built term by term and handed to the checked ``MPoly``."""
+    acc = Counter()
+    for (x, q, t, key), c in counts.items():
+        for a, b, k in expansions[key]:
+            acc[Monomial(x, q + a, t + b)] += c * k
+    return MPoly(n, acc)
+
+
+def test_tally_cancels_across_keys():
+    # "a" at q^1 t^1 and "b" at q^1 t^0 times t land on x q t with 3*2 - 6*1 = 0
+    expansions = {"a": ((1, 0, 2),), "b": ((0, 1, -1), (0, 0, 5))}
+    counts = {((1,), 0, 1, "a"): 3, ((1,), 1, 0, "b"): 6}
+    out = tally(1, counts, expansions.__getitem__)
+    assert out.terms == {Monomial((1,), 1, 0): 30}
+    assert out.terms == by_checked_constructor(1, counts, expansions).terms
+
+
+@settings(max_examples=200)
+@given(tally_inputs())
+def test_tally_keeps_no_zero_coefficient(data):
+    counts, expansions = data
+    out = tally(2, counts, expansions.__getitem__)
+    assert 0 not in out.terms.values()
+    assert out.terms == by_checked_constructor(2, counts, expansions).terms
+
+
 def test_divide_binomials_raises_on_a_later_factor():
     # 1 - t divides, (1 - t)^2 does not
     p = one_minus_qt(0, 1) * (MPoly.one(0) + qpoly())

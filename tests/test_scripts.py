@@ -33,6 +33,11 @@ def test_term_counts_runs():
     # P((3,2,1)) at n = 5 weighs only the fillings of dominant content, and
     # fillings with one weight key share one weight across every composition
     assert "  shape (3, 2, 1):   2160 enumerated,    217 kept,     55 weights" in lines
+    # J((4,2)) at n = 4 expands only the keys of dominant x, by either route
+    assert (
+        "  shape (4, 2): j_plain   1230 counted,   143 tallied;"
+        " j_compact    922 counted,   116 tallied"
+    ) in lines
 
 
 def test_term_counts_at_n_zero():
