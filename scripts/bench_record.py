@@ -9,7 +9,7 @@ holds, per workload and side, the median and interquartile range of each
 end-to-end metric over the seeds and the total of failed outputs, with the
 machine block of ``perfbench/baseline.json``.
 
-    python scripts/bench_record.py --pr 17 --base HEAD~1 --change HEAD --runs 10
+    python scripts/bench_record.py --pr N --base PARENT --change COMMIT --runs 10
 """
 
 from __future__ import annotations
