@@ -24,7 +24,7 @@ import argparse
 from macpoly.integral import compositions_rearranging, j_keys
 from macpoly.modified import compact_side, iter_dominant_words, iter_sorted_tableaux
 from macpoly.nonsymmetric import _basement_walk, iter_basement_fillings
-from macpoly.polyring import is_dominant
+from macpoly.polyring import SYMMETRIC
 from macpoly.shapes import Filling, composition_stats, diagram, iter_nonattacking
 from macpoly.verify import partitions_up_to
 
@@ -74,7 +74,7 @@ def main() -> None:
     for lam in SYMMETRIC_ANCHORS:
         alphas = compositions_rearranging(lam, SYMMETRIC_N)
         enumerated = sum(1 for alpha in alphas for _ in iter_basement_fillings(alpha))
-        keys = [key for key, _ in _basement_walk(alphas, SYMMETRIC_N, is_dominant)]
+        keys = [key for key, _ in _basement_walk(alphas, SYMMETRIC_N, SYMMETRIC)]
         kept = len(keys)
         # one weight per distinct (maj, coinv, repeat mask) over the whole call
         built = len({key[1:] for key in keys})
@@ -87,7 +87,7 @@ def main() -> None:
                                        ("j_compact", composition_stats(mu).inc, True)):
             flats = iter_nonattacking(heights, INTEGRAL_N, ordered=ordered)
             keys = j_keys(heights, INTEGRAL_N, (Filling(diagram(heights), e) for e in flats))
-            dominant = sum(1 for key in keys if is_dominant(key[0]))
+            dominant = sum(1 for key in keys if SYMMETRIC.is_rep(key[0]))
             line.append(f"{name} {len(keys):6d} counted, {dominant:5d} tallied")
         print(f"  shape {mu}: " + "; ".join(line))
 

@@ -17,7 +17,7 @@ from functools import partial
 
 from .integral import hook_product_inc, integral_e, j_compact, j_plain, p_poly
 from .modified import htilde_compact, htilde_plain
-from .nonsymmetric import EResult, e_permuted_basement, f_poly
+from .nonsymmetric import e_permuted_basement, f_poly
 from .polyring import KEEP, DimensionError, EvaluationError, MPoly, NonPolynomialError
 from .quasisym import g_poly, qs_schur, schur_ssyt
 from .shapes import ShapeError, as_partition
@@ -146,8 +146,6 @@ def run_family(args) -> int:
     if args.partition:
         shape = require_partition(shape)
     q, t = _specialize_args(args)
-    # in fewer variables than parts P, G and the qs Schur are 0; the library refuses them
-    zero = family in ("p", "g", "qschur") and len(shape) > args.n and all(shape)
 
     if family == "htilde":
         fn = htilde_compact if args.formula == "compact" else htilde_plain
@@ -168,12 +166,11 @@ def run_family(args) -> int:
             fn = e_permuted_basement if family == "e" else f_poly
             _emit_eresult(fn(shape), args)
     elif family == "p":
-        _emit_eresult(EResult(args.n) if zero else p_poly(shape, args.n), args)
+        _emit_eresult(p_poly(shape, args.n), args)
     elif family == "g":
-        _emit_eresult(EResult(args.n) if zero else g_poly(shape, args.n), args)
+        _emit_eresult(g_poly(shape, args.n), args)
     elif family == "qschur":
-        poly = MPoly.zero(args.n) if zero else qs_schur(shape, args.n)
-        _emit_mpoly(poly.specialize(q=q, t=t), args)
+        _emit_mpoly(qs_schur(shape, args.n).specialize(q=q, t=t), args)
     elif family == "schur":
         _emit_mpoly(schur_ssyt(shape, args.n).specialize(q=q, t=t), args)
     else:  # pragma: no cover

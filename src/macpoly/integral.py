@@ -7,11 +7,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .polyring import (
-    MPoly, distinct_permutations, divide_binomials, expand_orbits, is_dominant,
-    pochhammer_factors, tally, times_binomials,
+    SYMMETRIC, MPoly, divide_binomials, pochhammer_factors, tally, times_binomials,
 )
 from .nonsymmetric import EResult, _basement_walk, _e_sum
 from .shapes import (
@@ -76,12 +75,15 @@ def j_keys(heights: Sequence[int], n: int, fillings: Iterable[Filling]) -> Count
     return counts
 
 
+def _j_weigh(heights: Sequence[int], pochhammer: Iterable[int]) -> Callable:
+    """The q,t terms of a J weight on the diagram of ``heights`` by repeat
+    mask, with the product of (t;t)_m over ``pochhammer`` folded in."""
+    heights, pochhammer = tuple(heights), tuple(sorted(pochhammer))
+    return lambda mask: _j_factor_terms(heights, mask, pochhammer)
+
+
 def j_weight_sum(
-    heights: Sequence[int],
-    n: int,
-    fillings: Iterable[Filling],
-    pochhammer: Sequence[int] = (),
-    symmetric: bool = False,
+    heights: Sequence[int], n: int, fillings: Iterable[Filling], pochhammer: Sequence[int] = ()
 ) -> MPoly:
     """The product of (t;t)_m over ``pochhammer`` times the sum of the J
     weights of ``fillings``, all of the diagram with column heights
@@ -91,16 +93,10 @@ def j_weight_sum(
     1 - q^(leg+1) t^(arm+1) where the entry repeats the one below and 1 - t
     where it differs.  Fillings are counted by (x, maj, coinv, repeat mask),
     and each distinct key is expanded once against the q,t product cached
-    per (shape, mask, prefactor).  A ``symmetric`` sum expands only the keys
-    of dominant x, then writes each term under every rearrangement of x.
+    per (shape, mask, prefactor).  J is symmetric, so :func:`j_plain` and
+    :func:`j_compact` tally the same keys over its orbits.
     """
-    heights = tuple(heights)
-    pochhammer = tuple(sorted(pochhammer))
-    counts = j_keys(heights, n, fillings)
-    if symmetric:
-        counts = {key: c for key, c in counts.items() if is_dominant(key[0])}
-    out = tally(n, counts, lambda mask: _j_factor_terms(heights, mask, pochhammer))
-    return MPoly._trusted(n, expand_orbits(out.terms, distinct_permutations)) if symmetric else out
+    return tally(n, j_keys(heights, n, fillings), _j_weigh(heights, pochhammer))
 
 
 def j_weight_poly(f: Filling, n: int) -> MPoly:
@@ -115,7 +111,7 @@ def j_plain(mu: Sequence[int], n: int) -> MPoly:
     the column diagram of mu, entries in 1..n, no basement."""
     mu = as_partition(mu)
     fillings = enumerate_fillings(diagram(mu), n, predicate=is_nonattacking)
-    return j_weight_sum(mu, n, fillings, (1,) * len(mu), symmetric=True)
+    return tally(n, j_keys(mu, n, fillings), _j_weigh(mu, (1,) * len(mu)), SYMMETRIC)
 
 
 @dataclass(frozen=True)
@@ -141,8 +137,8 @@ def j_compact(mu: Sequence[int], n: int) -> JResult:
     stats = composition_stats(as_partition(mu))
     shape = diagram(stats.inc)
     fillings = (Filling(shape, e) for e in iter_nonattacking(stats.inc, n, ordered=True))
-    value = j_weight_sum(stats.inc, n, fillings, tuple(stats.mult.values()), symmetric=True)
-    return JResult(value, dict(stats.mult))
+    weigh = _j_weigh(stats.inc, stats.mult.values())
+    return JResult(tally(n, j_keys(stats.inc, n, fillings), weigh, SYMMETRIC), dict(stats.mult))
 
 
 def integral_e(alpha: Sequence[int]) -> MPoly:
@@ -153,22 +149,19 @@ def integral_e(alpha: Sequence[int]) -> MPoly:
     the identity battery checks that.
     """
     stats = composition_stats(alpha)
-    n, pochhammer = len(stats.inc), tuple(sorted(stats.mult.values()))
-    counts = Counter(key for key, _ in _basement_walk([alpha], n, lambda exps: True))
-    return tally(n, counts, lambda mask: _j_factor_terms(stats.inc, mask, pochhammer))
+    n = len(stats.inc)
+    counts = Counter(key for key, _ in _basement_walk([alpha], n))
+    return tally(n, counts, _j_weigh(stats.inc, stats.mult.values()))
 
 
 def compositions_rearranging(lam: Sequence[int], n: int) -> list[tuple[int, ...]]:
-    """All weak compositions of length n whose positive parts rearrange lam."""
-    lam = tuple(lam)
-    if len([p for p in lam if p > 0]) > n:
-        raise ValueError(f"{lam} has more than {n} positive parts")
-    return list(distinct_permutations(lam + (0,) * (n - len(lam))))
+    """All weak compositions of length n whose positive parts rearrange lam's:
+    none when lam has more than n positive parts."""
+    return SYMMETRIC.of(lam, n)
 
 
 def p_poly(lam: Sequence[int], n: int) -> EResult:
     """Monic symmetric value: the sum of f_poly over all weak compositions of
-    length n that sort to lam.  P is symmetric, so each composition adds only
-    its dominant terms, which are then written under every rearrangement."""
-    out = _e_sum(compositions_rearranging(as_partition(lam), n), n, is_dominant)
-    return EResult(n, expand_orbits(out.coeffs, distinct_permutations))
+    length n that sort to lam, 0 in fewer than len(lam) variables.  P is
+    symmetric, so the sum weighs one exponent vector per orbit."""
+    return _e_sum(compositions_rearranging(as_partition(lam), n), n, SYMMETRIC)

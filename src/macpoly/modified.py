@@ -23,9 +23,7 @@ from itertools import combinations_with_replacement, product as iproduct
 from math import comb, prod
 from typing import Iterator, Sequence
 
-from .polyring import (
-    Monomial, MPoly, distinct_permutations, expand_orbits, is_dominant, t_multinomial, tally,
-)
+from .polyring import SYMMETRIC, Monomial, MPoly, expand_orbits, t_multinomial, tally
 from .shapes import (
     INF_BASEMENT,
     Diagram,
@@ -146,8 +144,8 @@ def iter_dominant_words(size: int, n: int) -> Iterator[tuple[tuple[int, ...], tu
     values = range(1, n + 1)
     for sorted_word in combinations_with_replacement(values, size):
         x = tuple(map(sorted_word.count, values))
-        if is_dominant(x):
-            for word in distinct_permutations(sorted_word):
+        if SYMMETRIC.is_rep(x):
+            for word in SYMMETRIC.members(sorted_word):
                 yield x, word
 
 
@@ -157,8 +155,8 @@ def htilde_plain(lam: Sequence[int], n: int) -> MPoly:
     rearrangement of x, since the value is symmetric."""
     shape = diagram(as_partition(lam))
     words = iter_dominant_words(len(shape.cells), n)
-    monomials = (Monomial(x, shape.inv(e), shape.maj(e)) for x, e in words)
-    return MPoly._trusted(n, expand_orbits(Counter(monomials), distinct_permutations))
+    counts = Counter((x, shape.inv(e), shape.maj(e), None) for x, e in words)
+    return tally(n, counts, lambda _: ((0, 0, 1),), SYMMETRIC)
 
 
 def compact_side(lam: Sequence[int], n: int) -> tuple[Diagram, bool]:
@@ -180,16 +178,17 @@ def htilde_compact(lam: Sequence[int], n: int) -> MPoly:
 
     Tableaux of dominant content are counted by (x, maj, inv, run signature),
     each key is expanded once against the multiplicity cached per run
-    signature, and each term is written under every rearrangement of x.
+    signature, and each term is written under every rearrangement of x.  A
+    swap comes before that expansion, where it has fewer terms to move.
     """
     shape, swapped = compact_side(lam, n)
     values = range(1, n + 1)
     counts: Counter = Counter()
     for f in iter_sorted_tableaux(shape, n):
         x = tuple(map(f.flat.count, values))
-        if is_dominant(x):
+        if SYMMETRIC.is_rep(x):
             counts[x, maj(f), inv(f), _block_runs(shape, f.flat)] += 1
     dominant = tally(n, counts, _multiplicity_terms)
     if swapped:
         dominant = dominant.swap_qt()
-    return MPoly._trusted(n, expand_orbits(dominant.terms, distinct_permutations))
+    return MPoly._trusted(n, expand_orbits(dominant.terms, SYMMETRIC.members))

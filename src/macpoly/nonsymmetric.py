@@ -21,11 +21,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .polyring import (
-    Monomial, MPoly, NonPolynomialError, QtFactor, QtRational, Scalar, divide_binomials,
-    one_minus_qt, poly_sum,
+    Monomial, MPoly, NonPolynomialError, Orbit, QtFactor, QtRational, Scalar, divide_binomials,
+    expand_orbits, one_minus_qt, poly_sum,
 )
 from .shapes import (
     Diagram,
@@ -36,10 +36,6 @@ from .shapes import (
     iter_nonattacking,
     maj,
 )
-
-#: a test on the content (exponent vector) of a filling
-Keep = Callable[[tuple[int, ...]], bool]
-
 
 @dataclass
 class EResult:
@@ -192,34 +188,38 @@ def filling_weight(f: Filling) -> QtRational:
 
 def e_permuted_basement(alpha: Sequence[int]) -> EResult:
     """Sum of x^sigma wt(sigma) over the nonattacking basement fillings."""
-    return _e_sum([alpha], len(alpha), lambda exps: True)
+    return _e_sum([alpha], len(alpha))
 
 
-def _basement_walk(alphas: Iterable[Sequence[int]], n: int, keep: Keep) -> Iterator[tuple]:
+def _basement_walk(
+    alphas: Iterable[Sequence[int]], n: int, orbit: Orbit | None = None
+) -> Iterator[tuple]:
     """``((x, maj, coinv, repeat mask), (shape, entries, basement))`` for each
-    basement filling of each of ``alphas`` whose content x over 1..n passes
-    ``keep``, which is tested first; the second item is the :class:`Filling`'s
-    arguments.  The compositions must rearrange the same parts (one orbit), so
-    that they share one increasing diagram: then the mask, which says which
-    cells of ``shape.steps`` repeat the entry below, fixes a weight's hooks."""
-    letters = range(1, n + 1)
+    basement filling of each of ``alphas`` whose content x over 1..n is a
+    representative of ``orbit`` (any x without one), which is tested first;
+    the second item is the :class:`Filling`'s arguments.  The compositions
+    must rearrange the same parts (one orbit), so that they share one
+    increasing diagram: then the mask, which says which cells of
+    ``shape.steps`` repeat the entry below, fixes a weight's hooks."""
+    letters, keep = range(1, n + 1), orbit and orbit.is_rep
     for alpha in alphas:
         shape, beta, tuples = _basement_tuples(alpha)
         for e in tuples:
             exps = tuple(map(e.count, letters))
-            if keep(exps):
+            if not keep or keep(exps):
                 mask = tuple(e[i] == e[j] for i, j, _ in shape.steps)
                 yield (exps, shape.maj(e, beta), shape.coinv(e, beta), mask), (shape, e, beta)
 
 
-def _e_sum(alphas: Iterable[Sequence[int]], n: int, keep: Keep) -> EResult:
+def _e_sum(alphas: Iterable[Sequence[int]], n: int, orbit: Orbit | None = None) -> EResult:
     """The sum of :func:`e_permuted_basement` over ``alphas``, one orbit as in
-    :func:`_basement_walk`, at the exponent vectors passing ``keep``.  Keys are
-    counted over every composition, each distinct (maj, coinv, mask) weight is
-    built once, and each key adds its weight times its count once."""
+    :func:`_basement_walk`.  Keys are counted over every composition, each
+    distinct (maj, coinv, mask) weight is built once, and each key adds its
+    weight times its count once.  With an ``orbit``, only representative
+    exponent vectors are summed, each then written under its whole orbit."""
     counts: Counter = Counter()
     fillings: dict[tuple, tuple] = {}
-    for key, args in _basement_walk(alphas, n, keep):
+    for key, args in _basement_walk(alphas, n, orbit):
         counts[key] += 1
         fillings.setdefault(key[1:], args)
     weights = {key: filling_weight(Filling(*args)) for key, args in fillings.items()}
@@ -227,7 +227,7 @@ def _e_sum(alphas: Iterable[Sequence[int]], n: int, keep: Keep) -> EResult:
     for key, c in counts.items():
         weight = weights[key[1:]]
         out.add_term(key[0], QtRational._trusted(weight.num * c, weight.den))
-    return out
+    return out if orbit is None else EResult(n, expand_orbits(out.coeffs, orbit.members))
 
 
 def f_poly(alpha: Sequence[int]) -> EResult:

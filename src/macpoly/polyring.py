@@ -377,17 +377,21 @@ def poly_sum(n: int, polys: Iterable[MPoly]) -> MPoly:
     return MPoly(n, acc)
 
 
-def tally(n: int, counts: Mapping[tuple, int], expand: Callable) -> MPoly:
+def tally(n: int, counts: Mapping[tuple, int], weigh: Callable, orbit: Orbit | None = None) -> MPoly:
     """Sum over ((x, q, t, key), c) in ``counts`` of c x^x q^q t^t times the
     q,t polynomial whose (q exponent, t exponent, coefficient) terms are
-    ``expand(key)``: a route counts its fillings by key, so each key expands once.
+    ``weigh(key)``: a route counts its fillings by key, so each key weighs once.
+    With an ``orbit``, only the keys of representative x are summed, and each
+    term is then written under every member of its orbit.
     Unchecked: x has length n, exponents are nonnegative and counts integers."""
     acc: dict[Monomial, Scalar] = {}
     for (x, q, t, key), c in counts.items():
-        for a, b, k in expand(key):
-            mono = Monomial(x, q + a, t + b)
-            acc[mono] = acc.get(mono, 0) + c * k
-    return MPoly._trusted(n, {m: c for m, c in acc.items() if c})
+        if orbit is None or orbit.is_rep(x):
+            for a, b, k in weigh(key):
+                mono = Monomial(x, q + a, t + b)
+                acc[mono] = acc.get(mono, 0) + c * k
+    terms = {m: c for m, c in acc.items() if c}
+    return MPoly._trusted(n, terms if orbit is None else expand_orbits(terms, orbit.members))
 
 
 # -- orbits of exponent vectors ---------------------------------------------------
@@ -429,8 +433,8 @@ def has_prefix_support(x: Sequence[int]) -> bool:
     return 0 not in x[: len(x) - x.count(0)]
 
 
-def expand_orbits(terms: Mapping, orbit: Callable[[tuple], Iterable[tuple]]) -> dict:
-    """Each value of ``terms`` under every member of its key's ``orbit`` (a Monomial's x
+def expand_orbits(terms: Mapping, members: Callable[[tuple], Iterable[tuple]]) -> dict:
+    """Each value of ``terms`` under each of its key's orbit ``members`` (a Monomial's x
     part moves), each orbit listed once; values are shared, as no MPoly or QtRational
     changes once built."""
     out = {}
@@ -439,10 +443,31 @@ def expand_orbits(terms: Mapping, orbit: Callable[[tuple], Iterable[tuple]]) -> 
         mono = isinstance(key, Monomial)
         x = key.x if mono else key
         if x not in orbits:
-            orbits[x] = tuple(orbit(x))
+            orbits[x] = tuple(members(x))
         for y in orbits[x]:
             out[Monomial(y, key.q, key.t) if mono else y] = value
     return out
+
+
+class Orbit(NamedTuple):
+    """The orbits of a symmetry of exponent vectors: ``is_rep`` picks one
+    representative in each, ``members`` lists the orbit of a vector, each
+    member once."""
+
+    is_rep: Callable[[Sequence[int]], bool]
+    members: Callable[[Sequence[int]], Iterable[tuple[int, ...]]]
+
+    def of(self, parts: Sequence[int], n: int) -> list[tuple[int, ...]]:
+        """The orbit of ``parts``' positive parts padded with zeros to length n:
+        empty when more than n parts are positive."""
+        parts = tuple(p for p in parts if p)
+        return list(self.members(parts + (0,) * (n - len(parts)))) if len(parts) <= n else []
+
+
+#: symmetric values: every rearrangement of x carries the same coefficient
+SYMMETRIC = Orbit(is_dominant, distinct_permutations)
+#: quasisymmetric values: every placement of x's nonzero parts in order does
+QUASISYMMETRIC = Orbit(has_prefix_support, placements)
 
 
 # -- division ----------------------------------------------------------------

@@ -9,30 +9,25 @@ from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from .integral import compositions_rearranging
-from .polyring import (
-    Monomial, MPoly, QtRational, distinct_permutations, expand_orbits, has_prefix_support,
-    placements, poly_sum,
-)
+from .polyring import QUASISYMMETRIC, Monomial, MPoly, QtRational, poly_sum, tally
 from .nonsymmetric import EResult, _basement_walk, _e_sum, f_poly
 from .shapes import ShapeError, as_partition
 
 
 def compositions_with_support(gamma: Sequence[int], n: int) -> list[tuple[int, ...]]:
-    """Weak compositions of length n whose positive parts read gamma in order."""
+    """Weak compositions of length n whose positive parts read gamma in order:
+    none when gamma has more than n parts."""
     gamma = tuple(gamma)
     if not all(p > 0 for p in gamma):
         raise ShapeError(f"{gamma} must have positive parts only")
-    if len(gamma) > n:
-        raise ValueError(f"{gamma} is longer than n={n}")
-    return list(placements(gamma + (0,) * (n - len(gamma))))
+    return QUASISYMMETRIC.of(gamma, n)
 
 
 def g_poly(gamma: Sequence[int], n: int) -> EResult:
-    """Sum of f_poly over every placement of gamma's parts among n slots.  G is
-    quasisymmetric, so each placement adds only its terms at prefix supports,
-    which are then written under every placement of their parts."""
-    total = _e_sum(compositions_with_support(gamma, n), n, has_prefix_support)
-    return EResult(n, expand_orbits(total.coeffs, placements))
+    """Sum of f_poly over every placement of gamma's parts among n slots, 0 in
+    fewer than len(gamma) variables.  G is quasisymmetric, so the sum weighs
+    one exponent vector per orbit: the one with its support first."""
+    return _e_sum(compositions_with_support(gamma, n), n, QUASISYMMETRIC)
 
 
 @dataclass
@@ -115,14 +110,9 @@ def qs_schur(gamma: Sequence[int], n: int) -> MPoly:
     """The q = t = 0 specialization of :func:`g_poly`: every denominator
     1 - q^a t^b (b >= 1) is 1 there, so it counts, by content at prefix
     supports, the basement fillings with maj = coinv = 0, then expands."""
-    walk = _basement_walk(compositions_with_support(gamma, n), n, has_prefix_support)
-    counts = Counter(Monomial(x, 0, 0) for (x, q, t, _), _ in walk if not q and not t)
-    return MPoly(n, expand_orbits(counts, placements))
-
-
-def rearrangement_classes(lam: Sequence[int]) -> list[tuple[int, ...]]:
-    """Distinct orderings of the parts of lam (strong compositions)."""
-    return list(distinct_permutations(lam))
+    walk = _basement_walk(compositions_with_support(gamma, n), n, QUASISYMMETRIC)
+    counts = Counter((x, 0, 0, None) for (x, q, t, _), _ in walk if not q and not t)
+    return tally(n, counts, lambda _: ((0, 0, 1),), QUASISYMMETRIC)
 
 
 def t_atom_check(alpha: Sequence[int]) -> bool:

@@ -30,13 +30,14 @@ from .integral import (
 )
 from .modified import SortedTableau, htilde_compact, htilde_plain, iter_sorted_tableaux
 from .nonsymmetric import EResult, _e_sum, e_permuted_basement, f_poly, iter_basement_fillings
-from .polyring import MPoly, Monomial, QtFactor, QtRational, one_minus_qt, t_multinomial
+from .polyring import (
+    MPoly, Monomial, QtFactor, QtRational, distinct_permutations, one_minus_qt, t_multinomial,
+)
 from .quasisym import (
     compositions_with_support,
     g_poly,
     qs_schur,
     qsym_decompose,
-    rearrangement_classes,
     schur_ssyt,
 )
 from .shapes import (
@@ -205,12 +206,6 @@ def htilde_all_words(lam: tuple[int, ...], n: int) -> MPoly:
     return MPoly(n, Counter(monomials))
 
 
-def f_sum(alphas: list[tuple[int, ...]], n: int) -> EResult:
-    """Sum of f_poly over ``alphas`` (one orbit), at every exponent vector
-    unlike p_poly and g_poly."""
-    return _e_sum(alphas, n, lambda exps: True)
-
-
 def check_htilde_symmetry(max_size: int = 5, max_n: int = 4) -> CheckResult:
     def body():
         count = 0
@@ -327,7 +322,7 @@ def check_p_symmetry(max_size: int = 5, max_n: int = 4) -> CheckResult:
         for lam in partitions_up_to(max_size):
             parts = len(lam)
             for n in range(parts, max_n + 1):
-                p = f_sum(compositions_rearranging(lam, n), n)
+                p = _e_sum(compositions_rearranging(lam, n), n)
                 for i in range(1, n):
                     assert p.swap_x(i, i + 1) == p, f"lam={lam}, n={n}"
                     count += 1
@@ -344,7 +339,7 @@ def check_quasisymmetry(max_size: int = 5, max_n: int = 5) -> CheckResult:
         count = 0
         for gamma in strong_compositions_up_to(max_size):
             for n in range(len(gamma), max_n + 1):
-                result = qsym_decompose(f_sum(compositions_with_support(gamma, n), n))
+                result = qsym_decompose(_e_sum(compositions_with_support(gamma, n), n))
                 assert result.is_quasisymmetric, f"gamma={gamma}, n={n}: {result.witness}"
                 count += 1
         return count, f"|shape| <= {max_size}, n <= {max_n}"
@@ -358,7 +353,7 @@ def check_refinement(max_size: int = 5, max_n: int = 5) -> CheckResult:
         for lam in partitions_up_to(max_size):
             for n in range(len(lam), max_n + 1):
                 total = EResult(n)
-                for gamma in rearrangement_classes(lam):
+                for gamma in distinct_permutations(lam):
                     total = total + g_poly(gamma, n)
                 assert total == p_poly(lam, n), f"lam={lam}, n={n}"
                 count += 1
@@ -373,7 +368,7 @@ def check_schur_chain(max_size: int = 5, max_n: int = 5) -> CheckResult:
         for lam in partitions_up_to(max_size):
             for n in range(len(lam), max_n + 1):
                 total = MPoly.zero(n)
-                for gamma in rearrangement_classes(lam):
+                for gamma in distinct_permutations(lam):
                     piece = qs_schur(gamma, n)
                     assert all(
                         isinstance(c, int) and c >= 0 for c in piece.terms.values()

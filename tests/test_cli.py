@@ -6,10 +6,10 @@ import sys
 import pytest
 
 from macpoly import cli, verify
-from macpoly.integral import j_compact
+from macpoly.integral import j_compact, p_poly
 from macpoly.modified import htilde_plain
 from macpoly.polyring import DimensionError, EvaluationError, MPoly, NonPolynomialError
-from macpoly.quasisym import qs_schur
+from macpoly.quasisym import g_poly, qs_schur
 from macpoly.shapes import ShapeError
 
 
@@ -102,6 +102,13 @@ def test_fewer_variables_than_parts_prints_zero(capsys, family):
     assert code == 0 and obj["n"] == 1 and obj.get("terms", obj.get("coeffs")) == []
     code, out = run_cli(capsys, family, "--shape", "2,1", "--n", "0", "--q", "1", "--t", "2")
     assert code == 0 and out == "0\n"
+
+
+@pytest.mark.parametrize("family", ["p", "g", "qschur"])
+def test_fewer_variables_than_parts_prints_the_library_value(capsys, family):
+    value = {"p": p_poly, "g": g_poly, "qschur": qs_schur}[family]((2, 1), 1)
+    code, out = run_cli(capsys, family, "--shape", "2,1", "--n", "1", "--json")
+    assert code == 0 and out == json.dumps(value.to_json_obj(), separators=(",", ":")) + "\n"
 
 
 def test_zero_part_is_refused_before_the_variable_count(capsys):

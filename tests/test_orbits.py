@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from macpoly.integral import compositions_rearranging, p_poly
 from macpoly.modified import htilde_compact, htilde_plain
+from macpoly.nonsymmetric import _e_sum
 from macpoly.polyring import (
     Monomial,
     QtRational,
@@ -20,7 +21,7 @@ from macpoly.polyring import (
     placements,
 )
 from macpoly.quasisym import compositions_with_support, g_poly, qs_schur
-from macpoly.verify import f_sum, htilde_all_words, partitions_up_to, strong_compositions_up_to
+from macpoly.verify import htilde_all_words, partitions_up_to, strong_compositions_up_to
 
 vectors = st.lists(st.integers(0, 3), max_size=6).map(tuple)
 
@@ -78,7 +79,7 @@ def test_p_equals_its_full_content_sum():
     count = 0
     for lam in partitions_up_to(5):
         for n in range(len(lam), 6):
-            assert p_poly(lam, n) == f_sum(compositions_rearranging(lam, n), n), (lam, n)
+            assert p_poly(lam, n) == _e_sum(compositions_rearranging(lam, n), n), (lam, n)
             count += 1
     assert count == 66
 
@@ -88,7 +89,7 @@ def test_g_and_qs_schur_equal_their_full_content_sums():
     for gamma in sorted(set(strong_compositions_up_to(5))):
         for n in range(len(gamma), 6):
             value = g_poly(gamma, n)
-            assert value == f_sum(compositions_with_support(gamma, n), n), (gamma, n)
+            assert value == _e_sum(compositions_with_support(gamma, n), n), (gamma, n)
             assert qs_schur(gamma, n) == value.specialize(q=0, t=0), (gamma, n)
             count += 1
     assert count == 106

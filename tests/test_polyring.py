@@ -14,11 +14,14 @@ from macpoly.polyring import (
     Monomial,
     MPoly,
     NonPolynomialError,
+    QUASISYMMETRIC,
+    SYMMETRIC,
     QtFactor,
     QtRational,
     divide_binomial,
     divide_binomials,
     divmod_poly,
+    expand_orbits,
     gaussian_binomial,
     one_minus_qt,
     pochhammer_factors,
@@ -562,18 +565,21 @@ def tally_inputs(draw):
 
 
 @settings(max_examples=200)
-@given(tally_inputs())
-def test_tally_matches_expanding_every_key(data):
+@given(tally_inputs(), st.sampled_from([None, SYMMETRIC, QUASISYMMETRIC]))
+def test_tally_matches_expanding_every_key(data, orbit):
     counts, expansions = data
     by_hand = poly_sum(
         2,
         (
             MPoly.monomial(2, x=x, q=q + a, t=t + b, coeff=c * k)
             for (x, q, t, key), c in counts.items()
+            if orbit is None or orbit.is_rep(x)
             for a, b, k in expansions[key]
         ),
     )
-    assert tally(2, counts, expansions.__getitem__) == by_hand
+    if orbit is not None:
+        by_hand = MPoly(2, expand_orbits(by_hand.terms, orbit.members))
+    assert tally(2, counts, expansions.__getitem__, orbit) == by_hand
 
 
 def test_tally_drops_a_key_that_cancels():

@@ -7,13 +7,14 @@ import pytest
 
 from macpoly.integral import p_poly
 from macpoly.nonsymmetric import EResult, f_poly, iter_basement_fillings
-from macpoly.polyring import Monomial, MPoly, QtRational, expand_orbits, has_prefix_support, placements
+from macpoly.polyring import (
+    Monomial, MPoly, QtRational, distinct_permutations, expand_orbits, has_prefix_support, placements,
+)
 from macpoly.quasisym import (
     compositions_with_support,
     g_poly,
     qs_schur,
     qsym_decompose,
-    rearrangement_classes,
     schur_ssyt,
     t_atom_check,
 )
@@ -56,10 +57,18 @@ def test_compositions_with_support():
         (1, 0, 2),
         (0, 1, 2),
     ]
-    with pytest.raises(ValueError):
-        compositions_with_support((1, 1), 1)
+    assert compositions_with_support((1, 1), 1) == []
     with pytest.raises(ShapeError):
         compositions_with_support((1, 0), 2)
+
+
+def test_g_and_qs_schur_are_zero_with_more_parts_than_variables():
+    assert g_poly((2, 1), 1) == EResult(1)
+    assert qs_schur((2, 1), 1) == MPoly.zero(1)
+    # a zero part is refused before the variable count is looked at
+    for family in (g_poly, qs_schur):
+        with pytest.raises(ShapeError):
+            family((2, 0, 1), 1)
 
 
 # -- quasisymmetry checker -----------------------------------------------------------
@@ -115,7 +124,7 @@ def test_g_is_quasisymmetric(gamma, n):
 @pytest.mark.parametrize("lam,n", [((1,), 2), ((2, 1), 2), ((2, 1), 3), ((1, 1), 3)])
 def test_g_refines_p(lam, n):
     total = EResult(n)
-    for gamma in rearrangement_classes(lam):
+    for gamma in distinct_permutations(lam):
         total = total + g_poly(gamma, n)
     assert total == p_poly(lam, n)
 
@@ -141,7 +150,7 @@ def test_qs_schur_single_part_equals_oracle():
 @pytest.mark.parametrize("lam,n", [((2, 1), 3), ((1, 1), 2), ((2, 2), 3), ((3, 1), 3)])
 def test_qs_schur_sums_to_schur(lam, n):
     total = MPoly.zero(n)
-    for gamma in rearrangement_classes(lam):
+    for gamma in distinct_permutations(lam):
         total = total + qs_schur(gamma, n)
     assert total == schur_ssyt(lam, n)
 
