@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from functools import partial
@@ -142,47 +141,32 @@ def _emit_eresult(result, args) -> None:
 
 def run_family(args) -> int:
     family = args.family
-    shape = args.shape
-    if args.partition:
-        shape = require_partition(shape)
-    q, t = _specialize_args(args)
-
+    shape = require_partition(args.shape) if args.partition else args.shape
     if family == "htilde":
-        fn = htilde_compact if args.formula == "compact" else htilde_plain
-        poly = fn(shape, args.n)
-        _emit_mpoly(poly.specialize(q=q, t=t), args)
+        value = (htilde_compact if args.formula == "compact" else htilde_plain)(shape, args.n)
     elif family == "j":
-        poly = j_compact(shape, args.n).value if args.formula == "compact" else j_plain(shape, args.n)
-        _emit_mpoly(poly.specialize(q=q, t=t), args)
+        value = j_compact(shape, args.n).value if args.formula == "compact" else j_plain(shape, args.n)
+    elif family in ("e", "f") and args.integral:
+        value = integral_e(shape)
+        if args.verify:
+            cleared = e_permuted_basement(shape).cleared_by(hook_product_inc(shape))
+            if cleared != value:
+                raise NonPolynomialError("integral-form routes disagree; convention bug")
     elif family in ("e", "f"):
-        if args.integral:
-            poly = integral_e(shape)
-            if args.verify:
-                cleared = e_permuted_basement(shape).cleared_by(hook_product_inc(shape))
-                if cleared != poly:
-                    raise NonPolynomialError("integral-form routes disagree; convention bug")
-            _emit_mpoly(poly.specialize(q=q, t=t), args)
-        else:
-            fn = e_permuted_basement if family == "e" else f_poly
-            _emit_eresult(fn(shape), args)
-    elif family == "p":
-        _emit_eresult(p_poly(shape, args.n), args)
-    elif family == "g":
-        _emit_eresult(g_poly(shape, args.n), args)
-    elif family == "qschur":
-        _emit_mpoly(qs_schur(shape, args.n).specialize(q=q, t=t), args)
-    elif family == "schur":
-        _emit_mpoly(schur_ssyt(shape, args.n).specialize(q=q, t=t), args)
-    else:  # pragma: no cover
-        raise UsageError(f"unknown family {family}")
+        value = (e_permuted_basement if family == "e" else f_poly)(shape)
+    else:
+        fn = {"p": p_poly, "g": g_poly, "qschur": qs_schur, "schur": schur_ssyt}[family]
+        value = fn(shape, args.n)
+    if isinstance(value, MPoly):
+        q, t = _specialize_args(args)
+        _emit_mpoly(value.specialize(q=q, t=t), args)
+    else:
+        _emit_eresult(value, args)
     return 0
 
 
 def run_verify(args) -> int:
-    max_size = args.max_size
-    if max_size is None and os.environ.get("MACPOLY_VERIFY_MAX_SIZE"):
-        max_size = parse_count(os.environ["MACPOLY_VERIFY_MAX_SIZE"], "MACPOLY_VERIFY_MAX_SIZE")
-    results = run_suite(args.suite, max_size, args.max_n)
+    results = run_suite(args.suite, args.max_size, args.max_n)
     for result in results:
         print(result.line())
     failed = [r for r in results if not r.passed]

@@ -23,7 +23,7 @@ from itertools import combinations_with_replacement, product as iproduct
 from math import comb, prod
 from typing import Iterator, Sequence
 
-from .polyring import SYMMETRIC, Monomial, MPoly, expand_orbits, t_multinomial, tally
+from .polyring import SYMMETRIC, Monomial, MPoly, t_multinomial, tally
 from .shapes import (
     INF_BASEMENT,
     Diagram,
@@ -87,6 +87,12 @@ def _multiplicity_terms(signature: tuple[tuple[int, ...], ...]) -> tuple[tuple[i
     for runs in signature:
         out = out * t_multinomial(sum(runs), runs)
     return tuple(sorted((0, mono.t, c) for mono, c in out.terms.items()))
+
+
+@lru_cache(maxsize=1024)
+def _swapped_multiplicity_terms(signature: tuple) -> tuple[tuple[int, int, int], ...]:
+    """:func:`_multiplicity_terms` with the q and t exponents exchanged."""
+    return tuple((t, q, c) for q, t, c in _multiplicity_terms(signature))
 
 
 def is_sorted_tableau(f: Filling) -> bool:
@@ -177,9 +183,9 @@ def htilde_compact(lam: Sequence[int], n: int) -> MPoly:
     swap, exact by duality (see the module docstring).
 
     Tableaux of dominant content are counted by (x, maj, inv, run signature),
-    each key is expanded once against the multiplicity cached per run
-    signature, and each term is written under every rearrangement of x.  A
-    swap comes before that expansion, where it has fewer terms to move.
+    each key is weighed once by :func:`tally` against the multiplicity cached
+    per run signature, and each term is written under every rearrangement of
+    x.  On the swapped side q and t are exchanged in both key and weight.
     """
     shape, swapped = compact_side(lam, n)
     values = range(1, n + 1)
@@ -187,8 +193,7 @@ def htilde_compact(lam: Sequence[int], n: int) -> MPoly:
     for f in iter_sorted_tableaux(shape, n):
         x = tuple(map(f.flat.count, values))
         if SYMMETRIC.is_rep(x):
-            counts[x, maj(f), inv(f), _block_runs(shape, f.flat)] += 1
-    dominant = tally(n, counts, _multiplicity_terms)
-    if swapped:
-        dominant = dominant.swap_qt()
-    return MPoly._trusted(n, expand_orbits(dominant.terms, SYMMETRIC.members))
+            q, t = (inv(f), maj(f)) if swapped else (maj(f), inv(f))
+            counts[x, q, t, _block_runs(shape, f.flat)] += 1
+    weigh = _swapped_multiplicity_terms if swapped else _multiplicity_terms
+    return tally(n, counts, weigh, SYMMETRIC)

@@ -14,9 +14,9 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 from math import factorial
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .integral import (
     JResult,
@@ -83,22 +83,39 @@ def _run(name: str, body: Callable[[], tuple[int, str]]) -> CheckResult:
     return CheckResult(name, instances, passed, time.perf_counter() - start, detail)
 
 
+def _each(name: str, detail: str, cases: Iterable[tuple], test: Callable) -> CheckResult:
+    """One check under :func:`_run`: ``test(*case)`` asserts on each argument tuple
+    in ``cases`` and returns how many instances it covered, None counting as 1."""
+    covered = (test(*case) for case in cases)
+    return _run(name, lambda: (sum(1 if k is None else k for k in covered), detail))
+
+
+def _by_n(shapes: Iterable[tuple[int, ...]], max_n: int, least: Callable = lambda shape: 1):
+    """(shape, n) for each shape and each n from ``least(shape)`` to max_n."""
+    return ((shape, n) for shape in shapes for n in range(least(shape), max_n + 1))
+
+
+def _swaps_fix(p: MPoly, n: int, where: str) -> int:
+    """Assert that each adjacent transposition of x_1..x_n fixes p; returns their number."""
+    for i in range(1, n):
+        assert p.swap_x(i, i + 1) == p, f"{where}, swap {i}"
+    return n - 1
+
+
 def partitions_up_to(max_size: int) -> Iterator[tuple[int, ...]]:
+    """Every partition of size 1..max_size, by size, each size in reverse lexicographic order."""
     def gen(remaining: int, cap: int, prefix: tuple[int, ...]):
-        if prefix:
+        if not remaining:
             yield prefix
         for part in range(min(remaining, cap), 0, -1):
             yield from gen(remaining - part, part, prefix + (part,))
 
-    seen = set()
     for size in range(1, max_size + 1):
-        for lam in gen(size, size, ()):
-            if sum(lam) <= max_size and lam not in seen:
-                seen.add(lam)
-                yield lam
+        yield from gen(size, size, ())
 
 
 def strong_compositions_up_to(max_size: int) -> Iterator[tuple[int, ...]]:
+    """Each composition once per size from its own up to max_size: pinned counts include repeats."""
     def gen(remaining: int, prefix: tuple[int, ...]):
         if prefix:
             yield prefix
@@ -110,15 +127,15 @@ def strong_compositions_up_to(max_size: int) -> Iterator[tuple[int, ...]]:
 
 
 def weak_compositions_up_to(max_size: int, length: int) -> Iterator[tuple[int, ...]]:
-    for total in range(0, max_size + 1):
-        def gen(remaining: int, slots: int):
-            if slots == 1:
-                yield (remaining,)
-                return
-            for first in range(remaining + 1):
-                for rest in gen(remaining - first, slots - 1):
-                    yield (first,) + rest
+    def gen(remaining: int, slots: int):
+        if slots == 1:
+            yield (remaining,)
+            return
+        for first in range(remaining + 1):
+            for rest in gen(remaining - first, slots - 1):
+                yield (first,) + rest
 
+    for total in range(0, max_size + 1):
         yield from gen(total, length)
 
 
@@ -186,15 +203,11 @@ def check_fixture_tableau_listing() -> CheckResult:
 
 
 def check_htilde_equivalence(max_size: int = 6, max_n: int = 4) -> CheckResult:
-    def body():
-        count = 0
-        for lam in partitions_up_to(max_size):
-            for n in range(1, max_n + 1):
-                assert htilde_compact(lam, n) == htilde_plain(lam, n), f"lam={lam}, n={n}"
-                count += 1
-        return count, f"|shape| <= {max_size}, n <= {max_n}"
+    def test(lam, n):
+        assert htilde_compact(lam, n) == htilde_plain(lam, n), f"lam={lam}, n={n}"
 
-    return _run("compact vs plain modified-Macdonald", body)
+    return _each("compact vs plain modified-Macdonald", f"|shape| <= {max_size}, n <= {max_n}",
+                 _by_n(partitions_up_to(max_size), max_n), test)
 
 
 def htilde_all_words(lam: tuple[int, ...], n: int) -> MPoly:
@@ -207,18 +220,13 @@ def htilde_all_words(lam: tuple[int, ...], n: int) -> MPoly:
 
 
 def check_htilde_symmetry(max_size: int = 5, max_n: int = 4) -> CheckResult:
-    def body():
-        count = 0
-        for lam in partitions_up_to(max_size):
-            for n in range(1, max_n + 1):
-                p = htilde_all_words(lam, n)
-                assert p == htilde_plain(lam, n), f"lam={lam}, n={n}: all words != htilde_plain"
-                for i in range(1, n):
-                    assert p.swap_x(i, i + 1) == p, f"lam={lam}, n={n}, swap {i}"
-                    count += 1
-        return count, "adjacent transposition invariance"
+    def test(lam, n):
+        p = htilde_all_words(lam, n)
+        assert p == htilde_plain(lam, n), f"lam={lam}, n={n}: all words != htilde_plain"
+        return _swaps_fix(p, n, f"lam={lam}, n={n}")
 
-    return _run("modified-Macdonald symmetry", body)
+    return _each("modified-Macdonald symmetry", "adjacent transposition invariance",
+                 _by_n(partitions_up_to(max_size), max_n), test)
 
 
 # -- integral-form checks --------------------------------------------------------------
@@ -234,151 +242,113 @@ def hook_product_by_columns(mu: tuple[int, ...]) -> MPoly:
 
 
 def check_pr_products(max_size: int = 8) -> CheckResult:
-    def body():
-        count = 0
-        for mu in partitions_up_to(max_size):
-            value = hook_product(mu)
-            assert value == hook_product_by_columns(mu), f"mu={mu}: the two forms differ"
-            assert value == hook_product_inc(composition_stats(mu).inc), f"mu={mu}"
-            count += 1
-        return count, f"|shape| <= {max_size}"
+    def test(mu):
+        value = hook_product(mu)
+        assert value == hook_product_by_columns(mu), f"mu={mu}: the two forms differ"
+        assert value == hook_product_inc(composition_stats(mu).inc), f"mu={mu}"
 
-    return _run("normalization products agree", body)
+    return _each("normalization products agree", f"|shape| <= {max_size}",
+                 zip(partitions_up_to(max_size)), test)
 
 
 def check_j_equivalence(max_size: int = 5, max_n: int = 4) -> CheckResult:
-    def body():
-        count = 0
-        for mu in partitions_up_to(max_size):
-            for n in range(1, max_n + 1):
-                assert j_compact(mu, n).value == j_plain(mu, n), f"mu={mu}, n={n}"
-                count += 1
-        return count, f"|shape| <= {max_size}, n <= {max_n}"
+    def test(mu, n):
+        assert j_compact(mu, n).value == j_plain(mu, n), f"mu={mu}, n={n}"
 
-    return _run("compact vs plain integral form", body)
+    return _each("compact vs plain integral form", f"|shape| <= {max_size}, n <= {max_n}",
+                 _by_n(partitions_up_to(max_size), max_n), test)
 
 
 def check_j_ones_closed_form(max_n: int = 5) -> CheckResult:
-    def body():
-        count = 0
-        for n in range(1, max_n + 1):
-            mu = (1,) * n
-            ordered = list(iter_nonattacking(mu, n, ordered=True))
-            assert len(ordered) == 1, f"n={n}: {len(ordered)} ordered fillings"
-            expected = MPoly.monomial(n, x=(1,) * n)
-            for i in range(1, n + 1):
-                expected = expected * (MPoly.one(n) - MPoly.monomial(n, t=i))
-            assert j_compact(mu, n).value == expected, f"n={n}"
-            count += 1
-        return count, "single-term closed form"
+    def test(n):
+        mu = (1,) * n
+        ordered = list(iter_nonattacking(mu, n, ordered=True))
+        assert len(ordered) == 1, f"n={n}: {len(ordered)} ordered fillings"
+        expected = MPoly.monomial(n, x=(1,) * n)
+        for i in range(1, n + 1):
+            expected = expected * (MPoly.one(n) - MPoly.monomial(n, t=i))
+        assert j_compact(mu, n).value == expected, f"n={n}"
 
-    return _run("all-ones integral form", body)
+    return _each("all-ones integral form", "single-term closed form",
+                 zip(range(1, max_n + 1)), test)
 
 
 def check_j_def(max_size: int = 4, max_n: int = 4) -> CheckResult:
-    def body():
-        count = 0
-        for lam in partitions_up_to(max_size):
-            for n in range(len([p for p in lam if p]), max_n + 1):
-                if n == 0:
-                    continue
-                lhs = p_poly(lam, n).cleared_by(hook_product(lam))
-                assert lhs == j_compact(lam, n).value, f"lam={lam}, n={n}"
-                count += 1
-        return count, "monic value times normalization"
+    def test(lam, n):
+        lhs = p_poly(lam, n).cleared_by(hook_product(lam))
+        assert lhs == j_compact(lam, n).value, f"lam={lam}, n={n}"
 
-    return _run("integral form = P times normalization", body)
+    return _each("integral form = P times normalization", "monic value times normalization",
+                 _by_n(partitions_up_to(max_size), max_n, len), test)
 
 
 def check_integrality(max_size: int = 5, max_n: int = 4) -> CheckResult:
-    def body():
-        count = 0
-        for mu in partitions_up_to(max_size):
-            for n in range(1, max_n + 1):
-                stats = composition_stats(mu)
-                quotient = JResult(j_plain(mu, n), stats.mult).quotient()
-                assert all(isinstance(c, int) for c in quotient.terms.values())
-                count += 1
-        for n in range(1, max_n + 1):
-            for alpha in weak_compositions_up_to(max_size, n):
-                if sum(alpha) == 0:
-                    continue
-                assert all(is_ordered(f) for f in iter_basement_fillings(alpha)), (
-                    f"alpha={alpha}: a basement filling is not ordered"
-                )
-                value = integral_e(alpha)
-                cleared = e_permuted_basement(alpha).cleared_by(hook_product_inc(alpha))
-                assert value == cleared, f"alpha={alpha}: the integral-form routes disagree"
-                JResult(value, composition_stats(alpha).mult).quotient()
-                count += 1
-        return count, "Pochhammer divisibility, both forms"
+    def j_quotient(mu, n):
+        quotient = JResult(j_plain(mu, n), composition_stats(mu).mult).quotient()
+        assert all(isinstance(c, int) for c in quotient.terms.values())
 
-    return _run("integral-form divisibility", body)
+    def e_routes(alpha):
+        assert all(is_ordered(f) for f in iter_basement_fillings(alpha)), (
+            f"alpha={alpha}: a basement filling is not ordered"
+        )
+        value = integral_e(alpha)
+        cleared = e_permuted_basement(alpha).cleared_by(hook_product_inc(alpha))
+        assert value == cleared, f"alpha={alpha}: the integral-form routes disagree"
+        JResult(value, composition_stats(alpha).mult).quotient()
+
+    alphas = (a for n in range(max_n) for a in weak_compositions_up_to(max_size, n + 1) if any(a))
+    cases = chain(
+        ((j_quotient, mu, n) for mu, n in _by_n(partitions_up_to(max_size), max_n)),
+        ((e_routes, alpha) for alpha in alphas),
+    )
+    return _each("integral-form divisibility", "Pochhammer divisibility, both forms",
+                 cases, lambda test, *args: test(*args))
 
 
 def check_p_symmetry(max_size: int = 5, max_n: int = 4) -> CheckResult:
-    def body():
-        count = 0
-        for lam in partitions_up_to(max_size):
-            parts = len(lam)
-            for n in range(parts, max_n + 1):
-                p = _e_sum(compositions_rearranging(lam, n), n)
-                for i in range(1, n):
-                    assert p.swap_x(i, i + 1) == p, f"lam={lam}, n={n}"
-                    count += 1
-        return count, "adjacent transposition invariance"
+    def test(lam, n):
+        return _swaps_fix(_e_sum(compositions_rearranging(lam, n), n), n, f"lam={lam}, n={n}")
 
-    return _run("monic symmetric value symmetry", body)
+    return _each("monic symmetric value symmetry", "adjacent transposition invariance",
+                 _by_n(partitions_up_to(max_size), max_n, len), test)
 
 
 # -- quasisymmetric checks -----------------------------------------------------------
 
 
 def check_quasisymmetry(max_size: int = 5, max_n: int = 5) -> CheckResult:
-    def body():
-        count = 0
-        for gamma in strong_compositions_up_to(max_size):
-            for n in range(len(gamma), max_n + 1):
-                result = qsym_decompose(_e_sum(compositions_with_support(gamma, n), n))
-                assert result.is_quasisymmetric, f"gamma={gamma}, n={n}: {result.witness}"
-                count += 1
-        return count, f"|shape| <= {max_size}, n <= {max_n}"
+    def test(gamma, n):
+        result = qsym_decompose(_e_sum(compositions_with_support(gamma, n), n))
+        assert result.is_quasisymmetric, f"gamma={gamma}, n={n}: {result.witness}"
 
-    return _run("quasisymmetry of G", body)
+    return _each("quasisymmetry of G", f"|shape| <= {max_size}, n <= {max_n}",
+                 _by_n(strong_compositions_up_to(max_size), max_n, len), test)
 
 
 def check_refinement(max_size: int = 5, max_n: int = 5) -> CheckResult:
-    def body():
-        count = 0
-        for lam in partitions_up_to(max_size):
-            for n in range(len(lam), max_n + 1):
-                total = EResult(n)
-                for gamma in distinct_permutations(lam):
-                    total = total + g_poly(gamma, n)
-                assert total == p_poly(lam, n), f"lam={lam}, n={n}"
-                count += 1
-        return count, "G sums to P over rearrangement classes"
+    def test(lam, n):
+        total = EResult(n)
+        for gamma in distinct_permutations(lam):
+            total = total + g_poly(gamma, n)
+        assert total == p_poly(lam, n), f"lam={lam}, n={n}"
 
-    return _run("quasisymmetric refinement", body)
+    return _each("quasisymmetric refinement", "G sums to P over rearrangement classes",
+                 _by_n(partitions_up_to(max_size), max_n, len), test)
 
 
 def check_schur_chain(max_size: int = 5, max_n: int = 5) -> CheckResult:
-    def body():
-        count = 0
-        for lam in partitions_up_to(max_size):
-            for n in range(len(lam), max_n + 1):
-                total = MPoly.zero(n)
-                for gamma in distinct_permutations(lam):
-                    piece = qs_schur(gamma, n)
-                    assert all(
-                        isinstance(c, int) and c >= 0 for c in piece.terms.values()
-                    ), f"negative piece at gamma={gamma}, n={n}"
-                    total = total + piece
-                assert total == schur_ssyt(lam, n), f"lam={lam}, n={n}"
-                count += 1
-        return count, "specializations sum to the tableau oracle"
+    def test(lam, n):
+        total = MPoly.zero(n)
+        for gamma in distinct_permutations(lam):
+            piece = qs_schur(gamma, n)
+            assert all(
+                isinstance(c, int) and c >= 0 for c in piece.terms.values()
+            ), f"negative piece at gamma={gamma}, n={n}"
+            total = total + piece
+        assert total == schur_ssyt(lam, n), f"lam={lam}, n={n}"
 
-    return _run("Schur specialization chain", body)
+    return _each("Schur specialization chain", "specializations sum to the tableau oracle",
+                 _by_n(partitions_up_to(max_size), max_n, len), test)
 
 
 # -- randomized property block ----------------------------------------------------------
@@ -483,42 +453,33 @@ def check_parallel_merge_order(seed: int = 7) -> CheckResult:
 # -- suites -------------------------------------------------------------------------
 
 
-def _or(value: int | None, default: int) -> int:
-    return default if value is None else value
-
-
+#: each suite's checks in order, with their default (max_size, max_n); run_suite
+#: passes a check only the bounds it has a default for, and () marks one with none
 SUITES = {
-    "fixtures": lambda ms, mn: [check_fixture_statistics(), check_fixture_tableau_listing()],
-    "htilde": lambda ms, mn: [
-        check_htilde_equivalence(_or(ms, 6), _or(mn, 4)),
-        check_htilde_symmetry(_or(ms, 5), _or(mn, 4)),
+    "fixtures": [(check_fixture_statistics, ()), (check_fixture_tableau_listing, ())],
+    "htilde": [(check_htilde_equivalence, (6, 4)), (check_htilde_symmetry, (5, 4))],
+    "j": [
+        (check_pr_products, (8, None)),
+        (check_j_equivalence, (5, 4)),
+        (check_j_ones_closed_form, (None, 5)),
+        (check_j_def, (4, 4)),
+        (check_integrality, (5, 4)),
+        (check_p_symmetry, (5, 4)),
     ],
-    "j": lambda ms, mn: [
-        check_pr_products(_or(ms, 8)),
-        check_j_equivalence(_or(ms, 5), _or(mn, 4)),
-        check_j_ones_closed_form(_or(mn, 5)),
-        check_j_def(_or(ms, 4), _or(mn, 4)),
-        check_integrality(_or(ms, 5), _or(mn, 4)),
-        check_p_symmetry(_or(ms, 5), _or(mn, 4)),
-    ],
-    "qsym": lambda ms, mn: [
-        check_quasisymmetry(_or(ms, 5), _or(mn, 5)),
-        check_refinement(_or(ms, 5), _or(mn, 5)),
-        check_schur_chain(_or(ms, 5), _or(mn, 5)),
+    "qsym": [
+        (check_quasisymmetry, (5, 5)), (check_refinement, (5, 5)), (check_schur_chain, (5, 5))
     ],
 }
+SUITES["all"] = [*chain(*SUITES.values()), (check_properties, ()), (check_parallel_merge_order, ())]
 
 
 def run_suite(
     suite: str, max_size: int | None = None, max_n: int | None = None
 ) -> list[CheckResult]:
-    if suite == "all":
-        results = []
-        for name in ("fixtures", "htilde", "j", "qsym"):
-            results.extend(SUITES[name](max_size, max_n))
-        results.append(check_properties())
-        results.append(check_parallel_merge_order())
-        return results
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-    return SUITES[suite](max_size, max_n)
+    bounds = (max_size, max_n)
+    return [
+        check(*(d if b is None else b for b, d in zip(bounds, defaults) if d is not None))
+        for check, defaults in SUITES[suite]
+    ]

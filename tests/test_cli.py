@@ -149,13 +149,6 @@ def test_verify_small_bounds(capsys):
     assert "compact vs plain modified-Macdonald" in out
 
 
-def test_verify_env_var_bounds(capsys, monkeypatch):
-    monkeypatch.setenv("MACPOLY_VERIFY_MAX_SIZE", "2")
-    code, out = run_cli(capsys, "verify", "j", "--max-n", "1")
-    assert code == 0
-    assert "normalization products agree: instances=3" in out
-
-
 def run_failing(capsys, *argv):
     with pytest.raises(SystemExit) as err:
         cli.main(list(argv))
@@ -212,22 +205,12 @@ ABOVE_MAXSIZE = str(sys.maxsize + 1)
     + [
         pytest.param(("verify", "htilde", flag, ABOVE_MAXSIZE), flag, id=flag)
         for flag in ("--max-size", "--max-n")
-    ]
-    + [pytest.param(("verify", "htilde"), "MACPOLY_VERIFY_MAX_SIZE", id="env")],
+    ],
 )
-def test_count_above_maxsize_rejected(capsys, monkeypatch, argv, flag):
-    if not flag.startswith("--"):
-        monkeypatch.setenv(flag, ABOVE_MAXSIZE)
+def test_count_above_maxsize_rejected(capsys, argv, flag):
     code, err = run_failing(capsys, *argv)
     assert code == 2
     assert err.startswith(f"error: {flag} must be at most {sys.maxsize},") and err.count("\n") == 1
-
-
-def test_negative_verify_env_bound_rejected(capsys, monkeypatch):
-    monkeypatch.setenv("MACPOLY_VERIFY_MAX_SIZE", "-1")
-    code, err = run_failing(capsys, "verify", "htilde")
-    assert code == 2
-    assert err.startswith("error: MACPOLY_VERIFY_MAX_SIZE ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -67,3 +67,11 @@ def test_symmetric_pinned_digests(workloads):
 def test_symmetric_window_digests(workloads):
     cases = [c for c in workloads.all_window_cases("symmetric") if not c.pinned]
     assert mismatches(workloads, cases) == []
+
+
+def test_battery_digests(workloads):
+    # run_suite on every suite at size and variable bounds in {2, 3}, plus
+    # "all" at (4, 4): the check names, instance counts, verdicts and details
+    cases = workloads.all_window_cases("battery")
+    assert len(cases) == 17 and {c.fn for c in cases} == {"run_suite"}
+    assert mismatches(workloads, cases) == []
