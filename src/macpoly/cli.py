@@ -20,7 +20,7 @@ from .nonsymmetric import e_permuted_basement, f_poly
 from .polyring import KEEP, DimensionError, EvaluationError, MPoly, NonPolynomialError
 from .quasisym import g_poly, qs_schur, schur_ssyt
 from .shapes import ShapeError, as_partition
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 
 class UsageError(SystemExit):
@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_family("schur", partition=True)
 
     v = sub.add_parser("verify")
-    v.add_argument("suite", choices=["all", "htilde", "j", "qsym", "fixtures"])
+    v.add_argument("suite", choices=list(SUITES))
     v.add_argument("--max-size", type=partial(parse_count, name="--max-size"), default=None)
     v.add_argument("--max-n", type=partial(parse_count, name="--max-n"), default=None)
     return parser

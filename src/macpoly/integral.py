@@ -15,6 +15,7 @@ from .polyring import (
 from .nonsymmetric import EResult, _basement_walk, _e_sum
 from .shapes import (
     Filling,
+    as_count,
     as_partition,
     coinv_comp,
     composition_stats,
@@ -27,42 +28,38 @@ from .shapes import (
 )
 
 
-def hook_product(mu: Sequence[int], n_ambient: int = 0) -> MPoly:
+def hook_product(mu: Sequence[int]) -> MPoly:
     """Normalization product of a partition: over the conjugate column diagram
     with 1 - q^arm t^(leg+1).  By transposition it equals the product over
     the column diagram of mu with 1 - q^leg t^(arm+1); the identity battery
     checks that."""
     hooks = diagram(conjugate(as_partition(mu))).hooks
-    return times_binomials(MPoly.one(n_ambient), ((arm1 - 1, leg1) for leg1, arm1 in hooks))
+    return times_binomials(MPoly.one(0), ((arm1 - 1, leg1) for leg1, arm1 in hooks))
 
 
-def pochhammer_prefactor(mult: Mapping[int, int], n_ambient: int = 0) -> MPoly:
+def pochhammer_prefactor(mult: Mapping[int, int]) -> MPoly:
     """Product of (t;t)_{m} over the positive-part multiplicities m."""
-    return times_binomials(MPoly.one(n_ambient), pochhammer_factors(mult.values()))
+    return times_binomials(MPoly.one(0), pochhammer_factors(mult.values()))
 
 
-def hook_product_inc(alpha: Sequence[int], n_ambient: int = 0) -> MPoly:
+def hook_product_inc(alpha: Sequence[int]) -> MPoly:
     """Pochhammer prefactor times the above-bottom-row cell binomials of the
     increasing diagram of alpha."""
     stats = composition_stats(alpha)
     shape = diagram(stats.inc)
     hooks = (hook for below, hook in zip(shape.below, shape.hooks) if below is not None)
-    return times_binomials(pochhammer_prefactor(stats.mult, n_ambient), hooks)
+    return times_binomials(pochhammer_prefactor(stats.mult), hooks)
 
 
 @lru_cache(maxsize=4096)
-def _j_factor_terms(
-    heights: tuple[int, ...], mask: tuple[bool, ...], pochhammer: tuple[int, ...]
-) -> tuple[tuple[int, int, int], ...]:
-    """(q exponent, t exponent, coefficient) terms of the q,t part of a J
-    weight: the product of (t;t)_m over ``pochhammer``, times, for each cell
-    above row 1, 1 - q^(leg+1) t^(arm+1) where ``mask`` says its entry
-    repeats the one below and 1 - t where it differs."""
+def _j_factor_terms(heights: tuple, mask: tuple[bool, ...], pochhammer: tuple[int, ...]) -> MPoly:
+    """The q,t part of a J weight: the product of (t;t)_m over ``pochhammer``,
+    times, for each cell above row 1, 1 - q^(leg+1) t^(arm+1) where ``mask``
+    says its entry repeats the one below and 1 - t where it differs."""
     shape = diagram(heights)
     hooks = (hook for j, hook in zip(shape.below, shape.hooks) if j is not None)
     cells = [hook if repeat else (0, 1) for repeat, hook in zip(mask, hooks)]
-    out = times_binomials(MPoly.one(0), pochhammer_factors(pochhammer) + cells)
-    return tuple((mono.q, mono.t, c) for mono, c in out.terms.items())
+    return times_binomials(MPoly.one(0), pochhammer_factors(pochhammer) + cells)
 
 
 def j_keys(heights: Sequence[int], n: int, fillings: Iterable[Filling]) -> Counter:
@@ -76,7 +73,7 @@ def j_keys(heights: Sequence[int], n: int, fillings: Iterable[Filling]) -> Count
 
 
 def _j_weigh(heights: Sequence[int], pochhammer: Iterable[int]) -> Callable:
-    """The q,t terms of a J weight on the diagram of ``heights`` by repeat
+    """The q,t part of a J weight on the diagram of ``heights`` by repeat
     mask, with the product of (t;t)_m over ``pochhammer`` folded in."""
     heights, pochhammer = tuple(heights), tuple(sorted(pochhammer))
     return lambda mask: _j_factor_terms(heights, mask, pochhammer)
@@ -110,7 +107,7 @@ def j_plain(mu: Sequence[int], n: int) -> MPoly:
     """(1-t)^(number of parts) times the sum over nonattacking fillings of
     the column diagram of mu, entries in 1..n, no basement."""
     mu = as_partition(mu)
-    fillings = enumerate_fillings(diagram(mu), n, predicate=is_nonattacking)
+    fillings = enumerate_fillings(diagram(mu), as_count(n), predicate=is_nonattacking)
     return tally(n, j_keys(mu, n, fillings), _j_weigh(mu, (1,) * len(mu)), SYMMETRIC)
 
 
@@ -134,7 +131,7 @@ class JResult:
 def j_compact(mu: Sequence[int], n: int) -> JResult:
     """Pochhammer prefactor times the sum over ordered nonattacking fillings
     of the increasing rearrangement of mu; equal to :func:`j_plain`."""
-    stats = composition_stats(as_partition(mu))
+    stats, n = composition_stats(as_partition(mu)), as_count(n)
     shape = diagram(stats.inc)
     fillings = (Filling(shape, e) for e in iter_nonattacking(stats.inc, n, ordered=True))
     weigh = _j_weigh(stats.inc, stats.mult.values())
@@ -157,7 +154,7 @@ def integral_e(alpha: Sequence[int]) -> MPoly:
 def compositions_rearranging(lam: Sequence[int], n: int) -> list[tuple[int, ...]]:
     """All weak compositions of length n whose positive parts rearrange lam's:
     none when lam has more than n positive parts."""
-    return SYMMETRIC.of(lam, n)
+    return SYMMETRIC.of(lam, as_count(n))
 
 
 def p_poly(lam: Sequence[int], n: int) -> EResult:

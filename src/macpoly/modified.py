@@ -23,12 +23,13 @@ from itertools import combinations_with_replacement, product as iproduct
 from math import comb, prod
 from typing import Iterator, Sequence
 
-from .polyring import SYMMETRIC, Monomial, MPoly, t_multinomial, tally
+from .polyring import SYMMETRIC, MPoly, t_multinomial, tally, unit_weight
 from .shapes import (
     INF_BASEMENT,
     Diagram,
     Filling,
     ShapeError,
+    as_count,
     as_partition,
     conjugate,
     diagram,
@@ -75,24 +76,17 @@ def _block_runs(shape: Diagram, flat: tuple[int, ...]) -> tuple[tuple[int, ...],
 
 
 @lru_cache(maxsize=1024)
-def _multiplicity_terms(signature: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int, int], ...]:
-    """(q exponent, t exponent, coefficient) terms of the product over height
-    blocks of the Gaussian multinomials of the run lengths; the q exponent
-    is always 0.
-
-    The value is q,t-only, so one entry serves every ambient n; the key is
-    the run signature alone, since the multinomials ignore column heights.
-    """
-    out = MPoly.one(0)
-    for runs in signature:
-        out = out * t_multinomial(sum(runs), runs)
-    return tuple(sorted((0, mono.t, c) for mono, c in out.terms.items()))
+def _multiplicity_terms(signature: tuple[tuple[int, ...], ...]) -> MPoly:
+    """The product over height blocks of the Gaussian multinomials of the run
+    lengths, a polynomial in t alone; the key is the run signature alone,
+    since the multinomials ignore column heights."""
+    return prod((t_multinomial(sum(runs), runs) for runs in signature), start=MPoly.one(0))
 
 
 @lru_cache(maxsize=1024)
-def _swapped_multiplicity_terms(signature: tuple) -> tuple[tuple[int, int, int], ...]:
-    """:func:`_multiplicity_terms` with the q and t exponents exchanged."""
-    return tuple((t, q, c) for q, t, c in _multiplicity_terms(signature))
+def _swapped_multiplicity_terms(signature: tuple) -> MPoly:
+    """:func:`_multiplicity_terms` with q and t exchanged."""
+    return _multiplicity_terms(signature).swap_qt()
 
 
 def is_sorted_tableau(f: Filling) -> bool:
@@ -137,11 +131,9 @@ class SortedTableau:
         heights = [h for h, _ in f.shape.blocks]
         return cls(f, tuple(zip(heights, _block_runs(f.shape, f.flat))))
 
-    def multiplicity_t(self, n_ambient: int = 0) -> MPoly:
+    def multiplicity_t(self) -> MPoly:
         """Product over height blocks of the Gaussian multinomials of runs."""
-        zero = (0,) * n_ambient
-        terms = _multiplicity_terms(tuple(runs for _, runs in self.block_multiplicities))
-        return MPoly(n_ambient, {Monomial(zero, q, t): c for q, t, c in terms})
+        return _multiplicity_terms(tuple(runs for _, runs in self.block_multiplicities))
 
 
 def iter_dominant_words(size: int, n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -160,19 +152,19 @@ def htilde_plain(lam: Sequence[int], n: int) -> MPoly:
     those of dominant content, each term then written under every
     rearrangement of x, since the value is symmetric."""
     shape = diagram(as_partition(lam))
-    words = iter_dominant_words(len(shape.cells), n)
+    words = iter_dominant_words(len(shape.cells), as_count(n))
     counts = Counter((x, shape.inv(e), shape.maj(e), None) for x, e in words)
-    return tally(n, counts, lambda _: ((0, 0, 1),), SYMMETRIC)
+    return tally(n, counts, unit_weight, SYMMETRIC)
 
 
 def compact_side(lam: Sequence[int], n: int) -> tuple[Diagram, bool]:
     """The diagram :func:`htilde_compact` sums over, and whether it then swaps q and t:
     lam's own where that has strictly fewer sorted tableaux, else the conjugate one.
     A diagram has, per block of k columns of height h, C(n^h + k - 1, k) of them."""
-    lam = as_partition(lam)
+    lam, n = as_partition(lam), as_count(n)
     sides = (diagram(conjugate(lam)), False), (diagram(lam), True)
     return min(sides, key=lambda side: prod(
-        comb(max(n, 0) ** h + len(cols) - 1, len(cols)) for h, cols in side[0].blocks
+        comb(n ** h + len(cols) - 1, len(cols)) for h, cols in side[0].blocks
     ))
 
 

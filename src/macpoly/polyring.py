@@ -3,7 +3,8 @@
 Two value types carry every computation in this package:
 
 * :class:`MPoly` -- sparse polynomial with arbitrary-precision integer
-  coefficients in the x variables plus the two parameters q and t.
+  coefficients in the x variables plus the two parameters q and t.  A
+  q,t-only value is one in n = 0, and :meth:`MPoly.extended` embeds it.
 * :class:`QtRational` -- a q,t-polynomial divided by a multiset of binomial
   factors 1 - q^a t^b.  Denominators are never expanded, so cancellation is
   exact divisibility testing, not multivariate gcd.
@@ -19,7 +20,8 @@ import json
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
+from math import prod
 from operator import ge
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
@@ -235,7 +237,8 @@ class MPoly:
     # -- structural helpers --------------------------------------------------
 
     def extended(self, n: int) -> "MPoly":
-        """Embed into a larger ambient by padding x-exponents with zeros."""
+        """Embed into a larger ambient by padding x-exponents with zeros: the
+        one way a q,t-only value (n = 0) enters x-space."""
         if n < self.n:
             raise DimensionError(f"cannot shrink ambient {self.n} -> {n}")
         if n == self.n:
@@ -379,19 +382,26 @@ def poly_sum(n: int, polys: Iterable[MPoly]) -> MPoly:
 
 def tally(n: int, counts: Mapping[tuple, int], weigh: Callable, orbit: Orbit | None = None) -> MPoly:
     """Sum over ((x, q, t, key), c) in ``counts`` of c x^x q^q t^t times the
-    q,t polynomial whose (q exponent, t exponent, coefficient) terms are
-    ``weigh(key)``: a route counts its fillings by key, so each key weighs once.
-    With an ``orbit``, only the keys of representative x are summed, and each
-    term is then written under every member of its orbit.
+    q,t-only polynomial ``weigh(key)``: a route counts its fillings by key, so
+    each key weighs once.  With an ``orbit``, only the keys of representative
+    x are summed, and each term is then written under every member of its orbit.
     Unchecked: x has length n, exponents are nonnegative and counts integers."""
     acc: dict[Monomial, Scalar] = {}
     for (x, q, t, key), c in counts.items():
         if orbit is None or orbit.is_rep(x):
-            for a, b, k in weigh(key):
+            for (_, a, b), k in weigh(key).terms.items():
                 mono = Monomial(x, q + a, t + b)
                 acc[mono] = acc.get(mono, 0) + c * k
     terms = {m: c for m, c in acc.items() if c}
     return MPoly._trusted(n, terms if orbit is None else expand_orbits(terms, orbit.members))
+
+
+_ONE = MPoly.one(0)
+
+
+def unit_weight(_key) -> MPoly:
+    """The :func:`tally` weight of a route whose keys all weigh 1."""
+    return _ONE
 
 
 # -- orbits of exponent vectors ---------------------------------------------------
@@ -523,25 +533,25 @@ def divmod_poly(p: MPoly, d: MPoly) -> tuple[MPoly, MPoly]:
 
 
 @lru_cache(maxsize=1024)
-def one_minus_qt(a: int, b: int, n: int = 0) -> MPoly:
-    """The binomial 1 - q^a t^b in ambient n; cached, which is safe because
-    an MPoly is never changed after it is built."""
-    return MPoly.one(n) - MPoly.monomial(n, q=a, t=b)
+def one_minus_qt(a: int, b: int) -> MPoly:
+    """The binomial 1 - q^a t^b; cached, which is safe because an MPoly is
+    never changed after it is built."""
+    return MPoly.one(0) - MPoly.monomial(0, q=a, t=b)
 
 
 def times_binomials(poly: MPoly, factors: Iterable[tuple[int, int]]) -> MPoly:
-    """poly multiplied by 1 - q^a t^b for each (a, b) in ``factors``, in turn,
-    in poly's ambient n."""
+    """The q,t-only poly multiplied by 1 - q^a t^b for each (a, b) in
+    ``factors``, in turn."""
     for a, b in factors:
-        poly = poly * one_minus_qt(a, b, poly.n)
+        poly = poly * one_minus_qt(a, b)
     return poly
 
 
-def pochhammer_tt(m: int, n: int = 0) -> MPoly:
+def pochhammer_tt(m: int) -> MPoly:
     """(t;t)_m = prod_{i=1..m} (1 - t^i); the empty product for m = 0."""
     if m < 0:
         raise ValueError("negative Pochhammer index")
-    return times_binomials(MPoly.one(n), pochhammer_factors((m,)))
+    return times_binomials(MPoly.one(0), pochhammer_factors((m,)))
 
 
 def pochhammer_factors(ms: Iterable[int]) -> list[tuple[int, int]]:
@@ -549,15 +559,15 @@ def pochhammer_factors(ms: Iterable[int]) -> list[tuple[int, int]]:
     return [(0, i) for m in ms for i in range(1, m + 1)]
 
 
-def gaussian_binomial(m: int, k: int, n: int = 0) -> MPoly:
+def gaussian_binomial(m: int, k: int) -> MPoly:
     """t-binomial coefficient (m choose k)_t: (t;t)_m divided along chains by
     the factors of (t;t)_k and (t;t)_(m-k)."""
     if not 0 <= k <= m:
         raise ValueError(f"need 0 <= k <= m, got ({m}, {k})")
-    return divide_binomials(pochhammer_tt(m, n), pochhammer_factors((k, m - k)))
+    return divide_binomials(pochhammer_tt(m), pochhammer_factors((k, m - k)))
 
 
-def t_multinomial(total: int, parts: Sequence[int], n: int = 0) -> MPoly:
+def t_multinomial(total: int, parts: Sequence[int]) -> MPoly:
     """Gaussian multinomial (total choose parts)_t as an honest polynomial.
 
     Computed as a telescoping product of Gaussian binomials, each by exact
@@ -568,12 +578,8 @@ def t_multinomial(total: int, parts: Sequence[int], n: int = 0) -> MPoly:
         raise ValueError(f"parts must be positive: {parts}")
     if sum(parts) != total:
         raise ValueError(f"parts {parts} do not sum to {total}")
-    result = MPoly.one(n)
-    acc = 0
-    for p in parts:
-        acc += p
-        result = result * gaussian_binomial(acc, p, n)
-    return result
+    tops = accumulate(parts)
+    return prod((gaussian_binomial(top, p) for top, p in zip(tops, parts)), start=MPoly.one(0))
 
 
 # -- factored q,t-rational functions -------------------------------------------
@@ -585,8 +591,8 @@ class QtFactor(NamedTuple):
     a: int
     b: int
 
-    def poly(self, n: int = 0) -> MPoly:
-        return one_minus_qt(self.a, self.b, n)
+    def poly(self) -> MPoly:
+        return one_minus_qt(self.a, self.b)
 
 
 def divide_binomial(p: MPoly, a: int, b: int) -> MPoly | None:

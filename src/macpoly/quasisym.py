@@ -9,9 +9,9 @@ from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from .integral import compositions_rearranging
-from .polyring import QUASISYMMETRIC, Monomial, MPoly, QtRational, poly_sum, tally
+from .polyring import QUASISYMMETRIC, Monomial, MPoly, QtRational, poly_sum, tally, unit_weight
 from .nonsymmetric import EResult, _basement_walk, _e_sum, f_poly
-from .shapes import ShapeError, as_partition
+from .shapes import ShapeError, as_count, as_partition
 
 
 def compositions_with_support(gamma: Sequence[int], n: int) -> list[tuple[int, ...]]:
@@ -20,7 +20,7 @@ def compositions_with_support(gamma: Sequence[int], n: int) -> list[tuple[int, .
     gamma = tuple(gamma)
     if not all(p > 0 for p in gamma):
         raise ShapeError(f"{gamma} must have positive parts only")
-    return QUASISYMMETRIC.of(gamma, n)
+    return QUASISYMMETRIC.of(gamma, as_count(n))
 
 
 def g_poly(gamma: Sequence[int], n: int) -> EResult:
@@ -76,7 +76,7 @@ def qsym_decompose(p: Union[MPoly, EResult], n: int | None = None) -> QSymDecomp
 def schur_ssyt(lam: Sequence[int], n: int) -> MPoly:
     """Classical tableau generating function: rows weakly increase, columns
     strictly increase, entries in 1..n.  Used purely as an external oracle."""
-    lam = as_partition(lam)
+    lam, n = as_partition(lam), as_count(n)
     if not lam:
         return MPoly.one(n)
     rows = [[0] * width for width in lam]
@@ -112,7 +112,7 @@ def qs_schur(gamma: Sequence[int], n: int) -> MPoly:
     supports, the basement fillings with maj = coinv = 0, then expands."""
     walk = _basement_walk(compositions_with_support(gamma, n), n, QUASISYMMETRIC)
     counts = Counter((x, 0, 0, None) for (x, q, t, _), _ in walk if not q and not t)
-    return tally(n, counts, lambda _: ((0, 0, 1),), QUASISYMMETRIC)
+    return tally(n, counts, unit_weight, QUASISYMMETRIC)
 
 
 def t_atom_check(alpha: Sequence[int]) -> bool:

@@ -272,6 +272,13 @@ def as_partition(mu: Sequence[int]) -> tuple[int, ...]:
     return mu
 
 
+def as_count(n: int) -> int:
+    """n, checked to be a variable count: nonnegative."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    return n
+
+
 def conjugate(partition: Sequence[int]) -> tuple[int, ...]:
     """Transpose of a partition diagram."""
     parts = tuple(partition)
@@ -401,19 +408,17 @@ def is_packed(f: Filling) -> bool:
 
 def enumerate_fillings(
     shape: Diagram,
-    alphabet_max: int,
+    n: int,
     predicate: Callable[[Filling], bool] | None = None,
     basement: tuple[int, ...] | str | None = None,
 ) -> Iterator[Filling]:
-    """Yield every filling with entries in 1..alphabet_max passing `predicate`.
+    """Yield every filling with entries in 1..n passing `predicate`.
 
     Deterministic order: colexicographic on the entry vector indexed by cells
     sorted by (col, row), i.e. the first cell varies fastest.  An empty
     alphabet fills only the empty diagram.
     """
-    if alphabet_max < 0:
-        raise ValueError("alphabet_max must be nonnegative")
-    for combo in iproduct(range(1, alphabet_max + 1), repeat=len(shape.cells)):
+    for combo in iproduct(range(1, as_count(n) + 1), repeat=len(shape.cells)):
         f = Filling(shape, combo[::-1], basement)
         if predicate is None or predicate(f):
             yield f

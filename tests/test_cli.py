@@ -149,6 +149,13 @@ def test_verify_small_bounds(capsys):
     assert "compact vs plain modified-Macdonald" in out
 
 
+def test_verify_takes_its_suites_from_the_table(capsys, monkeypatch):
+    monkeypatch.setitem(verify.SUITES, "extra", [(verify.check_fixture_statistics, ())])
+    code, out = run_cli(capsys, "verify", "extra")
+    assert code == 0
+    assert "statistics fixtures" in out and "1/1 checks passed" in out
+
+
 def run_failing(capsys, *argv):
     with pytest.raises(SystemExit) as err:
         cli.main(list(argv))

@@ -181,7 +181,7 @@ def test_listing_sum_is_the_compact_polynomial(tableau_listing):
     total = MPoly.zero(n)
     for f in iter_sorted_tableaux(shape, n):
         st_ = SortedTableau.certify(f)
-        total = total + st_.multiplicity_t(n).mul_monomial(
+        total = total + st_.multiplicity_t().extended(n).mul_monomial(
             x=f.x_exponents(n), q=maj(f), t=inv(f)
         )
     assert total == htilde_compact((3, 1), n)

@@ -10,6 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from macpoly.integral import j_compact, j_plain, p_poly
+from macpoly.modified import htilde_compact, htilde_plain
+from macpoly.quasisym import g_poly, qs_schur, schur_ssyt
 from macpoly.shapes import (
     INF_BASEMENT,
     Cell,
@@ -57,6 +60,20 @@ def make_filling(heights, columns, basement=None):
         for r, value in enumerate(col, start=1):
             entries[Cell(c, r)] = value
     return Filling.from_entries(diagram(heights), entries, basement)
+
+
+# -- the variable count ------------------------------------------------------------
+
+
+ROUTES_TAKING_N = [
+    htilde_plain, htilde_compact, j_plain, j_compact, p_poly, g_poly, qs_schur, schur_ssyt
+]
+
+
+@pytest.mark.parametrize("route", ROUTES_TAKING_N, ids=lambda route: route.__name__)
+def test_negative_n_is_refused_by_every_route(route):
+    with pytest.raises(ValueError, match="^n must be nonnegative, got -1$"):
+        route((1,), -1)
 
 
 # -- composition bookkeeping ----------------------------------------------------
