@@ -20,7 +20,9 @@ expands, since J is symmetric.
 """
 
 import argparse
+from functools import partial
 
+from macpoly.cli import parse_count
 from macpoly.integral import compositions_rearranging, j_keys
 from macpoly.modified import compact_side, iter_dominant_words, iter_sorted_tableaux
 from macpoly.nonsymmetric import _basement_walk, iter_basement_fillings
@@ -42,8 +44,8 @@ def share(part: int, whole: int) -> str:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-size", type=int, default=5)
-    parser.add_argument("--n", type=int, default=3)
+    parser.add_argument("--max-size", type=partial(parse_count, name="--max-size"), default=5)
+    parser.add_argument("--n", type=parse_count, default=3)
     args = parser.parse_args()
     n = args.n
 

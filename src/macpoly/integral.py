@@ -64,10 +64,10 @@ def _j_factor_terms(heights: tuple, mask: tuple[bool, ...], pochhammer: tuple[in
 
 def j_keys(heights: Sequence[int], n: int, fillings: Iterable[Filling]) -> Counter:
     """Fillings of the diagram of ``heights`` counted by (x, maj, coinv, repeat mask)."""
-    steps = diagram(heights).steps
+    repeats = diagram(heights).repeats
     counts: Counter = Counter()
     for f in fillings:
-        mask = tuple(f.flat[i] == f.flat[j] for i, j, _ in steps)
+        mask = repeats(f.flat)
         counts[f.x_exponents(n), maj(f), coinv_comp(f), mask] += 1
     return counts
 

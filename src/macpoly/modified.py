@@ -32,6 +32,7 @@ from .shapes import (
     as_count,
     as_partition,
     conjugate,
+    content_kernel,
     diagram,
     inv,
     maj,
@@ -139,10 +140,10 @@ class SortedTableau:
 def iter_dominant_words(size: int, n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """(content, word) for every word of length ``size`` over 1..n of weakly
     decreasing content, as the distinct rearrangements of each sorted word."""
-    values = range(1, n + 1)
-    for sorted_word in combinations_with_replacement(values, size):
-        x = tuple(map(sorted_word.count, values))
-        if SYMMETRIC.is_rep(x):
+    content = content_kernel(SYMMETRIC, n)
+    for sorted_word in combinations_with_replacement(range(1, n + 1), size):
+        x = content(sorted_word)
+        if x is not None:
             for word in SYMMETRIC.members(sorted_word):
                 yield x, word
 
@@ -180,11 +181,11 @@ def htilde_compact(lam: Sequence[int], n: int) -> MPoly:
     x.  On the swapped side q and t are exchanged in both key and weight.
     """
     shape, swapped = compact_side(lam, n)
-    values = range(1, n + 1)
+    content = content_kernel(SYMMETRIC, n)
     counts: Counter = Counter()
     for f in iter_sorted_tableaux(shape, n):
-        x = tuple(map(f.flat.count, values))
-        if SYMMETRIC.is_rep(x):
+        x = content(f.flat)
+        if x is not None:
             q, t = (inv(f), maj(f)) if swapped else (maj(f), inv(f))
             counts[x, q, t, _block_runs(shape, f.flat)] += 1
     weigh = _swapped_multiplicity_terms if swapped else _multiplicity_terms

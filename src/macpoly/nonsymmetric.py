@@ -32,6 +32,7 @@ from .shapes import (
     Filling,
     coinv_comp,
     composition_stats,
+    content_kernel,
     diagram,
     iter_nonattacking,
     maj,
@@ -102,7 +103,8 @@ class EResult:
             poly = (value * multiplier).to_polynomial() if quo is None else value.num * quo
             for m, c in poly.terms.items():
                 acc[Monomial(exps, m.q, m.t)] = c
-        return MPoly(self.n, acc)
+        # as in MPoly.extended: terms of n = 0 polynomials, moved to distinct x
+        return MPoly._trusted(self.n, acc)
 
     def specialize(self, q, t) -> MPoly:
         """Evaluate q and t, producing a plain polynomial in x."""
@@ -201,14 +203,14 @@ def _basement_walk(
     must rearrange the same parts (one orbit), so that they share one
     increasing diagram: then the mask, which says which cells of
     ``shape.steps`` repeat the entry below, fixes a weight's hooks."""
-    letters, keep = range(1, n + 1), orbit and orbit.is_rep
+    content = content_kernel(orbit, n)
     for alpha in alphas:
         shape, beta, tuples = _basement_tuples(alpha)
         for e in tuples:
-            exps = tuple(map(e.count, letters))
-            if not keep or keep(exps):
-                mask = tuple(e[i] == e[j] for i, j, _ in shape.steps)
-                yield (exps, shape.maj(e, beta), shape.coinv(e, beta), mask), (shape, e, beta)
+            exps = content(e)
+            if exps is not None:
+                key = (exps, shape.maj(e, beta), shape.coinv(e, beta), shape.repeats(e))
+                yield key, (shape, e, beta)
 
 
 def _e_sum(alphas: Iterable[Sequence[int]], n: int, orbit: Orbit | None = None) -> EResult:

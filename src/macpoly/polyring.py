@@ -462,10 +462,13 @@ def expand_orbits(terms: Mapping, members: Callable[[tuple], Iterable[tuple]]) -
 class Orbit(NamedTuple):
     """The orbits of a symmetry of exponent vectors: ``is_rep`` picks one
     representative in each, ``members`` lists the orbit of a vector, each
-    member once."""
+    member once.  ``breaks`` is ``is_rep`` as source text for compiled
+    content tests: the condition on two adjacent parts ``{prev}`` and
+    ``{cur}`` under which a vector is no representative."""
 
     is_rep: Callable[[Sequence[int]], bool]
     members: Callable[[Sequence[int]], Iterable[tuple[int, ...]]]
+    breaks: str
 
     def of(self, parts: Sequence[int], n: int) -> list[tuple[int, ...]]:
         """The orbit of ``parts``' positive parts padded with zeros to length n:
@@ -475,9 +478,9 @@ class Orbit(NamedTuple):
 
 
 #: symmetric values: every rearrangement of x carries the same coefficient
-SYMMETRIC = Orbit(is_dominant, distinct_permutations)
+SYMMETRIC = Orbit(is_dominant, distinct_permutations, "{cur} > {prev}")
 #: quasisymmetric values: every placement of x's nonzero parts in order does
-QUASISYMMETRIC = Orbit(has_prefix_support, placements)
+QUASISYMMETRIC = Orbit(has_prefix_support, placements, "{cur} > 0 == {prev}")
 
 
 # -- division ----------------------------------------------------------------

@@ -16,14 +16,35 @@ Conventions used throughout the package (French notation):
 Which column pairs contribute which triple type, and how the basement row
 participates, is calibrated against the shipped statistics fixtures and the
 cross-formula identities exercised by the acceptance suite.
+
+Compiled statistics.  A diagram's per-filling statistics (``inv``, ``maj``,
+``coinv``, the repeat mask ``repeats`` and the attack test ``nonattacking``)
+are straight-line functions generated from its index tables, the way
+``dataclasses`` generates ``__init__``: each unpacks the flat entry tuple
+into locals and returns one flat ``sum((...))`` of inlined comparisons, or
+one tuple or one conjunction of them.  A kernel is compiled on its first use
+on a diagram, never at import, and cached on the diagram; the content test
+of :func:`content_kernel` is compiled once per (orbit, n).  The contract:
+
+* on every filling of the diagram, a kernel's value equals that of the loop
+  over the tables it replaces (``tests/test_shapes.py`` keeps those loops as
+  the reference and compares on every diagram of at most 5 columns of
+  height at most 3);
+* the generated source holds only integers from the tables, each written
+  with ``%d``, and fixed text.
+
+The generator, :mod:`macpoly.kernels`, is imported with the first kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import groupby, product as iproduct
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Sequence
+
+if TYPE_CHECKING:
+    from .polyring import Orbit
 
 #: basement sentinel that compares greater than every positive entry
 INFINITY = float("inf")
@@ -41,7 +62,7 @@ class Cell(NamedTuple):
     row: int
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False)
 class Diagram:
     """Column-height tuple with its index tables, built once by :func:`diagram`.
 
@@ -88,45 +109,47 @@ class Diagram:
     def __repr__(self) -> str:
         return f"Diagram(heights={self.heights!r})"
 
-    def inv(self, e: Sequence[int]) -> int:
-        """Counterclockwise triples, degenerate row-1 pairs included; defined
-        on partition shapes, where every column pair is type A, so the pairs
-        and triples are those of ``coinv``."""
-        total = 0
-        for i, j, _ in self.coinv_pairs:
-            if e[i] > e[j]:
-                total += 1
-        for a, b, c in self.coinv_triples:
-            if is_counterclockwise(e[a], e[b], e[c]):
-                total += 1
-        return total
+    @cached_property
+    def inv(self) -> Callable[[Sequence[int]], int]:
+        """``inv(e)``: counterclockwise triples, degenerate row-1 pairs included;
+        defined on partition shapes, where every column pair is type A, so the
+        pairs and triples are those of ``coinv``."""
+        return _kernels().inv(self)
 
-    def maj(self, e: Sequence[int], basement=None) -> int:
-        """Sum of leg + 1 over the cells whose entry exceeds the one below
-        it; row-1 cells compare only with a permutation basement."""
-        total = sum(w for i, j, w in self.steps if e[i] > e[j])
-        if isinstance(basement, tuple):
-            total += sum(w for i, col, w in self.bottom if e[i] > basement[col])
-        return total
+    @cached_property
+    def maj(self) -> Callable[..., int]:
+        """``maj(e, basement=None)``: sum of leg + 1 over the cells whose entry
+        exceeds the one below it; row-1 cells compare only with a permutation
+        basement."""
+        return _kernels().maj(self)
 
-    def coinv(self, e: Sequence[int], basement=None) -> int:
-        """Clockwise triples of types A and B; see :func:`coinv_comp`."""
-        total = 0
-        for a, b, c in self.coinv_triples:
-            if is_clockwise(e[a], e[b], e[c]):
-                total += 1
-        if isinstance(basement, tuple):
-            for i, j, col in self.coinv_pairs:
-                if is_clockwise(e[j], e[i], basement[col]):
-                    total += 1
-            for j, left, right in self.coinv_bottom:
-                if is_clockwise(basement[left], e[j], basement[right]):
-                    total += 1
-        else:
-            for i, j, _ in self.coinv_pairs:
-                if e[i] < e[j]:
-                    total += 1
-        return total
+    @cached_property
+    def coinv(self) -> Callable[..., int]:
+        """``coinv(e, basement=None)``: clockwise triples of types A and B; see
+        :func:`coinv_comp`."""
+        return _kernels().coinv(self)
+
+    @cached_property
+    def repeats(self) -> Callable[[Sequence[int]], tuple[bool, ...]]:
+        """``repeats(e)``: the repeat mask, per cell of ``steps`` whether its
+        entry equals the one below it."""
+        return _kernels().repeats(self)
+
+    @cached_property
+    def nonattacking(self) -> Callable[..., bool]:
+        """``nonattacking(e, basement=None)``: no entry equals one of a cell it
+        attacks, nor, in row 1, one of a permutation basement's entries to its
+        left; see :func:`is_nonattacking`."""
+        return _kernels().nonattacking(self)
+
+
+def _kernels():
+    """The kernel generator, :mod:`macpoly.kernels`, imported with the first
+    kernel built: a process that imports macpoly without bytecode caching
+    then does not compile it."""
+    from . import kernels
+
+    return kernels
 
 
 def diagram(heights: Sequence[int]) -> Diagram:
@@ -378,12 +401,18 @@ def is_nonattacking(f: Filling) -> bool:
     A permutation basement participates as row 0, which pins every row-1
     entry to the basement value below it on weakly increasing shapes.
     """
-    e = f.flat
-    for i, j in f.shape.attack_pairs:
-        if e[i] == e[j]:
-            return False
-    b = f.basement
-    return not isinstance(b, tuple) or all(e[i] not in b[:col] for i, col, _ in f.shape.bottom)
+    return f.shape.nonattacking(f.flat, f.basement)
+
+
+@lru_cache(maxsize=256)
+def content_kernel(orbit: Orbit | None, n: int) -> Callable[[Sequence[int]], tuple[int, ...] | None]:
+    """The content over 1..n of a flat entry tuple e, x_v = e.count(v), when x
+    is a representative of ``orbit`` (any x without one), else None.
+
+    The compiled test counts v = 1, 2, ... in turn and returns None at the
+    first v whose count breaks the representative condition against the count
+    of v - 1, as ``orbit.breaks`` states it; cached per (orbit, n)."""
+    return _kernels().content(orbit and orbit.breaks, n)
 
 
 def is_ordered(f: Filling) -> bool:

@@ -9,14 +9,15 @@ instance counts are pinned by ``perfbench/reference.json``.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
-from macpoly.integral import j_compact, p_poly
+from macpoly.integral import j_compact, j_plain, p_poly
 from macpoly.modified import htilde_compact, htilde_plain
 from macpoly.nonsymmetric import EResult
-from macpoly.polyring import Monomial, MPoly
+from macpoly.polyring import Monomial, MPoly, poly_sum
 from macpoly.quasisym import g_poly, schur_ssyt
 from macpoly.shapes import conjugate
 from macpoly.verify import partitions_up_to, strong_compositions_up_to
@@ -119,21 +120,99 @@ def n_statistic(mu):
     return sum(i * part for i, part in enumerate(mu))
 
 
+def schur_coefficients(value, d):
+    """The q,t coefficient of each s_nu, |nu| = d, in a symmetric ``value`` of
+    degree d in d variables, and what is left: s_nu is peeled off in reverse
+    lex order, as x^nu plus lex-smaller monomials."""
+    rest = value.qt_coefficients()
+    coeffs = {}
+    for nu in sorted((nu for nu in partitions_up_to(d) if sum(nu) == d), reverse=True):
+        c = coeffs[nu] = rest.get(nu + (0,) * (d - len(nu)), MPoly.zero(0))
+        for mono, k in schur_ssyt(nu, d).terms.items():
+            rest[mono.x] = rest.get(mono.x, MPoly.zero(0)) - c * k
+    return coeffs, rest
+
+
 def test_htilde_is_schur_positive():
-    # peel s_nu off in reverse lex order: s_nu is x^nu plus lex-smaller monomials
     count = 0
     for mu in partitions_up_to(6):
         d = n = sum(mu)
-        rest = htilde_plain(mu, n).qt_coefficients()
-        coeffs = {}
-        for nu in sorted((nu for nu in partitions_up_to(d) if sum(nu) == d), reverse=True):
-            c = coeffs[nu] = rest.get(nu + (0,) * (n - len(nu)), MPoly.zero(0))
+        coeffs, rest = schur_coefficients(htilde_plain(mu, n), d)
+        for nu, c in coeffs.items():
             assert all(k > 0 for k in c.terms.values()), (mu, nu, c)
-            for mono, k in schur_ssyt(nu, n).terms.items():
-                rest[mono.x] = rest.get(mono.x, MPoly.zero(0)) - c * k
         assert not any(rest.values()), mu
         assert coeffs[(d,)] == MPoly.one(0), mu
         corner = MPoly.monomial(0, q=n_statistic(mu), t=n_statistic(conjugate(mu)))
         assert coeffs[(1,) * d] == corner, mu
         count += 1
     assert count == 29
+
+
+# -- H~ to J through the Macdonald-Kostka expansion -------------------------------
+
+
+def elementary(k, n):
+    """e_k(x_1..x_n)."""
+    return MPoly(n, {
+        Monomial(tuple(int(i in combo) for i in range(n)), 0, 0): 1
+        for combo in combinations(range(n), k)
+    })
+
+
+@lru_cache(maxsize=None)
+def h_one_minus_t(k, n):
+    """h_k[X(1 - t)] in x_1..x_n: the sum over j of (-t)^j h_(k-j) e_j."""
+    return poly_sum(n, (
+        MPoly.monomial(n, t=j, coeff=(-1) ** j) * complete_homogeneous((k - j,), n) * elementary(j, n)
+        for j in range(k + 1)
+    ))
+
+
+@lru_cache(maxsize=None)
+def schur_one_minus_t(lam, n):
+    """s_lam[X(1 - t)] in x_1..x_n by Jacobi-Trudi: det h_(lam_i - i + j)[X(1 - t)],
+    plethysm by X(1 - t) being a ring map; h_k is 0 for k < 0."""
+    size = len(lam)
+    out = MPoly.zero(n)
+    for perm in permutations(range(size)):
+        parts = [lam[i] - i + j for i, j in enumerate(perm)]
+        if min(parts, default=0) >= 0:
+            sign = (-1) ** sum(perm[i] > perm[j] for i in range(size) for j in range(i + 1, size))
+            term = MPoly.const(n, sign)
+            for k in parts:
+                term = term * h_one_minus_t(k, n)
+            out = out + term
+    return out
+
+
+@lru_cache(maxsize=None)
+def kostka_qt(mu):
+    """K_lam,mu(q, t) = t^n(mu) K~_lam,mu(q, 1/t) for every lam: K~ is peeled off
+    the standard H~_mu, which is htilde_plain of mu's conjugate (column heights)."""
+    d = sum(mu)
+    coeffs, rest = schur_coefficients(htilde_plain(conjugate(mu), d), d)
+    assert not any(rest.values()), mu
+    return {
+        lam: MPoly(0, {Monomial((), m.q, n_statistic(mu) - m.t): k for m, k in c.terms.items()})
+        for lam, c in coeffs.items()
+    }
+
+
+def j_by_kostka(mu, n):
+    """J_mu = the sum over lam of K_lam,mu(q, t) s_lam[X(1 - t)] (Macdonald, ch. VI (8.11))."""
+    return poly_sum(n, (
+        c.extended(n) * schur_one_minus_t(lam, n) for lam, c in kostka_qt(mu).items() if c
+    ))
+
+
+def test_j_is_the_macdonald_kostka_expansion_of_htilde():
+    # ties H~ (inv, maj over all fillings) to J (maj, coinv over nonattacking
+    # fillings, by both routes) through K~, with no statistic shared
+    count = 0
+    for mu in partitions_up_to(5):
+        for n in range(1, 5):
+            expected = j_by_kostka(mu, n)
+            assert j_plain(mu, n) == expected, (mu, n)
+            assert j_compact(mu, n).value == expected, (mu, n)
+            count += 1
+    assert count == 72

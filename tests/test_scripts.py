@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -48,3 +50,14 @@ def test_term_counts_at_n_zero():
     assert "  shape (1, 1):      0 vs      0" in lines
     assert "  size 2:      0 vs      0" in lines
     assert "%" not in proc.stdout
+
+
+@pytest.mark.parametrize("flag", ["--n", "--max-size"])
+@pytest.mark.parametrize("value", ["-1", "x"])
+def test_term_counts_refuses_a_bad_count(flag, value):
+    # one error line and exit 2, as the macpoly CLI does, never a traceback
+    proc = run_term_counts(flag, value)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(f"error: {flag} ")

@@ -3,8 +3,12 @@
 import copy
 import dataclasses
 import json
+import os
+import random
+import subprocess
+import sys
 from importlib import resources
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +16,7 @@ from hypothesis import strategies as st
 
 from macpoly.integral import j_compact, j_plain, p_poly
 from macpoly.modified import htilde_compact, htilde_plain
+from macpoly.polyring import QUASISYMMETRIC, SYMMETRIC
 from macpoly.quasisym import g_poly, qs_schur, schur_ssyt
 from macpoly.shapes import (
     INF_BASEMENT,
@@ -24,6 +29,7 @@ from macpoly.shapes import (
     coinv_comp,
     composition_stats,
     conjugate,
+    content_kernel,
     diagram,
     enumerate_fillings,
     filling_from_fixture,
@@ -372,6 +378,130 @@ def random_partition_fillings(draw):
 @given(random_partition_fillings())
 def test_inv_matches_cell_by_cell(f):
     assert inv(f) == inv_by_cells(f)
+
+
+# -- compiled kernels against the loops they replace -------------------------------
+
+
+def inv_loop(shape, e):
+    total = 0
+    for i, j, _ in shape.coinv_pairs:
+        if e[i] > e[j]:
+            total += 1
+    for a, b, c in shape.coinv_triples:
+        if is_counterclockwise(e[a], e[b], e[c]):
+            total += 1
+    return total
+
+
+def maj_loop(shape, e, basement=None):
+    total = sum(w for i, j, w in shape.steps if e[i] > e[j])
+    if isinstance(basement, tuple):
+        total += sum(w for i, col, w in shape.bottom if e[i] > basement[col])
+    return total
+
+
+def coinv_loop(shape, e, basement=None):
+    total = 0
+    for a, b, c in shape.coinv_triples:
+        if is_clockwise(e[a], e[b], e[c]):
+            total += 1
+    if isinstance(basement, tuple):
+        for i, j, col in shape.coinv_pairs:
+            if is_clockwise(e[j], e[i], basement[col]):
+                total += 1
+        for j, left, right in shape.coinv_bottom:
+            if is_clockwise(basement[left], e[j], basement[right]):
+                total += 1
+    else:
+        for i, j, _ in shape.coinv_pairs:
+            if e[i] < e[j]:
+                total += 1
+    return total
+
+
+def repeats_loop(shape, e):
+    return tuple(e[i] == e[j] for i, j, _ in shape.steps)
+
+
+def nonattacking_loop(shape, e, basement=None):
+    for i, j in shape.attack_pairs:
+        if e[i] == e[j]:
+            return False
+    b = basement
+    return not isinstance(b, tuple) or all(e[i] not in b[:col] for i, col, _ in shape.bottom)
+
+
+def content_loop(orbit, n, e):
+    x = tuple(map(e.count, range(1, n + 1)))
+    return x if orbit is None or orbit.is_rep(x) else None
+
+
+def assert_kernels_match_loops(shape, e, basement):
+    assert shape.inv(e) == inv_loop(shape, e), (shape, e)
+    assert shape.maj(e, basement) == maj_loop(shape, e, basement), (shape, e, basement)
+    assert shape.coinv(e, basement) == coinv_loop(shape, e, basement), (shape, e, basement)
+    assert shape.repeats(e) == repeats_loop(shape, e), (shape, e)
+    got = shape.nonattacking(e, basement)
+    assert got is nonattacking_loop(shape, e, basement), (shape, e, basement)
+
+
+def test_kernels_match_loops_on_every_small_diagram():
+    # every height tuple of at most 5 columns of height at most 3: 1,365
+    # diagrams, among them (), (1,) and those with zero-height columns
+    rng = random.Random(21)
+    all_heights = [h for k in range(6) for h in product(range(4), repeat=k)]
+    assert len(all_heights) == 1365 and {(), (1,), (0, 2, 0)} <= set(all_heights)
+    for heights in all_heights:
+        shape = diagram(heights)
+        columns = list(range(1, len(heights) + 1))
+        for _ in range(4):
+            e = tuple(rng.randint(1, 5) for _ in shape.cells)
+            rng.shuffle(columns)
+            for basement in (None, INF_BASEMENT, tuple(columns)):
+                assert_kernels_match_loops(shape, e, basement)
+
+
+def test_kernels_compile_on_a_large_diagram():
+    shape = diagram((6,) * 6)
+    rng = random.Random(6)
+    for _ in range(20):
+        e = tuple(rng.randint(1, 5) for _ in shape.cells)
+        for basement in (None, INF_BASEMENT, tuple(rng.sample(range(1, 7), 6))):
+            assert_kernels_match_loops(shape, e, basement)
+
+
+def test_kernel_values_are_ints_and_bools():
+    shape, e = diagram((2, 1, 2)), (1, 2, 2, 1, 3)
+    assert type(shape.inv(e)) is int and type(shape.maj(e, (3, 1, 2))) is int
+    assert type(shape.coinv(e)) is int and shape.repeats(e) == (False, False)
+    assert diagram(()).inv(()) == 0 and diagram(()).repeats(()) == ()
+    assert diagram(()).nonattacking((), ()) is True
+
+
+def test_no_kernel_is_compiled_at_import():
+    code = (
+        "import sys\n"
+        "import macpoly.cli\n"
+        "from macpoly.shapes import _build_diagram, content_kernel\n"
+        "print(_build_diagram.cache_info().currsize, content_kernel.cache_info().currsize,\n"
+        "      'macpoly.kernels' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.stdout.split() == ["0", "0", "False"], proc.stderr
+
+
+@pytest.mark.parametrize("orbit", [None, SYMMETRIC, QUASISYMMETRIC], ids=["none", "sym", "qsym"])
+def test_content_kernel_matches_count_then_is_rep(orbit):
+    words = [w for size in range(5) for w in product(range(1, 4), repeat=size)]
+    rng = random.Random(5)
+    words += [tuple(rng.randint(1, 5) for _ in range(rng.randint(0, 15))) for _ in range(200)]
+    for n in range(6):
+        content = content_kernel(orbit, n)
+        assert content_kernel(orbit, n) is content
+        for e in words:
+            assert content(e) == content_loop(orbit, n, e), (n, e)
 
 
 # -- attacking / ordered / packed -------------------------------------------------
