@@ -20,6 +20,7 @@ from .shapes import (
     coinv_comp,
     composition_stats,
     conjugate,
+    content_kernel,
     diagram,
     enumerate_fillings,
     is_nonattacking,
@@ -63,12 +64,14 @@ def _j_factor_terms(heights: tuple, mask: tuple[bool, ...], pochhammer: tuple[in
 
 
 def j_keys(heights: Sequence[int], n: int, fillings: Iterable[Filling]) -> Counter:
-    """Fillings of the diagram of ``heights`` counted by (x, maj, coinv, repeat mask)."""
-    repeats = diagram(heights).repeats
+    """Fillings of the diagram of ``heights``, entries in 1..n, counted by
+    (x, maj, coinv, repeat mask): a J weight is x^sigma q^maj t^coinv times
+    the q,t part of :func:`_j_factor_terms`, which the mask fixes."""
+    repeats, content = diagram(heights).repeats, content_kernel(None, n)
     counts: Counter = Counter()
     for f in fillings:
-        mask = repeats(f.flat)
-        counts[f.x_exponents(n), maj(f), coinv_comp(f), mask] += 1
+        e = f.flat
+        counts[content(e), maj(f), coinv_comp(f), repeats(e)] += 1
     return counts
 
 
@@ -79,28 +82,12 @@ def _j_weigh(heights: Sequence[int], pochhammer: Iterable[int]) -> Callable:
     return lambda mask: _j_factor_terms(heights, mask, pochhammer)
 
 
-def j_weight_sum(
-    heights: Sequence[int], n: int, fillings: Iterable[Filling], pochhammer: Sequence[int] = ()
-) -> MPoly:
-    """The product of (t;t)_m over ``pochhammer`` times the sum of the J
-    weights of ``fillings``, all of the diagram with column heights
-    ``heights``.
-
-    A J weight is x^sigma q^maj t^coinv times, over the cells above row 1,
-    1 - q^(leg+1) t^(arm+1) where the entry repeats the one below and 1 - t
-    where it differs.  Fillings are counted by (x, maj, coinv, repeat mask),
-    and each distinct key is expanded once against the q,t product cached
-    per (shape, mask, prefactor).  J is symmetric, so :func:`j_plain` and
-    :func:`j_compact` tally the same keys over its orbits.
-    """
-    return tally(n, j_keys(heights, n, fillings), _j_weigh(heights, pochhammer))
-
-
 def j_weight_poly(f: Filling, n: int) -> MPoly:
-    """x^sigma q^maj t^coinv times the above-row-1 cell factors: the binomial
-    1 - q^(leg+1) t^(arm+1) where the entry repeats the one below, 1 - t
-    where it differs."""
-    return j_weight_sum(f.shape.heights, n, [f])
+    """The J weight of one filling (see :func:`j_keys`), its entries checked
+    to lie in 1..n."""
+    f.x_exponents(n)  # raises ValueError on an entry outside 1..n
+    heights = f.shape.heights
+    return tally(n, j_keys(heights, n, [f]), _j_weigh(heights, ()))
 
 
 def j_plain(mu: Sequence[int], n: int) -> MPoly:

@@ -47,12 +47,12 @@ def _sum(terms: list[str]) -> str:
 
 
 def _ccw(a: str, b: str, c: str) -> str:
-    """The test of :func:`~macpoly.shapes.is_counterclockwise`."""
+    """Counterclockwise (a, b, c): a < b <= c, or c < a < b, or b <= c < a."""
     return f"({a} < {b} <= {c} or {c} < {a} < {b} or {b} <= {c} < {a})"
 
 
 def _cw(a: str, b: str, c: str) -> str:
-    """The test of :func:`~macpoly.shapes.is_clockwise`."""
+    """Clockwise (a, b, c): a > b > c, or c > a > b, or b > c > a."""
     return f"({a} > {b} > {c} or {c} > {a} > {b} or {b} > {c} > {a})"
 
 

@@ -34,8 +34,7 @@ from .shapes import (
     conjugate,
     content_kernel,
     diagram,
-    inv,
-    maj,
+    inv,  # bound here for perfbench/test_perfbench.py; the routes call Diagram.inv
 )
 
 
@@ -120,21 +119,20 @@ def iter_sorted_tableaux(shape: Diagram, n: int) -> Iterator[Filling]:
 
 @dataclass(frozen=True)
 class SortedTableau:
-    """A filling certified sorted, with its per-block identical-column runs."""
+    """A filling certified sorted, with its run signature (:func:`_block_runs`)."""
 
     filling: Filling
-    block_multiplicities: tuple[tuple[int, tuple[int, ...]], ...]
+    block_multiplicities: tuple[tuple[int, ...], ...]
 
     @classmethod
     def certify(cls, f: Filling) -> "SortedTableau":
         if not is_sorted_tableau(f):
             raise ShapeError("filling is not a sorted tableau")
-        heights = [h for h, _ in f.shape.blocks]
-        return cls(f, tuple(zip(heights, _block_runs(f.shape, f.flat))))
+        return cls(f, _block_runs(f.shape, f.flat))
 
     def multiplicity_t(self) -> MPoly:
         """Product over height blocks of the Gaussian multinomials of runs."""
-        return _multiplicity_terms(tuple(runs for _, runs in self.block_multiplicities))
+        return _multiplicity_terms(self.block_multiplicities)
 
 
 def iter_dominant_words(size: int, n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -182,11 +180,12 @@ def htilde_compact(lam: Sequence[int], n: int) -> MPoly:
     """
     shape, swapped = compact_side(lam, n)
     content = content_kernel(SYMMETRIC, n)
+    q, t = (shape.inv, shape.maj) if swapped else (shape.maj, shape.inv)
     counts: Counter = Counter()
     for f in iter_sorted_tableaux(shape, n):
-        x = content(f.flat)
+        e = f.flat
+        x = content(e)
         if x is not None:
-            q, t = (inv(f), maj(f)) if swapped else (maj(f), inv(f))
-            counts[x, q, t, _block_runs(shape, f.flat)] += 1
+            counts[x, q(e), t(e), _block_runs(shape, e)] += 1
     weigh = _swapped_multiplicity_terms if swapped else _multiplicity_terms
     return tally(n, counts, weigh, SYMMETRIC)

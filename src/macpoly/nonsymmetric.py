@@ -28,6 +28,7 @@ from .polyring import (
     expand_orbits, one_minus_qt, poly_sum,
 )
 from .shapes import (
+    INF_BASEMENT,
     Diagram,
     Filling,
     coinv_comp,
@@ -176,14 +177,17 @@ def _one_minus_t_power(k: int) -> MPoly:
 
 def filling_weight(f: Filling) -> QtRational:
     """q^maj t^coinv times the (1-t)/(1 - q^(leg+1) t^(arm+1)) cell product
-    over cells whose entry differs from the entry below.  No hook divides the
-    numerator (its terms share q-exponent maj, every hook has leg + 1 >= 1)."""
-    e, shape = f.flat, f.shape
-    den: list[QtFactor] = []
-    for i, (j, hook) in enumerate(zip(shape.below, shape.hooks)):
-        below = f.basement_entry(shape.cells[i].col) if j is None else e[j]
-        if below is not None and e[i] != below:
-            den.append(QtFactor(*hook))
+    over cells whose entry differs from the entry below: in row 1, every cell
+    over "inf", those unequal to a permutation, none with no basement.  No
+    hook divides the numerator (its terms share q-exponent maj, every hook
+    has leg + 1 >= 1)."""
+    e, shape, b = f.flat, f.shape, f.basement
+    cells = [i for (i, _, _), repeat in zip(shape.steps, shape.repeats(e)) if not repeat]
+    if b == INF_BASEMENT:
+        cells += [i for i, _, _ in shape.bottom]
+    elif b is not None:
+        cells += [i for i, col, _ in shape.bottom if e[i] != b[col]]
+    den = [QtFactor(*shape.hooks[i]) for i in cells]
     num = _one_minus_t_power(len(den)).mul_monomial(q=maj(f), t=coinv_comp(f))
     return QtRational._trusted(num, tuple(sorted(den)))
 

@@ -39,7 +39,7 @@ class QSymDecomposition:
     witness: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
 
 
-def qsym_decompose(p: Union[MPoly, EResult], n: int | None = None) -> QSymDecomposition:
+def qsym_decompose(p: Union[MPoly, EResult]) -> QSymDecomposition:
     """Check invariance of coefficients along increasing variable supports.
 
     A value is quasisymmetric when, for every strong composition gamma, the
@@ -51,7 +51,7 @@ def qsym_decompose(p: Union[MPoly, EResult], n: int | None = None) -> QSymDecomp
         table, zero = dict(p.coeffs), QtRational.zero()
     else:
         table, zero = p.qt_coefficients(), MPoly.zero(0)
-    n = p.n if n is None else n
+    n = p.n
     by_gamma: dict[tuple[int, ...], dict[tuple[int, ...], object]] = {}
     for exps, coeff in table.items():
         gamma = tuple(e for e in exps if e)

@@ -9,9 +9,9 @@ Conventions used throughout the package (French notation):
 * triples come in two types, each read as entries (a, b, c): type A, for a
   left column at least as tall, from cells (v,r), (u,r), (u,r-1) with u < v;
   type B, for a strictly taller right column, from cells (v,r-1), (u,r),
-  (u,r-1) with v < u, so the L-shape sits in the right column.  The
-  counterclockwise test is the cyclic-order disjunction a < b <= c, or
-  c < a < b, or b <= c < a.
+  (u,r-1) with v < u, so the L-shape sits in the right column.  A triple is
+  counterclockwise when a < b <= c, or c < a < b, or b <= c < a, and
+  clockwise when a > b > c, or c > a > b, or b > c > a.
 
 Which column pairs contribute which triple type, and how the basement row
 participates, is calibrated against the shipped statistics fixtures and the
@@ -24,7 +24,10 @@ are straight-line functions generated from its index tables, the way
 into locals and returns one flat ``sum((...))`` of inlined comparisons, or
 one tuple or one conjunction of them.  A kernel is compiled on its first use
 on a diagram, never at import, and cached on the diagram; the content test
-of :func:`content_kernel` is compiled once per (orbit, n).  The contract:
+of :func:`content_kernel` is compiled once per (orbit, n).  Routes read each
+per-filling rule from the kernels and tables alone: content, ``repeats``
+over ``steps`` above row 1, and row 1 against a basement by ``bottom``.  The
+contract:
 
 * on every filling of the diagram, a kernel's value equals that of the loop
   over the tables it replaces (``tests/test_shapes.py`` keeps those loops as
@@ -45,9 +48,6 @@ from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Seque
 
 if TYPE_CHECKING:
     from .polyring import Orbit
-
-#: basement sentinel that compares greater than every positive entry
-INFINITY = float("inf")
 
 #: marker selecting the infinity basement on a Filling
 INF_BASEMENT = "inf"
@@ -239,13 +239,6 @@ class Filling:
     def __getitem__(self, cell) -> int:
         return self.entries[Cell(*cell)]
 
-    def basement_entry(self, col: int):
-        if self.basement is None:
-            return None
-        if self.basement == INF_BASEMENT:
-            return INFINITY
-        return self.basement[col - 1]
-
     def x_exponents(self, n: int) -> tuple[int, ...]:
         """Exponent vector of the monomial weight in x_1..x_n."""
         exps = tuple(map(self.flat.count, range(1, n + 1)))
@@ -346,19 +339,6 @@ def arm_composition(heights: Sequence[int], cell) -> int:
     right = sum(1 for v in heights[col:] if row <= v <= h)
     left = sum(1 for v in heights[:col - 1] if row - 1 <= v < h) if row > 1 else 0
     return right + left
-
-
-# -- triple classification -------------------------------------------------------
-
-
-def is_counterclockwise(a, b, c) -> bool:
-    """Cyclic-order test: a < b <= c, or c < a < b, or b <= c < a."""
-    return (a < b <= c) or (c < a < b) or (b <= c < a)
-
-
-def is_clockwise(a, b, c) -> bool:
-    """Strict reversed cyclic order: a > b > c, or c > a > b, or b > c > a."""
-    return (a > b > c) or (c > a > b) or (b > c > a)
 
 
 # -- filling statistics ----------------------------------------------------------

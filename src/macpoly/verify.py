@@ -14,6 +14,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+from inspect import signature
 from itertools import chain, product as iproduct
 from math import factorial
 from typing import Callable, Iterable, Iterator
@@ -452,33 +453,28 @@ def check_parallel_merge_order(seed: int = 7) -> CheckResult:
 # -- suites -------------------------------------------------------------------------
 
 
-#: each suite's checks in order, with their default (max_size, max_n); run_suite
-#: passes a check only the bounds it has a default for, and () marks one with none
+#: each suite's checks in order; each states its default bounds in its signature
 SUITES = {
-    "fixtures": [(check_fixture_statistics, ()), (check_fixture_tableau_listing, ())],
-    "htilde": [(check_htilde_equivalence, (6, 4)), (check_htilde_symmetry, (5, 4))],
+    "fixtures": [check_fixture_statistics, check_fixture_tableau_listing],
+    "htilde": [check_htilde_equivalence, check_htilde_symmetry],
     "j": [
-        (check_pr_products, (8, None)),
-        (check_j_equivalence, (5, 4)),
-        (check_j_ones_closed_form, (None, 5)),
-        (check_j_def, (4, 4)),
-        (check_integrality, (5, 4)),
-        (check_p_symmetry, (5, 4)),
+        check_pr_products, check_j_equivalence, check_j_ones_closed_form, check_j_def,
+        check_integrality, check_p_symmetry,
     ],
-    "qsym": [
-        (check_quasisymmetry, (5, 5)), (check_refinement, (5, 5)), (check_schur_chain, (5, 5))
-    ],
+    "qsym": [check_quasisymmetry, check_refinement, check_schur_chain],
 }
-SUITES["all"] = [*chain(*SUITES.values()), (check_properties, ()), (check_parallel_merge_order, ())]
+SUITES["all"] = [*chain(*SUITES.values()), check_properties, check_parallel_merge_order]
 
 
 def run_suite(
     suite: str, max_size: int | None = None, max_n: int | None = None
 ) -> list[CheckResult]:
+    """Run a suite's checks, passing each given bound to the checks whose
+    signature names it; the others keep their defaults."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-    bounds = (max_size, max_n)
+    given = {k: v for k, v in (("max_size", max_size), ("max_n", max_n)) if v is not None}
     return [
-        check(*(d if b is None else b for b, d in zip(bounds, defaults) if d is not None))
-        for check, defaults in SUITES[suite]
+        check(**{k: v for k, v in given.items() if k in signature(check).parameters})
+        for check in SUITES[suite]
     ]

@@ -150,7 +150,7 @@ def test_verify_small_bounds(capsys):
 
 
 def test_verify_takes_its_suites_from_the_table(capsys, monkeypatch):
-    monkeypatch.setitem(verify.SUITES, "extra", [(verify.check_fixture_statistics, ())])
+    monkeypatch.setitem(verify.SUITES, "extra", [verify.check_fixture_statistics])
     code, out = run_cli(capsys, "verify", "extra")
     assert code == 0
     assert "statistics fixtures" in out and "1/1 checks passed" in out

@@ -13,7 +13,6 @@ from macpoly.integral import (
     j_keys,
     j_plain,
     j_weight_poly,
-    j_weight_sum,
     p_poly,
     pochhammer_prefactor,
     hook_product,
@@ -263,7 +262,7 @@ def test_compiled_weights_match_cell_by_cell_without_basement(seed):
     for m in ms:
         prefactor = prefactor * pochhammer_tt(m)
     expected = prefactor.extended(n) * poly_sum(n, (j_weight_by_cells(f, n) for f in fillings))
-    assert j_weight_sum(heights, n, fillings, ms) == expected
+    assert prefactor.extended(n) * poly_sum(n, (j_weight_poly(f, n) for f in fillings)) == expected
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -274,11 +273,9 @@ def test_compiled_weights_match_cell_by_cell_with_basement(seed):
     fillings = list(iter_basement_fillings(alpha))
     for f in rng.sample(fillings, min(12, len(fillings))):
         assert j_weight_poly(f, n) == j_weight_by_cells(f, n)
-    stats = composition_stats(alpha)
-    expected = pochhammer_prefactor(stats.mult).extended(n) * poly_sum(
-        n, (j_weight_by_cells(f, n) for f in fillings)
-    )
-    assert j_weight_sum(stats.inc, n, fillings, tuple(stats.mult.values())) == expected
+    prefactor = pochhammer_prefactor(composition_stats(alpha).mult).extended(n)
+    expected = prefactor * poly_sum(n, (j_weight_by_cells(f, n) for f in fillings))
+    assert prefactor * poly_sum(n, (j_weight_poly(f, n) for f in fillings)) == expected
 
 
 def test_j_weight_poly_rejects_entries_outside_the_alphabet():

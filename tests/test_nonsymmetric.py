@@ -18,8 +18,9 @@ from macpoly.integral import (
     compositions_rearranging,
     hook_product_inc,
     integral_e,
-    j_weight_sum,
+    j_weight_poly,
     p_poly,
+    pochhammer_prefactor,
 )
 from macpoly.polyring import (
     MPoly,
@@ -39,6 +40,7 @@ from macpoly.polyring import (
 from macpoly.quasisym import compositions_with_support, g_poly
 from macpoly.shapes import (
     INF_BASEMENT,
+    Filling,
     arm_composition,
     coinv_comp,
     composition_stats,
@@ -185,17 +187,44 @@ def test_filling_weight_trivial_cell():
     assert filling_weight(f) == QtRational.one()
 
 
+def entry_below(f, cell):
+    """The entry under ``cell``: the cell below, in row 1 the basement's, or
+    None in row 1 without a basement."""
+    if cell.row > 1:
+        return f[cell.col, cell.row - 1]
+    if f.basement == INF_BASEMENT:
+        return float("inf")
+    return None if f.basement is None else f.basement[cell.col - 1]
+
+
 def cell_by_cell_weight(f):
     """The weight rebuilt cell by cell from leg, arm and the entry below."""
     num = MPoly.monomial(0, q=maj(f), t=coinv_comp(f))
     den = []
     for cell in f.shape.cells:
-        below = f[cell.col, cell.row - 1] if cell.row > 1 else f.basement_entry(cell.col)
+        below = entry_below(f, cell)
         if below is None or f[cell] == below:
             continue
         num = num * qt_one_minus_t()
         den.append(QtFactor(leg(f.shape.heights, cell) + 1, arm_composition(f.shape.heights, cell) + 1))
     return QtRational(num, den)
+
+
+def random_fillings(seed):
+    """Ten seeded fillings, attacking ones included, of a random composition
+    shape, each under no basement, "inf", and a permutation that its row 1
+    differs from in at least one cell."""
+    rng = random.Random(seed)
+    heights = [rng.randint(0, 3) for _ in range(rng.randint(1, 4))]
+    heights.insert(rng.randint(0, len(heights)), rng.randint(1, 3))
+    shape, n = diagram(heights), rng.randint(2, 4)
+    perm = tuple(rng.sample(range(1, len(heights) + 1), len(heights)))
+    for _ in range(10):
+        flat = [rng.randint(1, n) for _ in shape.cells]
+        i, col, _ = rng.choice(shape.bottom)
+        flat[i] = 1 if perm[col] != 1 else 2
+        for basement in (None, INF_BASEMENT, perm):
+            yield Filling(shape, tuple(flat), basement)
 
 
 @pytest.mark.parametrize(
@@ -205,13 +234,17 @@ def cell_by_cell_weight(f):
         lambda: iter_basement_fillings((3, 0, 1, 1)),
         lambda: enumerate_fillings(diagram((1, 2)), 2, basement=INF_BASEMENT),
         lambda: enumerate_fillings(diagram((2, 1)), 2),
+        *(
+            pytest.param(lambda seed=seed: random_fillings(seed), id=f"random{seed}")
+            for seed in range(12)
+        ),
     ],
 )
 def test_filling_weight_matches_cell_by_cell_form(fillings):
     # same numerator and denominator, not merely an equal value
     for f in fillings():
         fast, slow = filling_weight(f), cell_by_cell_weight(f)
-        assert (fast.num, fast.den) == (slow.num, slow.den)
+        assert (fast.num, fast.den) == (slow.num, slow.den), (f.flat, f.basement)
 
 
 # The reduced form of a sum depends on how its terms were added and reduced,
@@ -283,9 +316,10 @@ def printed(value):
 def test_integral_e_matches_the_filling_by_filling_j_sum():
     differ = []
     for alpha in SMALL_ALPHAS:
-        stats = composition_stats(alpha)
-        fillings = iter_basement_fillings(alpha)
-        expected = j_weight_sum(stats.inc, len(alpha), fillings, stats.mult.values())
+        n = len(alpha)
+        expected = pochhammer_prefactor(composition_stats(alpha).mult).extended(n) * poly_sum(
+            n, (j_weight_poly(f, n) for f in iter_basement_fillings(alpha))
+        )
         if integral_e(alpha) != expected:
             differ.append(alpha)
     assert differ == []

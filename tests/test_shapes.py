@@ -34,8 +34,6 @@ from macpoly.shapes import (
     enumerate_fillings,
     filling_from_fixture,
     inv,
-    is_clockwise,
-    is_counterclockwise,
     is_nonattacking,
     is_ordered,
     is_packed,
@@ -173,6 +171,16 @@ def test_plan_below_and_hooks():
 
 
 # -- triples -----------------------------------------------------------------------
+
+
+def is_counterclockwise(a, b, c) -> bool:
+    """Cyclic-order test: a < b <= c, or c < a < b, or b <= c < a."""
+    return (a < b <= c) or (c < a < b) or (b <= c < a)
+
+
+def is_clockwise(a, b, c) -> bool:
+    """Strict reversed cyclic order: a > b > c, or c > a > b, or b > c > a."""
+    return (a > b > c) or (c > a > b) or (b > c > a)
 
 
 def test_classify_triple_A_examples():
