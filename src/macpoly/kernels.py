@@ -1,10 +1,9 @@
-"""Source generation for the compiled statistics of :mod:`macpoly.shapes`.
+"""Source generation for the compiled statistics and walks of :mod:`macpoly.shapes`.
 
-Each function here writes one straight-line Python function from a
-diagram's index tables (or from a variable count) and compiles it.  The
-contract is stated in the :mod:`macpoly.shapes` docstring.  This module is
-imported with the first kernel built, not with the package, so importing
-macpoly does not compile it.
+Each function here writes straight-line Python from a diagram's index tables
+(or from a variable count) and compiles it.  The contract is stated in the
+:mod:`macpoly.shapes` docstring.  This module is imported with the first
+kernel built, not with the package, so importing macpoly does not compile it.
 """
 
 from __future__ import annotations
@@ -12,11 +11,14 @@ from __future__ import annotations
 from typing import Callable
 
 
-def _compile(name: str, params: str, lines: list[str], origin: str) -> Callable:
+def _compile(
+    name: str, params: str, lines: list[str], origin: str, namespace: dict | None = None
+) -> Callable:
     """The function ``def name(params)`` with body ``lines``, compiled from
-    source; callers build that source from integers and fixed text only."""
+    source into ``namespace`` (a new one by default); callers build that
+    source from integers and fixed text only."""
     body = "".join("\n    " + line for line in lines)
-    namespace: dict = {}
+    namespace = {} if namespace is None else namespace
     exec(compile(f"def {name}({params}):{body}\n", origin, "exec"), namespace)
     return namespace[name]
 
@@ -95,6 +97,41 @@ def nonattacking(shape) -> Callable:
     if pinned:
         tests.append("(not isinstance(b, tuple) or " + " and ".join(pinned) + ")")
     return _kernel(shape, "nonattacking", "e, b=None", "return " + (" and ".join(tests) or "True"))
+
+
+#: loops per generated function, as CPython refuses more than 20 nested blocks
+_STAGE = 19
+
+
+def walk(shape) -> Callable:
+    """``walk(n, b=None, ordered=False)`` of :meth:`~macpoly.shapes.Diagram.walk`:
+    one ``for`` loop per cell in cell order, values rising, that skips a value
+    equal to the entry of a cell it attacks.  A row-1 loop runs over (b[col],)
+    when a basement pins row 1, and with ``ordered`` stops at the entry to its
+    left in its block.  Every 19 cells the loops go on in a chained function."""
+    cells, cols = range(len(shape.cells)), {i: col for i, col, _ in shape.bottom}
+    left = {b.start: a.start for h, slices in shape.blocks if h for a, b in zip(slices, slices[1:])}
+    rows, pins = "".join("r%d, " % i for i in cols), "".join(_b(col) + ", " for col in cols.values())
+    pin = "(%s) = [top] * %d if b is None else [(v,) if 0 < v <= n else () for v in (%s)]"
+    head = ["top = range(1, n + 1)", pin % (rows, len(cols), pins)]
+    stages = [cells[k:k + _STAGE] for k in range(0, len(cells), _STAGE)] or [cells]
+    namespace: dict = {}
+    for k, stage in enumerate(stages):
+        lines = [] if k else head
+        for depth, i in enumerate(stage):
+            pad = "    " * depth
+            lines.append(pad + "for %s in %s:" % (_e(i), "r%d" % i if i in cols else "top"))
+            if i in left:
+                lines.append(pad + "    if ordered and %s >= %s: break" % (_e(i), _e(left[i])))
+            tests = " or ".join(_e(i) + " == " + _e(j) for j in shape.attacks[i])
+            lines.append(pad + "    if %s: continue" % (tests or "False"))
+        done = "".join(_e(i) + ", " for i in cells[:stage.stop])
+        chain = "yield from walk%d(top, ordered, %s%s)" % (k + 1, rows, done)
+        lines.append("    " * len(stage) + (chain if k + 1 < len(stages) else "yield (%s)" % done))
+        params = "top, ordered, " + rows + "".join(_e(i) + ", " for i in cells[:stage.start])
+        _compile("walk%d" % k, params if k else "n, b=None, ordered=False", lines,
+                 "<walk%d of %r>" % (k, shape), namespace)
+    return namespace["walk0"]
 
 
 def content(breaks: str | None, n: int) -> Callable:

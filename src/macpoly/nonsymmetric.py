@@ -149,8 +149,8 @@ def iter_basement_fillings(alpha: Sequence[int]) -> Iterator[Filling]:
     """Nonattacking fillings of the increasing diagram of alpha with the
     maximal-length sorting permutation as basement, entries in 1..len(alpha).
 
-    Row 1 is pinned to the basement; the cells above it are filled by
-    backtracking in cell order, values ascending, each attacking pair checked
+    Row 1 is pinned to the basement; the cells above it are filled by the
+    compiled walk in cell order, values ascending, each attacking pair checked
     as soon as both of its cells are set.  The order is that of filtering
     every assignment of the free cells, the last cell varying fastest.
     """
@@ -166,8 +166,7 @@ def _basement_tuples(
     tuples of :func:`iter_basement_fillings`, in its order."""
     stats = composition_stats(alpha)
     shape = diagram(stats.inc)
-    pinned = {i: stats.beta[col] for i, col, _ in shape.bottom}
-    return shape, stats.beta, iter_nonattacking(stats.inc, len(stats.inc), pinned)
+    return shape, stats.beta, iter_nonattacking(stats.inc, len(stats.inc), stats.beta)
 
 
 @lru_cache(maxsize=64)

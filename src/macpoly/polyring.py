@@ -543,10 +543,17 @@ def one_minus_qt(a: int, b: int) -> MPoly:
 
 
 def times_binomials(poly: MPoly, factors: Iterable[tuple[int, int]]) -> MPoly:
-    """The q,t-only poly multiplied by 1 - q^a t^b for each (a, b) in
-    ``factors``, in turn."""
+    """poly multiplied by 1 - q^a t^b for each (a, b) in ``factors``, in turn:
+    each factor copies the term map once and subtracts every term shifted by
+    q^a t^b from it."""
     for a, b in factors:
-        poly = poly * one_minus_qt(a, b)
+        terms = dict(poly.terms)
+        for (x, q, t), c in poly.terms.items():
+            shifted = Monomial(x, q + a, t + b)
+            c = terms.pop(shifted, 0) - c
+            if c:
+                terms[shifted] = c
+        poly = MPoly._trusted(poly.n, terms)
     return poly
 
 

@@ -22,17 +22,20 @@ Compiled statistics.  A diagram's per-filling statistics (``inv``, ``maj``,
 are straight-line functions generated from its index tables, the way
 ``dataclasses`` generates ``__init__``: each unpacks the flat entry tuple
 into locals and returns one flat ``sum((...))`` of inlined comparisons, or
-one tuple or one conjunction of them.  A kernel is compiled on its first use
-on a diagram, never at import, and cached on the diagram; the content test
-of :func:`content_kernel` is compiled once per (orbit, n).  Routes read each
-per-filling rule from the kernels and tables alone: content, ``repeats``
-over ``steps`` above row 1, and row 1 against a basement by ``bottom``.  The
-contract:
+one tuple or one conjunction of them; the nonattacking ``walk`` nests one
+``for`` loop per cell that skips the values of the cells it ``attacks``.  A
+kernel is compiled on its first use on a diagram, never at import, and cached
+on the diagram; the content test of :func:`content_kernel` is compiled once
+per (orbit, n).  Routes read each per-filling rule from the kernels and
+tables alone: content, ``repeats`` over ``steps`` above row 1, and row 1
+against a basement by ``bottom``.  The contract:
 
 * on every filling of the diagram, a kernel's value equals that of the loop
   over the tables it replaces (``tests/test_shapes.py`` keeps those loops as
   the reference and compares on every diagram of at most 5 columns of
-  height at most 3);
+  height at most 3); the walk yields the tuples of filtering every
+  assignment, in the same order (every diagram of at most 3 columns of
+  height at most 2, and five larger);
 * the generated source holds only integers from the tables, each written
   with ``%d``, and fixed text.
 
@@ -141,6 +144,11 @@ class Diagram:
         attacks, nor, in row 1, one of a permutation basement's entries to its
         left; see :func:`is_nonattacking`."""
         return _kernels().nonattacking(self)
+
+    @cached_property
+    def walk(self) -> Callable[..., Iterator[tuple[int, ...]]]:
+        """``walk(n, b=None, ordered=False)``: the tuples of :func:`iter_nonattacking`."""
+        return _kernels().walk(self)
 
 
 def _kernels():
@@ -436,52 +444,20 @@ def enumerate_fillings(
 def iter_nonattacking(
     heights: Sequence[int],
     n: int,
-    pinned: Mapping[int, int] | None = None,
+    basement: tuple[int, ...] | None = None,
     ordered: bool = False,
 ) -> Iterator[tuple[int, ...]]:
-    """Flat entry tuples (cell order) of the nonattacking fillings of
-    the diagram with column heights ``heights``, entries in 1..n.
+    """Flat entry tuples (cell order) of the nonattacking fillings of the
+    diagram with column heights ``heights``, entries in 1..n, in lexicographic
+    order, from the diagram's compiled :attr:`~Diagram.walk`.
 
-    Cells are filled by backtracking in cell order, values ascending, so the
-    tuples come in lexicographic order; a value is dropped as soon as it
-    equals an already set cell it attacks.  ``pinned`` fixes the entries of
-    some cells (by position), e.g. row 1 against a permutation basement.
-    With ``ordered``, each row-1 entry of an equal-height block is bounded
-    below the entry to its left, which is the rule of :func:`is_ordered`.
+    A ``basement`` tuple pins each row-1 entry to the one under its column
+    (none if outside 1..n), as a permutation basement does on a weakly
+    increasing shape of at least n columns.  With ``ordered``, each row-1 entry
+    of an equal-height block is bounded below the entry to its left, which is
+    the rule of :func:`is_ordered`.
     """
-    shape = diagram(heights)
-    pinned = pinned or {}
-    # row-1 cell -> the row-1 cell to its left in the same block
-    left = {
-        b.start: a.start
-        for h, slices in shape.blocks
-        if ordered and h
-        for a, b in zip(slices, slices[1:])
-    }
-    rules = [(shape.attacks[i], left.get(i), pinned.get(i)) for i in range(len(shape.cells))]
-    last = len(rules) - 1
-    e = [0] * len(rules)
-
-    def fill(i: int) -> Iterator[tuple[int, ...]]:
-        partners, bound, fixed = rules[i]
-        top = n if bound is None else e[bound] - 1
-        taken = {e[j] for j in partners}
-        if fixed is None:
-            values = range(1, top + 1)
-        else:
-            values = (fixed,) if 1 <= fixed <= top else ()
-        for v in values:
-            if v not in taken:
-                e[i] = v
-                if i == last:
-                    yield tuple(e)
-                else:
-                    yield from fill(i + 1)
-
-    if rules:
-        yield from fill(0)
-    else:
-        yield ()
+    return diagram(heights).walk(n, basement, ordered)
 
 
 # -- fixture files ----------------------------------------------------------------

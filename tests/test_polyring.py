@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from macpoly.polyring import (
@@ -312,6 +312,29 @@ def test_specialize_commutes_with_ops(p, r):
     point = dict(q=1, t=0, x={1: 2, 2: 1})
     assert (p + r).specialize(**point) == p.specialize(**point) + r.specialize(**point)
     assert (p * r).specialize(**point) == p.specialize(**point) * r.specialize(**point)
+
+
+@st.composite
+def polys_and_binomials(draw):
+    """A polynomial in n = 0..2 and a list of binomial exponents (a, b), often
+    empty or repeating one pair; (0, 0) is the zero binomial."""
+    p = draw(small_polys(draw(st.integers(0, 2))))
+    pool = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=2))
+    return p, draw(st.lists(st.sampled_from(pool), max_size=4))
+
+
+@settings(max_examples=200)
+@example((MPoly.monomial(1, x=(1,)), []))
+@example((MPoly.one(0) + tpoly(), [(0, 1), (0, 1), (1, 1)]))
+@given(polys_and_binomials())
+def test_times_binomials_multiplies_by_each_binomial(case):
+    p, factors = case
+    expected = p
+    for a, b in factors:
+        expected = expected * one_minus_qt(a, b).extended(p.n)
+    got = times_binomials(p, factors)
+    assert got == expected
+    assert all(got.terms.values())
 
 
 @st.composite

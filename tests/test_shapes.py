@@ -14,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from macpoly import kernels
 from macpoly.integral import j_compact, j_plain, p_poly
 from macpoly.modified import htilde_compact, htilde_plain
-from macpoly.polyring import QUASISYMMETRIC, SYMMETRIC
+from macpoly.nonsymmetric import e_permuted_basement
+from macpoly.polyring import QUASISYMMETRIC, SYMMETRIC, QtRational
 from macpoly.quasisym import g_poly, qs_schur, schur_ssyt
 from macpoly.shapes import (
     INF_BASEMENT,
@@ -37,6 +39,7 @@ from macpoly.shapes import (
     is_nonattacking,
     is_ordered,
     is_packed,
+    iter_nonattacking,
     leg,
     maj,
 )
@@ -607,6 +610,53 @@ def test_enumerate_colex_order():
 def test_enumerate_empty_shape():
     fillings = list(enumerate_fillings(diagram([0, 0]), 2))
     assert len(fillings) == 1 and fillings[0].entries == {}
+
+
+def ordered_loop(shape, e):
+    """Each equal-height block's row-1 entries strictly decrease, on any diagram."""
+    return all(
+        e[a.start] > e[b.start] for h, slices in shape.blocks if h for a, b in zip(slices, slices[1:])
+    )
+
+
+#: every diagram of at most 3 columns of height at most 2 ((), zero-height
+#: columns and unequal blocks among them), and five of more cells
+WALK_HEIGHTS = [h for k in range(4) for h in product(range(3), repeat=k)]
+WALK_HEIGHTS += [(1, 1, 2, 2), (0, 2, 2, 1), (3, 1, 1), (2, 3, 3), (1, 2, 2, 2)]
+
+
+@pytest.mark.parametrize("staged", [False, True], ids=["one-function", "chained"])
+def test_walk_matches_filtering_every_assignment(staged, monkeypatch):
+    # the chained case compiles every walk with 2 loops per function, so that
+    # every stage boundary of a long walk is crossed on small diagrams
+    if staged:
+        monkeypatch.setattr(kernels, "_STAGE", 2)
+    for heights in WALK_HEIGHTS:
+        shape = diagram(heights)
+        walk = kernels.walk(shape) if staged else shape.walk
+        increasing = all(a <= b for a, b in zip(heights, heights[1:]))
+        basements = list(permutations(range(1, len(heights) + 1))) if increasing else []
+        for n in range(4):
+            assignments = list(product(range(1, n + 1), repeat=len(shape.cells)))
+            plain = [e for e in assignments if is_nonattacking(Filling(shape, e))]
+            assert list(walk(n)) == plain, (heights, n)
+            ordered = [e for e in plain if ordered_loop(shape, e)]
+            assert list(walk(n, None, True)) == ordered, (heights, n)
+            if n > len(heights):
+                continue
+            # a permutation basement pins row 1 on an increasing shape for n <= its columns
+            for b in basements:
+                pinned = [e for e in assignments if is_nonattacking(Filling(shape, e, b))]
+                assert list(walk(n, b)) == pinned, (heights, n, b)
+    assert diagram((2, 1)).walk is diagram((2, 1)).walk
+
+
+def test_walks_past_the_nesting_limit():
+    # 21 or more nested loops do not compile, so these walks run chained
+    assert list(iter_nonattacking((22,), 1)) == [(1,) * 22]
+    e = e_permuted_basement((25,))
+    assert e.n == 1 and e.coeffs == {(25,): QtRational.one()}
+    assert j_compact((25,), 1).value == j_plain((25,), 1)
 
 
 # -- the diagram type -----------------------------------------------------------------
