@@ -620,7 +620,7 @@ def ordered_loop(shape, e):
 
 
 #: every diagram of at most 3 columns of height at most 2 ((), zero-height
-#: columns and unequal blocks among them), and five of more cells
+#: columns and unequal blocks among them), and five with more cells
 WALK_HEIGHTS = [h for k in range(4) for h in product(range(3), repeat=k)]
 WALK_HEIGHTS += [(1, 1, 2, 2), (0, 2, 2, 1), (3, 1, 1), (2, 3, 3), (1, 2, 2, 2)]
 
