@@ -41,7 +41,7 @@ from .shapes import (
 
 @dataclass
 class EResult:
-    """Polynomial in x with QtRational coefficients, keyed by exponent vector."""
+    """Polynomial in x with nonzero QtRational coefficients, keyed by exponent vector."""
 
     n: int
     coeffs: dict[tuple[int, ...], QtRational] = field(default_factory=dict)
@@ -66,17 +66,6 @@ class EResult:
         out = EResult(self.n, dict(self.coeffs))
         out += other
         return out
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EResult):
-            return NotImplemented
-        if self.n != other.n:
-            return False
-        keys = set(self.coeffs) | set(other.coeffs)
-        zero = QtRational.zero()
-        return all(
-            self.coeffs.get(k, zero) == other.coeffs.get(k, zero) for k in keys
-        )
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -177,9 +166,9 @@ def _one_minus_t_power(k: int) -> MPoly:
 def filling_weight(f: Filling) -> QtRational:
     """q^maj t^coinv times the (1-t)/(1 - q^(leg+1) t^(arm+1)) cell product
     over cells whose entry differs from the entry below: in row 1, every cell
-    over "inf", those unequal to a permutation, none with no basement.  No
-    hook divides the numerator (its terms share q-exponent maj, every hook
-    has leg + 1 >= 1)."""
+    over "inf", those unequal to a permutation, none with no basement.  It is
+    canonical: no piece of a hook divides the numerator, whose terms share
+    q-exponent maj, as every hook has leg + 1 >= 1."""
     e, shape, b = f.flat, f.shape, f.basement
     cells = [i for (i, _, _), repeat in zip(shape.steps, shape.repeats(e)) if not repeat]
     if b == INF_BASEMENT:
@@ -218,9 +207,9 @@ def _basement_walk(
 
 def _e_sum(alphas: Iterable[Sequence[int]], n: int, orbit: Orbit | None = None) -> EResult:
     """The sum of :func:`e_permuted_basement` over ``alphas``, one orbit as in
-    :func:`_basement_walk`.  Keys are counted over every composition, each
-    distinct (maj, coinv, mask) weight is built once, and each key adds its
-    weight times its count once.  With an ``orbit``, only representative
+    :func:`_basement_walk`.  Keys are counted over every composition, each distinct
+    (maj, coinv, mask) weight is built once, and each exponent vector's weights times
+    their counts make one :meth:`QtRational.sum`.  With an ``orbit``, only representative
     exponent vectors are summed, each then written under its whole orbit."""
     counts: Counter = Counter()
     fillings: dict[tuple, tuple] = {}
@@ -228,11 +217,11 @@ def _e_sum(alphas: Iterable[Sequence[int]], n: int, orbit: Orbit | None = None) 
         counts[key] += 1
         fillings.setdefault(key[1:], args)
     weights = {key: filling_weight(Filling(*args)) for key, args in fillings.items()}
-    out = EResult(n)
+    parts: dict[tuple, list] = {}
     for key, c in counts.items():
-        weight = weights[key[1:]]
-        out.add_term(key[0], QtRational._trusted(weight.num * c, weight.den))
-    return out if orbit is None else EResult(n, expand_orbits(out.coeffs, orbit.members))
+        parts.setdefault(key[0], []).append((c, weights[key[1:]]))
+    coeffs = {exps: u for exps, terms in parts.items() if (u := QtRational.sum(terms))}
+    return EResult(n, coeffs if orbit is None else expand_orbits(coeffs, orbit.members))
 
 
 def f_poly(alpha: Sequence[int]) -> EResult:

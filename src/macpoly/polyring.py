@@ -19,10 +19,10 @@ from __future__ import annotations
 import json
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate, combinations
 from math import prod
-from operator import ge
+from operator import ge, or_
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -44,7 +44,7 @@ class EvaluationError(ZeroDivisionError):
 
 
 def _normalize_scalar(c: Scalar) -> Scalar:
-    if isinstance(c, Fraction) and c.denominator == 1:
+    if type(c) is not int and isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
     return c
 
@@ -661,33 +661,15 @@ def divide_binomials(p: MPoly, factors: Iterable[tuple[int, int]]) -> MPoly:
     return p
 
 
-def _reduce(num: MPoly, den: tuple[QtFactor, ...]) -> tuple[MPoly, tuple[QtFactor, ...]]:
-    """Divide out, in order, each factor that divides the numerator.
-
-    One pass suffices: a factor that does not divide num divides no quotient
-    of num either, so a factor that fails once never succeeds later.
-    """
-    if num.is_zero():
-        return num, ()
-    kept: list[QtFactor] = []
-    for f in den:
-        quo = None if f in kept else divide_binomial(num, f.a, f.b)
-        if quo is None:
-            kept.append(f)
-        else:
-            num = quo
-    return num, tuple(sorted(kept))
-
-
 class QtRational:
     """Element of Z[q,t] localized at the binomials 1 - q^a t^b.
 
-    The denominator is a multiset of :class:`QtFactor`; construction divides
-    out, greedily and in the order given, every factor that divides the
-    numerator exactly.  The reduced form is therefore not canonical: it
-    depends on the order in which a value's terms were added, and so does
-    its JSON output.  Equality cross-multiplies, so equal values compare
-    equal whatever their form.
+    The denominator is a sorted multiset of :class:`QtFactor`, and the form is
+    canonical, a function of the value alone (:mod:`macpoly.cyclotomic`): no
+    cyclotomic piece Phi_d(q^a t^b) of a factor divides the numerator, and the
+    pieces left are gathered into binomials largest first.  So equal values
+    have equal forms and the same JSON, whatever the order of the additions
+    that built them.
     """
 
     __slots__ = ("num", "den")
@@ -699,15 +681,39 @@ class QtRational:
         for f in den:
             if f.b < 1 or f.a < 0:
                 raise ValueError(f"invalid denominator factor {f}")
-        self.num, self.den = _reduce(num, den)
+        if num and den:
+            from .cyclotomic import reduced
+
+            num, den = reduced(num, den)
+        self.num, self.den = num, den if num else ()
 
     @classmethod
     def _trusted(cls, num: MPoly, den: tuple[QtFactor, ...]) -> "QtRational":
         """The fraction num / den as given, unreduced: for a q,t-only numerator
-        and a sorted tuple of factors of which none divides it."""
+        and a sorted tuple of factors already in the canonical form."""
         out = cls.__new__(cls)
         out.num, out.den = num, den
         return out
+
+    @classmethod
+    def sum(cls, parts: Iterable[tuple[Scalar, "QtRational"]]) -> "QtRational":
+        """The sum of c u over ``parts`` (c, u), reduced once: the numerators that
+        share a denominator are added, and those sums brought to the lcm of the dens."""
+        if len(parts := list(parts)) == 1 and parts[0][0]:
+            c, u = parts[0]
+            return u if c == 1 else cls._trusted(u.num * c, u.den)  # canonical, as u is
+        by_den: dict[tuple, dict[Monomial, Scalar]] = {}
+        for c, u in parts:
+            acc = by_den.setdefault(u.den, {})
+            for mono, k in u.num.terms.items():
+                acc[mono] = acc.get(mono, 0) + c * k
+        if len(by_den) != 1:
+            lcm = reduce(or_, map(Counter, by_den), Counter())
+            nums = (times_binomials(MPoly._trusted(0, acc), (lcm - Counter(den)).elements())
+                    for den, acc in by_den.items())
+            by_den = {tuple(lcm.elements()): poly_sum(0, nums).terms}
+        (den, acc), = by_den.items()
+        return cls(MPoly._trusted(0, {m: k for m, k in acc.items() if k}), den)
 
     @classmethod
     def from_int(cls, c: Scalar) -> "QtRational":
@@ -739,15 +745,7 @@ class QtRational:
     def __add__(self, other: "QtRational") -> "QtRational":
         if isinstance(other, (int, Fraction)):
             other = QtRational.from_int(other)
-        if self.den == other.den:
-            # a reduced denominator is a sorted tuple, which is what the lcm
-            # below would list
-            return QtRational(self.num + other.num, self.den)
-        mine, theirs = Counter(self.den), Counter(other.den)
-        lcm = mine | theirs
-        num = times_binomials(self.num, (lcm - mine).elements())
-        onum = times_binomials(other.num, (lcm - theirs).elements())
-        return QtRational(num + onum, tuple(lcm.elements()))
+        return QtRational.sum([(1, self), (1, other)])
 
     def __neg__(self) -> "QtRational":
         return QtRational._trusted(-self.num, self.den)
@@ -760,9 +758,7 @@ class QtRational:
             other = QtRational.from_int(other)
         if not isinstance(other, QtRational):
             return NotImplemented
-        if self.num == other.num and self.den == other.den:
-            return True
-        return times_binomials(self.num, other.den) == times_binomials(other.num, self.den)
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         raise TypeError("QtRational is not hashable (compare by value)")

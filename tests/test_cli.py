@@ -47,6 +47,14 @@ def test_json_round_trip(capsys):
     assert MPoly.from_json(out.strip()).to_json() == out.strip()
 
 
+def test_p_at_a_point_where_no_canonical_factor_vanishes(capsys):
+    # 1 - q^2 t^2 vanishes at q = 1, t = -1, but P_(3,3) in 3 variables is
+    # finite there, and its canonical form keeps no such factor
+    code, out = run_cli(capsys, "p", "--shape", "3,3", "--n", "3", "--q", "1", "--t", "-1")
+    assert code == 0
+    assert out.strip() == str(p_poly((3, 3), 3).specialize(q=1, t=-1))
+
+
 def test_output_deterministic(capsys):
     args = ("p", "--shape", "2,1", "--n", "3", "--json")
     _, first = run_cli(capsys, *args)

@@ -1,6 +1,7 @@
 """PR products, the two J routes, and the P assembly."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -370,6 +371,20 @@ def test_p_symmetric(lam, n):
 def test_j_equals_p_times_hook_product(lam, n):
     lhs = p_poly(lam, n).cleared_by(hook_product(lam))
     assert lhs == j_compact(lam, n).value
+
+
+def test_p_is_finite_where_its_reduced_value_is():
+    # P_(3,3) in 3 variables is finite at q = 1, t = -1; each canonical
+    # coefficient evaluates there to the value of its fully cancelled fraction
+    sympy = pytest.importorskip("sympy")
+    q, t = sympy.symbols("q t")
+    p = p_poly((3, 3), 3)
+    for exps, value in p.coeffs.items():
+        num = sum(c * q**m.q * t**m.t for m, c in value.num.terms.items())
+        den = sympy.Mul(*(1 - q**f.a * t**f.b for f in value.den))
+        expected = sympy.cancel(num / den).subs({q: 1, t: -1})
+        got = Fraction(value.specialize(q=1, t=-1))
+        assert sympy.Rational(got.numerator, got.denominator) == expected, exps
 
 
 def test_p_is_zero_with_more_parts_than_variables():

@@ -50,6 +50,7 @@ from macpoly.shapes import (
     leg,
     maj,
 )
+from macpoly.verify import partitions_up_to
 
 
 def qt_one_minus_t():
@@ -359,6 +360,20 @@ def test_p_and_g_print_as_the_filling_order_sum(lam, n):
     assert printed(g_poly(lam, n)) == printed(expected)
 
 
+def test_p_prints_as_the_sum_of_f_over_its_rearrangements():
+    # a coefficient's printed form is a function of its value, so the orbit
+    # sum of P prints as the plain sum of F over every rearrangement of lam
+    differ = []
+    for lam in partitions_up_to(5):
+        for n in range(len(lam), 5):
+            total = EResult(n)
+            for alpha in compositions_rearranging(lam, n):
+                total += f_poly(alpha)
+            if printed(p_poly(lam, n)) != printed(total):
+                differ.append((lam, n))
+    assert differ == []
+
+
 # -- clearing denominators ----------------------------------------------------------
 
 
@@ -383,13 +398,14 @@ def test_cleared_by_matches_clearing_each_coefficient():
 
 
 def test_cleared_by_falls_back_when_the_numerator_supplies_a_factor():
-    # 1 - q^2 t^2 does not divide 1 - qt, but (1 + qt)(1 - qt) is 1 - q^2 t^2
-    value = QtRational(MPoly.one(0) + MPoly.monomial(0, q=1, t=1), [QtFactor(2, 2)])
-    assert value.den == (QtFactor(2, 2),)
+    # 1 - q^2 t^2 does not divide 1 + qt, but (1 - qt)(1 + qt) is 1 - q^2 t^2
+    value = QtRational(one_minus_qt(1, 1), [QtFactor(2, 2)])
+    assert (value.num, value.den) == (one_minus_qt(1, 1), (QtFactor(2, 2),))
+    multiplier = MPoly.one(0) + MPoly.monomial(0, q=1, t=1)
     with pytest.raises(NonPolynomialError):
-        divide_binomials(one_minus_qt(1, 1), value.den)
+        divide_binomials(multiplier, value.den)
     e = EResult(1, {(2,): value})
-    assert e.cleared_by(one_minus_qt(1, 1)) == MPoly.monomial(1, x=(2,))
+    assert e.cleared_by(multiplier) == MPoly.monomial(1, x=(2,))
 
 
 def test_cleared_by_raises_on_a_surviving_denominator():

@@ -1,5 +1,6 @@
 """Arithmetic-layer unit and property tests."""
 
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -235,8 +236,9 @@ def test_qt_specialize_q_zero_keeps_t():
     u = QtRational(MPoly.one(0) + qpoly() + tpoly(), [QtFactor(2, 1), QtFactor(0, 2)])
     v = u.specialize(q=0)
     assert isinstance(v, QtRational)
-    assert v.num == MPoly.one(0) + tpoly()
-    assert v.den == (QtFactor(0, 2),)
+    # (1 + t) / (1 - t^2) in its canonical form
+    assert v.num == MPoly.one(0)
+    assert v.den == (QtFactor(0, 1),)
 
 
 # -- specialize on MPoly -------------------------------------------------------
@@ -441,6 +443,82 @@ def test_qt_add_matches_counter_lcm_reference(pair):
     u, v = pair
     got, expected = u + v, counter_lcm_add(u, v)
     assert (got.num, got.den) == (expected.num, expected.den)
+
+
+# -- the canonical form ------------------------------------------------------------
+
+#: binomials 1 - q^a t^b with a = 0 included and several on one ray with
+#: gcd(a, b) up to 4, so that cyclotomic pieces Phi_d, d > 1, are shared
+canonical_factors = st.builds(QtFactor, st.integers(0, 4), st.integers(1, 4))
+
+
+@st.composite
+def qt_numerators(draw, max_terms=3):
+    """A q,t-only polynomial with integer or Fraction coefficients."""
+    coeffs = st.integers(-4, 4) | st.fractions(-2, 2, max_denominator=3)
+    terms = {
+        Monomial((), draw(st.integers(0, 3)), draw(st.integers(0, 3))): draw(coeffs)
+        for _ in range(draw(st.integers(1, max_terms)))
+    }
+    return MPoly(0, terms)
+
+
+@st.composite
+def shared_fractions(draw):
+    """num / den with the numerator often a multiple of pieces of the
+    denominator, such as 1 + t = Phi_2(t) or 1 + qt + q^2 t^2 = Phi_3(qt)."""
+    num = draw(qt_numerators())
+    pieces = [MPoly.one(0) + tpoly(), divide_binomial(one_minus_qt(3, 3), 1, 1), one_minus_qt(2, 2)]
+    for poly in draw(st.lists(st.sampled_from(pieces), max_size=2)):
+        num = num * poly
+    return QtRational(num, draw(st.lists(canonical_factors, max_size=3)))
+
+
+def qt_printed(u):
+    return json.dumps({"num": u.num.to_json_obj()["terms"], "den": [list(f) for f in u.den]})
+
+
+@settings(max_examples=300, deadline=None)
+@example(MPoly.one(0) + tpoly(), [QtFactor(0, 2)], [QtFactor(0, 1)])
+@example(MPoly.one(0), [QtFactor(2, 2), QtFactor(3, 3)], [QtFactor(1, 1), QtFactor(6, 6)])
+@given(qt_numerators(), st.lists(canonical_factors, max_size=3), st.lists(canonical_factors, max_size=3))
+def test_qt_form_ignores_a_common_binomial_factor(num, den, common):
+    u = QtRational(num, den)
+    v = QtRational(times_binomials(num, common), den + common)
+    assert (v.num, v.den) == (u.num, u.den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(shared_fractions(), min_size=1, max_size=4), st.randoms(use_true_random=False))
+def test_qt_sums_print_alike_in_any_order(fractions, rng):
+    shuffled = rng.sample(fractions, len(fractions))
+    first = sum(fractions, QtRational.zero())
+    assert qt_printed(sum(shuffled, QtRational.zero())) == qt_printed(first)
+    assert qt_printed(QtRational.sum((1, u) for u in shuffled)) == qt_printed(first)
+
+
+def test_qt_reduces_whole_numbers_held_as_fractions():
+    # a product of Fraction coefficients can be whole, Fraction(2, 1) = 2
+    num = MPoly.const(0, Fraction(1, 2)) * (one_minus_qt(0, 1) * 4)
+    u = QtRational(num, [QtFactor(0, 1)])
+    assert (u.num, u.den) == (MPoly.const(0, 2), ())
+
+
+@settings(max_examples=300, deadline=None)
+@example([QtFactor(2, 2), QtFactor(3, 3)], 1, 0, 0)
+@example([QtFactor(0, 2), QtFactor(0, 4), QtFactor(0, 6)], Fraction(1, 2), 1, 2)
+@given(
+    st.lists(canonical_factors, max_size=5),
+    st.integers(-3, 3).filter(bool) | st.fractions(-2, 2, max_denominator=3).filter(bool),
+    st.integers(0, 3),
+    st.integers(0, 3),
+)
+def test_qt_keeps_a_binomial_product_that_nothing_cancels_from(den, c, i, j):
+    # no piece divides a monomial numerator, and the largest-first rebuild
+    # gives back the binomials the pieces came from
+    num = MPoly.monomial(0, q=i, t=j, coeff=c)
+    u = QtRational(num, den)
+    assert (u.num, u.den) == (num, tuple(sorted(den)))
 
 
 # -- the binomial divider against the general division ----------------------------
