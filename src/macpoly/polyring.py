@@ -605,44 +605,50 @@ class QtFactor(NamedTuple):
         return one_minus_qt(self.a, self.b)
 
 
-def divide_binomial(p: MPoly, a: int, b: int) -> MPoly | None:
-    """p / (1 - q^a t^b) when the division is exact, else None.
+def divide_chains(p: MPoly, a: int, b: int, f: Sequence[int]) -> MPoly | None:
+    """p / f(q^a t^b), for a >= 0, b >= 1, f[0] = 1 and f[-1] != 0, when exact, else None.
 
-    The terms of p fall into chains m, m + (a, b), m + 2(a, b), ... in the
-    (q, t) exponents.  Along a chain the quotient's coefficient is the
-    running sum of p's coefficients, so the division is exact iff every
-    chain sums to zero.  A non-integer coefficient counts as "does not
-    divide", as it does for :func:`divmod_poly`.
-
-    Most divisions tried are not exact, so the chain sums come first, in one
-    pass over the terms: a point's chain is fixed by its x part, b*q - a*t
-    (the line through it) and q mod a (which of the line's a/gcd(a, b)
-    interleaved chains), or by x, q and t mod b when a = 0.  The chains
-    themselves, and the quotient, are built only when every sum is zero.
+    The terms of p fall into chains m, m + (a, b), ... in the (q, t) exponents;
+    each chain is divided as a polynomial in q^a t^b from its lowest point up,
+    and the first remainder returns None.  When f(1) = 0, as for 1 - q^a t^b,
+    each chain must sum to zero.  Most such divisions tried fail, so the sums
+    come first, in one pass keyed by x, b*q - a*t (the line) and q mod a (which
+    of its a/gcd(a, b) interleaved chains), or by x, q and t mod b when a = 0.
     """
-    if a < 0 or b < 1:
-        raise ValueError(f"invalid binomial divisor 1 - q^{a} t^{b}")
-    sums: dict[tuple, int] = {}
-    for (x, q, t), c in p.terms.items():
-        if not isinstance(c, int):
+    if not sum(f):
+        sums: dict[tuple, Scalar] = {}
+        for (x, q, t), c in p.terms.items():
+            key = (x, b * q - a * t, q % a) if a else (x, q, t % b)
+            sums[key] = sums.get(key, 0) + c
+        if any(sums.values()):
             return None
-        key = (x, b * q - a * t, q % a) if a else (x, q, t % b)
-        sums[key] = sums.get(key, 0) + c
-    if any(sums.values()):
-        return None
     # each term's chain, keyed by its lowest point, and its step from there
-    chains: dict[tuple, dict[int, int]] = {}
+    chains: dict[tuple, dict[int, Scalar]] = {}
     for (x, q, t), c in p.terms.items():
         k = min(q // a, t // b) if a else t // b
         chains.setdefault((x, q - k * a, t - k * b), {})[k] = c
+    taps = [(j, fj) for j, fj in enumerate(f) if j and fj]
     quo: dict[Monomial, Scalar] = {}
     for (x, q0, t0), coeffs in chains.items():
-        run = 0
-        for k in range(min(coeffs), max(coeffs)):
-            run += coeffs.get(k, 0)
-            if run:
-                quo[Monomial(x, q0 + k * a, t0 + k * b)] = run
+        top = max(coeffs)
+        for k in range(min(coeffs), top + 1):
+            if c := coeffs.get(k):
+                if k > top - len(f) + 1:
+                    return None
+                quo[Monomial(x, q0 + k * a, t0 + k * b)] = c
+                for j, fj in taps:
+                    coeffs[k + j] = coeffs.get(k + j, 0) - fj * c
     return MPoly._trusted(p.n, quo)
+
+
+def divide_binomial(p: MPoly, a: int, b: int) -> MPoly | None:
+    """p / (1 - q^a t^b) by :func:`divide_chains` when exact, else None; a non-integer
+    coefficient counts as "does not divide", as it does for :func:`divmod_poly`."""
+    if a < 0 or b < 1:
+        raise ValueError(f"invalid binomial divisor 1 - q^{a} t^{b}")
+    if all(isinstance(c, int) for c in p.terms.values()):
+        return divide_chains(p, a, b, (1, -1))
+    return None
 
 
 def divide_binomials(p: MPoly, factors: Iterable[tuple[int, int]]) -> MPoly:

@@ -21,6 +21,7 @@ from macpoly.polyring import (
     QtRational,
     divide_binomial,
     divide_binomials,
+    divide_chains,
     divmod_poly,
     expand_orbits,
     gaussian_binomial,
@@ -406,7 +407,7 @@ def counter_lcm_add(u, v):
 
 
 #: denominators with repeats and reducible members: 1 - q^2 t^2 = (1 - qt)(1 + qt)
-#: and 1 - t^2 = (1 - t)(1 + t), so the reduced form depends on the factor order
+#: and 1 - t^2 = (1 - t)(1 + t), so a numerator can cancel part of a factor
 REDUCIBLE_FACTORS = [QtFactor(0, 1), QtFactor(0, 2), QtFactor(1, 1), QtFactor(2, 2), QtFactor(1, 2)]
 
 
@@ -606,6 +607,47 @@ def test_divide_binomial_agrees_with_sympy(quotient, a, b, extra):
     else:
         assert fast is None
 
+
+
+@settings(max_examples=300)
+@given(
+    st.data(),
+    st.lists(st.integers(-2, 2), max_size=3).filter(lambda rest: not rest or rest[-1]),
+    st.integers(0, 3),
+    st.integers(1, 3),
+)
+def test_divide_chains_matches_divmod(data, rest, a, b):
+    # f(q^a t^b) for f with constant term 1 and a nonzero top, against the general division
+    f = (1, *rest)
+    divisor = MPoly(0, {Monomial((), k * a, k * b): c for k, c in enumerate(f)})
+    terms = data.draw(st.dictionaries(
+        st.tuples(st.integers(0, 6), st.integers(0, 6)), st.integers(-4, 4), max_size=5))
+    p = MPoly(0, {Monomial((), i, j): c for (i, j), c in terms.items()})
+    if data.draw(st.booleans()):
+        p = p * divisor
+    quo, rem = divmod_poly(p, divisor)
+    fast = divide_chains(p, a, b, f)
+    if rem.is_zero():
+        assert fast == quo
+    else:
+        assert fast is None
+
+
+def test_divide_chains_keeps_fraction_coefficients():
+    # (1/2)(1 - t^3) / (1 + t + t^2) = (1/2)(1 - t); divide_binomial refuses these
+    p = one_minus_qt(0, 3) * Fraction(1, 2)
+    assert divide_chains(p, 0, 1, (1, 1, 1)) == one_minus_qt(0, 1) * Fraction(1, 2)
+    assert divide_chains(p, 0, 1, (1, 1)) is None
+
+
+def test_cyclotomic_pieces_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    from macpoly.cyclotomic import piece
+
+    y = sympy.symbols("y")
+    for d in range(1, 25):
+        phi = sympy.Poly(sympy.cyclotomic_poly(d, y) * (-1 if d == 1 else 1), y)
+        assert piece(d) == tuple(int(c) for c in reversed(phi.all_coeffs()))
 
 @st.composite
 def pochhammer_multiples(draw):
