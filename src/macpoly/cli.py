@@ -17,7 +17,7 @@ from functools import partial
 from .integral import hook_product_inc, integral_e, j_compact, j_plain, p_poly
 from .modified import htilde_compact, htilde_plain
 from .nonsymmetric import e_permuted_basement, f_poly
-from .polyring import KEEP, DimensionError, EvaluationError, MPoly, NonPolynomialError
+from .polyring import DimensionError, EvaluationError, MPoly, NonPolynomialError
 from .quasisym import g_poly, qs_schur, schur_ssyt
 from .shapes import ShapeError, as_partition
 from .verify import SUITES, run_suite
@@ -109,12 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _specialize_args(args):
-    q = KEEP if args.q is None else args.q
-    t = KEEP if args.t is None else args.t
-    return q, t
-
-
 def _emit_mpoly(poly: MPoly, args) -> None:
     if args.json:
         print(json.dumps(poly.to_json_obj(), separators=(",", ":")))
@@ -123,11 +117,10 @@ def _emit_mpoly(poly: MPoly, args) -> None:
 
 
 def _emit_eresult(result, args) -> None:
-    q, t = _specialize_args(args)
-    if q is not KEEP or t is not KEEP:
-        if q is KEEP or t is KEEP:
+    if args.q is not None or args.t is not None:
+        if args.q is None or args.t is None:
             raise UsageError("this family needs both --q and --t for substitution")
-        _emit_mpoly(result.specialize(q=q, t=t), args)
+        _emit_mpoly(result.specialize(q=args.q, t=args.t), args)
         return
     if args.json:
         print(json.dumps(result.to_json_obj(), separators=(",", ":")))
@@ -158,8 +151,7 @@ def run_family(args) -> int:
         fn = {"p": p_poly, "g": g_poly, "qschur": qs_schur, "schur": schur_ssyt}[family]
         value = fn(shape, args.n)
     if isinstance(value, MPoly):
-        q, t = _specialize_args(args)
-        _emit_mpoly(value.specialize(q=q, t=t), args)
+        _emit_mpoly(value.specialize(q=args.q, t=args.t), args)
     else:
         _emit_eresult(value, args)
     return 0

@@ -68,11 +68,7 @@ def j_keys(heights: Sequence[int], n: int, fillings: Iterable[Filling]) -> Count
     (x, maj, coinv, repeat mask): a J weight is x^sigma q^maj t^coinv times
     the q,t part of :func:`_j_factor_terms`, which the mask fixes."""
     repeats, content = diagram(heights).repeats, content_kernel(None, n)
-    counts: Counter = Counter()
-    for f in fillings:
-        e = f.flat
-        counts[content(e), maj(f), coinv_comp(f), repeats(e)] += 1
-    return counts
+    return Counter((content(f.flat), maj(f), coinv_comp(f), repeats(f.flat)) for f in fillings)
 
 
 def _j_weigh(heights: Sequence[int], pochhammer: Iterable[int]) -> Callable:

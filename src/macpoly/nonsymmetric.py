@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .polyring import (
     Monomial, MPoly, NonPolynomialError, Orbit, QtFactor, QtRational, Scalar, divide_binomials,
-    expand_orbits, one_minus_qt, poly_sum,
+    expand_orbits, one_minus_qt,
 )
 from .shapes import (
     INF_BASEMENT,
@@ -98,27 +98,18 @@ class EResult:
 
     def specialize(self, q, t) -> MPoly:
         """Evaluate q and t, producing a plain polynomial in x."""
-        return poly_sum(
-            self.n,
-            (
-                MPoly.monomial(self.n, x=exps, coeff=value.specialize(q=q, t=t))
-                for exps, value in self.coeffs.items()
-            ),
-        )
+        return MPoly._trusted(self.n, {
+            Monomial(x, 0, 0): c for x, value in self.coeffs.items() if (c := value.specialize(q=q, t=t))
+        })
 
     def specialize_q_zero(self) -> "EResult":
-        out = EResult(self.n)
-        for exps, value in self.coeffs.items():
-            out.add_term(exps, value.specialize(q=0))
-        return out
+        return EResult(self.n, {x: u for x, value in self.coeffs.items() if (u := value.specialize(q=0))})
 
     def swap_x(self, i: int, j: int) -> "EResult":
-        out = EResult(self.n)
-        for exps, value in self.coeffs.items():
-            es = list(exps)
-            es[i - 1], es[j - 1] = es[j - 1], es[i - 1]
-            out.add_term(tuple(es), value)
-        return out
+        """Exchange the variables x_i and x_j (1-based)."""
+        order = list(range(self.n))
+        order[i - 1], order[j - 1] = j - 1, i - 1
+        return EResult(self.n, {tuple(map(x.__getitem__, order)): v for x, v in self.coeffs.items()})
 
     def to_json_obj(self) -> dict:
         items = []

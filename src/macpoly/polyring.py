@@ -27,9 +27,6 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, 
 
 Scalar = Union[int, Fraction]
 
-#: sentinel for "leave this variable alone" in specialize()
-KEEP = "keep"
-
 
 class DimensionError(ValueError):
     """Two operands disagree on the ambient x-variable count."""
@@ -269,11 +266,12 @@ class MPoly:
 
     def specialize(
         self,
-        q: Scalar | str = KEEP,
-        t: Scalar | str = KEEP,
+        q: Scalar | None = None,
+        t: Scalar | None = None,
         x: Mapping[int, Scalar] | None = None,
     ) -> "MPoly":
-        """Substitute exact values for q, t, and/or x variables (1-based keys).
+        """Substitute exact values for q, t, and/or x variables (1-based keys);
+        None leaves q or t alone.
 
         The result keeps the same ambient n (substituted variables simply stop
         appearing); coefficients may become Fractions for non-integer points.
@@ -282,10 +280,10 @@ class MPoly:
         acc: dict[Monomial, Scalar] = {}
         for m, c in self.terms.items():
             coeff: Scalar = c
-            if q is not KEEP:
-                coeff *= Fraction(q) ** m.q if isinstance(q, Fraction) else q**m.q
-            if t is not KEEP:
-                coeff *= Fraction(t) ** m.t if isinstance(t, Fraction) else t**m.t
+            if q is not None:
+                coeff *= q**m.q
+            if t is not None:
+                coeff *= t**m.t
             xs = list(m.x)
             for idx, val in x.items():
                 e = xs[idx - 1]
@@ -296,8 +294,8 @@ class MPoly:
                 continue
             mono = Monomial(
                 tuple(xs),
-                m.q if q is KEEP else 0,
-                m.t if t is KEEP else 0,
+                m.q if q is None else 0,
+                m.t if t is None else 0,
             )
             cc = acc.get(mono, 0) + coeff
             if cc:
@@ -383,17 +381,20 @@ def poly_sum(n: int, polys: Iterable[MPoly]) -> MPoly:
 def tally(n: int, counts: Mapping[tuple, int], weigh: Callable, orbit: Orbit | None = None) -> MPoly:
     """Sum over ((x, q, t, key), c) in ``counts`` of c x^x q^q t^t times the
     q,t-only polynomial ``weigh(key)``: a route counts its fillings by key, so
-    each key weighs once.  With an ``orbit``, only the keys of representative
-    x are summed, and each term is then written under every member of its orbit.
+    each key weighs once.  Each x's terms are kept in one map; with an ``orbit``,
+    only representative x are summed, and each map is then written under every
+    member of its orbit.
     Unchecked: x has length n, exponents are nonnegative and counts integers."""
-    acc: dict[Monomial, Scalar] = {}
+    by_x: dict[tuple, dict[tuple[int, int], Scalar]] = {}
     for (x, q, t, key), c in counts.items():
         if orbit is None or orbit.is_rep(x):
+            acc = by_x.setdefault(x, {})
             for (_, a, b), k in weigh(key).terms.items():
-                mono = Monomial(x, q + a, t + b)
-                acc[mono] = acc.get(mono, 0) + c * k
-    terms = {m: c for m, c in acc.items() if c}
-    return MPoly._trusted(n, terms if orbit is None else expand_orbits(terms, orbit.members))
+                acc[q + a, t + b] = acc.get((q + a, t + b), 0) + c * k
+    if orbit is not None:
+        by_x = expand_orbits(by_x, orbit.members)
+    terms = {Monomial(x, q, t): c for x, acc in by_x.items() for (q, t), c in acc.items() if c}
+    return MPoly._trusted(n, terms)
 
 
 _ONE = MPoly.one(0)
@@ -443,20 +444,10 @@ def has_prefix_support(x: Sequence[int]) -> bool:
     return 0 not in x[: len(x) - x.count(0)]
 
 
-def expand_orbits(terms: Mapping, members: Callable[[tuple], Iterable[tuple]]) -> dict:
-    """Each value of ``terms`` under each of its key's orbit ``members`` (a Monomial's x
-    part moves), each orbit listed once; values are shared, as no MPoly or QtRational
-    changes once built."""
-    out = {}
-    orbits: dict = {}
-    for key, value in terms.items():
-        mono = isinstance(key, Monomial)
-        x = key.x if mono else key
-        if x not in orbits:
-            orbits[x] = tuple(members(x))
-        for y in orbits[x]:
-            out[Monomial(y, key.q, key.t) if mono else y] = value
-    return out
+def expand_orbits(values: Mapping[tuple, object], members: Callable[[tuple], Iterable[tuple]]) -> dict:
+    """Each value of ``values``, keyed by exponent vector, under each of its key's
+    orbit ``members``; values are shared, as none is changed once built."""
+    return {y: value for x, value in values.items() for y in members(x)}
 
 
 class Orbit(NamedTuple):
@@ -643,10 +634,11 @@ def divide_chains(p: MPoly, a: int, b: int, f: Sequence[int]) -> MPoly | None:
 
 def divide_binomial(p: MPoly, a: int, b: int) -> MPoly | None:
     """p / (1 - q^a t^b) by :func:`divide_chains` when exact, else None; a non-integer
-    coefficient counts as "does not divide", as it does for :func:`divmod_poly`."""
+    coefficient (a whole number held as a Fraction is not one) counts as "does not
+    divide", as it does for :func:`divmod_poly`."""
     if a < 0 or b < 1:
         raise ValueError(f"invalid binomial divisor 1 - q^{a} t^{b}")
-    if all(isinstance(c, int) for c in p.terms.values()):
+    if all(c.denominator == 1 for c in p.terms.values()):
         return divide_chains(p, a, b, (1, -1))
     return None
 
@@ -777,14 +769,14 @@ class QtRational:
             )
         return self.num
 
-    def specialize(self, q: Scalar | str = KEEP, t: Scalar | str = KEEP):
-        """Evaluate q and/or t.
+    def specialize(self, q: Scalar | None = None, t: Scalar | None = None):
+        """Evaluate q and/or t; None leaves one alone.
 
         Both given: returns an exact scalar.  q=0 with t kept: returns a new
         QtRational (every factor with a > 0 becomes 1).  Other partial
         substitutions would break the factored-denominator form.
         """
-        if q is not KEEP and t is not KEEP:
+        if q is not None and t is not None:
             den_val: Scalar = 1
             for f in self.den:
                 den_val *= 1 - Fraction(q) ** f.a * Fraction(t) ** f.b
@@ -792,11 +784,11 @@ class QtRational:
                 raise EvaluationError(f"denominator vanishes at q={q}, t={t}")
             num_val = self.num.specialize(q=q, t=t).constant_term()
             return _normalize_scalar(Fraction(num_val) / Fraction(den_val))
-        if q == 0 and t is KEEP:
+        if q == 0 and t is None:
             return QtRational(
                 self.num.specialize(q=0), [f for f in self.den if f.a == 0]
             )
-        if q is KEEP and t is KEEP:
+        if q is None and t is None:
             return self
         raise ValueError("unsupported partial substitution for QtRational")
 

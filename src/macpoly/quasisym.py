@@ -5,11 +5,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from .integral import compositions_rearranging
-from .polyring import QUASISYMMETRIC, Monomial, MPoly, QtRational, poly_sum, tally, unit_weight
+from .polyring import QUASISYMMETRIC, Monomial, MPoly, poly_sum, tally, unit_weight
 from .nonsymmetric import EResult, _basement_walk, _e_sum, f_poly
 from .shapes import ShapeError, as_count, as_partition
 
@@ -44,33 +43,21 @@ def qsym_decompose(p: Union[MPoly, EResult]) -> QSymDecomposition:
 
     A value is quasisymmetric when, for every strong composition gamma, the
     coefficient of x_{i_1}^{g_1}..x_{i_k}^{g_k} is the same for every strictly
-    increasing choice of indices.  When it is, the common coefficients per
-    gamma reassemble the input from monomial quasisymmetric sums.
+    increasing choice of indices.  Each x's coefficient is compared with those of
+    its :data:`QUASISYMMETRIC` orbit; a witness is x and the first member that
+    differs.  When there is none, the common coefficients per gamma reassemble
+    the input from monomial quasisymmetric sums.
     """
-    if isinstance(p, EResult):
-        table, zero = dict(p.coeffs), QtRational.zero()
-    else:
-        table, zero = p.qt_coefficients(), MPoly.zero(0)
-    n = p.n
-    by_gamma: dict[tuple[int, ...], dict[tuple[int, ...], object]] = {}
-    for exps, coeff in table.items():
-        gamma = tuple(e for e in exps if e)
-        support = tuple(i for i, e in enumerate(exps) if e)
-        by_gamma.setdefault(gamma, {})[support] = coeff
-
+    table = p.coeffs if isinstance(p, EResult) else p.qt_coefficients()
     coeffs: dict[tuple[int, ...], object] = {}
-    for gamma, supports in sorted(by_gamma.items()):
-        reference = ref_support = None
-        for support in combinations(range(n), len(gamma)):
-            value = supports.get(support, zero)
-            if reference is None:
-                reference, ref_support = value, support
-            elif value != reference:
-                spots = [dict(zip(s, gamma)) for s in (ref_support, support)]
-                witness = tuple(tuple(d.get(i, 0) for i in range(n)) for d in spots)
-                return QSymDecomposition(False, {}, witness)
-        coeffs[gamma] = reference
-    return QSymDecomposition(True, coeffs)
+    for x, value in table.items():
+        gamma = tuple(e for e in x if e)
+        if gamma not in coeffs:
+            for y in QUASISYMMETRIC.members(x):
+                if table.get(y) != value:  # stored values are nonzero: a missing one differs
+                    return QSymDecomposition(False, {}, (x, y))
+            coeffs[gamma] = value
+    return QSymDecomposition(True, dict(sorted(coeffs.items())))
 
 
 def schur_ssyt(lam: Sequence[int], n: int) -> MPoly:

@@ -156,6 +156,12 @@ def test_j_result_quotient():
     assert res.quotient() == quotient and rem.is_zero()
 
 
+def test_j_result_quotient_of_whole_numbers_held_as_fractions():
+    value = MPoly.const(1, Fraction(1, 2)) * (one_minus_qt(0, 1).extended(1) * 2)
+    assert value == one_minus_qt(0, 1).extended(1)
+    assert JResult(value, {1: 1}).quotient() == MPoly.one(1)
+
+
 def test_j_result_quotient_refuses_a_non_multiple():
     value = one_minus_qt(0, 1).extended(1) * MPoly.monomial(1, x=(1,))
     with pytest.raises(NonPolynomialError):

@@ -57,6 +57,13 @@ def qt_one_minus_t():
     return MPoly.one(0) - MPoly.monomial(0, t=1)
 
 
+@pytest.mark.parametrize("i, j", [(1, 2), (1, 3), (2, 3), (3, 1), (2, 2)])
+def test_swap_x_moves_coefficients_and_twice_gives_back_the_input(i, j):
+    f = f_poly((0, 2, 1))
+    assert f.swap_x(i, j).specialize(q=2, t=3) == f.specialize(q=2, t=3).swap_x(i, j)
+    assert f.swap_x(i, j).swap_x(i, j) == f
+
+
 def test_empty_composition_is_one():
     e = e_permuted_basement((0, 0, 0))
     assert e.coeffs == {(0, 0, 0): QtRational.one()}

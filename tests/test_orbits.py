@@ -57,7 +57,8 @@ def test_expand_orbits_shares_values_and_moves_only_x():
     out = expand_orbits({(2, 1, 1): value}, distinct_permutations)
     assert list(out) == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
     assert all(v is value for v in out.values())
-    monos = expand_orbits({Monomial((1, 0, 2), 3, 4): 5}, placements)
+    by_x = expand_orbits({(1, 0, 2): {(3, 4): 5}}, placements)
+    monos = {Monomial(y, q, t): c for y, terms in by_x.items() for (q, t), c in terms.items()}
     assert monos == {
         Monomial((1, 2, 0), 3, 4): 5,
         Monomial((1, 0, 2), 3, 4): 5,

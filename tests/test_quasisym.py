@@ -8,7 +8,8 @@ import pytest
 from macpoly.integral import p_poly
 from macpoly.nonsymmetric import EResult, f_poly, iter_basement_fillings
 from macpoly.polyring import (
-    Monomial, MPoly, QtRational, distinct_permutations, expand_orbits, has_prefix_support, placements,
+    Monomial, MPoly, QtFactor, QtRational, distinct_permutations, expand_orbits, has_prefix_support,
+    placements,
 )
 from macpoly.quasisym import (
     compositions_with_support,
@@ -91,6 +92,29 @@ def test_qsym_decompose_detects_missing_orbit_member():
     assert {tuple(e for e in v if e) for v in (first, second)} == {(1, 2)}
 
 
+@pytest.mark.parametrize(
+    "p, witness",
+    [
+        (x_mono(3, (1, 2, 0)) + x_mono(3, (0, 1, 2)), ((1, 2, 0), (1, 0, 2))),
+        # the member that is missing is the representative x^(1,2,0)
+        (x_mono(3, (1, 0, 2)) + x_mono(3, (0, 1, 2)), ((1, 0, 2), (1, 2, 0))),
+        (
+            EResult(2, {
+                (1, 0): QtRational(MPoly.one(0), [QtFactor(1, 1)]),
+                (0, 1): QtRational(MPoly.one(0), [QtFactor(1, 2)]),
+            }),
+            ((1, 0), (0, 1)),
+        ),
+    ],
+)
+def test_qsym_decompose_witness_is_two_members_of_one_orbit(p, witness):
+    result = qsym_decompose(p)
+    assert not result.is_quasisymmetric and result.monomial_coeffs == {}
+    assert result.witness == witness
+    first, second = witness
+    assert first != second and second in placements(first)
+
+
 def test_qsym_decompose_reassembles():
     p = g_poly((2, 1), 3)
     result = qsym_decompose(p)
@@ -163,8 +187,8 @@ def qs_schur_by_fillings(gamma, n):
         for f in iter_basement_fillings(alpha):
             exps = f.x_exponents(n)
             if has_prefix_support(exps) and not maj(f) and not coinv_comp(f):
-                counts[Monomial(exps, 0, 0)] += 1
-    return MPoly(n, expand_orbits(counts, placements))
+                counts[exps] += 1
+    return MPoly(n, {Monomial(x, 0, 0): c for x, c in expand_orbits(counts, placements).items()})
 
 
 STRONG_UP_TO_4 = [
@@ -195,6 +219,13 @@ def test_f_at_q_zero_single_box():
     f = f_poly((1, 0)).specialize_q_zero()
     assert set(f.coeffs) == {(1, 0)}
     assert f.coeffs[(1, 0)] == QtRational.one()
+
+
+def test_f_at_q_zero_stores_no_zero_coefficient():
+    f = f_poly((2, 0))
+    assert set(f.coeffs) == {(2, 0), (1, 1)}
+    # the x^(1,1) coefficient q(1 - t)/(1 - qt) vanishes at q = 0
+    assert f.specialize_q_zero() == EResult(2, {(2, 0): QtRational.one()})
 
 
 @pytest.mark.parametrize(
