@@ -98,6 +98,8 @@ class EResult:
 
     def specialize(self, q, t) -> MPoly:
         """Evaluate q and t, producing a plain polynomial in x."""
+        if q is None or t is None:
+            raise ValueError("an EResult is specialized at both q and t")
         return MPoly._trusted(self.n, {
             Monomial(x, 0, 0): c for x, value in self.coeffs.items() if (c := value.specialize(q=q, t=t))
         })

@@ -64,6 +64,13 @@ def test_swap_x_moves_coefficients_and_twice_gives_back_the_input(i, j):
     assert f.swap_x(i, j).swap_x(i, j) == f
 
 
+@pytest.mark.parametrize("q, t", [(0, None), (None, 1), (None, None)])
+def test_specialize_needs_both_q_and_t(q, t):
+    # a partial substitution would leave QtRational coefficients in an MPoly
+    with pytest.raises(ValueError):
+        f_poly((2, 0)).specialize(q=q, t=t)
+
+
 def test_empty_composition_is_one():
     e = e_permuted_basement((0, 0, 0))
     assert e.coeffs == {(0, 0, 0): QtRational.one()}

@@ -61,3 +61,18 @@ def test_term_counts_refuses_a_bad_count(flag, value):
     assert proc.stdout == ""
     [line] = proc.stderr.splitlines()
     assert line.startswith(f"error: {flag} ")
+
+
+def test_bench_table_prints_one_row_per_record():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_table.py")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, rule, *rows = proc.stdout.splitlines()
+    assert header == "| PR | htilde | integral | symmetric | battery |"
+    assert rule == "|---|---|---|---|---|"
+    prs = [int(row.split("|")[1]) for row in rows]
+    assert prs == sorted(int(p.stem[len("BENCH_pr"):]) for p in ROOT.glob("BENCH_pr*.json"))
+    # BENCH_pr24.json's change medians of wall_s / largest_case_s
+    assert "| 24 | 0.166 / 0.0197 | 0.129 / 0.0359 | 0.070 / 0.0051 | 0.380 / 0.3801 |" in rows
