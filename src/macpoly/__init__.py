@@ -12,7 +12,7 @@ Modules:
 * :mod:`macpoly.integral` -- normalization products, the integral form J by
   two routes, the integral form of E, and the monic symmetric P.
 * :mod:`macpoly.quasisym` -- quasisymmetric values G, the quasisymmetry
-  checker, and the tableau oracle.
+  checker, qs_schur (G at q = t = 0), and the tableau oracle.
 * :mod:`macpoly.verify` -- the executable identity battery.
 """
 
@@ -21,7 +21,7 @@ from .shapes import Cell, CompositionStats, Diagram, Filling, composition_stats
 from .modified import htilde_compact, htilde_plain
 from .nonsymmetric import EResult, e_permuted_basement, f_poly
 from .integral import JResult, integral_e, j_compact, j_plain, p_poly, hook_product, hook_product_inc
-from .quasisym import g_poly, qs_schur, qsym_decompose, schur_ssyt, t_atom_check
+from .quasisym import g_poly, qs_schur, qsym_decompose, schur_ssyt
 
 __all__ = [
     "MPoly",
@@ -49,7 +49,6 @@ __all__ = [
     "qs_schur",
     "qsym_decompose",
     "schur_ssyt",
-    "t_atom_check",
 ]
 
 __version__ = "0.1.0"

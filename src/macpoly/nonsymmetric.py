@@ -104,9 +104,6 @@ class EResult:
             Monomial(x, 0, 0): c for x, value in self.coeffs.items() if (c := value.specialize(q=q, t=t))
         })
 
-    def specialize_q_zero(self) -> "EResult":
-        return EResult(self.n, {x: u for x, value in self.coeffs.items() if (u := value.specialize(q=0))})
-
     def swap_x(self, i: int, j: int) -> "EResult":
         """Exchange the variables x_i and x_j (1-based)."""
         order = list(range(self.n))

@@ -322,7 +322,7 @@ class MPoly:
     def from_json_obj(cls, obj: Mapping) -> "MPoly":
         n = obj["n"]
         terms = {
-            Monomial(tuple(term["x"]), term["q"], term["t"]): int(term["c"])
+            Monomial(tuple(term["x"]), term["q"], term["t"]): Fraction(term["c"])
             for term in obj["terms"]
         }
         return cls(n, terms)
@@ -769,28 +769,18 @@ class QtRational:
             )
         return self.num
 
-    def specialize(self, q: Scalar | None = None, t: Scalar | None = None):
-        """Evaluate q and/or t; None leaves one alone.
-
-        Both given: returns an exact scalar.  q=0 with t kept: returns a new
-        QtRational (every factor with a > 0 becomes 1).  Other partial
-        substitutions would break the factored-denominator form.
-        """
-        if q is not None and t is not None:
-            den_val: Scalar = 1
-            for f in self.den:
-                den_val *= 1 - Fraction(q) ** f.a * Fraction(t) ** f.b
-            if den_val == 0:
-                raise EvaluationError(f"denominator vanishes at q={q}, t={t}")
-            num_val = self.num.specialize(q=q, t=t).constant_term()
-            return _normalize_scalar(Fraction(num_val) / Fraction(den_val))
-        if q == 0 and t is None:
-            return QtRational(
-                self.num.specialize(q=0), [f for f in self.den if f.a == 0]
-            )
-        if q is None and t is None:
-            return self
-        raise ValueError("unsupported partial substitution for QtRational")
+    def specialize(self, q: Scalar | None = None, t: Scalar | None = None) -> Scalar:
+        """Evaluate q and t, producing an exact scalar; a partial substitution
+        would break the factored-denominator form, so both are required."""
+        if q is None or t is None:
+            raise ValueError("a QtRational is specialized at both q and t")
+        den_val: Scalar = 1
+        for f in self.den:
+            den_val *= 1 - Fraction(q) ** f.a * Fraction(t) ** f.b
+        if den_val == 0:
+            raise EvaluationError(f"denominator vanishes at q={q}, t={t}")
+        num_val = self.num.specialize(q=q, t=t).constant_term()
+        return _normalize_scalar(Fraction(num_val) / Fraction(den_val))
 
     def __str__(self) -> str:
         if not self.den:

@@ -1,5 +1,5 @@
-"""Quasisymmetric values G, the quasisymmetry checker, their Schur-like
-specializations, and an independent tableau oracle for cross-validation."""
+"""Quasisymmetric values G, the quasisymmetry checker, qs_schur (G at q = t = 0,
+checked against Demazure atoms in the tests), and the tableau oracle."""
 
 from __future__ import annotations
 
@@ -7,9 +7,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .integral import compositions_rearranging
-from .polyring import QUASISYMMETRIC, Monomial, MPoly, poly_sum, tally, unit_weight
-from .nonsymmetric import EResult, _basement_walk, _e_sum, f_poly
+from .polyring import QUASISYMMETRIC, Monomial, MPoly, tally, unit_weight
+from .nonsymmetric import EResult, _basement_walk, _e_sum
 from .shapes import ShapeError, as_count, as_partition
 
 
@@ -100,20 +99,3 @@ def qs_schur(gamma: Sequence[int], n: int) -> MPoly:
     walk = _basement_walk(compositions_with_support(gamma, n), n, QUASISYMMETRIC)
     counts = Counter((x, 0, 0, None) for (x, q, t, _), _ in walk if not q and not t)
     return tally(n, counts, unit_weight, QUASISYMMETRIC)
-
-
-def t_atom_check(alpha: Sequence[int]) -> bool:
-    """Two checkable consequences of the q = 0 atom specialization: the
-    coefficients land in Z[t], and the full sorting class of alpha recovers
-    the tableau oracle at t = 0."""
-    alpha = tuple(alpha)
-    n = len(alpha)
-    fq0 = f_poly(alpha).specialize_q_zero()
-    if any(value.den for value in fq0.coeffs.values()):
-        return False
-    lam = tuple(sorted((a for a in alpha if a > 0), reverse=True))
-    if not lam:
-        return all(not any(exps) for exps in fq0.coeffs)
-    betas = compositions_rearranging(lam, n)
-    total = poly_sum(n, (f_poly(beta).specialize(q=0, t=0) for beta in betas))
-    return total == schur_ssyt(lam, n)

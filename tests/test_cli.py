@@ -2,6 +2,7 @@
 
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -44,6 +45,15 @@ def test_json_round_trip(capsys):
     assert code == 0
     assert MPoly.from_json(out.strip()) == htilde_plain((2, 1, 1), 3)
     # serialization is stable under a parse/re-serialize cycle
+    assert MPoly.from_json(out.strip()).to_json() == out.strip()
+
+
+def test_json_round_trip_with_fraction_coefficients(capsys):
+    args = ("htilde", "--shape", "2,1", "--n", "2", "--q", "1/2", "--t", "1/3", "--json")
+    code, out = run_cli(capsys, *args)
+    assert code == 0 and '"c":"11/6"' in out
+    expected = htilde_plain((2, 1), 2).specialize(q=Fraction(1, 2), t=Fraction(1, 3))
+    assert MPoly.from_json(out.strip()) == expected
     assert MPoly.from_json(out.strip()).to_json() == out.strip()
 
 

@@ -233,13 +233,11 @@ def test_qt_specialize():
         u.specialize(q=Fraction(1, 2), t=2)
 
 
-def test_qt_specialize_q_zero_keeps_t():
+@pytest.mark.parametrize("q, t", [(0, None), (None, 1), (None, None)])
+def test_qt_specialize_needs_both_q_and_t(q, t):
     u = QtRational(MPoly.one(0) + qpoly() + tpoly(), [QtFactor(2, 1), QtFactor(0, 2)])
-    v = u.specialize(q=0)
-    assert isinstance(v, QtRational)
-    # (1 + t) / (1 - t^2) in its canonical form
-    assert v.num == MPoly.one(0)
-    assert v.den == (QtFactor(0, 1),)
+    with pytest.raises(ValueError):
+        u.specialize(q=q, t=t)
 
 
 # -- specialize on MPoly -------------------------------------------------------
@@ -268,6 +266,9 @@ def test_specialize_rational_point():
 def test_json_round_trip():
     p = (x(2, 1) + x(2, 2) * qpoly(2)) * pochhammer_tt(2).extended(2) + MPoly.const(2, -7)
     assert MPoly.from_json(p.to_json()) == p
+    r = p * Fraction(-5, 6) + x(2, 1)
+    assert '"c":"-5/6"' in r.to_json()
+    assert MPoly.from_json(r.to_json()) == r
 
 
 def test_json_huge_coefficients():

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from macpoly.integral import p_poly
+from macpoly.integral import compositions_rearranging, p_poly
 from macpoly.nonsymmetric import EResult, f_poly, iter_basement_fillings
 from macpoly.polyring import (
     Monomial, MPoly, QtFactor, QtRational, distinct_permutations, expand_orbits, has_prefix_support,
@@ -17,9 +17,9 @@ from macpoly.quasisym import (
     qs_schur,
     qsym_decompose,
     schur_ssyt,
-    t_atom_check,
 )
 from macpoly.shapes import ShapeError, coinv_comp, maj
+from macpoly.verify import partitions_up_to
 
 
 def x_mono(n, exps, **kw):
@@ -215,31 +215,14 @@ def test_qs_schur_nonnegative_integer_coefficients(gamma, n):
 # -- atom specialization checks ----------------------------------------------------------
 
 
-def test_f_at_q_zero_single_box():
-    f = f_poly((1, 0)).specialize_q_zero()
-    assert set(f.coeffs) == {(1, 0)}
-    assert f.coeffs[(1, 0)] == QtRational.one()
-
-
-def test_f_at_q_zero_stores_no_zero_coefficient():
-    f = f_poly((2, 0))
-    assert set(f.coeffs) == {(2, 0), (1, 1)}
-    # the x^(1,1) coefficient q(1 - t)/(1 - qt) vanishes at q = 0
-    assert f.specialize_q_zero() == EResult(2, {(2, 0): QtRational.one()})
-
-
-@pytest.mark.parametrize(
-    "alpha", [(1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (0, 2, 1), (0, 0), (1, 2, 0)]
-)
-def test_t_atom_check(alpha):
-    assert t_atom_check(alpha)
-
-
 def test_schur_decomposition_from_atoms():
-    n = 3
-    total = MPoly.zero(n)
-    from macpoly.integral import compositions_rearranging
-
-    for alpha in compositions_rearranging((2, 1), n):
-        total = total + f_poly(alpha).specialize(q=0, t=0)
-    assert total == schur_ssyt((2, 1), n)
+    # each sorting class of E at q = t = 0 (the Demazure atoms) sums to s_lam
+    count = 0
+    for lam in partitions_up_to(4):
+        for n in range(len(lam), 5):
+            total = MPoly.zero(n)
+            for alpha in compositions_rearranging(lam, n):
+                total = total + f_poly(alpha).specialize(q=0, t=0)
+            assert total == schur_ssyt(lam, n), (lam, n)
+            count += 1
+    assert count == 33
