@@ -96,8 +96,8 @@ class EResult:
         # as in MPoly.extended: terms of n = 0 polynomials, moved to distinct x
         return MPoly._trusted(self.n, acc)
 
-    def specialize(self, q, t) -> MPoly:
-        """Evaluate q and t, producing a plain polynomial in x."""
+    def specialize(self, q: Scalar | None = None, t: Scalar | None = None) -> MPoly:
+        """Evaluate q and t, producing a plain polynomial in x; both are required."""
         if q is None or t is None:
             raise ValueError("an EResult is specialized at both q and t")
         return MPoly._trusted(self.n, {

@@ -67,8 +67,9 @@ def test_swap_x_moves_coefficients_and_twice_gives_back_the_input(i, j):
 @pytest.mark.parametrize("q, t", [(0, None), (None, 1), (None, None)])
 def test_specialize_needs_both_q_and_t(q, t):
     # a partial substitution would leave QtRational coefficients in an MPoly
+    given = {name: v for name, v in (("q", q), ("t", t)) if v is not None}
     with pytest.raises(ValueError):
-        f_poly((2, 0)).specialize(q=q, t=t)
+        f_poly((2, 0)).specialize(**given)
 
 
 def test_empty_composition_is_one():

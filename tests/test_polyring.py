@@ -236,8 +236,9 @@ def test_qt_specialize():
 @pytest.mark.parametrize("q, t", [(0, None), (None, 1), (None, None)])
 def test_qt_specialize_needs_both_q_and_t(q, t):
     u = QtRational(MPoly.one(0) + qpoly() + tpoly(), [QtFactor(2, 1), QtFactor(0, 2)])
+    given = {name: v for name, v in (("q", q), ("t", t)) if v is not None}
     with pytest.raises(ValueError):
-        u.specialize(q=q, t=t)
+        u.specialize(**given)
 
 
 # -- specialize on MPoly -------------------------------------------------------
