@@ -24,8 +24,8 @@ from functools import partial
 
 from macpoly.cli import parse_count
 from macpoly.integral import compositions_rearranging, j_keys
-from macpoly.modified import compact_side, iter_dominant_words, iter_sorted_tableaux
-from macpoly.nonsymmetric import _basement_walk, iter_basement_fillings
+from macpoly.modified import _word_counts, compact_side, iter_sorted_tableaux
+from macpoly.nonsymmetric import _basement_counts, iter_basement_fillings
 from macpoly.polyring import SYMMETRIC
 from macpoly.shapes import Filling, composition_stats, diagram, iter_nonattacking
 from macpoly.verify import partitions_up_to
@@ -66,7 +66,8 @@ def main() -> None:
 
     print(f"\nmodified family, n = {n}: words of dominant content vs all words")
     for size in range(1, args.max_size + 1):
-        dominant_count = sum(1 for _ in iter_dominant_words(size, n))
+        # the words of one column of `size` cells: the count is the same on every diagram
+        dominant_count = sum(_word_counts(diagram((size,)), n).values())
         plain_count = n ** size
         print(f"  size {size}: {dominant_count:6d} vs {plain_count:6d}"
               f"{share(dominant_count, plain_count)}")
@@ -76,10 +77,10 @@ def main() -> None:
     for lam in SYMMETRIC_ANCHORS:
         alphas = compositions_rearranging(lam, SYMMETRIC_N)
         enumerated = sum(1 for alpha in alphas for _ in iter_basement_fillings(alpha))
-        keys = [key for key, _ in _basement_walk(alphas, SYMMETRIC_N, SYMMETRIC)]
-        kept = len(keys)
+        counts, fillings = _basement_counts(alphas, SYMMETRIC_N, SYMMETRIC)
+        kept = sum(counts.values())
         # one weight per distinct (maj, coinv, repeat mask) over the whole call
-        built = len({key[1:] for key in keys})
+        built = len(fillings)
         print(f"  shape {lam}: {enumerated:6d} enumerated, {kept:6d} kept, {built:6d} weights")
 
     print(f"\nJ, n = {INTEGRAL_N}: weight keys counted, and those of dominant x tallied")

@@ -12,7 +12,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .polyring import (
     SYMMETRIC, MPoly, divide_binomials, pochhammer_factors, tally, times_binomials,
 )
-from .nonsymmetric import EResult, _basement_walk, _e_sum
+from .nonsymmetric import EResult, _basement_counts, _e_sum
 from .shapes import (
     Filling,
     as_count,
@@ -130,7 +130,7 @@ def integral_e(alpha: Sequence[int]) -> MPoly:
     """
     stats = composition_stats(alpha)
     n = len(stats.inc)
-    counts = Counter(key for key, _ in _basement_walk([alpha], n))
+    counts, _ = _basement_counts([alpha], n)
     return tally(n, counts, _j_weigh(stats.inc, stats.mult.values()))
 
 

@@ -44,10 +44,6 @@ def _weighted(w: int, test: str) -> str:
     return test if w == 1 else "%d if %s else 0" % (w, test)
 
 
-def _sum(terms: list[str]) -> str:
-    return "sum((" + "".join(term + ", " for term in terms) + "))"
-
-
 def _ccw(a: str, b: str, c: str) -> str:
     """Counterclockwise (a, b, c): a < b <= c, or c < a < b, or b <= c < a."""
     return f"({a} < {b} <= {c} or {c} < {a} < {b} or {b} <= {c} < {a})"
@@ -58,32 +54,33 @@ def _cw(a: str, b: str, c: str) -> str:
     return f"({a} > {b} > {c} or {c} > {a} > {b} or {b} > {c} > {a})"
 
 
-def inv(shape) -> Callable:
-    terms = [_e(i) + " > " + _e(j) for i, j, _ in shape.coinv_pairs]
-    terms += [_ccw(_e(a), _e(b), _e(c)) for a, b, c in shape.coinv_triples]
-    return _kernel(shape, "inv", "e", "return " + _sum(terms))
+def _terms(shape, stat: str, basement: bool | None) -> list[tuple[int, str]]:
+    """(latest cell, comparison) for each term of ``stat``, "inv", "maj" or "coinv", with a
+    permutation basement ``b`` when ``basement`` is True, without when False; when None, b is
+    None or pins row 1, so that each term against b has two equal entries and is 0."""
+    if stat == "inv":
+        terms = [(j, _e(i) + " > " + _e(j)) for i, j, _ in shape.coinv_pairs]
+        return terms + [(max(abc), _ccw(*map(_e, abc))) for abc in shape.coinv_triples]
+    if stat == "maj":
+        terms = [(i, _weighted(w, _e(i) + " > " + _e(j))) for i, j, w in shape.steps]
+        low = [(i, "0", _weighted(w, _e(i) + " > " + _b(col))) for i, col, w in shape.bottom]
+    else:
+        terms = [(max(abc), _cw(*map(_e, abc))) for abc in shape.coinv_triples]
+        low = [(j, _e(i) + " < " + _e(j), _cw(_e(j), _e(i), _b(col))) for i, j, col in shape.coinv_pairs]
+        low += [(j, "0", _cw(_b(left), _e(j), _b(right))) for j, left, right in shape.coinv_bottom]
+    for i, plain, based in low:
+        pinned = "(%s) if b is None else 0" % plain if plain != "0" else "0"
+        text = based if basement else plain if basement is False else pinned
+        terms += [(i, text)] * (text != "0")
+    return terms
 
 
-def maj(shape) -> Callable:
-    terms = [_weighted(w, _e(i) + " > " + _e(j)) for i, j, w in shape.steps]
-    rest = [_weighted(w, _e(i) + " > " + _b(col)) for i, col, w in shape.bottom]
-    return _kernel(
-        shape, "maj", "e, b=None",
-        "if isinstance(b, tuple): return " + _sum(terms + rest),
-        "return " + _sum(terms),
-    )
-
-
-def coinv(shape) -> Callable:
-    terms = [_cw(_e(a), _e(b), _e(c)) for a, b, c in shape.coinv_triples]
-    rest = [_cw(_e(j), _e(i), _b(col)) for i, j, col in shape.coinv_pairs]
-    rest += [_cw(_b(left), _e(j), _b(right)) for j, left, right in shape.coinv_bottom]
-    pairs = [_e(i) + " < " + _e(j) for i, j, _ in shape.coinv_pairs]
-    return _kernel(
-        shape, "coinv", "e, b=None",
-        "if isinstance(b, tuple): return " + _sum(terms + rest),
-        "return " + _sum(terms + pairs),
-    )
+def stat(shape, name: str) -> Callable:
+    """The flat kernel of the statistic ``name``: one sum over all its terms,
+    those against the basement when b is a tuple."""
+    based, plain = ("return sum((%s))" % "".join(t + ", " for _, t in _terms(shape, name, b))
+                    for b in (True, False))
+    return _kernel(shape, name, "e, b=None", "if isinstance(b, tuple): " + based, plain)
 
 
 def repeats(shape) -> Callable:
@@ -102,35 +99,78 @@ def nonattacking(shape) -> Callable:
 #: loops per generated function, as CPython refuses more than 20 nested blocks
 _STAGE = 19
 
+#: per kind of walk: parameters after n, (statistic, reads b) summed as q and t, leaf lines
+_KINDS = {
+    "tuples": ("b=None, ordered=False", (), ["yield ({done})"]),
+    "words": ("c, counts", (("inv", False), ("maj", False)),
+              ["k = ({q}, {t})", "counts[k] = counts.get(k, 0) + 1"]),
+    "basement": ("b, content, counts, firsts", (("maj", None), ("coinv", None)), [
+        "x = content(({done}))", "if x is not None:", "    k = (x, {q}, {t}, ({mask}))",
+        "    if k in counts: counts[k] += 1",
+        "    else: counts[k] = 1; firsts.setdefault(k[1:], (({done}), b))",
+    ]),
+}
 
-def walk(shape) -> Callable:
-    """``walk(n, b=None, ordered=False)`` of :meth:`~macpoly.shapes.Diagram.walk`:
-    one ``for`` loop per cell in cell order, values rising, that skips a value
-    equal to the entry of a cell it attacks.  A row-1 loop runs over (b[col],)
-    when a basement pins row 1, and with ``ordered`` stops at the entry to its
-    left in its block.  Every 19 cells the loops go on in a chained function."""
-    cells, cols = range(len(shape.cells)), {i: col for i, col, _ in shape.bottom}
+
+def walk(shape, kind: str = "tuples") -> Callable:
+    """The loop nest of ``shape``, one ``for`` loop per cell in cell order and
+    values rising, of one ``kind``:
+
+    * "tuples", ``walk(n, b=None, ordered=False)``, yields the nonattacking
+      fillings: a loop skips the entries of the cells it attacks, in row 1
+      runs over (b[col],) when a basement pins it, and with ``ordered`` stops
+      at the entry to its left in its block;
+    * "basement", ``walk(n, b, content, counts, firsts)``, counts those with
+      basement b by (x, maj, coinv, repeat mask), x = content(e) not None, and
+      keeps in ``firsts`` (e, b) of the first per (maj, coinv, mask);
+    * "words", ``walk(n, c, counts)``, counts by (inv, maj) the words with c[v]
+      entries v: a loop takes v only while c[v] is left, and gives it back.
+
+    A loop adds to the partial sums q and t the comparisons whose latest cell
+    is its own, so a prefix's sums are shared by all of its completions.
+    Every 19 cells the loops go on in a chained function."""
+    args, stats, leaf = _KINDS[kind]
+    cells, words = range(len(shape.cells)), kind == "words"
+    cols = {} if words else {i: col for i, col, _ in shape.bottom}
     left = {b.start: a.start for h, slices in shape.blocks if h for a, b in zip(slices, slices[1:])}
+    adds: dict = {}
+    for letter, (name, based) in zip("qt", stats):
+        for i, text in _terms(shape, name, based):
+            adds.setdefault((letter, i), []).append(" + (%s)" % text)
     rows, pins = "".join("r%d, " % i for i in cols), "".join(_b(col) + ", " for col in cols.values())
     pin = "(%s) = [top] * %d if b is None else [(v,) if 0 < v <= n else () for v in (%s)]"
-    head = ["top = range(1, n + 1)", pin % (rows, len(cols), pins)]
+    head = ["top = range(1, n + 1)"] + ([pin % (rows, len(cols), pins)] if cols else [])
+    carried = "top, " + args.replace("=None", "").replace("=False", "") + ", " + rows
     stages = [cells[k:k + _STAGE] for k in range(0, len(cells), _STAGE)] or [cells]
-    namespace: dict = {}
+    sums, namespace = {"q": "0", "t": "0"}, {}
     for k, stage in enumerate(stages):
-        lines = [] if k else head
+        params = carried + done + "q, t" * bool(stats) if k else "n, " + args
+        lines, restore = ([] if k else head), []
         for depth, i in enumerate(stage):
-            pad = "    " * depth
-            lines.append(pad + "for %s in %s:" % (_e(i), "r%d" % i if i in cols else "top"))
-            if i in left:
-                lines.append(pad + "    if ordered and %s >= %s: break" % (_e(i), _e(left[i])))
-            tests = " or ".join(_e(i) + " == " + _e(j) for j in shape.attacks[i])
-            lines.append(pad + "    if %s: continue" % (tests or "False"))
-        done = "".join(_e(i) + ", " for i in cells[:stage.stop])
-        chain = "yield from walk%d(top, ordered, %s%s)" % (k + 1, rows, done)
-        lines.append("    " * len(stage) + (chain if k + 1 < len(stages) else "yield (%s)" % done))
-        params = "top, ordered, " + rows + "".join(_e(i) + ", " for i in cells[:stage.start])
-        _compile("walk%d" % k, params if k else "n, b=None, ordered=False", lines,
-                 "<walk%d of %r>" % (k, shape), namespace)
+            pad, e, attacks = "    " * (depth + 1), _e(i), shape.attacks[i]
+            lines.append(pad[4:] + "for %s in %s:" % (e, "r%d" % i if i in cols else "top"))
+            if kind == "tuples" and i in left:
+                lines.append(pad + "if ordered and %s >= %s: break" % (e, _e(left[i])))
+            if words:
+                more = i + 1 < len(cells)
+                lines += [pad + "if not c[%s]: continue" % e] + [pad + "c[%s] -= 1" % e] * more
+                restore += [pad + "c[%s] += 1" % e] * more
+            elif attacks:
+                lines.append(pad + "if %s: continue" % " or ".join(e + " == " + _e(j) for j in attacks))
+            for letter in "qt":
+                if (letter, i) in adds:
+                    lines.append(pad + "%s%d = %s" % (letter, i, sums[letter]) + "".join(adds[letter, i]))
+                    sums[letter] = "%s%d" % (letter, i)
+        pad, done = "    " * len(stage), "".join(_e(i) + ", " for i in cells[:stage.stop])
+        if k + 1 == len(stages):
+            mask = "".join(_e(i) + " == " + _e(j) + ", " for i, j, _ in shape.steps)
+            lines += [pad + line.format(done=done, mask=mask, **sums) for line in leaf]
+        else:
+            call = "walk%d(%s%s%s)" % (k + 1, carried, done, "{q}, {t}".format(**sums) * bool(stats))
+            lines.append(pad + "yield from " * (kind == "tuples") + call)
+        origin = "<%s walk%d of %r>" % (kind, k, shape)
+        _compile("walk%d" % k, params, lines + restore[::-1], origin, namespace)
+        sums = {"q": "q", "t": "t"}
     return namespace["walk0"]
 
 

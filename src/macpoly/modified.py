@@ -29,6 +29,7 @@ from .shapes import (
     Diagram,
     Filling,
     ShapeError,
+    _walk,
     as_count,
     as_partition,
     conjugate,
@@ -135,25 +136,25 @@ class SortedTableau:
         return _multiplicity_terms(self.block_multiplicities)
 
 
-def iter_dominant_words(size: int, n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(content, word) for every word of length ``size`` over 1..n of weakly
-    decreasing content, as the distinct rearrangements of each sorted word."""
-    content = content_kernel(SYMMETRIC, n)
-    for sorted_word in combinations_with_replacement(range(1, n + 1), size):
+def _word_counts(shape: Diagram, n: int) -> dict:
+    """The words over 1..n of weakly decreasing content x, read in ``shape``, counted by
+    (x, inv, maj, None): one compiled walk per sorted word's x, over the values x uses."""
+    walk, content, counts = _walk(shape, "words"), content_kernel(SYMMETRIC, n), {}
+    for sorted_word in combinations_with_replacement(range(1, n + 1), len(shape.cells)):
         x = content(sorted_word)
         if x is not None:
-            for word in SYMMETRIC.members(sorted_word):
-                yield x, word
+            by_stats: dict = {}
+            walk(n - x.count(0), [0, *x], by_stats)
+            counts.update(((x, q, t, None), c) for (q, t), c in by_stats.items())
+    return counts
 
 
 def htilde_plain(lam: Sequence[int], n: int) -> MPoly:
     """Sum of x^sigma q^inv t^maj over all fillings with entries in 1..n: over
     those of dominant content, each term then written under every
     rearrangement of x, since the value is symmetric."""
-    shape = diagram(as_partition(lam))
-    words = iter_dominant_words(len(shape.cells), as_count(n))
-    counts = Counter((x, shape.inv(e), shape.maj(e), None) for x, e in words)
-    return tally(n, counts, unit_weight, SYMMETRIC)
+    n = as_count(n)
+    return tally(n, _word_counts(diagram(as_partition(lam)), n), unit_weight, SYMMETRIC)
 
 
 def compact_side(lam: Sequence[int], n: int) -> tuple[Diagram, bool]:

@@ -10,15 +10,15 @@ cells above; a test cross-checks this against brute-force filtering.
 
 Coefficients are :class:`QtRational` values: each cell whose entry differs
 from the one below contributes (1-t) over (1 - q^(leg+1) t^(arm+1)).  E, P,
-G, qs_schur and the integral form of E read one walk over the basement
-fillings of one orbit of compositions; they share one increasing diagram, so
-a repeat mask over its cells fixes a weight's hooks.  A sum counts each kept
-filling by (x, maj, coinv, repeat mask) and weighs each distinct key once.
+G, qs_schur and the integral form of E read the compiled basement walk of
+each composition of one orbit; they share one increasing diagram, so a repeat
+mask over its cells fixes a weight's hooks.  The walk sums maj and coinv level
+by level and counts each kept filling by (x, maj, coinv, repeat mask), and a
+sum weighs each distinct key once.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -29,13 +29,12 @@ from .polyring import (
 )
 from .shapes import (
     INF_BASEMENT,
-    Diagram,
     Filling,
+    _walk,
     coinv_comp,
     composition_stats,
     content_kernel,
     diagram,
-    iter_nonattacking,
     maj,
 )
 
@@ -126,26 +125,12 @@ class EResult:
 
 def iter_basement_fillings(alpha: Sequence[int]) -> Iterator[Filling]:
     """Nonattacking fillings of the increasing diagram of alpha with the
-    maximal-length sorting permutation as basement, entries in 1..len(alpha).
-
-    Row 1 is pinned to the basement; the cells above it are filled by the
-    compiled walk in cell order, values ascending, each attacking pair checked
-    as soon as both of its cells are set.  The order is that of filtering
-    every assignment of the free cells, the last cell varying fastest.
-    """
-    shape, beta, tuples = _basement_tuples(alpha)
-    for e in tuples:
-        yield Filling(shape, e, beta)
-
-
-def _basement_tuples(
-    alpha: Sequence[int],
-) -> tuple[Diagram, tuple[int, ...], Iterator[tuple[int, ...]]]:
-    """The increasing diagram of alpha, its basement, and the flat entry
-    tuples of :func:`iter_basement_fillings`, in its order."""
+    maximal-length sorting permutation as basement, entries in 1..len(alpha),
+    from the compiled walk, which pins row 1 to the basement: in the order of
+    filtering every assignment, the last cell varying fastest."""
     stats = composition_stats(alpha)
     shape = diagram(stats.inc)
-    return shape, stats.beta, iter_nonattacking(stats.inc, len(stats.inc), stats.beta)
+    return (Filling(shape, e, stats.beta) for e in shape.walk(len(stats.inc), stats.beta))
 
 
 @lru_cache(maxsize=64)
@@ -175,37 +160,26 @@ def e_permuted_basement(alpha: Sequence[int]) -> EResult:
     return _e_sum([alpha], len(alpha))
 
 
-def _basement_walk(
-    alphas: Iterable[Sequence[int]], n: int, orbit: Orbit | None = None
-) -> Iterator[tuple]:
-    """``((x, maj, coinv, repeat mask), (shape, entries, basement))`` for each
-    basement filling of each of ``alphas`` whose content x over 1..n is a
-    representative of ``orbit`` (any x without one), which is tested first;
-    the second item is the :class:`Filling`'s arguments.  The compositions
-    must rearrange the same parts (one orbit), so that they share one
-    increasing diagram: then the mask, which says which cells of
-    ``shape.steps`` repeat the entry below, fixes a weight's hooks."""
-    content = content_kernel(orbit, n)
+def _basement_counts(alphas: Iterable[Sequence[int]], n: int, orbit: Orbit | None = None) -> tuple:
+    """The basement fillings of each of ``alphas`` whose content x over 1..n is a
+    representative of ``orbit`` (any x without one), counted by (x, maj, coinv, repeat
+    mask), and the :class:`Filling` arguments of the first per (maj, coinv, mask).  The
+    compositions must rearrange the same parts (one orbit), so that they share one
+    increasing diagram: then the mask, over ``shape.steps``, fixes a weight."""
+    content, counts, firsts = content_kernel(orbit, n), {}, {}
     for alpha in alphas:
-        shape, beta, tuples = _basement_tuples(alpha)
-        for e in tuples:
-            exps = content(e)
-            if exps is not None:
-                key = (exps, shape.maj(e, beta), shape.coinv(e, beta), shape.repeats(e))
-                yield key, (shape, e, beta)
+        stats = composition_stats(alpha)
+        _walk(shape := diagram(stats.inc), "basement")(n, stats.beta, content, counts, firsts)
+    return counts, {key: (shape, e, b) for key, (e, b) in firsts.items()}
 
 
 def _e_sum(alphas: Iterable[Sequence[int]], n: int, orbit: Orbit | None = None) -> EResult:
     """The sum of :func:`e_permuted_basement` over ``alphas``, one orbit as in
-    :func:`_basement_walk`.  Keys are counted over every composition, each distinct
+    :func:`_basement_counts`.  Keys are counted over every composition, each distinct
     (maj, coinv, mask) weight is built once, and each exponent vector's weights times
     their counts make one :meth:`QtRational.sum`.  With an ``orbit``, only representative
     exponent vectors are summed, each then written under its whole orbit."""
-    counts: Counter = Counter()
-    fillings: dict[tuple, tuple] = {}
-    for key, args in _basement_walk(alphas, n, orbit):
-        counts[key] += 1
-        fillings.setdefault(key[1:], args)
+    counts, fillings = _basement_counts(alphas, n, orbit)
     weights = {key: filling_weight(Filling(*args)) for key, args in fillings.items()}
     parts: dict[tuple, list] = {}
     for key, c in counts.items():

@@ -659,6 +659,14 @@ def divide_binomials(p: MPoly, factors: Iterable[tuple[int, int]]) -> MPoly:
     return p
 
 
+def _reduced(num: MPoly, den: tuple[QtFactor, ...]) -> tuple[MPoly, tuple[QtFactor, ...]]:
+    """:func:`macpoly.cyclotomic.reduced`, imported on the first call and bound to this name."""
+    global _reduced
+    from .cyclotomic import reduced as _reduced
+
+    return _reduced(num, den)
+
+
 class QtRational:
     """Element of Z[q,t] localized at the binomials 1 - q^a t^b.
 
@@ -680,9 +688,7 @@ class QtRational:
             if f.b < 1 or f.a < 0:
                 raise ValueError(f"invalid denominator factor {f}")
         if num and den:
-            from .cyclotomic import reduced
-
-            num, den = reduced(num, den)
+            num, den = _reduced(num, den)
         self.num, self.den = num, den if num else ()
 
     @classmethod

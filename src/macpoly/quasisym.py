@@ -3,12 +3,11 @@ checked against Demazure atoms in the tests), and the tableau oracle."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .polyring import QUASISYMMETRIC, Monomial, MPoly, tally, unit_weight
-from .nonsymmetric import EResult, _basement_walk, _e_sum
+from .nonsymmetric import EResult, _basement_counts, _e_sum
 from .shapes import ShapeError, as_count, as_partition
 
 
@@ -96,6 +95,6 @@ def qs_schur(gamma: Sequence[int], n: int) -> MPoly:
     """The q = t = 0 specialization of :func:`g_poly`: every denominator
     1 - q^a t^b (b >= 1) is 1 there, so it counts, by content at prefix
     supports, the basement fillings with maj = coinv = 0, then expands."""
-    walk = _basement_walk(compositions_with_support(gamma, n), n, QUASISYMMETRIC)
-    counts = Counter((x, 0, 0, None) for (x, q, t, _), _ in walk if not q and not t)
-    return tally(n, counts, unit_weight, QUASISYMMETRIC)
+    counts, _ = _basement_counts(compositions_with_support(gamma, n), n, QUASISYMMETRIC)
+    at_zero = {key: c for key, c in counts.items() if key[1] == key[2] == 0}
+    return tally(n, at_zero, unit_weight, QUASISYMMETRIC)

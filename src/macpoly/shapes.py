@@ -22,20 +22,24 @@ Compiled statistics.  A diagram's per-filling statistics (``inv``, ``maj``,
 are straight-line functions generated from its index tables, the way
 ``dataclasses`` generates ``__init__``: each unpacks the flat entry tuple
 into locals and returns one flat ``sum((...))`` of inlined comparisons, or
-one tuple or one conjunction of them; the nonattacking ``walk`` nests one
-``for`` loop per cell that skips the values of the cells it ``attacks``.  A
-kernel is compiled on its first use on a diagram, never at import, and cached
-on the diagram; the content test of :func:`content_kernel` is compiled once
-per (orbit, n).  Routes read each per-filling rule from the kernels and
-tables alone: content, ``repeats`` over ``steps`` above row 1, and row 1
+one tuple or one conjunction of them.  Only ``htilde_compact``, the J routes
+and ``filling_weight`` still call these flat kernels.  The rest read a walk,
+one ``for`` loop per cell: ``walk`` yields the tuples that skip the values of
+the cells each cell ``attacks``; the walks of ``htilde_plain`` and of the
+basement routes sum the statistics level by level, each loop adding the
+comparisons whose latest cell is its own, and count keys at the leaf.  All
+are compiled on first use, never at import, and cached per diagram (content
+tests per (orbit, n)).  Routes read each per-filling rule from the kernels
+and tables alone: content, ``repeats`` over ``steps`` above row 1, and row 1
 against a basement by ``bottom``.  The contract:
 
 * on every filling of the diagram, a kernel's value equals that of the loop
-  over the tables it replaces (``tests/test_shapes.py`` keeps those loops as
-  the reference and compares on every diagram of at most 5 columns of
-  height at most 3); the walk yields the tuples of filtering every
-  assignment, in the same order (every diagram of at most 3 columns of
-  height at most 2, and five larger);
+  over the tables it replaces, and a counting walk's counts equal those of
+  the flat kernels over every assignment (``tests/test_shapes.py`` compares
+  on every diagram of at most 5 columns of height at most 3, the counts at
+  each n <= 3 with at most 1,024 assignments); the walk yields the tuples of
+  filtering every assignment, in the same order (every diagram of at most 3
+  columns of height at most 2, and five larger);
 * the generated source holds only integers from the tables, each written
   with ``%d``, and fixed text.
 
@@ -117,20 +121,20 @@ class Diagram:
         """``inv(e)``: counterclockwise triples, degenerate row-1 pairs included;
         defined on partition shapes, where every column pair is type A, so the
         pairs and triples are those of ``coinv``."""
-        return _kernels().inv(self)
+        return _kernels().stat(self, "inv")
 
     @cached_property
     def maj(self) -> Callable[..., int]:
         """``maj(e, basement=None)``: sum of leg + 1 over the cells whose entry
         exceeds the one below it; row-1 cells compare only with a permutation
         basement."""
-        return _kernels().maj(self)
+        return _kernels().stat(self, "maj")
 
     @cached_property
     def coinv(self) -> Callable[..., int]:
         """``coinv(e, basement=None)``: clockwise triples of types A and B; see
         :func:`coinv_comp`."""
-        return _kernels().coinv(self)
+        return _kernels().stat(self, "coinv")
 
     @cached_property
     def repeats(self) -> Callable[[Sequence[int]], tuple[bool, ...]]:
@@ -401,6 +405,12 @@ def content_kernel(orbit: Orbit | None, n: int) -> Callable[[Sequence[int]], tup
     first v whose count breaks the representative condition against the count
     of v - 1, as ``orbit.breaks`` states it; cached per (orbit, n)."""
     return _kernels().content(orbit and orbit.breaks, n)
+
+
+@lru_cache(maxsize=256)
+def _walk(shape: Diagram, kind: str) -> Callable:
+    """The compiled :func:`macpoly.kernels.walk` of ``kind``, cached per (diagram, kind)."""
+    return _kernels().walk(shape, kind)
 
 
 def is_ordered(f: Filling) -> bool:

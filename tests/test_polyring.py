@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -657,6 +660,22 @@ def test_cyclotomic_pieces_agree_with_sympy():
     for d in range(1, 25):
         phi = sympy.Poly(sympy.cyclotomic_poly(d, y) * (-1 if d == 1 else 1), y)
         assert piece(d) == tuple(int(c) for c in reversed(phi.all_coeffs()))
+
+
+def test_cyclotomic_is_imported_with_the_first_fraction_that_has_a_denominator():
+    code = (
+        "import sys\n"
+        "import macpoly\n"
+        "from macpoly.polyring import QtFactor, QtRational, one_minus_qt\n"
+        "before = 'macpoly.cyclotomic' in sys.modules\n"
+        "QtRational(one_minus_qt(0, 2), [QtFactor(0, 1)])\n"
+        "import macpoly.cyclotomic, macpoly.polyring\n"
+        "print(before, macpoly.polyring._reduced is macpoly.cyclotomic.reduced)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.stdout.split() == ["False", "True"], proc.stderr
+
 
 @st.composite
 def pochhammer_multiples(draw):

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter, defaultdict
 from importlib import resources
 from itertools import permutations, product
 
@@ -15,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macpoly import kernels
-from macpoly.integral import j_compact, j_plain, p_poly
+from macpoly.integral import hook_product_inc, integral_e, j_compact, j_plain, p_poly
 from macpoly.modified import htilde_compact, htilde_plain
 from macpoly.nonsymmetric import e_permuted_basement
-from macpoly.polyring import QUASISYMMETRIC, SYMMETRIC, QtRational
+from macpoly.polyring import QUASISYMMETRIC, SYMMETRIC, MPoly, QtRational
 from macpoly.quasisym import g_poly, qs_schur, schur_ssyt
 from macpoly.shapes import (
     INF_BASEMENT,
@@ -657,6 +658,87 @@ def test_walks_past_the_nesting_limit():
     e = e_permuted_basement((25,))
     assert e.n == 1 and e.coeffs == {(25,): QtRational.one()}
     assert j_compact((25,), 1).value == j_plain((25,), 1)
+
+
+#: every diagram of at most 5 columns of height at most 3, as in
+#: test_kernels_match_loops_on_every_small_diagram
+SMALL_HEIGHTS = [h for k in range(6) for h in product(range(4), repeat=k)]
+
+
+def one_and_chained(shape, kind, monkeypatch):
+    """The walk of ``kind`` compiled as one function, and with 2 loops per
+    function, so that the partial sums cross every stage boundary."""
+    one = kernels.walk(shape, kind)
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "_STAGE", 2)
+        return one, kernels.walk(shape, kind)
+
+
+#: the most assignments filtered per diagram and n: every small diagram is
+#: checked at n <= 1, all but 126 at n = 2, and those of at most 6 cells at n = 3
+MOST_ASSIGNMENTS = 1024
+
+
+def assignments_by_n(shape):
+    """(n, every assignment over 1..n) for n <= 3, up to MOST_ASSIGNMENTS."""
+    for n in range(4):
+        if n ** len(shape.cells) <= MOST_ASSIGNMENTS:
+            yield n, list(product(range(1, n + 1), repeat=len(shape.cells)))
+
+
+def test_word_walk_counts_match_filtering_every_assignment(monkeypatch):
+    for heights in SMALL_HEIGHTS:
+        shape = diagram(heights)
+        walks = one_and_chained(shape, "words", monkeypatch)
+        for n, assignments in assignments_by_n(shape):
+            by_content: defaultdict = defaultdict(Counter)
+            for e in assignments:
+                by_content[tuple(map(e.count, range(1, n + 1)))][shape.inv(e), shape.maj(e)] += 1
+            for x, expected in by_content.items():
+                for walk in walks:
+                    counts, left = {}, [0, *x]
+                    walk(n, left, counts)
+                    assert counts == expected and left == [0, *x], (heights, n, x)
+
+
+def test_basement_walk_counts_match_filtering_every_assignment(monkeypatch):
+    for heights in SMALL_HEIGHTS:
+        shape = diagram(heights)
+        walks = one_and_chained(shape, "basement", monkeypatch)
+        increasing = all(a <= b for a, b in zip(heights, heights[1:]))
+        for n, assignments in assignments_by_n(shape):
+            cases = [(None, None)]
+            if increasing and n == len(heights):
+                # a permutation basement pins row 1 when n is the number of columns
+                cases += [(b, SYMMETRIC) for b in permutations(range(1, n + 1))]
+            for b, orbit in cases:
+                content, expected, firsts = content_kernel(orbit, n), Counter(), {}
+                for e in assignments:
+                    if shape.nonattacking(e, b) and (x := content(e)) is not None:
+                        key = (x, shape.maj(e, b), shape.coinv(e, b), shape.repeats(e))
+                        expected[key] += 1
+                        firsts.setdefault(key[1:], (e, b))
+                for walk in walks:
+                    got = {}, {}
+                    walk(n, b, content, *got)
+                    assert got == (expected, firsts), (heights, n, b)
+
+
+def test_counting_walks_past_the_nesting_limit_and_on_empty_input():
+    # 22 cells: the counting walks run as chained functions
+    one = MPoly.monomial(1, x=(22,))
+    assert htilde_plain((22,), 1) == htilde_plain((1,) * 22, 1) == qs_schur((22,), 1) == one
+    assert p_poly((22,), 1).coeffs == g_poly((22,), 1).coeffs == {(22,): QtRational.one()}
+    assert integral_e((22,)) == e_permuted_basement((22,)).cleared_by(hook_product_inc((22,)))
+    assert len(integral_e((22,)).terms) == 1794
+    # the empty diagram, with variables and without, and no variables
+    assert htilde_plain((), 2) == MPoly.one(2) and htilde_plain((), 0) == MPoly.one(0)
+    assert htilde_plain((2, 1), 0) == MPoly.zero(0) and qs_schur((1,), 0) == MPoly.zero(0)
+    assert qs_schur((), 3) == MPoly.one(3) and integral_e(()) == MPoly.one(0)
+    assert e_permuted_basement(()).coeffs == {(): QtRational.one()}
+    assert e_permuted_basement((0, 0)).coeffs == {(0, 0): QtRational.one()}
+    assert p_poly((), 2).coeffs == g_poly((), 2).coeffs == {(0, 0): QtRational.one()}
+    assert p_poly((2,), 0).coeffs == g_poly((1,), 0).coeffs == {}
 
 
 # -- the diagram type -----------------------------------------------------------------
