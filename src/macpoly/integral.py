@@ -7,6 +7,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .polyring import (
@@ -116,7 +117,7 @@ def j_compact(mu: Sequence[int], n: int) -> JResult:
     of the increasing rearrangement of mu; equal to :func:`j_plain`."""
     stats, n = composition_stats(as_partition(mu)), as_count(n)
     shape = diagram(stats.inc)
-    fillings = (Filling(shape, e) for e in iter_nonattacking(stats.inc, n, ordered=True))
+    fillings = map(Filling, repeat(shape), iter_nonattacking(stats.inc, n, ordered=True))
     weigh = _j_weigh(stats.inc, stats.mult.values())
     return JResult(tally(n, j_keys(stats.inc, n, fillings), weigh, SYMMETRIC), dict(stats.mult))
 

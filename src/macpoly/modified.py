@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, product as iproduct
+from itertools import combinations_with_replacement, product as iproduct, repeat
 from math import comb, prod
 from typing import Iterator, Sequence
 
@@ -114,8 +114,8 @@ def iter_sorted_tableaux(shape: Diagram, n: int) -> Iterator[Filling]:
     for h, slices in shape.blocks:
         columns = sorted(iproduct(range(1, n + 1), repeat=h), key=column_sort_key)
         per_block.append([sum(cols, ()) for cols in combinations_with_replacement(columns, len(slices))])
-    for choice in iproduct(*per_block):
-        yield Filling(shape, sum(choice, ()), INF_BASEMENT)
+    flats = map(sum, iproduct(*per_block), repeat(()))
+    yield from map(Filling, repeat(shape), flats, repeat(INF_BASEMENT))
 
 
 @dataclass(frozen=True)

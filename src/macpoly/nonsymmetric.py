@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 from .polyring import (
@@ -130,7 +131,7 @@ def iter_basement_fillings(alpha: Sequence[int]) -> Iterator[Filling]:
     filtering every assignment, the last cell varying fastest."""
     stats = composition_stats(alpha)
     shape = diagram(stats.inc)
-    return (Filling(shape, e, stats.beta) for e in shape.walk(len(stats.inc), stats.beta))
+    return map(Filling, repeat(shape), shape.walk(len(stats.inc), stats.beta), repeat(stats.beta))
 
 
 @lru_cache(maxsize=64)

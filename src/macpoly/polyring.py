@@ -19,8 +19,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache, reduce
-from itertools import accumulate, combinations
+from functools import cache, lru_cache, partial, reduce
+from itertools import accumulate, combinations, repeat
 from math import prod
 from operator import ge, or_
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
@@ -378,12 +378,17 @@ def poly_sum(n: int, polys: Iterable[MPoly]) -> MPoly:
     return MPoly(n, acc)
 
 
+#: a Monomial from an (x, q, t) tuple, without the Python-level ``Monomial.__new__``
+_monomial = partial(tuple.__new__, Monomial)
+
+
 def tally(n: int, counts: Mapping[tuple, int], weigh: Callable, orbit: Orbit | None = None) -> MPoly:
     """Sum over ((x, q, t, key), c) in ``counts`` of c x^x q^q t^t times the
     q,t-only polynomial ``weigh(key)``: a route counts its fillings by key, so
-    each key weighs once.  Each x's terms are kept in one map; with an ``orbit``,
-    only representative x are summed, and each map is then written under every
-    member of its orbit.
+    each key weighs once.  Each x's terms are kept in one map, and its zero sums
+    dropped; with an ``orbit``, only representative x are summed, and each map
+    is then written under every member of its orbit, by C-level maps with no
+    Python-level ``Monomial.__new__`` per term.
     Unchecked: x has length n, exponents are nonnegative and counts integers."""
     by_x: dict[tuple, dict[tuple[int, int], Scalar]] = {}
     for (x, q, t, key), c in counts.items():
@@ -391,9 +396,16 @@ def tally(n: int, counts: Mapping[tuple, int], weigh: Callable, orbit: Orbit | N
             acc = by_x.setdefault(x, {})
             for (_, a, b), k in weigh(key).terms.items():
                 acc[q + a, t + b] = acc.get((q + a, t + b), 0) + c * k
+    columns = {}
+    for x, acc in by_x.items():
+        acc = {qt: c for qt, c in acc.items() if c}
+        if acc:
+            columns[x] = (*zip(*acc), acc.values())
     if orbit is not None:
-        by_x = expand_orbits(by_x, orbit.members)
-    terms = {Monomial(x, q, t): c for x, acc in by_x.items() for (q, t), c in acc.items() if c}
+        columns = expand_orbits(columns, orbit.members)
+    terms: dict[Monomial, Scalar] = {}
+    for y, (qs, ts, cs) in columns.items():
+        terms.update(zip(map(_monomial, zip(repeat(y), qs, ts)), cs))
     return MPoly._trusted(n, terms)
 
 
@@ -659,12 +671,13 @@ def divide_binomials(p: MPoly, factors: Iterable[tuple[int, int]]) -> MPoly:
     return p
 
 
-def _reduced(num: MPoly, den: tuple[QtFactor, ...]) -> tuple[MPoly, tuple[QtFactor, ...]]:
-    """:func:`macpoly.cyclotomic.reduced`, imported on the first call and bound to this name."""
-    global _reduced
-    from .cyclotomic import reduced as _reduced
+@cache
+def _cyclotomic_reduced() -> Callable:
+    """:func:`macpoly.cyclotomic.reduced`, imported on the first call and kept
+    in this cache, so that no module attribute is rebound."""
+    from .cyclotomic import reduced
 
-    return _reduced(num, den)
+    return reduced
 
 
 class QtRational:
@@ -688,7 +701,7 @@ class QtRational:
             if f.b < 1 or f.a < 0:
                 raise ValueError(f"invalid denominator factor {f}")
         if num and den:
-            num, den = _reduced(num, den)
+            num, den = _cyclotomic_reduced()(num, den)
         self.num, self.den = num, den if num else ()
 
     @classmethod

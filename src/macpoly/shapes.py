@@ -50,7 +50,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import groupby, product as iproduct
+from itertools import groupby, product as iproduct, repeat
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -214,7 +215,7 @@ def _build_diagram(heights: tuple[int, ...]) -> Diagram:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Filling:
     """Entry assignment for a diagram, with an optional basement row.
 
@@ -222,17 +223,28 @@ class Filling:
     column, bottom to top); a cell map enters through :meth:`from_entries`.
     ``basement`` is None (no row 0), the string "inf" (row 0 all infinity),
     or a permutation tuple giving the row-0 entry per column.
+
+    Values are frozen and slotted.  The constructor writes the three slots
+    through their descriptors, which the frozen ``__setattr__`` does not
+    guard, and then runs the checks of ``__post_init__`` once; the generated
+    frozen ``__init__`` costs more, as it calls ``object.__setattr__`` per field.
     """
 
     shape: Diagram
     flat: tuple[int, ...]
     basement: tuple[int, ...] | str | None = None
 
+    def __init__(self, shape: Diagram, flat: tuple[int, ...], basement: tuple[int, ...] | str | None = None):
+        _set_shape(self, shape)
+        _set_flat(self, flat)
+        _set_basement(self, basement)
+        self.__post_init__()
+
     def __post_init__(self):
-        size = len(self.shape.cells)
-        if not isinstance(self.flat, tuple) or len(self.flat) != size:
-            raise ShapeError(f"flat entries must be a tuple of {size} values")
-        if isinstance(self.basement, tuple) and len(self.basement) != len(self.shape.heights):
+        shape, flat, basement = self.shape, self.flat, self.basement
+        if not isinstance(flat, tuple) or len(flat) != len(shape.cells):
+            raise ShapeError(f"flat entries must be a tuple of {len(shape.cells)} values")
+        if isinstance(basement, tuple) and len(basement) != len(shape.heights):
             raise ShapeError("permutation basement length != number of columns")
 
     @classmethod
@@ -257,6 +269,11 @@ class Filling:
         if sum(exps) != len(self.flat):
             raise ValueError(f"entry outside alphabet 1..{n}")
         return exps
+
+
+_set_shape, _set_flat, _set_basement = (
+    Filling.__dict__[name].__set__ for name in ("shape", "flat", "basement")
+)
 
 
 # -- composition bookkeeping ---------------------------------------------------
@@ -433,22 +450,26 @@ def is_packed(f: Filling) -> bool:
     return values == set(range(1, len(values) + 1))
 
 
+#: a tuple reversed, as one C call
+_reversed = itemgetter(slice(None, None, -1))
+
+
 def enumerate_fillings(
     shape: Diagram,
     n: int,
     predicate: Callable[[Filling], bool] | None = None,
     basement: tuple[int, ...] | str | None = None,
 ) -> Iterator[Filling]:
-    """Yield every filling with entries in 1..n passing `predicate`.
+    """An iterator over every filling with entries in 1..n passing `predicate`,
+    which is called once per candidate; n is checked at the call.
 
     Deterministic order: colexicographic on the entry vector indexed by cells
     sorted by (col, row), i.e. the first cell varies fastest.  An empty
     alphabet fills only the empty diagram.
     """
-    for combo in iproduct(range(1, as_count(n) + 1), repeat=len(shape.cells)):
-        f = Filling(shape, combo[::-1], basement)
-        if predicate is None or predicate(f):
-            yield f
+    combos = iproduct(range(1, as_count(n) + 1), repeat=len(shape.cells))
+    fillings = map(Filling, repeat(shape), map(_reversed, combos), repeat(basement))
+    return fillings if predicate is None else filter(predicate, fillings)
 
 
 def iter_nonattacking(

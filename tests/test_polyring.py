@@ -12,6 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from macpoly.integral import j_compact, j_plain
+from macpoly.modified import htilde_compact, htilde_plain
 from macpoly.polyring import (
     DimensionError,
     EvaluationError,
@@ -36,6 +38,7 @@ from macpoly.polyring import (
     tally,
     times_binomials,
 )
+from macpoly.verify import partitions_up_to
 
 
 def x(n, i):
@@ -668,13 +671,16 @@ def test_cyclotomic_is_imported_with_the_first_fraction_that_has_a_denominator()
         "import macpoly\n"
         "from macpoly.polyring import QtFactor, QtRational, one_minus_qt\n"
         "before = 'macpoly.cyclotomic' in sys.modules\n"
+        "modules = [m for name, m in sys.modules.items() if name.split('.')[0] == 'macpoly']\n"
+        "bound = [(m, k, v) for m in modules for k, v in list(vars(m).items())]\n"
         "QtRational(one_minus_qt(0, 2), [QtFactor(0, 1)])\n"
-        "import macpoly.cyclotomic, macpoly.polyring\n"
-        "print(before, macpoly.polyring._reduced is macpoly.cyclotomic.reduced)\n"
+        "after = 'macpoly.cyclotomic' in sys.modules\n"
+        "print(before, after, all(vars(m)[k] is v for m, k, v in bound))\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.stdout.split() == ["False", "True"], proc.stderr
+    # imported lazily, and the first fraction rebinds no attribute of any macpoly module
+    assert proc.stdout.split() == ["False", "True", "True"], proc.stderr
 
 
 @st.composite
@@ -793,6 +799,45 @@ def test_tally_keeps_no_zero_coefficient(data):
     out = tally(2, counts, expansions.__getitem__)
     assert 0 not in out.terms.values()
     assert out.terms == by_checked_constructor(2, counts, expansions).terms
+
+
+def tally_by_comprehension(n, counts, weigh, orbit=None):
+    """:func:`tally`'s terms by one comprehension over the orbit-expanded sums,
+    a Monomial built per term, and the number of zero sums it leaves out."""
+    by_x = {}
+    for (x, q, t, key), c in counts.items():
+        if orbit is None or orbit.is_rep(x):
+            acc = by_x.setdefault(x, {})
+            for (_, a, b), k in weigh(key).terms.items():
+                acc[q + a, t + b] = acc.get((q + a, t + b), 0) + c * k
+    if orbit is not None:
+        by_x = expand_orbits(by_x, orbit.members)
+    zeros = sum(not c for acc in by_x.values() for c in acc.values())
+    return {Monomial(x, q, t): c for x, acc in by_x.items() for (q, t), c in acc.items() if c}, zeros
+
+
+@pytest.mark.parametrize("route", [htilde_plain, htilde_compact, j_plain, j_compact], ids=lambda r: r.__name__)
+def test_route_tallies_match_the_comprehension(monkeypatch, route):
+    zeros = 0
+
+    def spy(n, counts, weigh, orbit=None):
+        nonlocal zeros
+        out = tally(n, counts, weigh, orbit)
+        terms, dropped = tally_by_comprehension(n, counts, weigh, orbit)
+        zeros += dropped
+        # the same terms in the same order, keyed by Monomial instances
+        assert list(out.terms.items()) == list(terms.items())
+        assert all(type(m) is Monomial and (m.x, m.q, m.t) == tuple(m) for m in out.terms)
+        assert 0 not in out.terms.values()
+        return out
+
+    monkeypatch.setattr(sys.modules[route.__module__], "tally", spy)
+    for mu in partitions_up_to(4):
+        for n in range(4):
+            route(mu, n)
+    if route in (j_plain, j_compact):
+        # J weights cancel on some keys, and those zero sums are left out
+        assert zeros > 0
 
 
 def test_divide_binomials_raises_on_a_later_factor():

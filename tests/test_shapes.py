@@ -15,10 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macpoly import kernels
-from macpoly.integral import hook_product_inc, integral_e, j_compact, j_plain, p_poly
-from macpoly.modified import htilde_compact, htilde_plain
-from macpoly.nonsymmetric import e_permuted_basement
+from macpoly import integral, kernels
+from macpoly.integral import hook_product_inc, integral_e, j_compact, j_keys, j_plain, p_poly
+from macpoly.modified import htilde_compact, htilde_plain, iter_sorted_tableaux
+from macpoly.nonsymmetric import e_permuted_basement, iter_basement_fillings
 from macpoly.polyring import QUASISYMMETRIC, SYMMETRIC, MPoly, QtRational
 from macpoly.quasisym import g_poly, qs_schur, schur_ssyt
 from macpoly.shapes import (
@@ -797,6 +797,72 @@ def test_filling_takes_only_a_full_flat_tuple():
             Filling(shape, bad)
     with pytest.raises(ShapeError):
         Filling(shape, (1, 2, 3), (1,))
+
+
+def test_filling_is_frozen_and_slotted():
+    shape = diagram([2, 1])
+    f = Filling(shape, (1, 2, 3), (2, 1))
+    for name, value in (("shape", diagram([3])), ("flat", (3, 2, 1)), ("basement", None)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(f, name, value)
+    assert not hasattr(f, "__dict__")
+    assert (f.shape, f.flat, f.basement) == (shape, (1, 2, 3), (2, 1))
+
+
+def test_filling_equality_and_hash_follow_the_fields():
+    shape = diagram([2, 1])
+    f = Filling(shape, (1, 2, 3), INF_BASEMENT)
+    twin = Filling(diagram((2, 1)), tuple([1, 2, 3]), "inf")
+    assert twin == f and hash(twin) == hash(f)
+    assert Filling(shape, (1, 2, 3), (2, 1)) == Filling(shape=shape, flat=(1, 2, 3), basement=(2, 1))
+    for other in (Filling(shape, (1, 2, 3)), Filling(shape, (1, 2, 3), (1, 2)), Filling(shape, (1, 2, 1), "inf")):
+        assert other != f
+
+
+def test_filling_checks_run_once_per_built_filling(monkeypatch):
+    checks = Counter()
+    check = Filling.__post_init__
+
+    def counted(self):
+        checks[self] += 1
+        check(self)
+
+    monkeypatch.setattr(Filling, "__post_init__", counted)
+
+    def checked(fillings):
+        """The items of ``fillings`` and the number of checks run while drawing them."""
+        checks.clear()
+        items = list(fillings)
+        assert set(checks.values()) <= {1} and set(items) <= set(checks)
+        return items, sum(checks.values())
+
+    shape, n = diagram([2, 1, 1]), 3
+    every, built = checked(enumerate_fillings(shape, n, basement=INF_BASEMENT))
+    assert len(every) == built == n ** 4
+    tested = []
+    accepted, built = checked(enumerate_fillings(shape, n, lambda f: tested.append(f) or is_nonattacking(f)))
+    assert len(tested) == built == n ** 4 > len(accepted)
+    for fillings in (iter_sorted_tableaux(diagram([2, 2, 1]), 3), iter_basement_fillings((1, 0, 2))):
+        items, built = checked(fillings)
+        assert items and built == len(items)
+
+    drawn = []
+
+    def keys(heights, n, fillings):
+        drawn.extend(fillings)
+        return j_keys(heights, n, drawn)
+
+    monkeypatch.setattr(integral, "j_keys", keys)
+    checks.clear()
+    j_compact((2, 2, 1), 3)
+    assert sum(checks.values()) == len(drawn) == len(list(iter_nonattacking((1, 2, 2), 3, ordered=True))) > 0
+
+
+def test_enumerate_fillings_checks_n_at_the_call():
+    with pytest.raises(ValueError, match="nonnegative"):
+        enumerate_fillings(diagram([1]), -1)
+    fillings = enumerate_fillings(diagram([1]), 2)
+    assert iter(fillings) is fillings
 
 
 def test_from_entries_needs_exact_cover():
