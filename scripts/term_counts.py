@@ -10,8 +10,8 @@ sums versus all n^size words (the count depends on the size alone).  A share
 is printed only where the all-fillings count is nonzero (not at n = 0).  Then,
 for P on the shapes the symmetric benchmark pins, at n = 5: the basement
 fillings enumerated over every composition, those of dominant content that
-``p_poly`` keeps, and the distinct weights it builds for them, which the
-compositions of one call share.  Last, for J on the shapes the integral
+``p_poly`` keeps, and the weights it builds for them, one per repeat mask,
+which the compositions of one call share.  Last, for J on the shapes the integral
 benchmark pins, at n = 4: per route, the distinct (x, maj, coinv, repeat
 mask) keys its fillings are counted by, and the keys of dominant x that it
 expands, since J is symmetric.
@@ -79,7 +79,7 @@ def main() -> None:
         enumerated = sum(1 for alpha in alphas for _ in iter_basement_fillings(alpha))
         counts, fillings = _basement_counts(alphas, SYMMETRIC_N, SYMMETRIC)
         kept = sum(counts.values())
-        # one weight per distinct (maj, coinv, repeat mask) over the whole call
+        # one weight per repeat mask over the whole call, shifted by each key's (maj, coinv)
         built = len(fillings)
         print(f"  shape {lam}: {enumerated:6d} enumerated, {kept:6d} kept, {built:6d} weights")
 

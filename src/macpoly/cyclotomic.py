@@ -8,7 +8,7 @@ Z[q, t], so lowest terms are unique."""
 from functools import lru_cache
 from math import gcd
 
-from .polyring import MPoly, Monomial, QtFactor, Scalar, divide_chains, one_minus_qt
+from .polyring import MPoly, Monomial, QtFactor, Scalar, _monomial, divide_chains, one_minus_qt
 
 
 @lru_cache(maxsize=None)
@@ -27,7 +27,7 @@ def _times(num: MPoly, a: int, b: int, f: tuple[int, ...]) -> MPoly:
     out: dict[Monomial, Scalar] = {}
     for (x, q, t), c in num.terms.items():
         for k, fk in enumerate(f):
-            m = Monomial(x, q + k * a, t + k * b)
+            m = _monomial((x, q + k * a, t + k * b))
             out[m] = out.get(m, 0) + fk * c
     return MPoly._trusted(0, {m: c for m, c in out.items() if c})
 

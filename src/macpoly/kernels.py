@@ -107,8 +107,10 @@ _KINDS = {
     "basement": ("b, content, counts, firsts", (("maj", None), ("coinv", None)), [
         "x = content(({done}))", "if x is not None:", "    k = (x, {q}, {t}, ({mask}))",
         "    if k in counts: counts[k] += 1",
-        "    else: counts[k] = 1; firsts.setdefault(k[1:], (({done}), b))",
+        "    else: counts[k] = 1; firsts.setdefault(k[3], (({done}), b))",
     ]),
+    "zero": ("b, content, counts", (("maj", None), ("coinv", None)),
+             ["x = content(({done}))", "if x is not None: counts[x] = counts.get(x, 0) + 1"]),
 }
 
 
@@ -122,12 +124,17 @@ def walk(shape, kind: str = "tuples") -> Callable:
       at the entry to its left in its block;
     * "basement", ``walk(n, b, content, counts, firsts)``, counts those with
       basement b by (x, maj, coinv, repeat mask), x = content(e) not None, and
-      keeps in ``firsts`` (e, b) of the first per (maj, coinv, mask);
+      keeps in ``firsts`` (e, b) of the first per repeat mask;
+    * "zero", ``walk(n, b, content, counts)``, counts by x those of the
+      basement walk with maj = coinv = 0: every term is 0 or more, so a
+      partial sum never falls, and a loop skips a value as soon as one of the
+      terms it adds is nonzero;
     * "words", ``walk(n, c, counts)``, counts by (inv, maj) the words with c[v]
       entries v: a loop takes v only while c[v] is left, and gives it back.
 
     A loop adds to the partial sums q and t the comparisons whose latest cell
-    is its own, so a prefix's sums are shared by all of its completions.
+    is its own, so a prefix's sums are shared by all of its completions (in
+    the "zero" walk they are 0, and only tested).
     Every 19 cells the loops go on in a chained function."""
     args, stats, leaf = _KINDS[kind]
     cells, words = range(len(shape.cells)), kind == "words"
@@ -136,7 +143,7 @@ def walk(shape, kind: str = "tuples") -> Callable:
     adds: dict = {}
     for letter, (name, based) in zip("qt", stats):
         for i, text in _terms(shape, name, based):
-            adds.setdefault((letter, i), []).append(" + (%s)" % text)
+            adds.setdefault((letter, i), []).append("(%s)" % text)
     rows, pins = "".join("r%d, " % i for i in cols), "".join(_b(col) + ", " for col in cols.values())
     pin = "(%s) = [top] * %d if b is None else [(v,) if 0 < v <= n else () for v in (%s)]"
     head = ["top = range(1, n + 1)"] + ([pin % (rows, len(cols), pins)] if cols else [])
@@ -157,9 +164,11 @@ def walk(shape, kind: str = "tuples") -> Callable:
                 restore += [pad + "c[%s] += 1" % e] * more
             elif attacks:
                 lines.append(pad + "if %s: continue" % " or ".join(e + " == " + _e(j) for j in attacks))
-            for letter in "qt":
+            if kind == "zero" and (terms := adds.get(("q", i), []) + adds.get(("t", i), [])):
+                lines.append(pad + "if %s: continue" % " or ".join(terms))
+            for letter in "qt" * (kind != "zero"):
                 if (letter, i) in adds:
-                    lines.append(pad + "%s%d = %s" % (letter, i, sums[letter]) + "".join(adds[letter, i]))
+                    lines.append(pad + "%s%d = " % (letter, i) + " + ".join([sums[letter], *adds[letter, i]]))
                     sums[letter] = "%s%d" % (letter, i)
         pad, done = "    " * len(stage), "".join(_e(i) + ", " for i in cells[:stage.stop])
         if k + 1 == len(stages):

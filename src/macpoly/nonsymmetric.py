@@ -10,11 +10,12 @@ cells above; a test cross-checks this against brute-force filtering.
 
 Coefficients are :class:`QtRational` values: each cell whose entry differs
 from the one below contributes (1-t) over (1 - q^(leg+1) t^(arm+1)).  E, P,
-G, qs_schur and the integral form of E read the compiled basement walk of
-each composition of one orbit; they share one increasing diagram, so a repeat
-mask over its cells fixes a weight's hooks.  The walk sums maj and coinv level
-by level and counts each kept filling by (x, maj, coinv, repeat mask), and a
-sum weighs each distinct key once.
+G and the integral form of E read the compiled basement walk of each
+composition of one orbit, which counts each kept filling by (x, maj, coinv,
+repeat mask); the compositions share one increasing diagram, so every weight
+is over D, the product of the hooks of its cells above row 1, and the mask
+fixes the numerator up to q^maj t^coinv.  So E, P and G sum numerators by
+:func:`~macpoly.polyring.tally_by_x` and reduce once per x.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 from .polyring import (
-    Monomial, MPoly, NonPolynomialError, Orbit, QtFactor, QtRational, Scalar, divide_binomials,
-    expand_orbits, one_minus_qt,
+    MPoly, NonPolynomialError, Orbit, QtFactor, QtRational, Scalar, _monomial, divide_binomials,
+    expand_orbits, one_minus_qt, tally_by_x, times_binomials,
 )
 from .shapes import (
     INF_BASEMENT,
@@ -82,7 +83,7 @@ class EResult:
         :class:`~macpoly.polyring.NonPolynomialError`.
         """
         quotients: dict[tuple, MPoly | None] = {}
-        acc: dict[Monomial, Scalar] = {}
+        acc: dict = {}
         for exps, value in self.coeffs.items():
             if value.den not in quotients:
                 try:
@@ -91,8 +92,7 @@ class EResult:
                     quotients[value.den] = None
             quo = quotients[value.den]
             poly = (value * multiplier).to_polynomial() if quo is None else value.num * quo
-            for m, c in poly.terms.items():
-                acc[Monomial(exps, m.q, m.t)] = c
+            acc.update({_monomial((exps, q, t)): c for (_, q, t), c in poly.terms.items()})
         # as in MPoly.extended: terms of n = 0 polynomials, moved to distinct x
         return MPoly._trusted(self.n, acc)
 
@@ -101,7 +101,7 @@ class EResult:
         if q is None or t is None:
             raise ValueError("an EResult is specialized at both q and t")
         return MPoly._trusted(self.n, {
-            Monomial(x, 0, 0): c for x, value in self.coeffs.items() if (c := value.specialize(q=q, t=t))
+            _monomial((x, 0, 0)): c for x, value in self.coeffs.items() if (c := value.specialize(q=q, t=t))
         })
 
     def swap_x(self, i: int, j: int) -> "EResult":
@@ -164,28 +164,31 @@ def e_permuted_basement(alpha: Sequence[int]) -> EResult:
 def _basement_counts(alphas: Iterable[Sequence[int]], n: int, orbit: Orbit | None = None) -> tuple:
     """The basement fillings of each of ``alphas`` whose content x over 1..n is a
     representative of ``orbit`` (any x without one), counted by (x, maj, coinv, repeat
-    mask), and the :class:`Filling` arguments of the first per (maj, coinv, mask).  The
-    compositions must rearrange the same parts (one orbit), so that they share one
-    increasing diagram: then the mask, over ``shape.steps``, fixes a weight."""
+    mask), and the :class:`Filling` arguments of the first per mask.  The compositions
+    must rearrange the same parts (one orbit), so that they share one increasing
+    diagram: then the mask, over ``shape.steps``, fixes a weight's hooks."""
     content, counts, firsts = content_kernel(orbit, n), {}, {}
     for alpha in alphas:
         stats = composition_stats(alpha)
         _walk(shape := diagram(stats.inc), "basement")(n, stats.beta, content, counts, firsts)
-    return counts, {key: (shape, e, b) for key, (e, b) in firsts.items()}
+    return counts, {mask: (shape, e, b) for mask, (e, b) in firsts.items()}
 
 
 def _e_sum(alphas: Iterable[Sequence[int]], n: int, orbit: Orbit | None = None) -> EResult:
     """The sum of :func:`e_permuted_basement` over ``alphas``, one orbit as in
-    :func:`_basement_counts`.  Keys are counted over every composition, each distinct
-    (maj, coinv, mask) weight is built once, and each exponent vector's weights times
-    their counts make one :meth:`QtRational.sum`.  With an ``orbit``, only representative
-    exponent vectors are summed, each then written under its whole orbit."""
+    :func:`_basement_counts`.  Each mask's weight, brought over D (the hooks above row 1)
+    and stripped of its q^maj t^coinv, weighs the keys of each x into one numerator,
+    reduced once over D.  With an ``orbit``, only representatives are summed, then expanded."""
     counts, fillings = _basement_counts(alphas, n, orbit)
-    weights = {key: filling_weight(Filling(*args)) for key, args in fillings.items()}
-    parts: dict[tuple, list] = {}
-    for key, c in counts.items():
-        parts.setdefault(key[0], []).append((c, weights[key[1:]]))
-    coeffs = {exps: u for exps, terms in parts.items() if (u := QtRational.sum(terms))}
+    weights = {}
+    for mask, (shape, e, b) in fillings.items():
+        num = filling_weight(Filling(shape, e, b)).num
+        num = times_binomials(num, (shape.hooks[i] for (i, _, _), same in zip(shape.steps, mask) if same))
+        _, q, t = min(num.terms)  # q^maj t^coinv: (1 - t)^k and hooks 1 - q^a t^b, a >= 1, add higher terms
+        weights[mask] = num.mul_monomial(q=-q, t=-t)
+    den = tuple(sorted(QtFactor(*shape.hooks[i]) for i, _, _ in shape.steps)) if fillings else ()
+    coeffs = {x: QtRational(MPoly._trusted(0, {_monomial(((), *qt)): c for qt, c in acc.items()}), den)
+              for x, acc in tally_by_x(counts, weights.__getitem__).items()}
     return EResult(n, coeffs if orbit is None else expand_orbits(coeffs, orbit.members))
 
 

@@ -21,8 +21,8 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache, lru_cache, partial, reduce
 from itertools import accumulate, combinations, repeat
-from math import prod
-from operator import ge, or_
+from math import gcd, prod
+from operator import add, ge, or_
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -81,6 +81,10 @@ class Monomial(NamedTuple):
             self.q - other.q,
             self.t - other.t,
         )
+
+
+#: a Monomial from an (x, q, t) tuple, without the Python-level ``Monomial.__new__``
+_monomial = partial(tuple.__new__, Monomial)
 
 
 class MPoly:
@@ -202,16 +206,12 @@ class MPoly:
                 self.n, {m: _normalize_scalar(c * other) for m, c in self.terms.items()}
             )
         self._check(other)
-        acc: dict[Monomial, Scalar] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = m1 * m2
-                c = acc.get(mono, 0) + c1 * c2
-                if c:
-                    acc[mono] = c
-                else:
-                    acc.pop(mono, None)
-        return MPoly._trusted(self.n, acc)
+        acc: dict[tuple, Scalar] = {}
+        for (x1, q1, t1), c1 in self.terms.items():
+            for (x2, q2, t2), c2 in other.terms.items():
+                key = (tuple(map(add, x1, x2)), q1 + q2, t1 + t2)
+                acc[key] = acc.get(key, 0) + c1 * c2
+        return MPoly._trusted(self.n, {_monomial(key): c for key, c in acc.items() if c})
 
     __rmul__ = __mul__
 
@@ -228,8 +228,9 @@ class MPoly:
         return result
 
     def mul_monomial(self, x: Sequence[int] = (), q: int = 0, t: int = 0) -> "MPoly":
-        shift = Monomial(tuple(x) if x else (0,) * self.n, q, t)
-        return MPoly._trusted(self.n, {m * shift: c for m, c in self.terms.items()})
+        x = tuple(x) if x else (0,) * self.n
+        return MPoly._trusted(self.n, {_monomial((tuple(map(add, y, x)), a + q, b + t)): c
+                                       for (y, a, b), c in self.terms.items()})
 
     # -- structural helpers --------------------------------------------------
 
@@ -244,16 +245,14 @@ class MPoly:
         return MPoly._trusted(n, {Monomial(m.x + pad, m.q, m.t): c for m, c in self.terms.items()})
 
     def swap_qt(self) -> "MPoly":
-        return MPoly._trusted(self.n, {Monomial(m.x, m.t, m.q): c for m, c in self.terms.items()})
+        return MPoly._trusted(self.n, {_monomial((x, t, q)): c for (x, q, t), c in self.terms.items()})
 
     def swap_x(self, i: int, j: int) -> "MPoly":
         """Exchange the variables x_i and x_j (1-based)."""
-        acc: dict[Monomial, Scalar] = {}
-        for m, c in self.terms.items():
-            xs = list(m.x)
-            xs[i - 1], xs[j - 1] = xs[j - 1], xs[i - 1]
-            acc[Monomial(tuple(xs), m.q, m.t)] = c
-        return MPoly._trusted(self.n, acc)
+        order = list(range(self.n))
+        order[i - 1], order[j - 1] = j - 1, i - 1
+        return MPoly._trusted(self.n, {_monomial((tuple(map(x.__getitem__, order)), q, t)): c
+                                       for (x, q, t), c in self.terms.items()})
 
     def qt_coefficients(self) -> dict[tuple[int, ...], "MPoly"]:
         """Group terms by x-part; values are q,t-only polynomials (n = 0)."""
@@ -378,29 +377,25 @@ def poly_sum(n: int, polys: Iterable[MPoly]) -> MPoly:
     return MPoly(n, acc)
 
 
-#: a Monomial from an (x, q, t) tuple, without the Python-level ``Monomial.__new__``
-_monomial = partial(tuple.__new__, Monomial)
-
-
-def tally(n: int, counts: Mapping[tuple, int], weigh: Callable, orbit: Orbit | None = None) -> MPoly:
-    """Sum over ((x, q, t, key), c) in ``counts`` of c x^x q^q t^t times the
-    q,t-only polynomial ``weigh(key)``: a route counts its fillings by key, so
-    each key weighs once.  Each x's terms are kept in one map, and its zero sums
-    dropped; with an ``orbit``, only representative x are summed, and each map
-    is then written under every member of its orbit, by C-level maps with no
-    Python-level ``Monomial.__new__`` per term.
-    Unchecked: x has length n, exponents are nonnegative and counts integers."""
+def tally_by_x(counts: Mapping[tuple, int], weigh: Callable, orbit: Orbit | None = None) -> dict:
+    """Sum over ((x, q, t, key), c) in ``counts`` of c x^x q^q t^t times the q,t-only
+    polynomial ``weigh(key)`` (a route counts its fillings by key, so each key weighs
+    once), as one map (q, t) -> nonzero coefficient per x that keeps a term; with an
+    ``orbit``, over representative x only."""
     by_x: dict[tuple, dict[tuple[int, int], Scalar]] = {}
     for (x, q, t, key), c in counts.items():
         if orbit is None or orbit.is_rep(x):
             acc = by_x.setdefault(x, {})
             for (_, a, b), k in weigh(key).terms.items():
                 acc[q + a, t + b] = acc.get((q + a, t + b), 0) + c * k
-    columns = {}
-    for x, acc in by_x.items():
-        acc = {qt: c for qt, c in acc.items() if c}
-        if acc:
-            columns[x] = (*zip(*acc), acc.values())
+    return {x: kept for x, acc in by_x.items() if (kept := {qt: c for qt, c in acc.items() if c})}
+
+
+def tally(n: int, counts: Mapping[tuple, int], weigh: Callable, orbit: Orbit | None = None) -> MPoly:
+    """The sum of :func:`tally_by_x` as a polynomial, each map written, with an ``orbit``,
+    under every member of x's orbit, by C-level maps with no ``Monomial.__new__`` per
+    term.  Unchecked: x has length n, exponents are nonnegative and counts integers."""
+    columns = {x: (*zip(*acc), acc.values()) for x, acc in tally_by_x(counts, weigh, orbit).items()}
     if orbit is not None:
         columns = expand_orbits(columns, orbit.members)
     terms: dict[Monomial, Scalar] = {}
@@ -442,8 +437,10 @@ def placements(x: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """Each vector of len(x) whose nonzero parts read x's in order, by combinations of positions."""
     parts = [e for e in x if e]
     for support in combinations(range(len(x)), len(parts)):
-        spots = dict(zip(support, parts))
-        yield tuple(spots.get(i, 0) for i in range(len(x)))
+        y = [0] * len(x)
+        for i, e in zip(support, parts):
+            y[i] = e
+        yield tuple(y)
 
 
 def is_dominant(x: Sequence[int]) -> bool:
@@ -552,7 +549,7 @@ def times_binomials(poly: MPoly, factors: Iterable[tuple[int, int]]) -> MPoly:
     for a, b in factors:
         terms = dict(poly.terms)
         for (x, q, t), c in poly.terms.items():
-            shifted = Monomial(x, q + a, t + b)
+            shifted = _monomial((x, q + a, t + b))
             c = terms.pop(shifted, 0) - c
             if c:
                 terms[shifted] = c
@@ -638,35 +635,45 @@ def divide_chains(p: MPoly, a: int, b: int, f: Sequence[int]) -> MPoly | None:
             if c := coeffs.get(k):
                 if k > top - len(f) + 1:
                     return None
-                quo[Monomial(x, q0 + k * a, t0 + k * b)] = c
+                quo[_monomial((x, q0 + k * a, t0 + k * b))] = c
                 for j, fj in taps:
                     coeffs[k + j] = coeffs.get(k + j, 0) - fj * c
     return MPoly._trusted(p.n, quo)
 
 
 def divide_binomial(p: MPoly, a: int, b: int) -> MPoly | None:
-    """p / (1 - q^a t^b) by :func:`divide_chains` when exact, else None; a non-integer
-    coefficient (a whole number held as a Fraction is not one) counts as "does not
-    divide", as it does for :func:`divmod_poly`."""
-    if a < 0 or b < 1:
-        raise ValueError(f"invalid binomial divisor 1 - q^{a} t^{b}")
-    if all(c.denominator == 1 for c in p.terms.values()):
-        return divide_chains(p, a, b, (1, -1))
-    return None
+    """p / (1 - q^a t^b) by :func:`divide_binomials` when exact, else None."""
+    try:
+        return divide_binomials(p, [(a, b)])
+    except NonPolynomialError:
+        return None
 
 
 def divide_binomials(p: MPoly, factors: Iterable[tuple[int, int]]) -> MPoly:
-    """p divided by the product of 1 - q^a t^b over ``factors``, one binomial
-    at a time by :func:`divide_binomial`.
+    """p divided by the product of 1 - q^a t^b over ``factors``, one
+    :func:`divide_chains` per ray (a/g, b/g), g = gcd(a, b): there each binomial
+    is 1 - y^g in y = q^(a/g) t^(b/g), and their product one list of coefficients.
 
-    Raises :class:`NonPolynomialError` when the product does not divide p.
-    Since Z[x, q, t] has unique factorization, that happens exactly when one
-    of the successive divisions is not exact.
+    Raises :class:`NonPolynomialError` when the product does not divide p, or
+    when p has a non-integer coefficient (a whole number held as a Fraction is
+    not one), as :func:`divmod_poly` leaves one in its remainder.  Since Z[x, q, t]
+    has unique factorization, the product divides p exactly when each of the
+    successive divisions by one binomial is exact.
     """
+    rays: dict[tuple[int, int], list[int]] = {}
     for a, b in factors:
-        quo = divide_binomial(p, a, b)
-        if quo is None:
-            raise NonPolynomialError(f"1 - q^{a}*t^{b} does not divide exactly")
+        if a < 0 or b < 1:
+            raise ValueError(f"invalid binomial divisor 1 - q^{a} t^{b}")
+        g = gcd(a, b)
+        f = rays.setdefault((a // g, b // g), [1])
+        f += [0] * g
+        for j in range(len(f) - g - 1, -1, -1):
+            f[j + g] -= f[j]
+    if rays and not all(c.denominator == 1 for c in p.terms.values()):
+        raise NonPolynomialError("a non-integer coefficient does not divide")
+    for (a, b), f in rays.items():
+        if (quo := divide_chains(p, a, b, f)) is None:
+            raise NonPolynomialError(f"the binomials on the ray of q^{a}*t^{b} do not divide exactly")
         p = quo
     return p
 
@@ -714,23 +721,12 @@ class QtRational:
 
     @classmethod
     def sum(cls, parts: Iterable[tuple[Scalar, "QtRational"]]) -> "QtRational":
-        """The sum of c u over ``parts`` (c, u), reduced once: the numerators that
-        share a denominator are added, and those sums brought to the lcm of the dens."""
-        if len(parts := list(parts)) == 1 and parts[0][0]:
-            c, u = parts[0]
-            return u if c == 1 else cls._trusted(u.num * c, u.den)  # canonical, as u is
-        by_den: dict[tuple, dict[Monomial, Scalar]] = {}
-        for c, u in parts:
-            acc = by_den.setdefault(u.den, {})
-            for mono, k in u.num.terms.items():
-                acc[mono] = acc.get(mono, 0) + c * k
-        if len(by_den) != 1:
-            lcm = reduce(or_, map(Counter, by_den), Counter())
-            nums = (times_binomials(MPoly._trusted(0, acc), (lcm - Counter(den)).elements())
-                    for den, acc in by_den.items())
-            by_den = {tuple(lcm.elements()): poly_sum(0, nums).terms}
-        (den, acc), = by_den.items()
-        return cls(MPoly._trusted(0, {m: k for m, k in acc.items() if k}), den)
+        """The sum of c u over ``parts`` (c, u): each numerator brought to the lcm of
+        the dens by :func:`times_binomials`, added, and reduced once."""
+        parts = list(parts)
+        lcm = reduce(or_, (Counter(u.den) for _, u in parts), Counter())
+        nums = (times_binomials(u.num * c, (lcm - Counter(u.den)).elements()) for c, u in parts)
+        return cls(poly_sum(0, nums), lcm.elements())
 
     @classmethod
     def from_int(cls, c: Scalar) -> "QtRational":

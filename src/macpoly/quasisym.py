@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .polyring import QUASISYMMETRIC, Monomial, MPoly, tally, unit_weight
-from .nonsymmetric import EResult, _basement_counts, _e_sum
-from .shapes import ShapeError, as_count, as_partition
+from .nonsymmetric import EResult, _e_sum
+from .shapes import ShapeError, _walk, as_count, as_partition, composition_stats, content_kernel, diagram
 
 
 def compositions_with_support(gamma: Sequence[int], n: int) -> list[tuple[int, ...]]:
@@ -92,9 +92,10 @@ def schur_ssyt(lam: Sequence[int], n: int) -> MPoly:
 
 
 def qs_schur(gamma: Sequence[int], n: int) -> MPoly:
-    """The q = t = 0 specialization of :func:`g_poly`: every denominator
-    1 - q^a t^b (b >= 1) is 1 there, so it counts, by content at prefix
-    supports, the basement fillings with maj = coinv = 0, then expands."""
-    counts, _ = _basement_counts(compositions_with_support(gamma, n), n, QUASISYMMETRIC)
-    at_zero = {key: c for key, c in counts.items() if key[1] == key[2] == 0}
-    return tally(n, at_zero, unit_weight, QUASISYMMETRIC)
+    """:func:`g_poly` at q = t = 0, where every denominator 1 - q^a t^b (b >= 1) is 1:
+    the basement fillings with maj = coinv = 0 counted by content at prefix supports,
+    in a walk that leaves a branch at its first nonzero term, then expanded."""
+    content, counts = content_kernel(QUASISYMMETRIC, n := as_count(n)), {}
+    for stats in map(composition_stats, compositions_with_support(gamma, n)):
+        _walk(diagram(stats.inc), "zero")(n, stats.beta, content, counts)
+    return tally(n, {(x, 0, 0, None): c for x, c in counts.items()}, unit_weight, QUASISYMMETRIC)

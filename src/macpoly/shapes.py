@@ -23,11 +23,11 @@ are straight-line functions generated from its index tables, the way
 ``dataclasses`` generates ``__init__``: each unpacks the flat entry tuple
 into locals and returns one flat ``sum((...))`` of inlined comparisons, or
 one tuple or one conjunction of them.  Only ``htilde_compact``, the J routes
-and ``filling_weight`` still call these flat kernels.  The rest read a walk,
-one ``for`` loop per cell: ``walk`` yields the tuples that skip the values of
-the cells each cell ``attacks``; the walks of ``htilde_plain`` and of the
-basement routes sum the statistics level by level, each loop adding the
-comparisons whose latest cell is its own, and count keys at the leaf.  All
+and ``filling_weight`` (once per repeat mask) call these flat kernels.  The rest
+read a walk, one ``for`` loop per cell: ``walk`` skips the values of the cells
+each cell ``attacks``; those of ``htilde_plain`` and the basement routes add the
+comparisons whose latest cell is a loop's own and count keys at the leaf, and
+that of ``qs_schur`` leaves a branch at its first nonzero comparison.  All
 are compiled on first use, never at import, and cached per diagram (content
 tests per (orbit, n)).  Routes read each per-filling rule from the kernels
 and tables alone: content, ``repeats`` over ``steps`` above row 1, and row 1

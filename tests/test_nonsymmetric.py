@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -15,6 +16,7 @@ from macpoly.nonsymmetric import (
     iter_basement_fillings,
 )
 from macpoly.integral import (
+    _j_factor_terms,
     compositions_rearranging,
     hook_product_inc,
     integral_e,
@@ -23,6 +25,7 @@ from macpoly.integral import (
     pochhammer_prefactor,
 )
 from macpoly.polyring import (
+    Monomial,
     MPoly,
     NonPolynomialError,
     QtFactor,
@@ -36,6 +39,7 @@ from macpoly.polyring import (
     placements,
     pochhammer_tt,
     poly_sum,
+    times_binomials,
 )
 from macpoly.quasisym import compositions_with_support, g_poly
 from macpoly.shapes import (
@@ -50,7 +54,7 @@ from macpoly.shapes import (
     leg,
     maj,
 )
-from macpoly.verify import partitions_up_to
+from macpoly.verify import partitions_up_to, strong_compositions_up_to
 
 
 def qt_one_minus_t():
@@ -375,6 +379,42 @@ def test_p_and_g_print_as_the_filling_order_sum(lam, n):
     assert printed(g_poly(lam, n)) == printed(expected)
 
 
+def test_p_and_g_print_as_the_filling_order_sum_up_to_size_4():
+    # one weight per repeat mask over the hook product, each x reduced once,
+    # prints as the filling-by-filling sum over representatives, then expanded
+    differ, checked = [], 0
+    for lam in partitions_up_to(4):
+        for n in range(len(lam), 5):
+            total = EResult(n)
+            for alpha in compositions_rearranging(lam, n):
+                total += filling_order_sum(alpha, is_dominant)
+            if printed(p_poly(lam, n)) != printed(EResult(n, expand_orbits(total.coeffs, distinct_permutations))):
+                differ.append(("p", lam, n))
+            checked += 1
+    for gamma in set(strong_compositions_up_to(4)):
+        for n in range(len(gamma), 5):
+            total = EResult(n)
+            for alpha in compositions_with_support(gamma, n):
+                total += filling_order_sum(alpha, has_prefix_support)
+            if printed(g_poly(gamma, n)) != printed(EResult(n, expand_orbits(total.coeffs, placements))):
+                differ.append(("g", gamma, n))
+            checked += 1
+    assert differ == [] and checked == 33 + 43
+
+
+def test_weight_over_the_hook_product_is_the_j_factor():
+    # a basement filling's weight times D, the hooks of the cells above row 1,
+    # is q^maj t^coinv times the J factor of its repeat mask, with no Pochhammer
+    for alpha in SMALL_ALPHAS:
+        shape = diagram(composition_stats(alpha).inc)
+        den = sorted(QtFactor(*shape.hooks[i]) for i, _, _ in shape.steps)
+        for f in iter_basement_fillings(alpha):
+            w = filling_weight(f)
+            over_d = times_binomials(w.num, (Counter(den) - Counter(w.den)).elements())
+            j_factor = _j_factor_terms(shape.heights, shape.repeats(f.flat), ())
+            assert over_d == j_factor.mul_monomial(q=maj(f), t=coinv_comp(f)), (alpha, f.flat)
+
+
 def test_p_prints_as_the_sum_of_f_over_its_rearrangements():
     # a coefficient's printed form is a function of its value, so the orbit
     # sum of P prints as the plain sum of F over every rearrangement of lam
@@ -390,6 +430,14 @@ def test_p_prints_as_the_sum_of_f_over_its_rearrangements():
 
 
 # -- clearing denominators ----------------------------------------------------------
+
+
+def test_cleared_and_specialized_keys_are_monomials():
+    for alpha in SMALL_ALPHAS:
+        e = e_permuted_basement(alpha)
+        for poly in (e.cleared_by(hook_product_inc(alpha)), e.specialize(q=2, t=3)):
+            assert all(type(m) is Monomial for m in poly.terms) and 0 not in poly.terms.values()
+        assert e.cleared_by(hook_product_inc(alpha)) == integral_e(alpha)
 
 
 def cleared_one_by_one(e, multiplier):

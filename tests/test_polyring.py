@@ -38,6 +38,8 @@ from macpoly.polyring import (
     tally,
     times_binomials,
 )
+from macpoly.cyclotomic import _times
+from macpoly.shapes import composition_stats, conjugate, diagram
 from macpoly.verify import partitions_up_to
 
 
@@ -855,3 +857,93 @@ def test_gaussian_binomial_unchanged_by_chain_division(m):
             den = (pochhammer_tt(k) * pochhammer_tt(m - k)).extended(n)
             expected = exact_div(pochhammer_tt(m).extended(n), den)
             assert gaussian_binomial(m, k).extended(n) == expected
+
+
+# -- term keys built at C level ---------------------------------------------------
+
+
+def per_pair_product(p, r):
+    """p times r by ``Monomial.__mul__`` on each pair of terms, zero sums dropped."""
+    acc = Counter()
+    for m1, c1 in p.terms.items():
+        for m2, c2 in r.terms.items():
+            acc[m1 * m2] += c1 * c2
+    return {m: c for m, c in acc.items() if c}
+
+
+def monomial_keys_and_no_zero(poly):
+    return all(type(m) is Monomial for m in poly.terms) and 0 not in poly.terms.values()
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2).flatmap(lambda n: st.tuples(small_polys(n), small_polys(n))),
+       st.integers(0, 2), st.integers(1, 2))
+def test_term_keys_are_monomials_built_without_a_product_per_pair(pair, a, b):
+    p, r = pair
+    n = p.n
+    shift = MPoly.monomial(n, x=(1,) * n, q=a, t=b)
+    binomial = one_minus_qt(a, b).extended(n)
+    outs = {
+        "mul": (p * r, per_pair_product(p, r)),
+        "mul_monomial": (p.mul_monomial(x=(1,) * n, q=a, t=b), per_pair_product(p, shift)),
+        "swap_qt": (p.swap_qt(), {Monomial(m.x, m.t, m.q): c for m, c in p.terms.items()}),
+        "times_binomials": (times_binomials(p, [(a, b)]), per_pair_product(p, binomial)),
+        "divide_chains": (divide_chains(MPoly(n, per_pair_product(p, binomial)), a, b, (1, -1)), p.terms),
+    }
+    if n == 0:
+        # p times 1 + y + y^2 at y = q^a t^b
+        f = MPoly.one(0) + MPoly.monomial(0, q=a, t=b) + MPoly.monomial(0, q=2 * a, t=2 * b)
+        outs["cyclotomic._times"] = (_times(p, a, b, (1, 1, 1)), per_pair_product(p, f))
+    for name, (got, expected) in outs.items():
+        assert got.terms == expected, name
+        assert monomial_keys_and_no_zero(got), name
+
+
+# -- one chain division per ray ---------------------------------------------------
+
+
+def divided_one_at_a_time(p, factors):
+    """p divided by each binomial 1 - q^a t^b in turn, a chain division by (1, -1),
+    or None at the first that does not divide."""
+    for a, b in factors:
+        if (p := divide_chains(p, a, b, (1, -1))) is None:
+            return None
+    return p
+
+
+def pochhammer_and_hook_factors(mu):
+    """The binomials of mu's Pochhammer prefactor, of its hook product and of the
+    hooks above row 1 of its increasing diagram (a, b), each list alone and joined."""
+    stats = composition_stats(mu)
+    inc = diagram(stats.inc)
+    pochhammer = pochhammer_factors(stats.mult.values())
+    hooks = [(arm1 - 1, leg1) for leg1, arm1 in diagram(conjugate(mu)).hooks]
+    above = [hook for below, hook in zip(inc.below, inc.hooks) if below is not None]
+    return [pochhammer, hooks, above, pochhammer + above, hooks + above]
+
+
+def test_divide_binomials_agrees_with_dividing_one_binomial_at_a_time():
+    outcomes = Counter()
+    for mu in partitions_up_to(5):
+        for factors in pochhammer_and_hook_factors(mu):
+            product_ = times_binomials(MPoly.one(0), factors)
+            dividends = [product_, product_ * (MPoly.one(0) + qpoly() - 2 * tpoly()),
+                         times_binomials(MPoly.one(0) + qpoly(), factors[1:]), product_ + tpoly(),
+                         times_binomials(x(2, 1) + x(2, 2) * qpoly(2), factors)]
+            for p in dividends:
+                expected = divided_one_at_a_time(p, factors)
+                outcomes[expected is None] += 1
+                if expected is None:
+                    with pytest.raises(NonPolynomialError):
+                        divide_binomials(p, factors)
+                else:
+                    assert divide_binomials(p, factors) == expected, (mu, factors, p)
+    assert outcomes[True] > 100 and outcomes[False] > 100
+
+
+def test_divide_binomials_refuses_non_integer_coefficients():
+    p = one_minus_qt(1, 1) * Fraction(1, 2)
+    with pytest.raises(NonPolynomialError):
+        divide_binomials(p, [(1, 1)])
+    # with nothing to divide by, nothing is refused
+    assert divide_binomials(p, []) is p

@@ -33,8 +33,8 @@ def test_term_counts_runs():
     # (1, 1)'s own diagram, 3 sorted tableaux, not its conjugate's 4
     assert "  shape (1, 1):      3 vs      4  (75.0%)" in lines
     # P((3,2,1)) at n = 5 weighs only the fillings of dominant content, and
-    # fillings with one weight key share one weight across every composition
-    assert "  shape (3, 2, 1):   2160 enumerated,    217 kept,     55 weights" in lines
+    # fillings with one repeat mask share one weight across every composition
+    assert "  shape (3, 2, 1):   2160 enumerated,    217 kept,      8 weights" in lines
     # J((4,2)) at n = 4 expands only the keys of dominant x, by either route
     assert (
         "  shape (4, 2): j_plain   1230 counted,   143 tallied;"

@@ -717,11 +717,35 @@ def test_basement_walk_counts_match_filtering_every_assignment(monkeypatch):
                     if shape.nonattacking(e, b) and (x := content(e)) is not None:
                         key = (x, shape.maj(e, b), shape.coinv(e, b), shape.repeats(e))
                         expected[key] += 1
-                        firsts.setdefault(key[1:], (e, b))
+                        firsts.setdefault(key[3], (e, b))
                 for walk in walks:
                     got = {}, {}
                     walk(n, b, content, *got)
                     assert got == (expected, firsts), (heights, n, b)
+
+
+def test_zero_walk_counts_the_basement_walk_at_maj_and_coinv_zero(monkeypatch):
+    for heights in SMALL_HEIGHTS:
+        shape = diagram(heights)
+        basement, walks = kernels.walk(shape, "basement"), one_and_chained(shape, "zero", monkeypatch)
+        increasing = all(a <= b for a, b in zip(heights, heights[1:]))
+        for n in range(4):
+            if n ** len(shape.cells) > MOST_ASSIGNMENTS:
+                continue
+            cases = [(None, None), (None, QUASISYMMETRIC)]
+            if increasing and n == len(heights):
+                cases += [(b, orbit) for b in permutations(range(1, n + 1)) for orbit in (None, QUASISYMMETRIC)]
+            for b, orbit in cases:
+                content, counts = content_kernel(orbit, n), {}
+                basement(n, b, content, counts, {})
+                expected = Counter()
+                for (x, q, t, _), c in counts.items():
+                    if q == t == 0:
+                        expected[x] += c
+                for walk in walks:
+                    got = {}
+                    walk(n, b, content, got)
+                    assert got == expected, (heights, n, b)
 
 
 def test_counting_walks_past_the_nesting_limit_and_on_empty_input():
