@@ -21,7 +21,7 @@ from .shapes import (
     coinv_comp,
     composition_stats,
     conjugate,
-    content_kernel,
+    content_plan,
     diagram,
     enumerate_fillings,
     is_nonattacking,
@@ -68,8 +68,8 @@ def j_keys(heights: Sequence[int], n: int, fillings: Iterable[Filling]) -> Count
     """Fillings of the diagram of ``heights``, entries in 1..n, counted by
     (x, maj, coinv, repeat mask): a J weight is x^sigma q^maj t^coinv times
     the q,t part of :func:`_j_factor_terms`, which the mask fixes."""
-    repeats, content = diagram(heights).repeats, content_kernel(None, n)
-    return Counter((content(f.flat), maj(f), coinv_comp(f), repeats(f.flat)) for f in fillings)
+    (_, _, reps, code), repeats = content_plan(None, n, sum(heights)), diagram(heights).repeats
+    return Counter((reps[code(f.flat)], maj(f), coinv_comp(f), repeats(f.flat)) for f in fillings)
 
 
 def _j_weigh(heights: Sequence[int], pochhammer: Iterable[int]) -> Callable:

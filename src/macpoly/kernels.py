@@ -1,14 +1,16 @@
 """Source generation for the compiled statistics and walks of :mod:`macpoly.shapes`.
 
 Each function here writes straight-line Python from a diagram's index tables
-(or from a variable count) and compiles it.  The contract is stated in the
-:mod:`macpoly.shapes` docstring.  This module is imported with the first
-kernel built, not with the package, so importing macpoly does not compile it.
+(or from a variable and an entry count) and compiles it; :func:`plan` also
+builds the memos of content codes that the walks read.  The contract is
+stated in the :mod:`macpoly.shapes` docstring.  This module is imported with
+the first kernel built, not with the package, so importing macpoly does not
+compile it.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, NamedTuple
 
 
 def _compile(
@@ -99,18 +101,19 @@ def nonattacking(shape) -> Callable:
 #: loops per generated function, as CPython refuses more than 20 nested blocks
 _STAGE = 19
 
-#: per kind of walk: parameters after n, (statistic, reads b) summed as q and t, leaf lines
+#: per kind of walk: parameters after n, (statistic, reads b) summed as q and t, the partial
+#: sums carried ("s" is the content code), leaf lines
 _KINDS = {
-    "tuples": ("b=None, ordered=False", (), ["yield ({done})"]),
-    "words": ("c, counts", (("inv", False), ("maj", False)),
+    "tuples": ("b=None, ordered=False", (), "", ["yield ({done})"]),
+    "words": ("c, counts", (("inv", False), ("maj", False)), "qt",
               ["k = ({q}, {t})", "counts[k] = counts.get(k, 0) + 1"]),
-    "basement": ("b, content, counts, firsts", (("maj", None), ("coinv", None)), [
-        "x = content(({done}))", "if x is not None:", "    k = (x, {q}, {t}, ({mask}))",
+    "basement": ("b, plan, counts, firsts", (("maj", None), ("coinv", None)), "sqt", [
+        "x = xs[{s}]", "if x is not None:", "    k = (x, {q}, {t}, ({mask}))",
         "    if k in counts: counts[k] += 1",
         "    else: counts[k] = 1; firsts.setdefault(k[3], (({done}), b))",
     ]),
-    "zero": ("b, content, counts", (("maj", None), ("coinv", None)),
-             ["x = content(({done}))", "if x is not None: counts[x] = counts.get(x, 0) + 1"]),
+    "zero": ("b, plan, counts", (("maj", None), ("coinv", None)), "s",
+             ["x = xs[{s}]", "if x is not None: counts[x] = counts.get(x, 0) + 1"]),
 }
 
 
@@ -122,10 +125,11 @@ def walk(shape, kind: str = "tuples") -> Callable:
       fillings: a loop skips the entries of the cells it attacks, in row 1
       runs over (b[col],) when a basement pins it, and with ``ordered`` stops
       at the entry to its left in its block;
-    * "basement", ``walk(n, b, content, counts, firsts)``, counts those with
-      basement b by (x, maj, coinv, repeat mask), x = content(e) not None, and
-      keeps in ``firsts`` (e, b) of the first per repeat mask;
-    * "zero", ``walk(n, b, content, counts)``, counts by x those of the
+    * "basement", ``walk(n, b, plan, counts, firsts)``, counts those with
+      basement b by (x, maj, coinv, repeat mask), for x a content that the
+      :class:`ContentPlan` ``plan`` keeps, and keeps in ``firsts`` (e, b) of
+      the first per repeat mask;
+    * "zero", ``walk(n, b, plan, counts)``, counts by x those of the
       basement walk with maj = coinv = 0: every term is 0 or more, so a
       partial sum never falls, and a loop skips a value as soon as one of the
       terms it adds is nonzero;
@@ -134,9 +138,12 @@ def walk(shape, kind: str = "tuples") -> Callable:
 
     A loop adds to the partial sums q and t the comparisons whose latest cell
     is its own, so a prefix's sums are shared by all of its completions (in
-    the "zero" walk they are 0, and only tested).
+    the "zero" walk they are 0, and only tested).  The "basement" and "zero"
+    loops also add the code of their entry to the content code s and skip a
+    value as soon as the plan says s completes to no content it keeps; the
+    leaf reads x off the plan by s.
     Every 19 cells the loops go on in a chained function."""
-    args, stats, leaf = _KINDS[kind]
+    args, stats, summed, leaf = _KINDS[kind]
     cells, words = range(len(shape.cells)), kind == "words"
     cols = {} if words else {i: col for i, col, _ in shape.bottom}
     left = {b.start: a.start for h, slices in shape.blocks if h for a, b in zip(slices, slices[1:])}
@@ -144,15 +151,16 @@ def walk(shape, kind: str = "tuples") -> Callable:
     for letter, (name, based) in zip("qt", stats):
         for i, text in _terms(shape, name, based):
             adds.setdefault((letter, i), []).append("(%s)" % text)
+    adds.update((("s", i), ["w[%s]" % _e(i)]) for i in cells if "s" in summed)
     rows, pins = "".join("r%d, " % i for i in cols), "".join(_b(col) + ", " for col in cols.values())
     pin = "(%s) = [top] * %d if b is None else [(v,) if 0 < v <= n else () for v in (%s)]"
     head = ["top = range(1, n + 1)"] + ([pin % (rows, len(cols), pins)] if cols else [])
     carried = "top, " + args.replace("=None", "").replace("=False", "") + ", " + rows
     stages = [cells[k:k + _STAGE] for k in range(0, len(cells), _STAGE)] or [cells]
-    sums, namespace = {"q": "0", "t": "0"}, {}
+    sums, namespace = dict.fromkeys(summed, "0"), {}
     for k, stage in enumerate(stages):
-        params = carried + done + "q, t" * bool(stats) if k else "n, " + args
-        lines, restore = ([] if k else head), []
+        params = carried + done + "".join(c + ", " for c in summed) if k else "n, " + args
+        lines, restore = ([] if k else head) + ["w, ok, xs, _ = plan"] * ("s" in summed), []
         for depth, i in enumerate(stage):
             pad, e, attacks = "    " * (depth + 1), _e(i), shape.attacks[i]
             lines.append(pad[4:] + "for %s in %s:" % (e, "r%d" % i if i in cols else "top"))
@@ -166,30 +174,79 @@ def walk(shape, kind: str = "tuples") -> Callable:
                 lines.append(pad + "if %s: continue" % " or ".join(e + " == " + _e(j) for j in attacks))
             if kind == "zero" and (terms := adds.get(("q", i), []) + adds.get(("t", i), [])):
                 lines.append(pad + "if %s: continue" % " or ".join(terms))
-            for letter in "qt" * (kind != "zero"):
+            for letter in summed:
                 if (letter, i) in adds:
                     lines.append(pad + "%s%d = " % (letter, i) + " + ".join([sums[letter], *adds[letter, i]]))
                     sums[letter] = "%s%d" % (letter, i)
+                if letter == "s" and i + 1 < len(cells):
+                    lines.append(pad + "if not ok[s%d]: continue" % i)
         pad, done = "    " * len(stage), "".join(_e(i) + ", " for i in cells[:stage.stop])
         if k + 1 == len(stages):
             mask = "".join(_e(i) + " == " + _e(j) + ", " for i, j, _ in shape.steps)
             lines += [pad + line.format(done=done, mask=mask, **sums) for line in leaf]
         else:
-            call = "walk%d(%s%s%s)" % (k + 1, carried, done, "{q}, {t}".format(**sums) * bool(stats))
+            call = "walk%d(%s%s%s)" % (k + 1, carried, done, "".join(sums[c] + ", " for c in summed))
             lines.append(pad + "yield from " * (kind == "tuples") + call)
         origin = "<%s walk%d of %r>" % (kind, k, shape)
         _compile("walk%d" % k, params, lines + restore[::-1], origin, namespace)
-        sums = {"q": "q", "t": "t"}
+        sums = {c: c for c in summed}
     return namespace["walk0"]
 
 
-def content(breaks: str | None, n: int) -> Callable:
-    """The content test of :func:`~macpoly.shapes.content_kernel`, with
-    ``breaks`` the orbit's condition on adjacent counts, or None."""
-    lines = ["count = e.count"]
-    for v in range(1, n + 1):
-        lines.append("c%d = count(%d)" % (v, v))
-        if breaks is not None and v > 1:
-            lines.append("if " + breaks.format(prev="c%d" % (v - 1), cur="c%d" % v) + ": return None")
-    lines.append("return (" + "".join("c%d, " % v for v in range(1, n + 1)) + ")")
-    return _compile("content", "e", lines, "<content over 1..%d>" % n)
+class ContentPlan(NamedTuple):
+    """The content of a flat entry tuple e of m entries in 1..n as one integer, the code
+    sum(weights[v] for v in e), weights[v] = (m + 1)^(v - 1), whose base-(m + 1) digits
+    are x_v = e.count(v); built by :func:`plan` per (orbit, n, m).  ``fits[s]`` says
+    whether the code s of a prefix of e completes to a representative content of m
+    entries, ``reps[s]`` is the content x of code s when x is a representative (any x
+    without an orbit), else None, and ``code(e)`` is the code of e.  Each memo fills on
+    a miss from the code's digits, so it holds only the codes looked up."""
+
+    weights: tuple[int, ...]
+    fits: dict[int, bool]
+    reps: dict[int, tuple[int, ...] | None]
+    code: Callable
+
+
+class _Memo(dict):
+    """A dict that fills a missing key by ``fill(key)``."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill: Callable):
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+def plan(orbit, n: int, m: int) -> ContentPlan:
+    """The :class:`ContentPlan` of ``orbit`` (or None) over 1..n for m entries."""
+    base = m + 1
+    weights = (0, *(base ** v for v in range(n)))
+
+    def digits(code: int) -> list[int]:
+        x = []
+        for _ in range(n):
+            code, d = divmod(code, base)
+            x.append(d)
+        return x
+
+    def fits(code: int) -> bool:
+        # the least representative above x, partwise, from the right; adding the
+        # entries left over to its first part keeps it one
+        x = digits(code)
+        for v in range(n - 2, -1, -1):
+            while orbit.breaks(x[v], x[v + 1]):
+                x[v] += 1
+        return sum(x) <= m
+
+    def reps(code: int) -> tuple[int, ...] | None:
+        x = tuple(digits(code))
+        return x if orbit is None or orbit.is_rep(x) else None
+
+    lines = ["".join(_e(i) + ", " for i in range(m)) + "= e"] * bool(m)
+    lines.append("return " + (" + ".join("w[%s]" % _e(i) for i in range(m)) or "0"))
+    code = _compile("code", "e", lines, "<code of %d entries over 1..%d>" % (m, n), {"w": weights})
+    return ContentPlan(weights, _Memo(fits if orbit else lambda code: True), _Memo(reps), code)

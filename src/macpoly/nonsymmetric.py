@@ -35,7 +35,7 @@ from .shapes import (
     _walk,
     coinv_comp,
     composition_stats,
-    content_kernel,
+    content_plan,
     diagram,
     maj,
 )
@@ -167,10 +167,10 @@ def _basement_counts(alphas: Iterable[Sequence[int]], n: int, orbit: Orbit | Non
     mask), and the :class:`Filling` arguments of the first per mask.  The compositions
     must rearrange the same parts (one orbit), so that they share one increasing
     diagram: then the mask, over ``shape.steps``, fixes a weight's hooks."""
-    content, counts, firsts = content_kernel(orbit, n), {}, {}
-    for alpha in alphas:
-        stats = composition_stats(alpha)
-        _walk(shape := diagram(stats.inc), "basement")(n, stats.beta, content, counts, firsts)
+    counts, firsts = {}, {}
+    for stats in map(composition_stats, alphas):
+        plan = content_plan(orbit, n, sum(stats.inc))
+        _walk(shape := diagram(stats.inc), "basement")(n, stats.beta, plan, counts, firsts)
     return counts, {mask: (shape, e, b) for mask, (e, b) in firsts.items()}
 
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cache, lru_cache, partial, reduce
 from itertools import accumulate, combinations, repeat
 from math import gcd, prod
-from operator import add, ge, or_
+from operator import add, ge, lt, or_
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -462,13 +462,13 @@ def expand_orbits(values: Mapping[tuple, object], members: Callable[[tuple], Ite
 class Orbit(NamedTuple):
     """The orbits of a symmetry of exponent vectors: ``is_rep`` picks one
     representative in each, ``members`` lists the orbit of a vector, each
-    member once.  ``breaks`` is ``is_rep`` as source text for compiled
-    content tests: the condition on two adjacent parts ``{prev}`` and
-    ``{cur}`` under which a vector is no representative."""
+    member once.  ``breaks(prev, cur)`` tests two adjacent parts: x is one when
+    no pair of its parts breaks, and growing prev or shrinking cur never makes
+    a pair break, which content plans rely on."""
 
     is_rep: Callable[[Sequence[int]], bool]
     members: Callable[[Sequence[int]], Iterable[tuple[int, ...]]]
-    breaks: str
+    breaks: Callable[[int, int], bool]
 
     def of(self, parts: Sequence[int], n: int) -> list[tuple[int, ...]]:
         """The orbit of ``parts``' positive parts padded with zeros to length n:
@@ -478,9 +478,9 @@ class Orbit(NamedTuple):
 
 
 #: symmetric values: every rearrangement of x carries the same coefficient
-SYMMETRIC = Orbit(is_dominant, distinct_permutations, "{cur} > {prev}")
+SYMMETRIC = Orbit(is_dominant, distinct_permutations, lt)
 #: quasisymmetric values: every placement of x's nonzero parts in order does
-QUASISYMMETRIC = Orbit(has_prefix_support, placements, "{cur} > 0 == {prev}")
+QUASISYMMETRIC = Orbit(has_prefix_support, placements, lambda prev, cur: prev == 0 < cur)
 
 
 # -- division ----------------------------------------------------------------

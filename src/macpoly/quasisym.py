@@ -8,7 +8,7 @@ from typing import Optional, Sequence, Union
 
 from .polyring import QUASISYMMETRIC, Monomial, MPoly, tally, unit_weight
 from .nonsymmetric import EResult, _e_sum
-from .shapes import ShapeError, _walk, as_count, as_partition, composition_stats, content_kernel, diagram
+from .shapes import ShapeError, _walk, as_count, as_partition, composition_stats, content_plan, diagram
 
 
 def compositions_with_support(gamma: Sequence[int], n: int) -> list[tuple[int, ...]]:
@@ -95,7 +95,7 @@ def qs_schur(gamma: Sequence[int], n: int) -> MPoly:
     """:func:`g_poly` at q = t = 0, where every denominator 1 - q^a t^b (b >= 1) is 1:
     the basement fillings with maj = coinv = 0 counted by content at prefix supports,
     in a walk that leaves a branch at its first nonzero term, then expanded."""
-    content, counts = content_kernel(QUASISYMMETRIC, n := as_count(n)), {}
-    for stats in map(composition_stats, compositions_with_support(gamma, n)):
-        _walk(diagram(stats.inc), "zero")(n, stats.beta, content, counts)
+    counts = {}
+    for stats in map(composition_stats, compositions_with_support(gamma, n := as_count(n))):
+        _walk(diagram(stats.inc), "zero")(n, stats.beta, content_plan(QUASISYMMETRIC, n, sum(gamma)), counts)
     return tally(n, {(x, 0, 0, None): c for x, c in counts.items()}, unit_weight, QUASISYMMETRIC)

@@ -27,11 +27,13 @@ and ``filling_weight`` (once per repeat mask) call these flat kernels.  The rest
 read a walk, one ``for`` loop per cell: ``walk`` skips the values of the cells
 each cell ``attacks``; those of ``htilde_plain`` and the basement routes add the
 comparisons whose latest cell is a loop's own and count keys at the leaf, and
-that of ``qs_schur`` leaves a branch at its first nonzero comparison.  All
-are compiled on first use, never at import, and cached per diagram (content
-tests per (orbit, n)).  Routes read each per-filling rule from the kernels
-and tables alone: content, ``repeats`` over ``steps`` above row 1, and row 1
-against a basement by ``bottom``.  The contract:
+that of ``qs_schur`` leaves a branch at its first nonzero comparison; the last
+two add up content as an integer code and leave a branch whose code completes
+to no orbit representative.  All are compiled on first use, never at import,
+and cached per diagram (content plans per (orbit, n, cell count)).  Routes read
+each per-filling rule from the kernels, plans and tables alone: content,
+``repeats`` over ``steps`` above row 1, and row 1 against a basement by
+``bottom``.  The contract:
 
 * on every filling of the diagram, a kernel's value equals that of the loop
   over the tables it replaces, and a counting walk's counts equal those of
@@ -55,6 +57,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
+    from .kernels import ContentPlan
     from .polyring import Orbit
 
 #: marker selecting the infinity basement on a Filling
@@ -414,14 +417,11 @@ def is_nonattacking(f: Filling) -> bool:
 
 
 @lru_cache(maxsize=256)
-def content_kernel(orbit: Orbit | None, n: int) -> Callable[[Sequence[int]], tuple[int, ...] | None]:
-    """The content over 1..n of a flat entry tuple e, x_v = e.count(v), when x
-    is a representative of ``orbit`` (any x without one), else None.
-
-    The compiled test counts v = 1, 2, ... in turn and returns None at the
-    first v whose count breaks the representative condition against the count
-    of v - 1, as ``orbit.breaks`` states it; cached per (orbit, n)."""
-    return _kernels().content(orbit and orbit.breaks, n)
+def content_plan(orbit: Orbit | None, n: int, m: int) -> ContentPlan:
+    """The content plan of ``orbit`` (or None) for m entries in 1..n: content as one
+    integer code, with memos of the codes that complete to a representative and of
+    each code's representative; cached per (orbit, n, m)."""
+    return _kernels().plan(orbit, n, m)
 
 
 @lru_cache(maxsize=256)

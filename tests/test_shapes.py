@@ -9,18 +9,20 @@ import subprocess
 import sys
 from collections import Counter, defaultdict
 from importlib import resources
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macpoly import integral, kernels
-from macpoly.integral import hook_product_inc, integral_e, j_compact, j_keys, j_plain, p_poly
+from macpoly.integral import (
+    compositions_rearranging, hook_product_inc, integral_e, j_compact, j_keys, j_plain, p_poly,
+)
 from macpoly.modified import htilde_compact, htilde_plain, iter_sorted_tableaux
 from macpoly.nonsymmetric import e_permuted_basement, iter_basement_fillings
 from macpoly.polyring import QUASISYMMETRIC, SYMMETRIC, MPoly, QtRational
-from macpoly.quasisym import g_poly, qs_schur, schur_ssyt
+from macpoly.quasisym import compositions_with_support, g_poly, qs_schur, schur_ssyt
 from macpoly.shapes import (
     INF_BASEMENT,
     Cell,
@@ -32,7 +34,7 @@ from macpoly.shapes import (
     coinv_comp,
     composition_stats,
     conjugate,
-    content_kernel,
+    content_plan,
     diagram,
     enumerate_fillings,
     filling_from_fixture,
@@ -495,8 +497,8 @@ def test_no_kernel_is_compiled_at_import():
     code = (
         "import sys\n"
         "import macpoly.cli\n"
-        "from macpoly.shapes import _build_diagram, content_kernel\n"
-        "print(_build_diagram.cache_info().currsize, content_kernel.cache_info().currsize,\n"
+        "from macpoly.shapes import _build_diagram, content_plan\n"
+        "print(_build_diagram.cache_info().currsize, content_plan.cache_info().currsize,\n"
         "      'macpoly.kernels' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -506,14 +508,60 @@ def test_no_kernel_is_compiled_at_import():
 
 @pytest.mark.parametrize("orbit", [None, SYMMETRIC, QUASISYMMETRIC], ids=["none", "sym", "qsym"])
 def test_content_kernel_matches_count_then_is_rep(orbit):
-    words = [w for size in range(5) for w in product(range(1, 4), repeat=size)]
+    # the content plan: the code of a word, its representative content at the
+    # leaf, and whether each prefix completes to some word of representative
+    # content, against counting and is_rep over every completion
     rng = random.Random(5)
-    words += [tuple(rng.randint(1, 5) for _ in range(rng.randint(0, 15))) for _ in range(200)]
-    for n in range(6):
-        content = content_kernel(orbit, n)
-        assert content_kernel(orbit, n) is content
+    for n in range(5):
+        words = [w for m in range(5) for w in product(range(1, n + 1), repeat=m)]
+        words += [tuple(rng.randint(1, n) for _ in range(rng.randint(5, 12))) for _ in range(40 * bool(n))]
         for e in words:
-            assert content(e) == content_loop(orbit, n, e), (n, e)
+            m = len(e)
+            plan = content_plan(orbit, n, m)
+            assert content_plan(orbit, n, m) is plan
+            assert plan.code(e) == sum(plan.weights[v] for v in e) == sum((m + 1) ** (v - 1) for v in e)
+            assert plan.reps[plan.code(e)] == content_loop(orbit, n, e), (n, e)
+            if m > 6:
+                continue
+            for d in range(m):
+                prefix = Counter(e[:d])
+                completes = any(
+                    content_loop(orbit, n, (*prefix.elements(), *rest)) is not None
+                    for rest in combinations_with_replacement(range(1, n + 1), m - d)
+                )
+                assert plan.fits[sum((m + 1) ** (v - 1) for v in e[:d])] is completes, (n, e, d)
+
+
+def attack_free_prefixes(shape, n, b):
+    """The contents, as sorted tuples, of every prefix in cell order of an entry
+    tuple over 1..n in which no cell repeats one it attacks and row 1 holds b."""
+    pins = {i: (b[col],) for i, col, _ in shape.bottom} if b else {}
+    level, seen = [()], set()
+    for i in range(len(shape.cells)):
+        level = [p + (v,) for p in level for v in pins.get(i, range(1, n + 1))
+                 if all(v != p[j] for j in shape.attacks[i])]
+        seen.update(tuple(sorted(p)) for p in level)
+    return seen
+
+
+@pytest.mark.parametrize("family, orbit, parts, n", [
+    (p_poly, SYMMETRIC, (1,) * 12, 12),
+    (g_poly, QUASISYMMETRIC, (1,) * 8, 8),
+    (p_poly, SYMMETRIC, (3, 2, 1), 5),
+    (g_poly, QUASISYMMETRIC, (2, 1, 2), 4),
+])
+def test_content_plan_holds_only_the_codes_its_walks_reach(family, orbit, parts, n):
+    # a plan with every content of m entries in 1..n would hold C(m + n - 1, m)
+    # codes: 1,352,078 for (1,)*12 at n = 12
+    content_plan.cache_clear()
+    family(parts, n)
+    m, reached = sum(parts), set()
+    listed = compositions_rearranging(parts, n) if orbit is SYMMETRIC else compositions_with_support(parts, n)
+    for stats in map(composition_stats, listed):
+        reached |= attack_free_prefixes(diagram(stats.inc), n, stats.beta)
+    plan = content_plan(orbit, n, m)
+    assert 0 < len(plan.fits) <= sum(len(p) < m for p in reached)
+    assert 0 < len(plan.reps) <= sum(len(p) == m for p in reached)
 
 
 # -- attacking / ordered / packed -------------------------------------------------
@@ -701,51 +749,57 @@ def test_word_walk_counts_match_filtering_every_assignment(monkeypatch):
                     assert counts == expected and left == [0, *x], (heights, n, x)
 
 
+#: no orbit, and the two orbits a content plan keeps representatives of
+ORBITS = (None, SYMMETRIC, QUASISYMMETRIC)
+
+
+def basement_cases(heights, n, assignments):
+    """(b, [(e, x, maj, coinv, repeat mask)] over the nonattacking assignments)
+    with no basement, and with every permutation basement where one pins row 1:
+    on an increasing diagram when n is the number of columns."""
+    shape = diagram(heights)
+    basements = [None]
+    if all(a <= b for a, b in zip(heights, heights[1:])) and n == len(heights):
+        basements += permutations(range(1, n + 1))
+    for b in basements:
+        yield b, [
+            (e, tuple(map(e.count, range(1, n + 1))), shape.maj(e, b), shape.coinv(e, b), shape.repeats(e))
+            for e in assignments if shape.nonattacking(e, b)
+        ]
+
+
 def test_basement_walk_counts_match_filtering_every_assignment(monkeypatch):
     for heights in SMALL_HEIGHTS:
         shape = diagram(heights)
         walks = one_and_chained(shape, "basement", monkeypatch)
-        increasing = all(a <= b for a, b in zip(heights, heights[1:]))
         for n, assignments in assignments_by_n(shape):
-            cases = [(None, None)]
-            if increasing and n == len(heights):
-                # a permutation basement pins row 1 when n is the number of columns
-                cases += [(b, SYMMETRIC) for b in permutations(range(1, n + 1))]
-            for b, orbit in cases:
-                content, expected, firsts = content_kernel(orbit, n), Counter(), {}
-                for e in assignments:
-                    if shape.nonattacking(e, b) and (x := content(e)) is not None:
-                        key = (x, shape.maj(e, b), shape.coinv(e, b), shape.repeats(e))
-                        expected[key] += 1
-                        firsts.setdefault(key[3], (e, b))
-                for walk in walks:
-                    got = {}, {}
-                    walk(n, b, content, *got)
-                    assert got == (expected, firsts), (heights, n, b)
+            for b, kept in basement_cases(heights, n, assignments):
+                for orbit in ORBITS:
+                    expected, firsts = Counter(), {}
+                    for e, x, q, t, mask in kept:
+                        if orbit is None or orbit.is_rep(x):
+                            expected[x, q, t, mask] += 1
+                            firsts.setdefault(mask, (e, b))
+                    for walk in walks:
+                        got = {}, {}
+                        walk(n, b, content_plan(orbit, n, len(shape.cells)), *got)
+                        assert got == (expected, firsts), (heights, n, b, orbit)
 
 
 def test_zero_walk_counts_the_basement_walk_at_maj_and_coinv_zero(monkeypatch):
     for heights in SMALL_HEIGHTS:
         shape = diagram(heights)
-        basement, walks = kernels.walk(shape, "basement"), one_and_chained(shape, "zero", monkeypatch)
-        increasing = all(a <= b for a, b in zip(heights, heights[1:]))
-        for n in range(4):
-            if n ** len(shape.cells) > MOST_ASSIGNMENTS:
-                continue
-            cases = [(None, None), (None, QUASISYMMETRIC)]
-            if increasing and n == len(heights):
-                cases += [(b, orbit) for b in permutations(range(1, n + 1)) for orbit in (None, QUASISYMMETRIC)]
-            for b, orbit in cases:
-                content, counts = content_kernel(orbit, n), {}
-                basement(n, b, content, counts, {})
-                expected = Counter()
-                for (x, q, t, _), c in counts.items():
-                    if q == t == 0:
-                        expected[x] += c
-                for walk in walks:
-                    got = {}
-                    walk(n, b, content, got)
-                    assert got == expected, (heights, n, b)
+        walks = one_and_chained(shape, "zero", monkeypatch)
+        for n, assignments in assignments_by_n(shape):
+            for b, kept in basement_cases(heights, n, assignments):
+                for orbit in ORBITS:
+                    expected = Counter(
+                        x for _, x, q, t, _ in kept if q == t == 0 and (orbit is None or orbit.is_rep(x))
+                    )
+                    for walk in walks:
+                        got = {}
+                        walk(n, b, content_plan(orbit, n, len(shape.cells)), got)
+                        assert got == expected, (heights, n, b, orbit)
 
 
 def test_counting_walks_past_the_nesting_limit_and_on_empty_input():
