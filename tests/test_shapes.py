@@ -524,9 +524,8 @@ def test_content_kernel_matches_count_then_is_rep(orbit):
             if m > 6:
                 continue
             for d in range(m):
-                prefix = Counter(e[:d])
                 completes = any(
-                    content_loop(orbit, n, (*prefix.elements(), *rest)) is not None
+                    content_loop(orbit, n, e[:d] + rest) is not None
                     for rest in combinations_with_replacement(range(1, n + 1), m - d)
                 )
                 assert plan.fits[sum((m + 1) ** (v - 1) for v in e[:d])] is completes, (n, e, d)
