@@ -68,8 +68,8 @@ def j_keys(heights: Sequence[int], n: int, fillings: Iterable[Filling]) -> Count
     """Fillings of the diagram of ``heights``, entries in 1..n, counted by
     (x, maj, coinv, repeat mask): a J weight is x^sigma q^maj t^coinv times
     the q,t part of :func:`_j_factor_terms`, which the mask fixes."""
-    (_, _, reps, code), repeats = content_plan(None, n, sum(heights)), diagram(heights).repeats
-    return Counter((reps[code(f.flat)], maj(f), coinv_comp(f), repeats(f.flat)) for f in fillings)
+    repeats, content = diagram(heights).repeats, content_plan(None, n, sum(heights)).content
+    return Counter((content(f.flat), maj(f), coinv_comp(f), repeats(f.flat)) for f in fillings)
 
 
 def _j_weigh(heights: Sequence[int], pochhammer: Iterable[int]) -> Callable:

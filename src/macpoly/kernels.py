@@ -1,8 +1,8 @@
 """Source generation for the compiled statistics and walks of :mod:`macpoly.shapes`.
 
 Each function here writes straight-line Python from a diagram's index tables
-(or from a variable and an entry count) and compiles it; :func:`plan` also
-builds the memos of content codes that the walks read.  The contract is
+(or from a variable and an entry count) and compiles it; a :class:`ContentPlan`
+also holds the memos of content codes that the walks read.  The contract is
 stated in the :mod:`macpoly.shapes` docstring.  This module is imported with
 the first kernel built, not with the package, so importing macpoly does not
 compile it.
@@ -10,7 +10,8 @@ compile it.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from functools import cached_property
+from typing import Callable
 
 
 def _compile(
@@ -158,9 +159,10 @@ def walk(shape, kind: str = "tuples") -> Callable:
     carried = "top, " + args.replace("=None", "").replace("=False", "") + ", " + rows
     stages = [cells[k:k + _STAGE] for k in range(0, len(cells), _STAGE)] or [cells]
     sums, namespace = dict.fromkeys(summed, "0"), {}
+    unpack = ["w, ok, xs = plan.weights, plan.fits, plan.reps"] * ("s" in summed)
     for k, stage in enumerate(stages):
         params = carried + done + "".join(c + ", " for c in summed) if k else "n, " + args
-        lines, restore = ([] if k else head) + ["w, ok, xs, _ = plan"] * ("s" in summed), []
+        lines, restore = ([] if k else head) + unpack, []
         for depth, i in enumerate(stage):
             pad, e, attacks = "    " * (depth + 1), _e(i), shape.attacks[i]
             lines.append(pad[4:] + "for %s in %s:" % (e, "r%d" % i if i in cols else "top"))
@@ -193,19 +195,51 @@ def walk(shape, kind: str = "tuples") -> Callable:
     return namespace["walk0"]
 
 
-class ContentPlan(NamedTuple):
+class ContentPlan:
     """The content of a flat entry tuple e of m entries in 1..n as one integer, the code
     sum(weights[v] for v in e), weights[v] = (m + 1)^(v - 1), whose base-(m + 1) digits
-    are x_v = e.count(v); built by :func:`plan` per (orbit, n, m).  ``fits[s]`` says
-    whether the code s of a prefix of e completes to a representative content of m
-    entries, ``reps[s]`` is the content x of code s when x is a representative (any x
-    without an orbit), else None, and ``code(e)`` is the code of e.  Each memo fills on
-    a miss from the code's digits, so it holds only the codes looked up."""
+    are x_v = e.count(v); cached per (orbit, n, m) by :func:`macpoly.shapes.content_plan`.
+    ``fits[s]`` says whether the code s of a prefix of e completes to a representative
+    content of m entries, ``reps[s]`` is the content x of code s when x is a
+    representative (any x without an orbit), else None, and ``content(e)`` is
+    ``reps`` at the code of e.  Each memo fills on a miss from the code's digits, so
+    it holds only the codes looked up; one memo serves every depth, as a code's digit
+    sum is its depth."""
 
-    weights: tuple[int, ...]
-    fits: dict[int, bool]
-    reps: dict[int, tuple[int, ...] | None]
-    code: Callable
+    def __init__(self, orbit, n: int, m: int):
+        self.orbit, self.n, self.m = orbit, n, m
+        self.weights = (0, *((m + 1) ** v for v in range(n)))
+        self.fits, self.reps = _Memo(self._fits), _Memo(self._rep)
+
+    def _digits(self, code: int) -> list[int]:
+        x, base = [], self.m + 1
+        for _ in range(self.n):
+            code, d = divmod(code, base)
+            x.append(d)
+        return x
+
+    def _fits(self, code: int) -> bool:
+        # the least representative above the counts, partwise, from the right;
+        # adding the entries left over to its first part keeps it one
+        if self.orbit is None:
+            return True
+        x, breaks = self._digits(code), self.orbit.breaks
+        for v in range(self.n - 2, -1, -1):
+            while breaks(x[v], x[v + 1]):
+                x[v] += 1
+        return sum(x) <= self.m
+
+    def _rep(self, code: int) -> tuple[int, ...] | None:
+        x = tuple(self._digits(code))
+        return x if self.orbit is None or self.orbit.is_rep(x) else None
+
+    @cached_property
+    def content(self) -> Callable:
+        """``content(e)``: ``reps`` at the code of e, one compiled sum, built on first use."""
+        m, namespace = self.m, {"w": self.weights, "reps": self.reps}
+        lines = ["".join(_e(i) + ", " for i in range(m)) + "= e"] * bool(m)
+        lines.append("return reps[%s]" % (" + ".join("w[%s]" % _e(i) for i in range(m)) or "0"))
+        return _compile("content", "e", lines, "<content of %d entries over 1..%d>" % (m, self.n), namespace)
 
 
 class _Memo(dict):
@@ -219,34 +253,3 @@ class _Memo(dict):
     def __missing__(self, key):
         value = self[key] = self.fill(key)
         return value
-
-
-def plan(orbit, n: int, m: int) -> ContentPlan:
-    """The :class:`ContentPlan` of ``orbit`` (or None) over 1..n for m entries."""
-    base = m + 1
-    weights = (0, *(base ** v for v in range(n)))
-
-    def digits(code: int) -> list[int]:
-        x = []
-        for _ in range(n):
-            code, d = divmod(code, base)
-            x.append(d)
-        return x
-
-    def fits(code: int) -> bool:
-        # the least representative above x, partwise, from the right; adding the
-        # entries left over to its first part keeps it one
-        x = digits(code)
-        for v in range(n - 2, -1, -1):
-            while orbit.breaks(x[v], x[v + 1]):
-                x[v] += 1
-        return sum(x) <= m
-
-    def reps(code: int) -> tuple[int, ...] | None:
-        x = tuple(digits(code))
-        return x if orbit is None or orbit.is_rep(x) else None
-
-    lines = ["".join(_e(i) + ", " for i in range(m)) + "= e"] * bool(m)
-    lines.append("return " + (" + ".join("w[%s]" % _e(i) for i in range(m)) or "0"))
-    code = _compile("code", "e", lines, "<code of %d entries over 1..%d>" % (m, n), {"w": weights})
-    return ContentPlan(weights, _Memo(fits if orbit else lambda code: True), _Memo(reps), code)

@@ -139,9 +139,9 @@ class SortedTableau:
 def _word_counts(shape: Diagram, n: int) -> dict:
     """The words over 1..n of weakly decreasing content x, read in ``shape``, counted by
     (x, inv, maj, None): one compiled walk per sorted word's x, over the values x uses."""
-    walk, counts, (_, _, reps, code) = _walk(shape, "words"), {}, content_plan(SYMMETRIC, n, len(shape.cells))
+    walk, content, counts = _walk(shape, "words"), content_plan(SYMMETRIC, n, len(shape.cells)).content, {}
     for sorted_word in combinations_with_replacement(range(1, n + 1), len(shape.cells)):
-        x = reps[code(sorted_word)]
+        x = content(sorted_word)
         if x is not None:
             by_stats: dict = {}
             walk(n - x.count(0), [0, *x], by_stats)
@@ -180,12 +180,12 @@ def htilde_compact(lam: Sequence[int], n: int) -> MPoly:
     x.  On the swapped side q and t are exchanged in both key and weight.
     """
     shape, swapped = compact_side(lam, n)
-    _, _, reps, code = content_plan(SYMMETRIC, n, len(shape.cells))
+    content = content_plan(SYMMETRIC, n, len(shape.cells)).content
     q, t = (shape.inv, shape.maj) if swapped else (shape.maj, shape.inv)
     counts: Counter = Counter()
     for f in iter_sorted_tableaux(shape, n):
         e = f.flat
-        x = reps[code(e)]
+        x = content(e)
         if x is not None:
             counts[x, q(e), t(e), _block_runs(shape, e)] += 1
     weigh = _swapped_multiplicity_terms if swapped else _multiplicity_terms

@@ -421,7 +421,7 @@ def content_plan(orbit: Orbit | None, n: int, m: int) -> ContentPlan:
     """The content plan of ``orbit`` (or None) for m entries in 1..n: content as one
     integer code, with memos of the codes that complete to a representative and of
     each code's representative; cached per (orbit, n, m)."""
-    return _kernels().plan(orbit, n, m)
+    return _kernels().ContentPlan(orbit, n, m)
 
 
 @lru_cache(maxsize=256)

@@ -517,10 +517,9 @@ def test_content_kernel_matches_count_then_is_rep(orbit):
         words += [tuple(rng.randint(1, n) for _ in range(rng.randint(5, 12))) for _ in range(40 * bool(n))]
         for e in words:
             m = len(e)
-            plan = content_plan(orbit, n, m)
-            assert content_plan(orbit, n, m) is plan
-            assert plan.code(e) == sum(plan.weights[v] for v in e) == sum((m + 1) ** (v - 1) for v in e)
-            assert plan.reps[plan.code(e)] == content_loop(orbit, n, e), (n, e)
+            plan, code = content_plan(orbit, n, m), sum((m + 1) ** (v - 1) for v in e)
+            assert content_plan(orbit, n, m) is plan and sum(plan.weights[v] for v in e) == code
+            assert plan.content(e) == plan.reps[code] == content_loop(orbit, n, e), (n, e)
             if m > 6:
                 continue
             for d in range(m):
