@@ -11,7 +11,12 @@ is printed only where the all-fillings count is nonzero (not at n = 0).  Then,
 for P on the shapes the symmetric benchmark pins, at n = 5: the basement
 fillings enumerated over every composition, those of dominant content that
 ``p_poly`` keeps, and the weights it builds for them, one per repeat mask,
-which the compositions of one call share.  Last, for J on the shapes the integral
+which the compositions of one call share.  Then, for those P and for G on the
+rearrangements of (3, 2, 1), also at n = 5: the coefficients summed (one per
+representative x), the distinct numerators among them (each reduced once), the
+pieces of hooks cancelled before the sum (summed over the coefficients: the hooks
+of the cells that every key of x repeats) and those cancelled by division in the
+reductions run.  Last, for J on the shapes the integral
 benchmark pins, at n = 4: per route, the distinct (x, maj, coinv, repeat
 mask) keys its fillings are counted by, and the keys of dominant x that it
 expands, since J is symmetric.
@@ -21,12 +26,16 @@ expands, since J is symmetric.
 
 import argparse
 from functools import partial
+from itertools import permutations
+from math import gcd
 
+from macpoly import cyclotomic
 from macpoly.cli import parse_count
 from macpoly.integral import compositions_rearranging, j_keys
 from macpoly.modified import _word_counts, compact_side, iter_sorted_tableaux
-from macpoly.nonsymmetric import _basement_counts, iter_basement_fillings
-from macpoly.polyring import SYMMETRIC
+from macpoly.nonsymmetric import _basement_counts, _e_sum, _numerators, iter_basement_fillings
+from macpoly.polyring import QUASISYMMETRIC, SYMMETRIC
+from macpoly.quasisym import compositions_with_support
 from macpoly.shapes import Filling, composition_stats, diagram, iter_nonattacking
 from macpoly.verify import partitions_up_to
 
@@ -40,6 +49,29 @@ INTEGRAL_N = 4
 
 def share(part: int, whole: int) -> str:
     return f"  ({part / whole:.1%})" if whole else ""
+
+
+def pieces(hooks) -> int:
+    """The pieces of the binomials 1 - q^a t^b over ``hooks`` (a, b): one per divisor of gcd(a, b)."""
+    return sum(len(cyclotomic._divisors(gcd(a, b))) for a, b in hooks)
+
+
+def exact_divisions(run) -> int:
+    """The chain divisions of :mod:`macpoly.cyclotomic` that come out exact while ``run()`` runs."""
+    divide_chains, exact = cyclotomic.divide_chains, 0
+
+    def counted(*args):
+        nonlocal exact
+        quo = divide_chains(*args)
+        exact += quo is not None
+        return quo
+
+    cyclotomic.divide_chains = counted
+    try:
+        run()
+    finally:
+        cyclotomic.divide_chains = divide_chains
+    return exact
 
 
 def main() -> None:
@@ -82,6 +114,22 @@ def main() -> None:
         # one weight per repeat mask over the whole call, shifted by each key's (maj, coinv)
         built = len(fillings)
         print(f"  shape {lam}: {enumerated:6d} enumerated, {kept:6d} kept, {built:6d} weights")
+
+    print(f"\nP and G, n = {SYMMETRIC_N}: coefficients reduced, distinct numerators, hook pieces"
+          " cancelled before the sum, and by division")
+    cases = [(f"P {lam}", compositions_rearranging(lam, SYMMETRIC_N), SYMMETRIC) for lam in SYMMETRIC_ANCHORS]
+    cases += [(f"G {gamma}", compositions_with_support(gamma, SYMMETRIC_N), QUASISYMMETRIC)
+              for gamma in permutations((3, 2, 1))]
+    for name, alphas, orbit in cases:
+        numerators = _numerators(alphas, SYMMETRIC_N, orbit)
+        shape = diagram(sorted(alphas[0]))
+        full = pieces(shape.hooks[i] for i, _, _ in shape.steps)
+        before = sum(full - pieces(den) for _, den in numerators.values())
+        distinct = len({(frozenset(acc.items()), den) for acc, den in numerators.values()})
+        _e_sum(alphas, SYMMETRIC_N, orbit)  # builds the cached pieces, which divide too
+        by_division = exact_divisions(lambda: _e_sum(alphas, SYMMETRIC_N, orbit))
+        print(f"  {name}: {len(numerators):4d} reduced, {distinct:4d} distinct,"
+              f" {before:4d} cancelled before the sum, {by_division:4d} by division")
 
     print(f"\nJ, n = {INTEGRAL_N}: weight keys counted, and those of dominant x tallied")
     for mu in INTEGRAL_ANCHORS:

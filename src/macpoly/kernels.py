@@ -109,12 +109,10 @@ _KINDS = {
     "words": ("c, counts", (("inv", False), ("maj", False)), "qt",
               ["k = ({q}, {t})", "counts[k] = counts.get(k, 0) + 1"]),
     "basement": ("b, plan, counts, firsts", (("maj", None), ("coinv", None)), "sqt", [
-        "x = xs[{s}]", "if x is not None:", "    k = (x, {q}, {t}, ({mask}))",
-        "    if k in counts: counts[k] += 1",
-        "    else: counts[k] = 1; firsts.setdefault(k[3], (({done}), b))",
+        "k = (x, {q}, {t}, ({mask}))", "if k in counts: counts[k] += 1",
+        "else: counts[k] = 1; firsts.setdefault(k[3], (({done}), b))",
     ]),
-    "zero": ("b, plan, counts", (("maj", None), ("coinv", None)), "s",
-             ["x = xs[{s}]", "if x is not None: counts[x] = counts.get(x, 0) + 1"]),
+    "zero": ("b, plan, counts", (("maj", None), ("coinv", None)), "s", ["counts[x] = counts.get(x, 0) + 1"]),
 }
 
 
@@ -141,8 +139,11 @@ def walk(shape, kind: str = "tuples") -> Callable:
     is its own, so a prefix's sums are shared by all of its completions (in
     the "zero" walk they are 0, and only tested).  The "basement" and "zero"
     loops also add the code of their entry to the content code s and skip a
-    value as soon as the plan says s completes to no content it keeps; the
-    leaf reads x off the plan by s.
+    value as soon as the plan says s completes to no content it keeps.  Their
+    last loop reads x before it sums or tests maj and coinv: it runs only over
+    the values that ``plan.lasts`` lists for the code of the prefix, with the
+    content x each completes to, or, where row 1 pins its cell, reads x off
+    the plan by s and skips a value whose x the plan does not keep.
     Every 19 cells the loops go on in a chained function."""
     args, stats, summed, leaf = _KINDS[kind]
     cells, words = range(len(shape.cells)), kind == "words"
@@ -159,13 +160,19 @@ def walk(shape, kind: str = "tuples") -> Callable:
     carried = "top, " + args.replace("=None", "").replace("=False", "") + ", " + rows
     stages = [cells[k:k + _STAGE] for k in range(0, len(cells), _STAGE)] or [cells]
     sums, namespace = dict.fromkeys(summed, "0"), {}
-    unpack = ["w, ok, xs = plan.weights, plan.fits, plan.reps"] * ("s" in summed)
+    unpack = ["w, ok, xs, lasts = plan.weights, plan.fits, plan.reps, plan.lasts"] * ("s" in summed)
+    # with no cells the leaf is the whole walk
+    unpack += ["x = xs[0]", "if x is None: return"] * ("s" in summed and not cells)
     for k, stage in enumerate(stages):
         params = carried + done + "".join(c + ", " for c in summed) if k else "n, " + args
         lines, restore = ([] if k else head) + unpack, []
         for depth, i in enumerate(stage):
             pad, e, attacks = "    " * (depth + 1), _e(i), shape.attacks[i]
-            lines.append(pad[4:] + "for %s in %s:" % (e, "r%d" % i if i in cols else "top"))
+            last = "s" in summed and i + 1 == len(cells)  # reads x before maj and coinv
+            if last and i not in cols:  # only the values that complete a content the plan keeps
+                lines.append(pad[4:] + "for %s, x in lasts[%s]:" % (e, sums["s"]))
+            else:
+                lines.append(pad[4:] + "for %s in %s:" % (e, "r%d" % i if i in cols else "top"))
             if kind == "tuples" and i in left:
                 lines.append(pad + "if ordered and %s >= %s: break" % (e, _e(left[i])))
             if words:
@@ -174,13 +181,17 @@ def walk(shape, kind: str = "tuples") -> Callable:
                 restore += [pad + "c[%s] += 1" % e] * more
             elif attacks:
                 lines.append(pad + "if %s: continue" % " or ".join(e + " == " + _e(j) for j in attacks))
+            if last and i in cols:
+                lines += [pad + "x = xs[%s + w[%s]]" % (sums["s"], e), pad + "if x is None: continue"]
             if kind == "zero" and (terms := adds.get(("q", i), []) + adds.get(("t", i), [])):
                 lines.append(pad + "if %s: continue" % " or ".join(terms))
             for letter in summed:
+                if letter == "s" and last:
+                    continue
                 if (letter, i) in adds:
                     lines.append(pad + "%s%d = " % (letter, i) + " + ".join([sums[letter], *adds[letter, i]]))
                     sums[letter] = "%s%d" % (letter, i)
-                if letter == "s" and i + 1 < len(cells):
+                if letter == "s":
                     lines.append(pad + "if not ok[s%d]: continue" % i)
         pad, done = "    " * len(stage), "".join(_e(i) + ", " for i in cells[:stage.stop])
         if k + 1 == len(stages):
@@ -201,15 +212,16 @@ class ContentPlan:
     are x_v = e.count(v); cached per (orbit, n, m) by :func:`macpoly.shapes.content_plan`.
     ``fits[s]`` says whether the code s of a prefix of e completes to a representative
     content of m entries, ``reps[s]`` is the content x of code s when x is a
-    representative (any x without an orbit), else None, and ``content(e)`` is
-    ``reps`` at the code of e.  Each memo fills on a miss from the code's digits, so
-    it holds only the codes looked up; one memo serves every depth, as a code's digit
-    sum is its depth."""
+    representative (any x without an orbit), else None, ``lasts[s]`` lists, for the
+    code s of m - 1 entries, each (v, x) whose last entry v completes it to a
+    representative x, and ``content(e)`` is ``reps`` at the code of e.  Each memo
+    fills on a miss from the code's digits, so it holds only the codes looked up; one
+    memo serves every depth, as a code's digit sum is its depth."""
 
     def __init__(self, orbit, n: int, m: int):
         self.orbit, self.n, self.m = orbit, n, m
         self.weights = (0, *((m + 1) ** v for v in range(n)))
-        self.fits, self.reps = _Memo(self._fits), _Memo(self._rep)
+        self.fits, self.reps, self.lasts = _Memo(self._fits), _Memo(self._rep), _Memo(self._lasts)
 
     def _digits(self, code: int) -> list[int]:
         x, base = [], self.m + 1
@@ -232,6 +244,10 @@ class ContentPlan:
     def _rep(self, code: int) -> tuple[int, ...] | None:
         x = tuple(self._digits(code))
         return x if self.orbit is None or self.orbit.is_rep(x) else None
+
+    def _lasts(self, code: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        # not through reps, which then holds only the codes that pinned leaves read
+        return tuple((v, x) for v in range(1, self.n + 1) if (x := self._rep(code + self.weights[v])) is not None)
 
     @cached_property
     def content(self) -> Callable:

@@ -12,17 +12,22 @@ Coefficients are :class:`QtRational` values: each cell whose entry differs
 from the one below contributes (1-t) over (1 - q^(leg+1) t^(arm+1)).  E, P,
 G and the integral form of E read the compiled basement walk of each
 composition of one orbit, which counts each kept filling by (x, maj, coinv,
-repeat mask); the compositions share one increasing diagram, so every weight
-is over D, the product of the hooks of its cells above row 1, and the mask
-fixes the numerator up to q^maj t^coinv.  So E, P and G sum numerators by
-:func:`~macpoly.polyring.tally_by_x` and reduce once per x.
+repeat mask); the compositions share one increasing diagram, whose walk and
+content plan are built once per call, each composition giving only its
+basement.  So every weight is over D, the product of the hooks of the cells
+above row 1, and the mask fixes the numerator up to q^maj t^coinv.  The hook
+of a cell that every key of x repeats divides every weight of x, so it leaves
+x's weights and x's denominator before the sum; E, P and G then sum
+numerators by :func:`~macpoly.polyring.tally_by_x` and reduce each distinct
+(numerator, denominator) once per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import repeat
+from itertools import compress, repeat
+from operator import and_, gt
 from typing import Iterable, Iterator, Sequence
 
 from .polyring import (
@@ -31,13 +36,16 @@ from .polyring import (
 )
 from .shapes import (
     INF_BASEMENT,
+    Diagram,
     Filling,
+    ShapeError,
     _walk,
     coinv_comp,
     composition_stats,
     content_plan,
     diagram,
     maj,
+    sorting_permutation,
 )
 
 @dataclass
@@ -161,34 +169,75 @@ def e_permuted_basement(alpha: Sequence[int]) -> EResult:
     return _e_sum([alpha], len(alpha))
 
 
+def _walk_orbit(kind: str, alphas: Iterable[Sequence[int]], n: int, orbit: Orbit | None, *out) -> Diagram | None:
+    """Run the compiled walk of ``kind``, "basement" or "zero", into ``out`` once per
+    composition of ``alphas``, over 1..n with ``orbit``'s content plan.  The compositions
+    must rearrange the parts of the first (one orbit), so that they share one increasing
+    diagram: it, its walk and the plan are built once, and each composition gives only
+    its basement.  Returns the diagram, None for no compositions."""
+    shape = None
+    for alpha in alphas:
+        if shape is None:
+            inc, beta, _ = composition_stats(alpha)
+            shape = diagram(inc)
+            walk, plan = _walk(shape, kind), content_plan(orbit, n, sum(inc))
+        else:
+            beta = sorting_permutation(alpha)
+            if tuple(map((0, *alpha).__getitem__, beta)) != shape.heights:
+                raise ShapeError(f"{tuple(alpha)} does not rearrange the parts {shape.heights}")
+        walk(n, beta, plan, *out)
+    return shape
+
+
 def _basement_counts(alphas: Iterable[Sequence[int]], n: int, orbit: Orbit | None = None) -> tuple:
-    """The basement fillings of each of ``alphas`` whose content x over 1..n is a
-    representative of ``orbit`` (any x without one), counted by (x, maj, coinv, repeat
-    mask), and the :class:`Filling` arguments of the first per mask.  The compositions
-    must rearrange the same parts (one orbit), so that they share one increasing
-    diagram: then the mask, over ``shape.steps``, fixes a weight's hooks."""
+    """The basement fillings of each of ``alphas``, one orbit as in :func:`_walk_orbit`,
+    whose content x over 1..n is a representative of ``orbit`` (any x without one),
+    counted by (x, maj, coinv, repeat mask), and the :class:`Filling` arguments of the
+    first per mask: the mask, over ``shape.steps`` of the shared diagram, fixes a weight's
+    hooks."""
     counts, firsts = {}, {}
-    for stats in map(composition_stats, alphas):
-        plan = content_plan(orbit, n, sum(stats.inc))
-        _walk(shape := diagram(stats.inc), "basement")(n, stats.beta, plan, counts, firsts)
+    shape = _walk_orbit("basement", alphas, n, orbit, counts, firsts)
     return counts, {mask: (shape, e, b) for mask, (e, b) in firsts.items()}
+
+
+def _numerators(alphas: Iterable[Sequence[int]], n: int, orbit: Orbit | None = None) -> dict:
+    """Each summed x's coefficient in :func:`_e_sum` as (numerator terms (q, t) -> c,
+    sorted hooks): the hooks are those of the cells above row 1 that some key of x
+    does not repeat, since the hook of a cell that every key of x repeats divides
+    every weight of x and is cancelled before the sum."""
+    counts, fillings = _basement_counts(alphas, n, orbit)
+    always = {}  # x -> the mask of the cells that every key of x repeats
+    for x, _, _, mask in counts:
+        always[x] = tuple(map(and_, always.get(x, mask), mask))
+    keyed = {(x, q, t, (mask, always[x])): c for (x, q, t, mask), c in counts.items()}
+    stripped = {}
+    for mask, (shape, e, b) in fillings.items():
+        num = filling_weight(Filling(shape, e, b)).num
+        _, q, t = min(num.terms)  # q^maj t^coinv: (1 - t)^k adds higher terms
+        stripped[mask] = num.mul_monomial(q=-q, t=-t)
+    hooks = [shape.hooks[i] for i, _, _ in shape.steps] if fillings else []
+    # over D, a weight's numerator has the hook of each cell its mask repeats: here
+    # only those of the cells that are not cut
+    weights = {(mask, cut): times_binomials(stripped[mask], compress(hooks, map(gt, mask, cut)))
+               for mask, cut in {key[3] for key in keyed}}
+    dens = {cut: tuple(sorted(QtFactor(*hook) for hook, gone in zip(hooks, cut) if not gone))
+            for cut in set(always.values())}
+    return {x: (acc, dens[always[x]]) for x, acc in tally_by_x(keyed, weights.__getitem__).items()}
 
 
 def _e_sum(alphas: Iterable[Sequence[int]], n: int, orbit: Orbit | None = None) -> EResult:
     """The sum of :func:`e_permuted_basement` over ``alphas``, one orbit as in
-    :func:`_basement_counts`.  Each mask's weight, brought over D (the hooks above row 1)
-    and stripped of its q^maj t^coinv, weighs the keys of each x into one numerator,
-    reduced once over D.  With an ``orbit``, only representatives are summed, then expanded."""
-    counts, fillings = _basement_counts(alphas, n, orbit)
-    weights = {}
-    for mask, (shape, e, b) in fillings.items():
-        num = filling_weight(Filling(shape, e, b)).num
-        num = times_binomials(num, (shape.hooks[i] for (i, _, _), same in zip(shape.steps, mask) if same))
-        _, q, t = min(num.terms)  # q^maj t^coinv: (1 - t)^k and hooks 1 - q^a t^b, a >= 1, add higher terms
-        weights[mask] = num.mul_monomial(q=-q, t=-t)
-    den = tuple(sorted(QtFactor(*shape.hooks[i]) for i, _, _ in shape.steps)) if fillings else ()
-    coeffs = {x: QtRational(MPoly._trusted(0, {_monomial(((), *qt)): c for qt, c in acc.items()}), den)
-              for x, acc in tally_by_x(counts, weights.__getitem__).items()}
+    :func:`_walk_orbit`: each mask's weight, stripped of its q^maj t^coinv, weighs the
+    keys of each x into one numerator over the hooks of :func:`_numerators`, and each
+    distinct (numerator, hooks) is reduced once.  With an ``orbit``, only
+    representatives are summed, then expanded."""
+    coeffs, reduced = {}, {}
+    for x, (acc, den) in _numerators(alphas, n, orbit).items():
+        key = (frozenset(acc.items()), den)
+        if key not in reduced:
+            num = MPoly._trusted(0, {_monomial(((), *qt)): c for qt, c in acc.items()})
+            reduced[key] = QtRational(num, den)
+        coeffs[x] = reduced[key]
     return EResult(n, coeffs if orbit is None else expand_orbits(coeffs, orbit.members))
 
 

@@ -387,7 +387,8 @@ def tally_by_x(counts: Mapping[tuple, int], weigh: Callable, orbit: Orbit | None
         if orbit is None or orbit.is_rep(x):
             acc = by_x.setdefault(x, {})
             for (_, a, b), k in weigh(key).terms.items():
-                acc[q + a, t + b] = acc.get((q + a, t + b), 0) + c * k
+                qt = q + a, t + b
+                acc[qt] = acc.get(qt, 0) + c * k
     return {x: kept for x, acc in by_x.items() if (kept := {qt: c for qt, c in acc.items() if c})}
 
 
@@ -614,6 +615,7 @@ def divide_chains(p: MPoly, a: int, b: int, f: Sequence[int]) -> MPoly | None:
     each chain must sum to zero.  Most such divisions tried fail, so the sums
     come first, in one pass keyed by x, b*q - a*t (the line) and q mod a (which
     of its a/gcd(a, b) interleaved chains), or by x, q and t mod b when a = 0.
+    Then for f = 1 - y the quotient of each chain is its running sums.
     """
     if not sum(f):
         sums: dict[tuple, Scalar] = {}
@@ -627,8 +629,15 @@ def divide_chains(p: MPoly, a: int, b: int, f: Sequence[int]) -> MPoly | None:
     for (x, q, t), c in p.terms.items():
         k = min(q // a, t // b) if a else t // b
         chains.setdefault((x, q - k * a, t - k * b), {})[k] = c
-    taps = [(j, fj) for j, fj in enumerate(f) if j and fj]
     quo: dict[Monomial, Scalar] = {}
+    if len(f) == 2 and not sum(f):  # 1 - y, and every chain sums to zero: its quotient is its running sums
+        for (x, q0, t0), coeffs in chains.items():
+            run = 0
+            for k in range(min(coeffs), max(coeffs)):
+                if run := run + coeffs.get(k, 0):
+                    quo[_monomial((x, q0 + k * a, t0 + k * b))] = run
+        return MPoly._trusted(p.n, quo)
+    taps = [(j, fj) for j, fj in enumerate(f) if j and fj]
     for (x, q0, t0), coeffs in chains.items():
         top = max(coeffs)
         for k in range(min(coeffs), top + 1):

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .polyring import QUASISYMMETRIC, Monomial, MPoly, tally, unit_weight
-from .nonsymmetric import EResult, _e_sum
-from .shapes import ShapeError, _walk, as_count, as_partition, composition_stats, content_plan, diagram
+from .nonsymmetric import EResult, _e_sum, _walk_orbit
+from .shapes import ShapeError, as_count, as_partition
 
 
 def compositions_with_support(gamma: Sequence[int], n: int) -> list[tuple[int, ...]]:
@@ -96,6 +96,5 @@ def qs_schur(gamma: Sequence[int], n: int) -> MPoly:
     the basement fillings with maj = coinv = 0 counted by content at prefix supports,
     in a walk that leaves a branch at its first nonzero term, then expanded."""
     counts = {}
-    for stats in map(composition_stats, compositions_with_support(gamma, n := as_count(n))):
-        _walk(diagram(stats.inc), "zero")(n, stats.beta, content_plan(QUASISYMMETRIC, n, sum(gamma)), counts)
+    _walk_orbit("zero", compositions_with_support(gamma, n := as_count(n)), n, QUASISYMMETRIC, counts)
     return tally(n, {(x, 0, 0, None): c for x, c in counts.items()}, unit_weight, QUASISYMMETRIC)

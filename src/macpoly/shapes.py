@@ -282,6 +282,12 @@ _set_shape, _set_flat, _set_basement = (
 # -- composition bookkeeping ---------------------------------------------------
 
 
+def sorting_permutation(alpha: Sequence[int]) -> tuple[int, ...]:
+    """The ``beta`` of :func:`composition_stats`: the positions of alpha, taken
+    from the right, stably sorted by part."""
+    return tuple(sorted(range(len(alpha), 0, -1), key=(0, *alpha).__getitem__))
+
+
 class CompositionStats(NamedTuple):
     """Derived data of a weak composition, computed once and shared."""
 
@@ -302,9 +308,7 @@ def composition_stats(alpha: Sequence[int]) -> CompositionStats:
     if any(a < 0 for a in alpha):
         raise ShapeError(f"negative part in {alpha}")
     inc = tuple(sorted(alpha))
-    beta = tuple(
-        sorted(range(1, len(alpha) + 1), key=lambda i: (alpha[i - 1], -i))
-    )
+    beta = sorting_permutation(alpha)
     mult: dict[int, int] = {}
     for a in alpha:
         if a > 0:

@@ -10,6 +10,8 @@ import pytest
 
 from macpoly.nonsymmetric import (
     EResult,
+    _basement_counts,
+    _e_sum,
     e_permuted_basement,
     f_poly,
     filling_weight,
@@ -28,6 +30,8 @@ from macpoly.polyring import (
     Monomial,
     MPoly,
     NonPolynomialError,
+    QUASISYMMETRIC,
+    SYMMETRIC,
     QtFactor,
     QtRational,
     distinct_permutations,
@@ -39,12 +43,14 @@ from macpoly.polyring import (
     placements,
     pochhammer_tt,
     poly_sum,
+    tally_by_x,
     times_binomials,
 )
 from macpoly.quasisym import compositions_with_support, g_poly
 from macpoly.shapes import (
     INF_BASEMENT,
     Filling,
+    ShapeError,
     arm_composition,
     coinv_comp,
     composition_stats,
@@ -54,7 +60,7 @@ from macpoly.shapes import (
     leg,
     maj,
 )
-from macpoly.verify import partitions_up_to, strong_compositions_up_to
+from macpoly.verify import partitions_up_to, strong_compositions_up_to, weak_compositions_up_to
 
 
 def qt_one_minus_t():
@@ -400,6 +406,46 @@ def test_p_and_g_print_as_the_filling_order_sum_up_to_size_4():
                 differ.append(("g", gamma, n))
             checked += 1
     assert differ == [] and checked == 33 + 43
+
+
+def coefficients_over_d(alphas, n, orbit=None):
+    """The coefficients of ``_e_sum`` summed over D, the product of the hooks of
+    every cell above row 1: each mask's weight brought over D and stripped of its
+    q^maj t^coinv, one numerator per x and one fraction over D per x, built by
+    ``QtRational``.  The reference for cancelling, per x, the hooks that every key
+    of x repeats before the sum."""
+    counts, fillings = _basement_counts(alphas, n, orbit)
+    weights, den = {}, ()
+    for mask, (shape, e, b) in fillings.items():
+        num = filling_weight(Filling(shape, e, b)).num
+        num = times_binomials(num, (shape.hooks[i] for (i, _, _), same in zip(shape.steps, mask) if same))
+        _, q, t = min(num.terms)
+        weights[mask] = num.mul_monomial(q=-q, t=-t)
+        den = tuple(sorted(QtFactor(*shape.hooks[i]) for i, _, _ in shape.steps))
+    coeffs = {x: QtRational(MPoly(0, {Monomial((), *qt): c for qt, c in acc.items()}), den)
+              for x, acc in tally_by_x(counts, weights.__getitem__).items()}
+    return coeffs if orbit is None else expand_orbits(coeffs, orbit.members)
+
+
+def test_hooks_cancelled_per_x_leave_every_coefficient_as_over_d():
+    cases = [(compositions_rearranging(lam, n), n, SYMMETRIC)
+             for lam in partitions_up_to(6) for n in range(len(lam), 5)]
+    cases += [(compositions_with_support(gamma, n), n, QUASISYMMETRIC)
+              for gamma in set(strong_compositions_up_to(5)) for n in range(len(gamma), 5)]
+    cases += [([alpha], len(alpha), None) for k in range(1, 6) for alpha in weak_compositions_up_to(5, k)]
+    differ = [(alphas[:1], n) for alphas, n, orbit in cases
+              if _e_sum(alphas, n, orbit).coeffs != coefficients_over_d(alphas, n, orbit)]
+    assert differ == [] and len(cases) == 69 + 75 + 461
+
+
+def test_basement_counts_refuse_compositions_of_other_parts():
+    with pytest.raises(ShapeError, match="does not rearrange the parts"):
+        _basement_counts([(2, 1, 0), (1, 1, 1)], 3)
+    with pytest.raises(ShapeError, match="does not rearrange the parts"):
+        _basement_counts([(2, 1), (1, 2, 0)], 3)
+    with pytest.raises(ShapeError, match="does not rearrange the parts"):
+        _e_sum([(0, 2), (2, 0), (1, 0)], 2)
+    assert _basement_counts([], 3) == ({}, {})
 
 
 def test_weight_over_the_hook_product_is_the_j_factor():

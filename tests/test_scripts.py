@@ -35,6 +35,11 @@ def test_term_counts_runs():
     # P((3,2,1)) at n = 5 weighs only the fillings of dominant content, and
     # fillings with one repeat mask share one weight across every composition
     assert "  shape (3, 2, 1):   2160 enumerated,    217 kept,      8 weights" in lines
+    # P((3,2,1)) at n = 5 sums 5 coefficients with 4 distinct numerators; of the
+    # 8 hook pieces that cancel from its coefficients, 7 repeat in every key of their
+    # x and leave before the sum, and the 4 reductions divide out 1
+    assert "  P (3, 2, 1):    5 reduced,    4 distinct,    7 cancelled before the sum,    1 by division" in lines
+    assert "  G (3, 2, 1):   15 reduced,   15 distinct,   10 cancelled before the sum,    5 by division" in lines
     # J((4,2)) at n = 4 expands only the keys of dominant x, by either route
     assert (
         "  shape (4, 2): j_plain   1230 counted,   143 tallied;"

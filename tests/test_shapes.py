@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 from collections import Counter, defaultdict
+from functools import cache
 from importlib import resources
 from itertools import combinations_with_replacement, permutations, product
 
@@ -559,7 +560,10 @@ def test_content_plan_holds_only_the_codes_its_walks_reach(family, orbit, parts,
         reached |= attack_free_prefixes(diagram(stats.inc), n, stats.beta)
     plan = content_plan(orbit, n, m)
     assert 0 < len(plan.fits) <= sum(len(p) < m for p in reached)
-    assert 0 < len(plan.reps) <= sum(len(p) == m for p in reached)
+    assert len(plan.reps) <= sum(len(p) == m for p in reached)
+    assert len(plan.lasts) <= sum(len(p) == m - 1 for p in reached)
+    # a leaf reads x from reps when row 1 pins its cell, else from lasts
+    assert plan.reps or plan.lasts
 
 
 # -- attacking / ordered / packed -------------------------------------------------
@@ -751,53 +755,59 @@ def test_word_walk_counts_match_filtering_every_assignment(monkeypatch):
 ORBITS = (None, SYMMETRIC, QUASISYMMETRIC)
 
 
-def basement_cases(heights, n, assignments):
-    """(b, [(e, x, maj, coinv, repeat mask)] over the nonattacking assignments)
-    with no basement, and with every permutation basement where one pins row 1:
-    on an increasing diagram when n is the number of columns."""
-    shape = diagram(heights)
-    basements = [None]
-    if all(a <= b for a, b in zip(heights, heights[1:])) and n == len(heights):
-        basements += permutations(range(1, n + 1))
-    for b in basements:
-        yield b, [
-            (e, tuple(map(e.count, range(1, n + 1))), shape.maj(e, b), shape.coinv(e, b), shape.repeats(e))
-            for e in assignments if shape.nonattacking(e, b)
-        ]
+@cache
+def basement_cases(heights):
+    """(n, b, keys) for each n of :func:`assignments_by_n`, with no basement and with
+    every permutation basement where one pins row 1 (on an increasing diagram when n
+    is the number of columns): ``keys`` maps each (x, maj, coinv, repeat mask) of the
+    nonattacking assignments, in the order each first appears, to [count, first
+    assignment].  Cached, so that the basement and zero walk tests filter once."""
+    shape, cases = diagram(heights), []
+    for n, assignments in assignments_by_n(shape):
+        basements = [None]
+        if all(a <= b for a, b in zip(heights, heights[1:])) and n == len(heights):
+            basements += permutations(range(1, n + 1))
+        for b in basements:
+            keys = {}
+            for e in assignments:
+                if shape.nonattacking(e, b):
+                    key = (tuple(map(e.count, range(1, n + 1))), shape.maj(e, b), shape.coinv(e, b), shape.repeats(e))
+                    keys.setdefault(key, [0, e])[0] += 1
+            cases.append((n, b, keys))
+    return cases
 
 
 def test_basement_walk_counts_match_filtering_every_assignment(monkeypatch):
     for heights in SMALL_HEIGHTS:
         shape = diagram(heights)
         walks = one_and_chained(shape, "basement", monkeypatch)
-        for n, assignments in assignments_by_n(shape):
-            for b, kept in basement_cases(heights, n, assignments):
-                for orbit in ORBITS:
-                    expected, firsts = Counter(), {}
-                    for e, x, q, t, mask in kept:
-                        if orbit is None or orbit.is_rep(x):
-                            expected[x, q, t, mask] += 1
-                            firsts.setdefault(mask, (e, b))
-                    for walk in walks:
-                        got = {}, {}
-                        walk(n, b, content_plan(orbit, n, len(shape.cells)), *got)
-                        assert got == (expected, firsts), (heights, n, b, orbit)
+        for n, b, keys in basement_cases(heights):
+            for orbit in ORBITS:
+                expected, firsts = {}, {}
+                for (x, q, t, mask), (count, e) in keys.items():
+                    if orbit is None or orbit.is_rep(x):
+                        expected[x, q, t, mask] = count
+                        firsts.setdefault(mask, (e, b))
+                for walk in walks:
+                    got = {}, {}
+                    walk(n, b, content_plan(orbit, n, len(shape.cells)), *got)
+                    assert got == (expected, firsts), (heights, n, b, orbit)
 
 
 def test_zero_walk_counts_the_basement_walk_at_maj_and_coinv_zero(monkeypatch):
     for heights in SMALL_HEIGHTS:
         shape = diagram(heights)
         walks = one_and_chained(shape, "zero", monkeypatch)
-        for n, assignments in assignments_by_n(shape):
-            for b, kept in basement_cases(heights, n, assignments):
-                for orbit in ORBITS:
-                    expected = Counter(
-                        x for _, x, q, t, _ in kept if q == t == 0 and (orbit is None or orbit.is_rep(x))
-                    )
-                    for walk in walks:
-                        got = {}
-                        walk(n, b, content_plan(orbit, n, len(shape.cells)), got)
-                        assert got == expected, (heights, n, b, orbit)
+        for n, b, keys in basement_cases(heights):
+            for orbit in ORBITS:
+                expected = Counter()
+                for (x, q, t, _), (count, _) in keys.items():
+                    if q == t == 0 and (orbit is None or orbit.is_rep(x)):
+                        expected[x] += count
+                for walk in walks:
+                    got = {}
+                    walk(n, b, content_plan(orbit, n, len(shape.cells)), got)
+                    assert got == expected, (heights, n, b, orbit)
 
 
 def test_counting_walks_past_the_nesting_limit_and_on_empty_input():
