@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Measure how much smaller the compact enumerations are than the plain ones.
 
-For the modified family: sorted tableaux of the diagram ``htilde_compact``
-walks (the conjugate one, or the shape's own where that has fewer) versus all
-n^|shape| fillings.  For the integral form: ordered nonattacking fillings of
-the increasing diagram versus all nonattacking fillings of the decreasing one.
+For the modified family: the sorted tableaux ``htilde_compact`` walks (on
+the conjugate diagram, or the shape's own where that has fewer, over the values
+1..min(n, |shape|)) and those it weighs (of dominant content, one ``Filling``
+built for each) versus all n^|shape| fillings.  For the integral form: ordered
+nonattacking fillings of the increasing diagram versus all nonattacking
+fillings of the decreasing one.
 Last, per size, the words of weakly decreasing content that ``htilde_plain``
 sums versus all n^size words (the count depends on the size alone).  A share
 is printed only where the all-fillings count is nonzero (not at n = 0).  Then,
@@ -29,10 +31,10 @@ from functools import partial
 from itertools import permutations
 from math import gcd
 
-from macpoly import cyclotomic
+from macpoly import cyclotomic, modified
 from macpoly.cli import parse_count
 from macpoly.integral import compositions_rearranging, j_keys
-from macpoly.modified import _word_counts, compact_side, iter_sorted_tableaux
+from macpoly.modified import _word_counts, htilde_compact
 from macpoly.nonsymmetric import _basement_counts, _e_sum, _numerators, iter_basement_fillings
 from macpoly.polyring import QUASISYMMETRIC, SYMMETRIC
 from macpoly.quasisym import compositions_with_support
@@ -74,6 +76,30 @@ def exact_divisions(run) -> int:
     return exact
 
 
+def compact_work(lam, n: int) -> tuple[int, int]:
+    """The sorted tableaux ``htilde_compact(lam, n)`` walks, and the ``Filling``s it
+    builds for those it weighs."""
+    enumerate_sorted, check, walked, weighed = modified.iter_sorted_tableaux, Filling.__post_init__, 0, 0
+
+    def counted_tableaux(*args):
+        nonlocal walked
+        for e in enumerate_sorted(*args):
+            walked += 1
+            yield e
+
+    def counted_check(self):
+        nonlocal weighed
+        weighed += 1
+        check(self)
+
+    modified.iter_sorted_tableaux, Filling.__post_init__ = counted_tableaux, counted_check
+    try:
+        htilde_compact(lam, n)
+    finally:
+        modified.iter_sorted_tableaux, Filling.__post_init__ = enumerate_sorted, check
+    return walked, weighed
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-size", type=partial(parse_count, name="--max-size"), default=5)
@@ -81,13 +107,13 @@ def main() -> None:
     args = parser.parse_args()
     n = args.n
 
-    print(f"modified family, n = {n}: sorted tableaux on the side htilde_compact walks"
+    print(f"modified family, n = {n}: sorted tableaux htilde_compact walks and weighs"
           " vs all fillings")
     for lam in partitions_up_to(args.max_size):
-        sorted_count = sum(1 for _ in iter_sorted_tableaux(compact_side(lam, n)[0], n))
+        walked, weighed = compact_work(lam, n)
         plain_count = n ** sum(lam)
-        print(f"  shape {lam}: {sorted_count:6d} vs {plain_count:6d}"
-              f"{share(sorted_count, plain_count)}")
+        print(f"  shape {lam}: {walked:6d} walked, {weighed:6d} weighed vs {plain_count:6d}"
+              f"{share(walked, plain_count)}")
 
     print(f"\nintegral form, n = {n}: ordered vs all nonattacking fillings")
     for mu in partitions_up_to(args.max_size):

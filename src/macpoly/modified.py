@@ -12,6 +12,12 @@ mass, which is what makes the two routes agree.
 The compact sum over lam's conjugate diagram is H~_lam; over lam's own it is
 H~_lam'(x; q, t) = H~_lam(x; t, q) by q<->t duality (Macdonald, ch. VI), so
 swapping q and t there is exact and ``htilde_compact`` walks the smaller side.
+
+``iter_sorted_tableaux`` yields flat entry tuples in cell order, as
+``shapes.iter_nonattacking`` does; ``htilde_compact`` tests the content of
+each and builds a ``Filling`` only for a tableau of representative content,
+the ones it weighs.  Both walk the values 1..min(n, |lam|): a dominant content
+of m entries uses no value above m.
 """
 
 from __future__ import annotations
@@ -19,8 +25,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, product as iproduct, repeat
+from itertools import combinations_with_replacement, product as iproduct, repeat, starmap
 from math import comb, prod
+from operator import add
 from typing import Iterator, Sequence
 
 from .polyring import SYMMETRIC, MPoly, t_multinomial, tally, unit_weight
@@ -35,7 +42,8 @@ from .shapes import (
     conjugate,
     content_plan,
     diagram,
-    inv,  # bound here for perfbench/test_perfbench.py; the routes call Diagram.inv
+    inv,
+    maj,
 )
 
 
@@ -101,12 +109,15 @@ def is_sorted_tableau(f: Filling) -> bool:
     )
 
 
-def iter_sorted_tableaux(shape: Diagram, n: int) -> Iterator[Filling]:
-    """All sorted tableaux of `shape` with entries in 1..n.
+def iter_sorted_tableaux(shape: Diagram, n: int) -> Iterator[tuple[int, ...]]:
+    """Flat entry tuples (cell order) of the sorted tableaux of `shape` with
+    entries in 1..n; wrap one as ``Filling(shape, e, INF_BASEMENT)`` to read it
+    by cell.  A generator function, so a tracer counts its yields.
 
     Generated directly: per height block, weakly increasing column sequences
     are combinations-with-replacement over the key-sorted column alphabet,
-    each flattened once, so a tableau is one concatenation of block tuples.
+    each flattened once, so a tableau is one block's tuple, or one
+    concatenation of block tuples.
     """
     if not shape.is_partition:
         raise ShapeError("sorted tableaux live on partition shapes")
@@ -114,8 +125,12 @@ def iter_sorted_tableaux(shape: Diagram, n: int) -> Iterator[Filling]:
     for h, slices in shape.blocks:
         columns = sorted(iproduct(range(1, n + 1), repeat=h), key=column_sort_key)
         per_block.append([sum(cols, ()) for cols in combinations_with_replacement(columns, len(slices))])
-    flats = map(sum, iproduct(*per_block), repeat(()))
-    yield from map(Filling, repeat(shape), flats, repeat(INF_BASEMENT))
+    if len(per_block) == 1:
+        yield from per_block[0]
+    elif len(per_block) == 2:
+        yield from starmap(add, iproduct(*per_block))
+    else:
+        yield from map(sum, iproduct(*per_block), repeat(()))
 
 
 @dataclass(frozen=True)
@@ -160,11 +175,13 @@ def htilde_plain(lam: Sequence[int], n: int) -> MPoly:
 def compact_side(lam: Sequence[int], n: int) -> tuple[Diagram, bool]:
     """The diagram :func:`htilde_compact` sums over, and whether it then swaps q and t:
     lam's own where that has strictly fewer sorted tableaux, else the conjugate one.
-    A diagram has, per block of k columns of height h, C(n^h + k - 1, k) of them."""
+    A diagram has, per block of k columns of height h, C(v^h + k - 1, k) of them
+    over the values 1..v, v = min(n, |lam|)."""
     lam, n = as_partition(lam), as_count(n)
+    v = min(n, sum(lam))
     sides = (diagram(conjugate(lam)), False), (diagram(lam), True)
     return min(sides, key=lambda side: prod(
-        comb(n ** h + len(cols) - 1, len(cols)) for h, cols in side[0].blocks
+        comb(v ** h + len(cols) - 1, len(cols)) for h, cols in side[0].blocks
     ))
 
 
@@ -174,19 +191,21 @@ def htilde_compact(lam: Sequence[int], n: int) -> MPoly:
     :func:`compact_side` picks: the conjugate one, or lam's own and then a q<->t
     swap, exact by duality (see the module docstring).
 
-    Tableaux of dominant content are counted by (x, maj, inv, run signature),
-    each key is weighed once by :func:`tally` against the multiplicity cached
-    per run signature, and each term is written under every rearrangement of
-    x.  On the swapped side q and t are exchanged in both key and weight.
+    The tableaux are walked over the values 1..min(n, |lam|).  Each one of
+    dominant content is built as a ``Filling`` and counted by (x, maj, inv, run
+    signature), each key is weighed once by :func:`tally` against the
+    multiplicity cached per run signature, and each term is written under
+    every rearrangement of x.  On the swapped side q and t are exchanged in
+    both key and weight.
     """
     shape, swapped = compact_side(lam, n)
     content = content_plan(SYMMETRIC, n, len(shape.cells)).content
-    q, t = (shape.inv, shape.maj) if swapped else (shape.maj, shape.inv)
+    q, t = (inv, maj) if swapped else (maj, inv)
     counts: Counter = Counter()
-    for f in iter_sorted_tableaux(shape, n):
-        e = f.flat
+    for e in iter_sorted_tableaux(shape, min(n, len(shape.cells))):
         x = content(e)
         if x is not None:
-            counts[x, q(e), t(e), _block_runs(shape, e)] += 1
+            f = Filling(shape, e, INF_BASEMENT)
+            counts[x, q(f), t(f), _block_runs(shape, e)] += 1
     weigh = _swapped_multiplicity_terms if swapped else _multiplicity_terms
     return tally(n, counts, weigh, SYMMETRIC)

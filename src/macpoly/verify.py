@@ -42,6 +42,8 @@ from .quasisym import (
     schur_ssyt,
 )
 from .shapes import (
+    INF_BASEMENT,
+    Filling,
     arm_partition,
     composition_stats,
     coinv_comp,
@@ -176,10 +178,11 @@ def check_fixture_tableau_listing() -> CheckResult:
         for item in listing["tableaux"]:
             key = tuple(sorted((tuple(cell[:2]), cell[2]) for cell in item["entries"]))
             expected[key] = (item["inv"], item["maj"], tuple(item["multiplicity"]))
-        packed = [f for f in iter_sorted_tableaux(shape, n) if is_packed(f)]
+        tableaux = [Filling(shape, e, INF_BASEMENT) for e in iter_sorted_tableaux(shape, n)]
+        packed = [f for f in tableaux if is_packed(f)]
         assert len(packed) == len(expected) == 32, f"packed count {len(packed)}"
         total = MPoly.zero(n)
-        for f in iter_sorted_tableaux(shape, n):
+        for f in tableaux:
             pt = SortedTableau.certify(f).multiplicity_t()
             if is_packed(f):
                 key = tuple(sorted(((c.col, c.row), v) for c, v in f.entries.items()))

@@ -1,6 +1,7 @@
 """Sorted-tableau machinery and the two modified-Macdonald routes."""
 
 import json
+from collections import Counter
 from importlib import resources
 
 import pytest
@@ -16,7 +17,7 @@ from macpoly.modified import (
     is_sorted_tableau,
     iter_sorted_tableaux,
 )
-from macpoly.polyring import MPoly, t_multinomial
+from macpoly.polyring import SYMMETRIC, MPoly, t_multinomial
 from macpoly.shapes import (
     INF_BASEMENT,
     Cell,
@@ -44,6 +45,11 @@ def sorted_tableau_fixture():
 @pytest.fixture(scope="module")
 def tableau_listing():
     return load_json("tableau_listing.json")
+
+
+def sorted_tableaux(shape, n):
+    """The sorted tableaux of ``shape`` over 1..n as fillings on the infinity basement."""
+    return [Filling(shape, e, INF_BASEMENT) for e in iter_sorted_tableaux(shape, n)]
 
 
 # -- column order -----------------------------------------------------------------
@@ -120,17 +126,16 @@ def test_multiplicity_at_one_counts_rearrangements(sorted_tableau_fixture):
 @pytest.mark.parametrize("heights", [(2,), (1, 1), (2, 1), (2, 2), (2, 1, 1), (3, 1)])
 @pytest.mark.parametrize("n", [2, 3])
 def test_direct_enumeration_matches_filtering(heights, n):
-    direct = {
-        tuple(sorted(f.entries.items()))
-        for f in iter_sorted_tableaux(diagram(heights), n)
-    }
+    # flat entry tuples, each once
+    direct = list(iter_sorted_tableaux(diagram(heights), n))
+    assert all(type(e) is tuple for e in direct) and len(set(direct)) == len(direct)
     filtered = {
-        tuple(sorted(f.entries.items()))
+        f.flat
         for f in enumerate_fillings(
             diagram(heights), n, predicate=is_sorted_tableau, basement=INF_BASEMENT
         )
     }
-    assert direct == filtered
+    assert set(direct) == filtered
 
 
 def test_sorted_tableaux_partition_into_rearrangement_classes():
@@ -139,7 +144,7 @@ def test_sorted_tableaux_partition_into_rearrangement_classes():
     n = 3
     total = sum(
         SortedTableau.certify(f).multiplicity_t().specialize(t=1).constant_term()
-        for f in iter_sorted_tableaux(shape, n)
+        for f in sorted_tableaux(shape, n)
     )
     assert total == n ** len(shape.cells)
 
@@ -150,11 +155,7 @@ def test_sorted_tableaux_partition_into_rearrangement_classes():
 def test_listing_packed_sorted_tableaux(tableau_listing):
     shape = diagram(tableau_listing["shape"])
     n = tableau_listing["n"]
-    packed = [
-        f
-        for f in iter_sorted_tableaux(shape, n)
-        if is_packed(f)
-    ]
+    packed = [f for f in sorted_tableaux(shape, n) if is_packed(f)]
     assert len(packed) == len(tableau_listing["tableaux"]) == 32
 
     expected = {}
@@ -179,7 +180,7 @@ def test_listing_sum_is_the_compact_polynomial(tableau_listing):
     shape = diagram(tableau_listing["shape"])
     n = tableau_listing["n"]
     total = MPoly.zero(n)
-    for f in iter_sorted_tableaux(shape, n):
+    for f in sorted_tableaux(shape, n):
         st_ = SortedTableau.certify(f)
         total = total + st_.multiplicity_t().extended(n).mul_monomial(
             x=f.x_exponents(n), q=maj(f), t=inv(f)
@@ -254,7 +255,7 @@ def test_htilde_specializes_to_power_sum(lam, n):
 def test_compactness_term_count():
     # 32 packed sorted tableaux versus 3^4 = 81 fillings in the plain sum
     shape = diagram([2, 1, 1])
-    packed = [f for f in iter_sorted_tableaux(shape, 3) if is_packed(f)]
+    packed = [f for f in sorted_tableaux(shape, 3) if is_packed(f)]
     assert len(packed) == 32 < 81
 
 
@@ -272,8 +273,9 @@ def test_compact_rejects_unsorted_enumeration(monkeypatch):
     from macpoly.verify import check_htilde_equivalence
 
     def unsorted(shape, n):
-        # every filling, unsorted ones such as columns (2), (1) included
-        yield from enumerate_fillings(shape, n, basement=INF_BASEMENT)
+        # every filling's flat entries, unsorted ones such as columns (2), (1) included
+        for f in enumerate_fillings(shape, n, basement=INF_BASEMENT):
+            yield f.flat
 
     monkeypatch.setattr(modified, "iter_sorted_tableaux", unsorted)
     result = check_htilde_equivalence(max_size=2, max_n=2)
@@ -289,6 +291,9 @@ def test_compact_rejects_unsorted_enumeration(monkeypatch):
         ((2, 2, 2), 4, 816, True),
         # a tie (a self-conjugate shape) stays on the conjugate side
         ((3, 2, 1), 4, 4096, False),
+        # over the values 1..3 only: a dominant content of 3 entries uses no more
+        ((2, 1), 20, 27, False),
+        ((2, 1), 3, 27, False),
     ],
 )
 def test_compact_walks_the_side_with_fewer_tableaux(monkeypatch, lam, n, walked, swapped):
@@ -297,9 +302,9 @@ def test_compact_walks_the_side_with_fewer_tableaux(monkeypatch, lam, n, walked,
 
     def counted(shape, n):
         walks.append([shape.heights, 0])
-        for f in enumerate_sorted(shape, n):
+        for e in enumerate_sorted(shape, n):
             walks[-1][1] += 1
-            yield f
+            yield e
 
     monkeypatch.setattr(modified, "iter_sorted_tableaux", counted)
     result = htilde_compact(lam, n)
@@ -307,6 +312,30 @@ def test_compact_walks_the_side_with_fewer_tableaux(monkeypatch, lam, n, walked,
     assert walks == [[side, walked]]
     assert compact_side(lam, n) == (diagram(side), swapped)
     assert result == htilde_plain(lam, n)
+
+
+def test_compact_builds_a_filling_only_for_the_tableaux_it_weighs(monkeypatch):
+    # (3, 3) at n = 4 walks 816 sorted tableaux and weighs the 101 of dominant content
+    yielded, built = [], Counter()
+    enumerate_sorted, check = modified.iter_sorted_tableaux, Filling.__post_init__
+
+    def counted(shape, n):
+        for e in enumerate_sorted(shape, n):
+            yielded.append(e)
+            yield e
+
+    def counted_check(self):
+        built[self.flat] += 1
+        check(self)
+
+    monkeypatch.setattr(modified, "iter_sorted_tableaux", counted)
+    monkeypatch.setattr(Filling, "__post_init__", counted_check)
+    result = htilde_compact((3, 3), 4)
+    monkeypatch.undo()
+    dominant = [e for e in yielded if SYMMETRIC.is_rep(tuple(map(e.count, range(1, 5))))]
+    assert len(yielded) == 816 and len(dominant) == 101
+    assert built == Counter(dominant)
+    assert result == htilde_plain((3, 3), 4)
 
 
 def test_compact_degenerate_inputs():

@@ -30,8 +30,11 @@ def test_term_counts_runs():
     # (3, 0) has 1 word and (2, 1) has 3: the dominant contents of size 3 at n = 2
     assert "  size 3:      4 vs      8  (50.0%)" in lines
     # the modified-family section counts the side htilde_compact walks:
-    # (1, 1)'s own diagram, 3 sorted tableaux, not its conjugate's 4
-    assert "  shape (1, 1):      3 vs      4  (75.0%)" in lines
+    # (1, 1)'s own diagram, 3 sorted tableaux, not its conjugate's 4, and it
+    # builds a Filling for the 2 of dominant content, (1, 1) and (1, 2)
+    assert "  shape (1, 1):      3 walked,      2 weighed vs      4  (75.0%)" in lines
+    # a single cell is walked over the values 1..1 only, not 1..n
+    assert "  shape (1,):      1 walked,      1 weighed vs      2  (50.0%)" in lines
     # P((3,2,1)) at n = 5 weighs only the fillings of dominant content, and
     # fillings with one repeat mask share one weight across every composition
     assert "  shape (3, 2, 1):   2160 enumerated,    217 kept,      8 weights" in lines
@@ -52,7 +55,7 @@ def test_term_counts_at_n_zero():
     proc = run_term_counts("--max-size", "2", "--n", "0")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert "  shape (1, 1):      0 vs      0" in lines
+    assert "  shape (1, 1):      0 walked,      0 weighed vs      0" in lines
     assert "  size 2:      0 vs      0" in lines
     assert "%" not in proc.stdout
 

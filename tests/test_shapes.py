@@ -928,9 +928,11 @@ def test_filling_checks_run_once_per_built_filling(monkeypatch):
     tested = []
     accepted, built = checked(enumerate_fillings(shape, n, lambda f: tested.append(f) or is_nonattacking(f)))
     assert len(tested) == built == n ** 4 > len(accepted)
-    for fillings in (iter_sorted_tableaux(diagram([2, 2, 1]), 3), iter_basement_fillings((1, 0, 2))):
-        items, built = checked(fillings)
-        assert items and built == len(items)
+    items, built = checked(iter_basement_fillings((1, 0, 2)))
+    assert items and built == len(items)
+    # the sorted tableaux come as flat tuples: drawing them builds no Filling
+    checks.clear()
+    assert list(iter_sorted_tableaux(diagram([2, 2, 1]), 3)) and not checks
 
     drawn = []
 
