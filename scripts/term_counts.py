@@ -7,7 +7,7 @@ the conjugate diagram, or the shape's own where that has fewer, over the values
 built for each) versus all n^|shape| fillings.  For the integral form: ordered
 nonattacking fillings of the increasing diagram versus all nonattacking
 fillings of the decreasing one.
-Last, per size, the words of weakly decreasing content that ``htilde_plain``
+Then, per size, the words of weakly decreasing content that ``htilde_plain``
 sums versus all n^size words (the count depends on the size alone).  A share
 is printed only where the all-fillings count is nonzero (not at n = 0).  Then,
 for P on the shapes the symmetric benchmark pins, at n = 5: the basement
@@ -18,10 +18,12 @@ rearrangements of (3, 2, 1), also at n = 5: the coefficients summed (one per
 representative x), the distinct numerators among them (each reduced once), the
 pieces of hooks cancelled before the sum (summed over the coefficients: the hooks
 of the cells that every key of x repeats) and those cancelled by division in the
-reductions run.  Last, for J on the shapes the integral
+reductions run.  Then, for J on the shapes the integral
 benchmark pins, at n = 4: per route, the distinct (x, maj, coinv, repeat
 mask) keys its fillings are counted by, and the keys of dominant x that it
-expands, since J is symmetric.
+expands, since J is symmetric.  Last, for H~ on the shapes the htilde benchmark
+pins, at n = 4: the terms of the output, its exponent vectors x, and the (q, t)
+coefficient maps it stores, one per orbit, which the members of the orbit share.
 
     python scripts/term_counts.py --max-size 5 --n 3
 """
@@ -34,7 +36,7 @@ from math import gcd
 from macpoly import cyclotomic, modified
 from macpoly.cli import parse_count
 from macpoly.integral import compositions_rearranging, j_keys
-from macpoly.modified import _word_counts, htilde_compact
+from macpoly.modified import _word_counts, htilde_compact, htilde_plain
 from macpoly.nonsymmetric import _basement_counts, _e_sum, _numerators, iter_basement_fillings
 from macpoly.polyring import QUASISYMMETRIC, SYMMETRIC
 from macpoly.quasisym import compositions_with_support
@@ -47,6 +49,9 @@ SYMMETRIC_N = 5
 #: the shapes whose J the integral benchmark pins, and its variable count
 INTEGRAL_ANCHORS = ((2, 2, 1), (3, 2, 1), (3, 3), (4, 2), (2, 2, 2), (3, 2, 1, 1))
 INTEGRAL_N = 4
+#: the shapes whose H~ the htilde benchmark pins, and its variable count
+HTILDE_ANCHORS = ((3, 2, 1), (3, 3), (4, 2), (2, 2, 2), (3, 2, 2), (4, 4), (2, 2, 2, 2))
+HTILDE_N = 4
 
 
 def share(part: int, whole: int) -> str:
@@ -167,6 +172,12 @@ def main() -> None:
             dominant = sum(1 for key in keys if SYMMETRIC.is_rep(key[0]))
             line.append(f"{name} {len(keys):6d} counted, {dominant:5d} tallied")
         print(f"  shape {mu}: " + "; ".join(line))
+
+    print(f"\nH~, n = {HTILDE_N}: output terms, exponent vectors x, and (q, t) maps stored")
+    for lam in HTILDE_ANCHORS:
+        by_x = htilde_plain(lam, HTILDE_N).by_x
+        maps = len({id(acc) for acc in by_x.values()})
+        print(f"  shape {lam}: {sum(map(len, by_x.values())):6d} terms, {len(by_x):5d} x, {maps:4d} maps")
 
 
 if __name__ == "__main__":

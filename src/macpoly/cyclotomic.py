@@ -10,7 +10,7 @@ plan applied to a numerator."""
 from functools import lru_cache
 from math import gcd
 
-from .polyring import MPoly, Monomial, QtFactor, Scalar, _monomial, divide_chains, one_minus_qt
+from .polyring import MPoly, QtFactor, Scalar, _kept, divide_chains, one_minus_qt
 
 
 @lru_cache(maxsize=None)
@@ -20,17 +20,17 @@ def piece(d: int) -> tuple[int, ...]:
     p = one_minus_qt(0, d)
     for e in _divisors(d)[:-1]:
         p = divide_chains(p, 0, 1, piece(e))
-    return tuple(p.terms.get(Monomial((), 0, k), 0) for k in range(p.degree() + 1))
+    return tuple(p.qt_terms().get((0, k), 0) for k in range(p.degree() + 1))
 
 
 def _times(num: MPoly, a: int, b: int, f: tuple[int, ...]) -> MPoly:
-    """num times f(q^a t^b)."""
-    out: dict[Monomial, Scalar] = {}
-    for (x, q, t), c in num.terms.items():
+    """num times f(q^a t^b), num q,t-only."""
+    out: dict[tuple[int, int], Scalar] = {}
+    for (q, t), c in num.qt_terms().items():
         for k, fk in enumerate(f):
-            m = _monomial((x, q + k * a, t + k * b))
-            out[m] = out.get(m, 0) + fk * c
-    return MPoly._trusted(0, {m: c for m, c in out.items() if c})
+            qt = q + k * a, t + k * b
+            out[qt] = out.get(qt, 0) + fk * c
+    return MPoly._trusted(0, _kept({(): out}))
 
 
 @lru_cache(maxsize=1024)

@@ -31,8 +31,8 @@ from operator import and_, gt
 from typing import Iterable, Iterator, Sequence
 
 from .polyring import (
-    MPoly, NonPolynomialError, Orbit, QtFactor, QtRational, Scalar, _monomial, divide_binomials,
-    expand_orbits, one_minus_qt, tally_by_x, times_binomials,
+    MPoly, NonPolynomialError, Orbit, QtFactor, QtRational, Scalar, divide_binomials,
+    expand_orbits, one_minus_qt, swapped_keys, tally_by_x, times_binomials,
 )
 from .shapes import (
     INF_BASEMENT,
@@ -91,7 +91,7 @@ class EResult:
         :class:`~macpoly.polyring.NonPolynomialError`.
         """
         quotients: dict[tuple, MPoly | None] = {}
-        acc: dict = {}
+        by_x: dict = {}
         for exps, value in self.coeffs.items():
             if value.den not in quotients:
                 try:
@@ -100,23 +100,21 @@ class EResult:
                     quotients[value.den] = None
             quo = quotients[value.den]
             poly = (value * multiplier).to_polynomial() if quo is None else value.num * quo
-            acc.update({_monomial((exps, q, t)): c for (_, q, t), c in poly.terms.items()})
-        # as in MPoly.extended: terms of n = 0 polynomials, moved to distinct x
-        return MPoly._trusted(self.n, acc)
+            if poly:
+                by_x[exps] = poly.qt_terms()
+        return MPoly._trusted(self.n, by_x)
 
     def specialize(self, q: Scalar | None = None, t: Scalar | None = None) -> MPoly:
         """Evaluate q and t, producing a plain polynomial in x; both are required."""
         if q is None or t is None:
             raise ValueError("an EResult is specialized at both q and t")
         return MPoly._trusted(self.n, {
-            _monomial((x, 0, 0)): c for x, value in self.coeffs.items() if (c := value.specialize(q=q, t=t))
+            x: {(0, 0): c} for x, value in self.coeffs.items() if (c := value.specialize(q=q, t=t))
         })
 
     def swap_x(self, i: int, j: int) -> "EResult":
-        """Exchange the variables x_i and x_j (1-based)."""
-        order = list(range(self.n))
-        order[i - 1], order[j - 1] = j - 1, i - 1
-        return EResult(self.n, {tuple(map(x.__getitem__, order)): v for x, v in self.coeffs.items()})
+        """Exchange the variables x_i and x_j (1-based); an index outside 1..n is refused."""
+        return EResult(self.n, swapped_keys(self.coeffs, self.n, i, j))
 
     def to_json_obj(self) -> dict:
         items = []
@@ -213,7 +211,7 @@ def _numerators(alphas: Iterable[Sequence[int]], n: int, orbit: Orbit | None = N
     stripped = {}
     for mask, (shape, e, b) in fillings.items():
         num = filling_weight(Filling(shape, e, b)).num
-        _, q, t = min(num.terms)  # q^maj t^coinv: (1 - t)^k adds higher terms
+        q, t = min(num.qt_terms())  # q^maj t^coinv: (1 - t)^k adds higher terms
         stripped[mask] = num.mul_monomial(q=-q, t=-t)
     hooks = [shape.hooks[i] for i, _, _ in shape.steps] if fillings else []
     # over D, a weight's numerator has the hook of each cell its mask repeats: here
@@ -235,8 +233,7 @@ def _e_sum(alphas: Iterable[Sequence[int]], n: int, orbit: Orbit | None = None) 
     for x, (acc, den) in _numerators(alphas, n, orbit).items():
         key = (frozenset(acc.items()), den)
         if key not in reduced:
-            num = MPoly._trusted(0, {_monomial(((), *qt)): c for qt, c in acc.items()})
-            reduced[key] = QtRational(num, den)
+            reduced[key] = QtRational(MPoly._trusted(0, {(): acc}), den)
         coeffs[x] = reduced[key]
     return EResult(n, coeffs if orbit is None else expand_orbits(coeffs, orbit.members))
 

@@ -9,6 +9,15 @@ Two value types carry every computation in this package:
   factors 1 - q^a t^b.  Denominators are never expanded, so cancellation is
   exact divisibility testing, not multivariate gcd.
 
+An MPoly stores its terms grouped by x, the layout of ``EResult.coeffs``:
+``by_x`` maps each exponent vector to a non-empty dict (q, t) -> nonzero
+coefficient.  A symmetric output from :func:`tally` shares one such map among
+all the members of an orbit, and ring operations share the maps they leave
+alone, so a stored map is never mutated: an operation copies a map before it
+changes it.  ``MPoly.terms`` is a read-only flat view Monomial -> coefficient,
+in x order and then (q, t) order, for callers outside the package; its length
+is the term count, taken without building the flat map.
+
 Values are immutable once built and compare by canonical term map.  Rational
 coefficients appear only after :func:`specialize` substitutes non-integer
 points; the core ring stays over the integers.
@@ -18,12 +27,13 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from collections.abc import Mapping
 from fractions import Fraction
-from functools import cache, lru_cache, partial, reduce
-from itertools import accumulate, combinations, repeat
+from functools import cache, lru_cache, reduce
+from itertools import accumulate, combinations
 from math import gcd, prod
 from operator import add, ge, lt, or_
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -83,40 +93,72 @@ class Monomial(NamedTuple):
         )
 
 
-#: a Monomial from an (x, q, t) tuple, without the Python-level ``Monomial.__new__``
-_monomial = partial(tuple.__new__, Monomial)
+class Terms(Mapping):
+    """The read-only flat view ``MPoly.terms`` of a grouped term map (see the module docstring)."""
+
+    __slots__ = ("_by_x",)
+
+    def __init__(self, by_x: Mapping[tuple[int, ...], Mapping[tuple[int, int], Scalar]]):
+        self._by_x = by_x
+
+    def __len__(self) -> int:
+        return sum(map(len, self._by_x.values()))
+
+    def __iter__(self) -> Iterator[Monomial]:
+        return (Monomial(x, q, t) for x, acc in self._by_x.items() for q, t in acc)
+
+    def __getitem__(self, mono: Monomial) -> Scalar:
+        return self._by_x[mono[0]][mono[1:]]
+
+
+#: the terms of zero, shared and never changed
+_NO_TERMS: dict = {}
+
+
+def check_variable(i: int, n: int) -> None:
+    """Refuse a variable index outside 1..n: index 0 or -1 would wrap to x_n."""
+    if not 1 <= i <= n:
+        raise ValueError(f"variable index {i} is outside 1..{n}")
+
+
+def swapped_keys(values: Mapping[tuple, object], n: int, i: int, j: int) -> dict:
+    """``values`` keyed by exponent vectors of length n, with the exponents of x_i
+    and x_j (1-based) exchanged in every key; the values are shared."""
+    check_variable(i, n)
+    check_variable(j, n)
+    order = list(range(n))
+    order[i - 1], order[j - 1] = j - 1, i - 1
+    return {tuple(map(x.__getitem__, order)): value for x, value in values.items()}
 
 
 class MPoly:
-    """Sparse exact polynomial; ``terms`` maps Monomial -> nonzero coefficient."""
+    """Sparse exact polynomial; ``by_x`` maps each exponent vector to a non-empty,
+    possibly shared and never mutated dict (q, t) -> nonzero coefficient."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "by_x")
 
     def __init__(self, n: int, terms: Mapping[Monomial, Scalar] | None = None):
-        cleaned: dict[Monomial, Scalar] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if len(mono.x) != n:
-                    raise DimensionError(
-                        f"monomial has {len(mono.x)} x-exponents, ambient n={n}"
-                    )
-                if any(e < 0 for e in mono.x) or mono.q < 0 or mono.t < 0:
-                    raise ValueError(f"negative exponent in {mono}")
-                c = _normalize_scalar(coeff)
-                if c:
-                    cleaned[mono] = c
+        by_x: dict[tuple[int, ...], dict[tuple[int, int], Scalar]] = {}
+        for (x, q, t), coeff in (terms or {}).items():
+            if len(x) != n:
+                raise DimensionError(f"monomial has {len(x)} x-exponents, ambient n={n}")
+            if any(e < 0 for e in x) or q < 0 or t < 0:
+                raise ValueError(f"negative exponent in {Monomial(x, q, t)}")
+            if c := _normalize_scalar(coeff):
+                by_x.setdefault(x, {})[q, t] = c
         self.n = n
-        self.terms = cleaned
+        self.by_x = by_x
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _trusted(cls, n: int, terms: dict[Monomial, Scalar]) -> "MPoly":
-        """The polynomial whose term map is ``terms`` itself, unchecked: for maps
-        built in ambient n with nonzero coefficients and nonnegative exponents."""
+    def _trusted(cls, n: int, by_x: dict[tuple[int, ...], dict[tuple[int, int], Scalar]]) -> "MPoly":
+        """The polynomial whose grouped term map is ``by_x`` itself, unchecked: for
+        exponent vectors of length n, nonnegative exponents and non-empty maps of
+        nonzero coefficients."""
         out = cls.__new__(cls)
         out.n = n
-        out.terms = terms
+        out.by_x = by_x
         return out
 
     @classmethod
@@ -145,35 +187,50 @@ class MPoly:
 
     # -- basic queries -----------------------------------------------------
 
+    @property
+    def terms(self) -> Terms:
+        return Terms(self.by_x)
+
+    def qt_terms(self) -> Mapping[tuple[int, int], Scalar]:
+        """The map (q, t) -> coefficient of a q,t-only value (n = 0); read only."""
+        return self.by_x.get((), _NO_TERMS)
+
+    def coefficients(self) -> Iterator[Scalar]:
+        """Every coefficient, term by term."""
+        return (c for acc in self.by_x.values() for c in acc.values())
+
+    def _flat(self) -> dict[Monomial, Scalar]:
+        """The terms as one new dict Monomial -> coefficient."""
+        return {Monomial(x, q, t): c for x, acc in self.by_x.items() for (q, t), c in acc.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.by_x
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.by_x)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MPoly):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        return self.n == other.n and self.by_x == other.by_x
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        return hash((self.n, frozenset((x, frozenset(acc.items())) for x, acc in self.by_x.items())))
 
     def degree(self) -> int:
-        return max((m.degree() for m in self.terms), default=0)
+        return max((sum(x) + q + t for x, acc in self.by_x.items() for q, t in acc), default=0)
 
     def constant_term(self) -> Scalar:
-        return self.terms.get(Monomial((0,) * self.n, 0, 0), 0)
+        return self.by_x.get((0,) * self.n, _NO_TERMS).get((0, 0), 0)
 
     def leading(self) -> tuple[Monomial, Scalar]:
         """Leading term in the canonical graded-lex order."""
-        if not self.terms:
+        if not self.by_x:
             raise ValueError("zero polynomial has no leading term")
-        mono = max(self.terms, key=Monomial.key)
-        return mono, self.terms[mono]
+        return max(self._flat().items(), key=lambda kv: kv[0].key())
 
     def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0].key(), reverse=True)
+        return sorted(self._flat().items(), key=lambda kv: kv[0].key(), reverse=True)
 
     def _check(self, other: "MPoly") -> None:
         if self.n != other.n:
@@ -183,17 +240,25 @@ class MPoly:
 
     def __add__(self, other: "MPoly") -> "MPoly":
         self._check(other)
-        acc = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            c = acc.get(mono, 0) + coeff
-            if c:
-                acc[mono] = c
+        by_x = dict(self.by_x)
+        for x, terms in other.by_x.items():
+            if x not in by_x:
+                by_x[x] = terms
+                continue
+            acc = dict(by_x[x])
+            for qt, coeff in terms.items():
+                if c := acc.get(qt, 0) + coeff:
+                    acc[qt] = c
+                else:
+                    del acc[qt]
+            if acc:
+                by_x[x] = acc
             else:
-                acc.pop(mono, None)
-        return MPoly._trusted(self.n, acc)
+                del by_x[x]
+        return MPoly._trusted(self.n, by_x)
 
     def __neg__(self) -> "MPoly":
-        return MPoly._trusted(self.n, {m: -c for m, c in self.terms.items()})
+        return MPoly._trusted(self.n, {x: {qt: -c for qt, c in acc.items()} for x, acc in self.by_x.items()})
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
@@ -202,16 +267,19 @@ class MPoly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return MPoly.zero(self.n)
-            return MPoly._trusted(
-                self.n, {m: _normalize_scalar(c * other) for m, c in self.terms.items()}
-            )
+            return MPoly._trusted(self.n, {
+                x: {qt: _normalize_scalar(c * other) for qt, c in acc.items()} for x, acc in self.by_x.items()
+            })
         self._check(other)
-        acc: dict[tuple, Scalar] = {}
-        for (x1, q1, t1), c1 in self.terms.items():
-            for (x2, q2, t2), c2 in other.terms.items():
-                key = (tuple(map(add, x1, x2)), q1 + q2, t1 + t2)
-                acc[key] = acc.get(key, 0) + c1 * c2
-        return MPoly._trusted(self.n, {_monomial(key): c for key, c in acc.items() if c})
+        by_x: dict[tuple[int, ...], dict[tuple[int, int], Scalar]] = {}
+        for x1, terms1 in self.by_x.items():
+            for x2, terms2 in other.by_x.items():
+                acc = by_x.setdefault(tuple(map(add, x1, x2)), {})
+                for (q1, t1), c1 in terms1.items():
+                    for (q2, t2), c2 in terms2.items():
+                        qt = q1 + q2, t1 + t2
+                        acc[qt] = acc.get(qt, 0) + c1 * c2
+        return MPoly._trusted(self.n, _kept(by_x))
 
     __rmul__ = __mul__
 
@@ -229,8 +297,10 @@ class MPoly:
 
     def mul_monomial(self, x: Sequence[int] = (), q: int = 0, t: int = 0) -> "MPoly":
         x = tuple(x) if x else (0,) * self.n
-        return MPoly._trusted(self.n, {_monomial((tuple(map(add, y, x)), a + q, b + t)): c
-                                       for (y, a, b), c in self.terms.items()})
+        return MPoly._trusted(self.n, {
+            tuple(map(add, y, x)): acc if not (q or t) else {(a + q, b + t): c for (a, b), c in acc.items()}
+            for y, acc in self.by_x.items()
+        })
 
     # -- structural helpers --------------------------------------------------
 
@@ -242,24 +312,18 @@ class MPoly:
         if n == self.n:
             return self
         pad = (0,) * (n - self.n)
-        return MPoly._trusted(n, {Monomial(m.x + pad, m.q, m.t): c for m, c in self.terms.items()})
+        return MPoly._trusted(n, {x + pad: acc for x, acc in self.by_x.items()})
 
     def swap_qt(self) -> "MPoly":
-        return MPoly._trusted(self.n, {_monomial((x, t, q)): c for (x, q, t), c in self.terms.items()})
+        return MPoly._trusted(self.n, {x: {(t, q): c for (q, t), c in acc.items()} for x, acc in self.by_x.items()})
 
     def swap_x(self, i: int, j: int) -> "MPoly":
-        """Exchange the variables x_i and x_j (1-based)."""
-        order = list(range(self.n))
-        order[i - 1], order[j - 1] = j - 1, i - 1
-        return MPoly._trusted(self.n, {_monomial((tuple(map(x.__getitem__, order)), q, t)): c
-                                       for (x, q, t), c in self.terms.items()})
+        """Exchange the variables x_i and x_j (1-based); an index outside 1..n is refused."""
+        return MPoly._trusted(self.n, swapped_keys(self.by_x, self.n, i, j))
 
     def qt_coefficients(self) -> dict[tuple[int, ...], "MPoly"]:
         """Group terms by x-part; values are q,t-only polynomials (n = 0)."""
-        acc: dict[tuple[int, ...], dict[Monomial, Scalar]] = {}
-        for m, c in self.terms.items():
-            acc.setdefault(m.x, {})[Monomial((), m.q, m.t)] = c
-        return {x: MPoly(0, terms) for x, terms in acc.items()}
+        return {x: MPoly._trusted(0, {(): acc}) for x, acc in self.by_x.items()}
 
     # -- substitution --------------------------------------------------------
 
@@ -269,39 +333,29 @@ class MPoly:
         t: Scalar | None = None,
         x: Mapping[int, Scalar] | None = None,
     ) -> "MPoly":
-        """Substitute exact values for q, t, and/or x variables (1-based keys);
-        None leaves q or t alone.
+        """Substitute exact values for q, t, and/or x variables (1-based keys,
+        each in 1..n, else ValueError); None leaves q or t alone.
 
         The result keeps the same ambient n (substituted variables simply stop
         appearing); coefficients may become Fractions for non-integer points.
         """
         x = x or {}
-        acc: dict[Monomial, Scalar] = {}
-        for m, c in self.terms.items():
-            coeff: Scalar = c
-            if q is not None:
-                coeff *= q**m.q
-            if t is not None:
-                coeff *= t**m.t
-            xs = list(m.x)
-            for idx, val in x.items():
-                e = xs[idx - 1]
-                if e:
-                    coeff *= val**e
-                xs[idx - 1] = 0
-            if not coeff:
+        for i in x:
+            check_variable(i, self.n)
+        by_x: dict[tuple[int, ...], dict[tuple[int, int], Scalar]] = {}
+        for y, terms in self.by_x.items():
+            ys, scale = list(y), 1
+            for i, val in x.items():
+                scale *= val ** ys[i - 1]
+                ys[i - 1] = 0
+            if not scale:
                 continue
-            mono = Monomial(
-                tuple(xs),
-                m.q if q is None else 0,
-                m.t if t is None else 0,
-            )
-            cc = acc.get(mono, 0) + coeff
-            if cc:
-                acc[mono] = cc
-            else:
-                acc.pop(mono, None)
-        return MPoly(self.n, acc)
+            acc = by_x.setdefault(tuple(ys), {})
+            for (a, b), c in terms.items():
+                qt = (a if q is None else 0, b if t is None else 0)
+                value = c * scale * (1 if q is None else q**a) * (1 if t is None else t**b)
+                acc[qt] = _normalize_scalar(acc.get(qt, 0) + value)
+        return MPoly._trusted(self.n, _kept(by_x))
 
     # -- serialization / display ----------------------------------------------
 
@@ -331,7 +385,7 @@ class MPoly:
         return cls.from_json_obj(json.loads(s))
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.by_x:
             return "0"
         parts = []
         for m, c in self.sorted_terms():
@@ -367,14 +421,23 @@ class MPoly:
     __repr__ = __str__
 
 
+def _kept(by_x: dict) -> dict:
+    """A grouped term map without its zero coefficients and the maps that leaves empty."""
+    return {x: kept for x, acc in by_x.items() if (kept := {qt: c for qt, c in acc.items() if c})}
+
+
 def poly_sum(n: int, polys: Iterable[MPoly]) -> MPoly:
-    """Sum of polynomials in ambient n, added into one term map rather than
-    copying a running total once per summand."""
-    acc: dict[Monomial, Scalar] = {}
+    """Sum of polynomials in ambient n, added into one grouped term map rather
+    than copying a running total once per summand."""
+    by_x: dict[tuple[int, ...], dict[tuple[int, int], Scalar]] = {}
     for p in polys:
-        for mono, coeff in p.terms.items():
-            acc[mono] = acc.get(mono, 0) + coeff
-    return MPoly(n, acc)
+        if p.n != n:
+            raise DimensionError(f"ambient mismatch: {p.n} vs {n}")
+        for x, terms in p.by_x.items():
+            acc = by_x.setdefault(x, {})
+            for qt, c in terms.items():
+                acc[qt] = acc.get(qt, 0) + c
+    return MPoly._trusted(n, _kept(by_x))
 
 
 def tally_by_x(counts: Mapping[tuple, int], weigh: Callable, orbit: Orbit | None = None) -> dict:
@@ -386,23 +449,18 @@ def tally_by_x(counts: Mapping[tuple, int], weigh: Callable, orbit: Orbit | None
     for (x, q, t, key), c in counts.items():
         if orbit is None or orbit.is_rep(x):
             acc = by_x.setdefault(x, {})
-            for (_, a, b), k in weigh(key).terms.items():
+            for (a, b), k in weigh(key).qt_terms().items():
                 qt = q + a, t + b
                 acc[qt] = acc.get(qt, 0) + c * k
-    return {x: kept for x, acc in by_x.items() if (kept := {qt: c for qt, c in acc.items() if c})}
+    return _kept(by_x)
 
 
 def tally(n: int, counts: Mapping[tuple, int], weigh: Callable, orbit: Orbit | None = None) -> MPoly:
-    """The sum of :func:`tally_by_x` as a polynomial, each map written, with an ``orbit``,
-    under every member of x's orbit, by C-level maps with no ``Monomial.__new__`` per
-    term.  Unchecked: x has length n, exponents are nonnegative and counts integers."""
-    columns = {x: (*zip(*acc), acc.values()) for x, acc in tally_by_x(counts, weigh, orbit).items()}
-    if orbit is not None:
-        columns = expand_orbits(columns, orbit.members)
-    terms: dict[Monomial, Scalar] = {}
-    for y, (qs, ts, cs) in columns.items():
-        terms.update(zip(map(_monomial, zip(repeat(y), qs, ts)), cs))
-    return MPoly._trusted(n, terms)
+    """The sum of :func:`tally_by_x` as a polynomial: its maps are the grouped terms as
+    they are, and with an ``orbit`` every member of x's orbit shares x's map.
+    Unchecked: x has length n, exponents are nonnegative and counts integers."""
+    by_x = tally_by_x(counts, weigh, orbit)
+    return MPoly._trusted(n, by_x if orbit is None else expand_orbits(by_x, orbit.members))
 
 
 _ONE = MPoly.one(0)
@@ -498,9 +556,11 @@ def divmod_poly(p: MPoly, d: MPoly) -> tuple[MPoly, MPoly]:
     if d.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     lead_mono, lead_coeff = d.leading()
+    tail = d._flat()
+    del tail[lead_mono]
     quo: dict[Monomial, Scalar] = {}
     rem: dict[Monomial, Scalar] = {}
-    work = dict(p.terms)
+    work = p._flat()
     while work:
         mono = max(work, key=Monomial.key)
         coeff = work.pop(mono)
@@ -519,9 +579,7 @@ def divmod_poly(p: MPoly, d: MPoly) -> tuple[MPoly, MPoly]:
                 continue
             shift = mono.quotient_by(lead_mono)
             quo[shift] = quo.get(shift, 0) + factor
-            for m2, c2 in d.terms.items():
-                if m2 == lead_mono:
-                    continue
+            for m2, c2 in tail.items():
                 key = m2 * shift
                 c = work.get(key, 0) - factor * c2
                 if c:
@@ -545,17 +603,21 @@ def one_minus_qt(a: int, b: int) -> MPoly:
 
 def times_binomials(poly: MPoly, factors: Iterable[tuple[int, int]]) -> MPoly:
     """poly multiplied by 1 - q^a t^b for each (a, b) in ``factors``, in turn:
-    each factor copies the term map once and subtracts every term shifted by
-    q^a t^b from it."""
-    for a, b in factors:
-        terms = dict(poly.terms)
-        for (x, q, t), c in poly.terms.items():
-            shifted = _monomial((x, q + a, t + b))
-            c = terms.pop(shifted, 0) - c
-            if c:
-                terms[shifted] = c
-        poly = MPoly._trusted(poly.n, terms)
-    return poly
+    per x, each factor copies the (q, t) map once and subtracts every term
+    shifted by q^a t^b from it."""
+    factors = list(factors)
+    by_x = {}
+    for x, acc in poly.by_x.items():
+        for a, b in factors:
+            terms = dict(acc)
+            for (q, t), c in acc.items():
+                shifted = q + a, t + b
+                if c := terms.pop(shifted, 0) - c:
+                    terms[shifted] = c
+            acc = terms
+        if acc:  # a factor 1 - q^0 t^0 is zero
+            by_x[x] = acc
+    return MPoly._trusted(poly.n, by_x)
 
 
 def pochhammer_tt(m: int) -> MPoly:
@@ -617,37 +679,38 @@ def divide_chains(p: MPoly, a: int, b: int, f: Sequence[int]) -> MPoly | None:
     of its a/gcd(a, b) interleaved chains), or by x, q and t mod b when a = 0.
     Then for f = 1 - y the quotient of each chain is its running sums.
     """
-    if not sum(f):
-        sums: dict[tuple, Scalar] = {}
-        for (x, q, t), c in p.terms.items():
-            key = (x, b * q - a * t, q % a) if a else (x, q, t % b)
-            sums[key] = sums.get(key, 0) + c
-        if any(sums.values()):
-            return None
-    # each term's chain, keyed by its lowest point, and its step from there
-    chains: dict[tuple, dict[int, Scalar]] = {}
-    for (x, q, t), c in p.terms.items():
-        k = min(q // a, t // b) if a else t // b
-        chains.setdefault((x, q - k * a, t - k * b), {})[k] = c
-    quo: dict[Monomial, Scalar] = {}
-    if len(f) == 2 and not sum(f):  # 1 - y, and every chain sums to zero: its quotient is its running sums
-        for (x, q0, t0), coeffs in chains.items():
-            run = 0
-            for k in range(min(coeffs), max(coeffs)):
-                if run := run + coeffs.get(k, 0):
-                    quo[_monomial((x, q0 + k * a, t0 + k * b))] = run
-        return MPoly._trusted(p.n, quo)
+    by_x = {}
     taps = [(j, fj) for j, fj in enumerate(f) if j and fj]
-    for (x, q0, t0), coeffs in chains.items():
-        top = max(coeffs)
-        for k in range(min(coeffs), top + 1):
-            if c := coeffs.get(k):
-                if k > top - len(f) + 1:
-                    return None
-                quo[_monomial((x, q0 + k * a, t0 + k * b))] = c
-                for j, fj in taps:
-                    coeffs[k + j] = coeffs.get(k + j, 0) - fj * c
-    return MPoly._trusted(p.n, quo)
+    for x, acc in p.by_x.items():
+        if not sum(f):
+            sums: dict[tuple[int, int], Scalar] = {}
+            for (q, t), c in acc.items():
+                key = (b * q - a * t, q % a) if a else (q, t % b)
+                sums[key] = sums.get(key, 0) + c
+            if any(sums.values()):
+                return None
+        # each term's chain, keyed by its lowest point, and its step from there
+        chains: dict[tuple[int, int], dict[int, Scalar]] = {}
+        for (q, t), c in acc.items():
+            k = min(q // a, t // b) if a else t // b
+            chains.setdefault((q - k * a, t - k * b), {})[k] = c
+        quo = by_x[x] = {}
+        for (q0, t0), coeffs in chains.items():
+            if len(f) == 2 and not sum(f):  # 1 - y, and the chain sums to zero: its quotient is its running sums
+                run = 0
+                for k in range(min(coeffs), max(coeffs)):
+                    if run := run + coeffs.get(k, 0):
+                        quo[q0 + k * a, t0 + k * b] = run
+                continue
+            top = max(coeffs)
+            for k in range(min(coeffs), top + 1):
+                if c := coeffs.get(k):
+                    if k > top - len(f) + 1:
+                        return None
+                    quo[q0 + k * a, t0 + k * b] = c
+                    for j, fj in taps:
+                        coeffs[k + j] = coeffs.get(k + j, 0) - fj * c
+    return MPoly._trusted(p.n, by_x)
 
 
 def divide_binomial(p: MPoly, a: int, b: int) -> MPoly | None:
@@ -678,7 +741,7 @@ def divide_binomials(p: MPoly, factors: Iterable[tuple[int, int]]) -> MPoly:
         f += [0] * g
         for j in range(len(f) - g - 1, -1, -1):
             f[j + g] -= f[j]
-    if rays and not all(c.denominator == 1 for c in p.terms.values()):
+    if rays and not all(c.denominator == 1 for c in p.coefficients()):
         raise NonPolynomialError("a non-integer coefficient does not divide")
     for (a, b), f in rays.items():
         if (quo := divide_chains(p, a, b, f)) is None:
@@ -803,8 +866,8 @@ class QtRational:
             den_val *= 1 - Fraction(q) ** f.a * Fraction(t) ** f.b
         if den_val == 0:
             raise EvaluationError(f"denominator vanishes at q={q}, t={t}")
-        num_val = self.num.specialize(q=q, t=t).constant_term()
-        return _normalize_scalar(Fraction(num_val) / Fraction(den_val))
+        num_val = sum(c * Fraction(q) ** a * Fraction(t) ** b for (a, b), c in self.num.qt_terms().items())
+        return _normalize_scalar(Fraction(num_val) / den_val)
 
     def __str__(self) -> str:
         if not self.den:

@@ -189,7 +189,7 @@ def check_fixture_tableau_listing() -> CheckResult:
                 e_inv, e_maj, e_perm = expected[key]
                 assert (inv(f), maj(f)) == (e_inv, e_maj), f"statistics differ at {key}"
                 got = tuple(
-                    pt.terms.get(Monomial((), 0, k), 0)
+                    pt.qt_terms().get((0, k), 0)
                     for k in range(len(e_perm))
                 )
                 assert got == e_perm, f"multiplicity_t differs at {key}"
@@ -288,7 +288,7 @@ def check_j_def(max_size: int = 4, max_n: int = 4) -> CheckResult:
 def check_integrality(max_size: int = 5, max_n: int = 4) -> CheckResult:
     def j_quotient(mu, n):
         quotient = JResult(j_plain(mu, n), composition_stats(mu).mult).quotient()
-        assert all(isinstance(c, int) for c in quotient.terms.values())
+        assert all(isinstance(c, int) for c in quotient.coefficients())
 
     def e_routes(alpha):
         assert all(is_ordered(f) for f in iter_basement_fillings(alpha)), (
@@ -345,7 +345,7 @@ def check_schur_chain(max_size: int = 5, max_n: int = 5) -> CheckResult:
         for gamma in distinct_permutations(lam):
             piece = qs_schur(gamma, n)
             assert all(
-                isinstance(c, int) and c >= 0 for c in piece.terms.values()
+                isinstance(c, int) and c >= 0 for c in piece.coefficients()
             ), f"negative piece at gamma={gamma}, n={n}"
             total = total + piece
         assert total == schur_ssyt(lam, n), f"lam={lam}, n={n}"

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -37,8 +38,10 @@ from macpoly.polyring import (
     t_multinomial,
     tally,
     times_binomials,
+    unit_weight,
 )
 from macpoly.cyclotomic import _times
+from macpoly.nonsymmetric import EResult
 from macpoly.shapes import composition_stats, conjugate, diagram
 from macpoly.verify import partitions_up_to
 
@@ -947,3 +950,91 @@ def test_divide_binomials_refuses_non_integer_coefficients():
         divide_binomials(p, [(1, 1)])
     # with nothing to divide by, nothing is refused
     assert divide_binomials(p, []) is p
+
+
+# -- terms grouped by x ----------------------------------------------------------------
+
+
+def operations(p, r, a, b):
+    """Each ring and q,t operation on operands p and r of one ambient n, by name,
+    with shifts and binomials at (a, b), b >= 1."""
+    n = p.n
+    ops = {
+        "+": lambda: p + r,
+        "-": lambda: p - r,
+        "p - p": lambda: p - p,
+        "*": lambda: p * r,
+        "* scalar": lambda: p * Fraction(1, 2),
+        "**": lambda: p**2,
+        "mul_monomial": lambda: p.mul_monomial(x=(1,) * n, q=a, t=b),
+        "mul_monomial by 1": lambda: p.mul_monomial(),
+        "swap_qt": p.swap_qt,
+        "extended": lambda: p.extended(n + 1),
+        "specialize q, t": lambda: p.specialize(q=a, t=Fraction(1, b + 1)),
+        "specialize t": lambda: p.specialize(t=1),
+        "times_binomials": lambda: times_binomials(p, [(a, b), (b, a)]),
+        "times a zero binomial": lambda: times_binomials(p, [(0, 0)]),
+        "divide_chains": lambda: divide_chains(p * one_minus_qt(a, b).extended(n), a, b, (1, -1)),
+    }
+    if n:
+        ops["specialize x_1"] = lambda: p.specialize(x={1: a})
+    if n >= 2:
+        ops["swap_x"] = lambda: p.swap_x(1, n)
+    return ops
+
+
+def assert_grouped(p, name=""):
+    """No stored map of p is empty or holds a 0, and the flat view rebuilds p."""
+    assert all(acc and 0 not in acc.values() for acc in p.by_x.values()), name
+    assert all(len(x) == p.n for x in p.by_x), name
+    assert MPoly(p.n, p.terms) == p, name
+    assert len(p.terms) == sum(1 for _ in p.terms), name
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 3).flatmap(lambda n: st.tuples(small_polys(n), small_polys(n))),
+       st.integers(0, 2), st.integers(1, 2), tally_inputs(), st.sampled_from([None, SYMMETRIC, QUASISYMMETRIC]))
+def test_every_operation_keeps_terms_grouped_by_x(pair, a, b, tally_data, orbit):
+    p, r = pair
+    for name, op in operations(p, r, a, b).items():
+        assert_grouped(op(), name)
+    counts, expansions = tally_data
+    assert_grouped(tally(2, counts, expansions.__getitem__, orbit), "tally")
+
+
+def test_orbit_members_share_one_map_that_no_operation_changes():
+    plain = htilde_plain((2, 1), 3)
+    counts = {((2, 1, 0), 1, 0, None): 2, ((1, 1, 1), 0, 2, None): 3, ((0, 1, 2), 5, 5, None): 7}
+    direct = tally(3, counts, unit_weight, SYMMETRIC)
+    for p, x, y in ((plain, (2, 1, 0), (0, 1, 2)), (direct, (2, 1, 0), (1, 0, 2))):
+        assert p.by_x[x] is p.by_x[y]
+    assert direct.by_x[(2, 1, 0)] == {(1, 0): 2} and (0, 1, 2) in direct.by_x
+    for p, r in ((plain, direct), (direct, plain), (plain, plain)):
+        before = [dict(p.terms), dict(r.terms)]
+        for name, op in operations(p, r, 1, 1).items():
+            op()
+            assert [dict(p.terms), dict(r.terms)] == before, name
+
+
+def test_terms_is_a_read_only_flat_view():
+    p = htilde_plain((2, 2, 2, 2), 4)
+    assert (len(p.terms), len(p.by_x), len({id(acc) for acc in p.by_x.values()})) == (5523, 165, 15)
+    mono = next(iter(p.terms))
+    assert type(mono) is Monomial and p.terms[mono] == p.by_x[mono.x][mono.q, mono.t]
+    assert p.terms.get(Monomial((9, 9, 9, 9), 0, 0)) is None
+    with pytest.raises(TypeError):
+        p.terms[mono] = 1
+
+
+@pytest.mark.parametrize("bad", [0, -1, 3])
+def test_a_variable_index_outside_one_to_n_is_refused(bad):
+    # 0 and -1 used to wrap to x_n, and n + 1 to raise a bare IndexError
+    p = MPoly.monomial(2, x=(1, 2))
+    e = EResult(2, {(1, 2): QtRational.one()})
+    message = re.escape(f"variable index {bad} is outside 1..2")
+    for call in (lambda: p.specialize(x={bad: 3}), lambda: p.swap_x(bad, 1), lambda: p.swap_x(2, bad),
+                 lambda: e.swap_x(bad, 2), lambda: e.swap_x(1, bad)):
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert p.specialize(x={1: 3}) == MPoly.monomial(2, x=(0, 2), coeff=3)
+    assert p.swap_x(1, 2) == MPoly.monomial(2, x=(2, 1))

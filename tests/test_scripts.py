@@ -48,6 +48,9 @@ def test_term_counts_runs():
         "  shape (4, 2): j_plain   1230 counted,   143 tallied;"
         " j_compact    922 counted,   116 tallied"
     ) in lines
+    # H~((2,2,2,2)) at n = 4 stores one (q, t) map per orbit of x, the 15
+    # partitions of 8 into at most 4 parts, shared by the orbit's 165 vectors
+    assert "  shape (2, 2, 2, 2):   5523 terms,   165 x,   15 maps" in lines
 
 
 def test_term_counts_at_n_zero():
