@@ -223,12 +223,6 @@ class MPoly:
     def constant_term(self) -> Scalar:
         return self.by_x.get((0,) * self.n, _NO_TERMS).get((0, 0), 0)
 
-    def leading(self) -> tuple[Monomial, Scalar]:
-        """Leading term in the canonical graded-lex order."""
-        if not self.by_x:
-            raise ValueError("zero polynomial has no leading term")
-        return max(self._flat().items(), key=lambda kv: kv[0].key())
-
     def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
         return sorted(self._flat().items(), key=lambda kv: kv[0].key(), reverse=True)
 
@@ -555,9 +549,9 @@ def divmod_poly(p: MPoly, d: MPoly) -> tuple[MPoly, MPoly]:
     p._check(d)
     if d.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    lead_mono, lead_coeff = d.leading()
     tail = d._flat()
-    del tail[lead_mono]
+    lead_mono = max(tail, key=Monomial.key)
+    lead_coeff = tail.pop(lead_mono)
     quo: dict[Monomial, Scalar] = {}
     rem: dict[Monomial, Scalar] = {}
     work = p._flat()
