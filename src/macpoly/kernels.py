@@ -106,8 +106,8 @@ _STAGE = 19
 #: sums carried ("s" is the content code), leaf lines
 _KINDS = {
     "tuples": ("b=None, ordered=False", (), "", ["yield ({done})"]),
-    "words": ("c, counts", (("inv", False), ("maj", False)), "qt",
-              ["k = ({q}, {t})", "counts[k] = counts.get(k, 0) + 1"]),
+    "words": ("plan, counts", (("inv", False), ("maj", False)), "sqt",
+              ["k = (x, {q}, {t})", "counts[k] = counts.get(k, 0) + 1"]),
     "basement": ("b, plan, counts, firsts", (("maj", None), ("coinv", None)), "sqt", [
         "k = (x, {q}, {t}, ({mask}))", "if k in counts: counts[k] += 1",
         "else: counts[k] = 1; firsts.setdefault(k[3], (({done}), b))",
@@ -132,15 +132,15 @@ def walk(shape, kind: str = "tuples") -> Callable:
       basement walk with maj = coinv = 0: every term is 0 or more, so a
       partial sum never falls, and a loop skips a value as soon as one of the
       terms it adds is nonzero;
-    * "words", ``walk(n, c, counts)``, counts by (inv, maj) the words with c[v]
-      entries v: a loop takes v only while c[v] is left, and gives it back.
+    * "words", ``walk(n, plan, counts)``, counts by (x, inv, maj) every word,
+      attacking or not, of a content x that ``plan`` keeps.
 
     A loop adds to the partial sums q and t the comparisons whose latest cell
     is its own, so a prefix's sums are shared by all of its completions (in
-    the "zero" walk they are 0, and only tested).  The "basement" and "zero"
-    loops also add the code of their entry to the content code s and skip a
-    value as soon as the plan says s completes to no content it keeps.  Their
-    last loop reads x before it sums or tests maj and coinv: it runs only over
+    the "zero" walk they are 0, and only tested).  The counting loops also
+    add the code of their entry to the content code s and skip a value as
+    soon as the plan says s completes to no content it keeps.  Their last
+    loop reads x before it sums or tests the statistics: it runs only over
     the values that ``plan.lasts`` lists for the code of the prefix, with the
     content x each completes to, or, where row 1 pins its cell, reads x off
     the plan by s and skips a value whose x the plan does not keep.
@@ -165,21 +165,17 @@ def walk(shape, kind: str = "tuples") -> Callable:
     unpack += ["x = xs[0]", "if x is None: return"] * ("s" in summed and not cells)
     for k, stage in enumerate(stages):
         params = carried + done + "".join(c + ", " for c in summed) if k else "n, " + args
-        lines, restore = ([] if k else head) + unpack, []
+        lines = ([] if k else head) + unpack
         for depth, i in enumerate(stage):
-            pad, e, attacks = "    " * (depth + 1), _e(i), shape.attacks[i]
-            last = "s" in summed and i + 1 == len(cells)  # reads x before maj and coinv
+            pad, e, attacks = "    " * (depth + 1), _e(i), () if words else shape.attacks[i]
+            last = "s" in summed and i + 1 == len(cells)  # reads x before the statistics
             if last and i not in cols:  # only the values that complete a content the plan keeps
                 lines.append(pad[4:] + "for %s, x in lasts[%s]:" % (e, sums["s"]))
             else:
                 lines.append(pad[4:] + "for %s in %s:" % (e, "r%d" % i if i in cols else "top"))
             if kind == "tuples" and i in left:
                 lines.append(pad + "if ordered and %s >= %s: break" % (e, _e(left[i])))
-            if words:
-                more = i + 1 < len(cells)
-                lines += [pad + "if not c[%s]: continue" % e] + [pad + "c[%s] -= 1" % e] * more
-                restore += [pad + "c[%s] += 1" % e] * more
-            elif attacks:
+            if attacks:
                 lines.append(pad + "if %s: continue" % " or ".join(e + " == " + _e(j) for j in attacks))
             if last and i in cols:
                 lines += [pad + "x = xs[%s + w[%s]]" % (sums["s"], e), pad + "if x is None: continue"]
@@ -201,7 +197,7 @@ def walk(shape, kind: str = "tuples") -> Callable:
             call = "walk%d(%s%s%s)" % (k + 1, carried, done, "".join(sums[c] + ", " for c in summed))
             lines.append(pad + "yield from " * (kind == "tuples") + call)
         origin = "<%s walk%d of %r>" % (kind, k, shape)
-        _compile("walk%d" % k, params, lines + restore[::-1], origin, namespace)
+        _compile("walk%d" % k, params, lines, origin, namespace)
         sums = {c: c for c in summed}
     return namespace["walk0"]
 

@@ -16,8 +16,8 @@ swapping q and t there is exact and ``htilde_compact`` walks the smaller side.
 ``iter_sorted_tableaux`` yields flat entry tuples in cell order, as
 ``shapes.iter_nonattacking`` does; ``htilde_compact`` tests the content of
 each and builds a ``Filling`` only for a tableau of representative content,
-the ones it weighs.  Both walk the values 1..min(n, |lam|): a dominant content
-of m entries uses no value above m.
+the ones it weighs.  Both routes walk the values 1..min(n, |lam|): a dominant
+content of m entries uses no value above m.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from math import comb, prod
 from operator import add
 from typing import Iterator, Sequence
 
-from .polyring import SYMMETRIC, MPoly, t_multinomial, tally, unit_weight
+from .polyring import SYMMETRIC, MPoly, expand_orbits, t_multinomial, tally
 from .shapes import (
     INF_BASEMENT,
     Diagram,
@@ -153,23 +153,21 @@ class SortedTableau:
 
 def _word_counts(shape: Diagram, n: int) -> dict:
     """The words over 1..n of weakly decreasing content x, read in ``shape``, counted by
-    (x, inv, maj, None): one compiled walk per sorted word's x, over the values x uses."""
-    walk, content, counts = _walk(shape, "words"), content_plan(SYMMETRIC, n, len(shape.cells)).content, {}
-    for sorted_word in combinations_with_replacement(range(1, n + 1), len(shape.cells)):
-        x = content(sorted_word)
-        if x is not None:
-            by_stats: dict = {}
-            walk(n - x.count(0), [0, *x], by_stats)
-            counts.update(((x, q, t, None), c) for (q, t), c in by_stats.items())
+    (x, inv, maj): one compiled walk over the values 1..min(n, m), m the cell count,
+    that leaves a prefix as soon as it completes to no such x of m entries."""
+    m, counts = len(shape.cells), {}
+    _walk(shape, "words")(min(n, m), content_plan(SYMMETRIC, n, m), counts)
     return counts
 
 
 def htilde_plain(lam: Sequence[int], n: int) -> MPoly:
     """Sum of x^sigma q^inv t^maj over all fillings with entries in 1..n: over
-    those of dominant content, each term then written under every
-    rearrangement of x, since the value is symmetric."""
-    n = as_count(n)
-    return tally(n, _word_counts(diagram(as_partition(lam)), n), unit_weight, SYMMETRIC)
+    those of dominant content, each x's map (q, t) -> count then shared by
+    every rearrangement of x, since the value is symmetric."""
+    n, by_x = as_count(n), {}
+    for (x, q, t), c in _word_counts(diagram(as_partition(lam)), n).items():
+        by_x.setdefault(x, {})[q, t] = c
+    return MPoly._trusted(n, expand_orbits(by_x, SYMMETRIC.members))
 
 
 def compact_side(lam: Sequence[int], n: int) -> tuple[Diagram, bool]:

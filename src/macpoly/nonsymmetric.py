@@ -31,8 +31,8 @@ from operator import and_, gt
 from typing import Iterable, Iterator, Sequence
 
 from .polyring import (
-    MPoly, NonPolynomialError, Orbit, QtFactor, QtRational, Scalar, divide_binomials,
-    expand_orbits, one_minus_qt, swapped_keys, tally_by_x, times_binomials,
+    DimensionError, MPoly, NonPolynomialError, Orbit, QtFactor, QtRational, Scalar,
+    divide_binomials, expand_orbits, one_minus_qt, swapped_keys, tally_by_x, times_binomials,
 )
 from .shapes import (
     INF_BASEMENT,
@@ -66,7 +66,7 @@ class EResult:
     def __iadd__(self, other: "EResult") -> "EResult":
         """Add ``other`` in place, term by term in its order."""
         if self.n != other.n:
-            raise ValueError("ambient mismatch")
+            raise DimensionError(f"ambient mismatch: {self.n} vs {other.n}")
         for exps, value in other.coeffs.items():
             self.add_term(exps, value)
         return self
@@ -137,7 +137,7 @@ def iter_basement_fillings(alpha: Sequence[int]) -> Iterator[Filling]:
     filtering every assignment, the last cell varying fastest."""
     stats = composition_stats(alpha)
     shape = diagram(stats.inc)
-    return map(Filling, repeat(shape), shape.walk(len(stats.inc), stats.beta), repeat(stats.beta))
+    return map(Filling, repeat(shape), _walk(shape, "tuples")(len(stats.inc), stats.beta), repeat(stats.beta))
 
 
 @lru_cache(maxsize=64)

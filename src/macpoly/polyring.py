@@ -11,8 +11,8 @@ Two value types carry every computation in this package:
 
 An MPoly stores its terms grouped by x, the layout of ``EResult.coeffs``:
 ``by_x`` maps each exponent vector to a non-empty dict (q, t) -> nonzero
-coefficient.  A symmetric output from :func:`tally` shares one such map among
-all the members of an orbit, and ring operations share the maps they leave
+coefficient.  A symmetric output shares one such map among all the members
+of an orbit (:func:`expand_orbits`), and ring operations share the maps they leave
 alone, so a stored map is never mutated: an operation copies a map before it
 changes it.  ``MPoly.terms`` is a read-only flat view Monomial -> coefficient,
 in x order and then (q, t) order, for callers outside the package; its length
@@ -233,6 +233,8 @@ class MPoly:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "MPoly") -> "MPoly":
+        if not isinstance(other, MPoly):
+            return NotImplemented
         self._check(other)
         by_x = dict(self.by_x)
         for x, terms in other.by_x.items():
@@ -255,7 +257,7 @@ class MPoly:
         return MPoly._trusted(self.n, {x: {qt: -c for qt, c in acc.items()} for x, acc in self.by_x.items()})
 
     def __sub__(self, other: "MPoly") -> "MPoly":
-        return self + (-other)
+        return self + (-other) if isinstance(other, MPoly) else NotImplemented
 
     def __mul__(self, other: "MPoly | Scalar") -> "MPoly":
         if isinstance(other, (int, Fraction)):
@@ -264,6 +266,8 @@ class MPoly:
             return MPoly._trusted(self.n, {
                 x: {qt: _normalize_scalar(c * other) for qt, c in acc.items()} for x, acc in self.by_x.items()
             })
+        if not isinstance(other, MPoly):
+            return NotImplemented
         self._check(other)
         by_x: dict[tuple[int, ...], dict[tuple[int, int], Scalar]] = {}
         for x1, terms1 in self.by_x.items():
@@ -455,14 +459,6 @@ def tally(n: int, counts: Mapping[tuple, int], weigh: Callable, orbit: Orbit | N
     Unchecked: x has length n, exponents are nonnegative and counts integers."""
     by_x = tally_by_x(counts, weigh, orbit)
     return MPoly._trusted(n, by_x if orbit is None else expand_orbits(by_x, orbit.members))
-
-
-_ONE = MPoly.one(0)
-
-
-def unit_weight(_key) -> MPoly:
-    """The :func:`tally` weight of a route whose keys all weigh 1."""
-    return _ONE
 
 
 # -- orbits of exponent vectors ---------------------------------------------------
@@ -707,14 +703,6 @@ def divide_chains(p: MPoly, a: int, b: int, f: Sequence[int]) -> MPoly | None:
     return MPoly._trusted(p.n, by_x)
 
 
-def divide_binomial(p: MPoly, a: int, b: int) -> MPoly | None:
-    """p / (1 - q^a t^b) by :func:`divide_binomials` when exact, else None."""
-    try:
-        return divide_binomials(p, [(a, b)])
-    except NonPolynomialError:
-        return None
-
-
 def divide_binomials(p: MPoly, factors: Iterable[tuple[int, int]]) -> MPoly:
     """p divided by the product of 1 - q^a t^b over ``factors``, one
     :func:`divide_chains` per ray (a/g, b/g), g = gcd(a, b): there each binomial
@@ -813,17 +801,15 @@ class QtRational:
         return bool(self.num)
 
     def __mul__(self, other: "QtRational | MPoly | Scalar") -> "QtRational":
-        if isinstance(other, (int, Fraction)):
-            other = QtRational.from_int(other)
-        elif isinstance(other, MPoly):
-            other = QtRational(other)
+        if not isinstance(other := _as_rational(other), QtRational):
+            return NotImplemented
         return QtRational(self.num * other.num, self.den + other.den)
 
     __rmul__ = __mul__
 
-    def __add__(self, other: "QtRational") -> "QtRational":
-        if isinstance(other, (int, Fraction)):
-            other = QtRational.from_int(other)
+    def __add__(self, other: "QtRational | MPoly | Scalar") -> "QtRational":
+        if not isinstance(other := _as_rational(other), QtRational):
+            return NotImplemented
         return QtRational.sum([(1, self), (1, other)])
 
     def __neg__(self) -> "QtRational":
@@ -873,3 +859,10 @@ class QtRational:
         return f"({self.num}) / {den}"
 
     __repr__ = __str__
+
+
+def _as_rational(value: object) -> object:
+    """A scalar or a q,t-only MPoly as a :class:`QtRational`; anything else as it is."""
+    if isinstance(value, (int, Fraction)):
+        return QtRational.from_int(value)
+    return QtRational(value) if isinstance(value, MPoly) else value

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .polyring import QUASISYMMETRIC, Monomial, MPoly, tally, unit_weight
+from .polyring import QUASISYMMETRIC, Monomial, MPoly, expand_orbits
 from .nonsymmetric import EResult, _e_sum, _walk_orbit
 from .shapes import ShapeError, as_count, as_partition
 
@@ -97,4 +97,4 @@ def qs_schur(gamma: Sequence[int], n: int) -> MPoly:
     in a walk that leaves a branch at its first nonzero term, then expanded."""
     counts = {}
     _walk_orbit("zero", compositions_with_support(gamma, n := as_count(n)), n, QUASISYMMETRIC, counts)
-    return tally(n, {(x, 0, 0, None): c for x, c in counts.items()}, unit_weight, QUASISYMMETRIC)
+    return MPoly._trusted(n, expand_orbits({x: {(0, 0): c} for x, c in counts.items()}, QUASISYMMETRIC.members))

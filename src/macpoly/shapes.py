@@ -24,13 +24,14 @@ are straight-line functions generated from its index tables, the way
 into locals and returns one flat ``sum((...))`` of inlined comparisons, or
 one tuple or one conjunction of them.  Only ``htilde_compact``, the J routes
 and ``filling_weight`` (once per repeat mask) call these flat kernels.  The rest
-read a walk, one ``for`` loop per cell: ``walk`` skips the values of the cells
-each cell ``attacks``; those of ``htilde_plain`` and the basement routes add the
-comparisons whose latest cell is a loop's own and count keys at the leaf, and
-that of ``qs_schur`` leaves a branch at its first nonzero comparison; the last
-two add up content as an integer code and leave a branch whose code completes
-to no orbit representative.  All are compiled on first use, never at import,
-and cached per diagram (content plans per (orbit, n, cell count)).  Routes read
+read a walk, one ``for`` loop per cell: the "tuples" walk skips the values of
+the cells each cell ``attacks``; the counting walks of ``htilde_plain`` and the
+basement routes add the comparisons whose latest cell is a loop's own and count
+keys at the leaf, and that of ``qs_schur`` leaves a branch at its first nonzero
+comparison; every counting walk adds up content as an integer code and leaves a
+branch whose code completes to no content its plan keeps.  All are compiled on
+first use, never at import, and cached per diagram (walks per (diagram, kind) by
+``_walk``, content plans per (orbit, n, cell count)).  Routes read
 each per-filling rule from the kernels, plans and tables alone: content,
 ``repeats`` over ``steps`` above row 1, and row 1 against a basement by
 ``bottom``.  The contract:
@@ -152,11 +153,6 @@ class Diagram:
         attacks, nor, in row 1, one of a permutation basement's entries to its
         left; see :func:`is_nonattacking`."""
         return _kernels().nonattacking(self)
-
-    @cached_property
-    def walk(self) -> Callable[..., Iterator[tuple[int, ...]]]:
-        """``walk(n, b=None, ordered=False)``: the tuples of :func:`iter_nonattacking`."""
-        return _kernels().walk(self)
 
 
 def _kernels():
@@ -484,7 +480,7 @@ def iter_nonattacking(
 ) -> Iterator[tuple[int, ...]]:
     """Flat entry tuples (cell order) of the nonattacking fillings of the
     diagram with column heights ``heights``, entries in 1..n, in lexicographic
-    order, from the diagram's compiled :attr:`~Diagram.walk`.
+    order, from the diagram's compiled "tuples" walk (:func:`_walk`).
 
     A ``basement`` tuple pins each row-1 entry to the one under its column
     (none if outside 1..n), as a permutation basement does on a weakly
@@ -492,7 +488,7 @@ def iter_nonattacking(
     of an equal-height block is bounded below the entry to its left, which is
     the rule of :func:`is_ordered`.
     """
-    return diagram(heights).walk(n, basement, ordered)
+    return _walk(diagram(heights), "tuples")(n, basement, ordered)
 
 
 # -- fixture files ----------------------------------------------------------------

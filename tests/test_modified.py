@@ -9,6 +9,7 @@ import pytest
 import macpoly.modified as modified
 from macpoly.modified import (
     SortedTableau,
+    _word_counts,
     column_leq,
     column_sort_key,
     compact_side,
@@ -336,6 +337,13 @@ def test_compact_builds_a_filling_only_for_the_tableaux_it_weighs(monkeypatch):
     assert len(yielded) == 816 and len(dominant) == 101
     assert built == Counter(dominant)
     assert result == htilde_plain((3, 3), 4)
+
+
+def test_plain_words_walk_only_the_values_of_dominant_contents():
+    # a dominant content of 3 entries uses no value above 3: (3), (2, 1) and (1, 1, 1)
+    # give 1 + 3 + 6 words at any n >= 3
+    shape = diagram((2, 1))
+    assert sum(_word_counts(shape, 60).values()) == sum(_word_counts(shape, 3).values()) == 10
 
 
 def test_compact_degenerate_inputs():

@@ -7,7 +7,7 @@ import os
 import random
 import subprocess
 import sys
-from collections import Counter, defaultdict
+from collections import Counter
 from functools import cache
 from importlib import resources
 from itertools import combinations_with_replacement, permutations, product
@@ -30,6 +30,7 @@ from macpoly.shapes import (
     Diagram,
     Filling,
     ShapeError,
+    _walk,
     arm_composition,
     arm_partition,
     coinv_comp,
@@ -684,7 +685,7 @@ def test_walk_matches_filtering_every_assignment(staged, monkeypatch):
         monkeypatch.setattr(kernels, "_STAGE", 2)
     for heights in WALK_HEIGHTS:
         shape = diagram(heights)
-        walk = kernels.walk(shape) if staged else shape.walk
+        walk = kernels.walk(shape) if staged else _walk(shape, "tuples")
         increasing = all(a <= b for a, b in zip(heights, heights[1:]))
         basements = list(permutations(range(1, len(heights) + 1))) if increasing else []
         for n in range(4):
@@ -699,7 +700,7 @@ def test_walk_matches_filtering_every_assignment(staged, monkeypatch):
             for b in basements:
                 pinned = [e for e in assignments if is_nonattacking(Filling(shape, e, b))]
                 assert list(walk(n, b)) == pinned, (heights, n, b)
-    assert diagram((2, 1)).walk is diagram((2, 1)).walk
+    assert _walk(diagram((2, 1)), "tuples") is _walk(diagram((2, 1)), "tuples")
 
 
 def test_walks_past_the_nesting_limit():
@@ -736,23 +737,23 @@ def assignments_by_n(shape):
             yield n, list(product(range(1, n + 1), repeat=len(shape.cells)))
 
 
+#: no orbit, and the two orbits a content plan keeps representatives of
+ORBITS = (None, SYMMETRIC, QUASISYMMETRIC)
+
+
 def test_word_walk_counts_match_filtering_every_assignment(monkeypatch):
     for heights in SMALL_HEIGHTS:
         shape = diagram(heights)
         walks = one_and_chained(shape, "words", monkeypatch)
         for n, assignments in assignments_by_n(shape):
-            by_content: defaultdict = defaultdict(Counter)
-            for e in assignments:
-                by_content[tuple(map(e.count, range(1, n + 1)))][shape.inv(e), shape.maj(e)] += 1
-            for x, expected in by_content.items():
+            values = range(1, n + 1)
+            every = Counter((tuple(map(e.count, values)), shape.inv(e), shape.maj(e)) for e in assignments)
+            for orbit in ORBITS:
+                expected = {key: c for key, c in every.items() if orbit is None or orbit.is_rep(key[0])}
                 for walk in walks:
-                    counts, left = {}, [0, *x]
-                    walk(n, left, counts)
-                    assert counts == expected and left == [0, *x], (heights, n, x)
-
-
-#: no orbit, and the two orbits a content plan keeps representatives of
-ORBITS = (None, SYMMETRIC, QUASISYMMETRIC)
+                    counts = {}
+                    walk(n, content_plan(orbit, n, len(shape.cells)), counts)
+                    assert counts == expected, (heights, n, orbit)
 
 
 @cache
