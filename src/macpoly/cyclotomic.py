@@ -10,7 +10,7 @@ plan applied to a numerator."""
 from functools import lru_cache
 from math import gcd
 
-from .polyring import MPoly, QtFactor, Scalar, _kept, divide_chains, one_minus_qt
+from .polyring import MPoly, QtFactor, divide_chains, one_minus_qt
 
 
 @lru_cache(maxsize=None)
@@ -21,16 +21,6 @@ def piece(d: int) -> tuple[int, ...]:
     for e in _divisors(d)[:-1]:
         p = divide_chains(p, 0, 1, piece(e))
     return tuple(p.qt_terms().get((0, k), 0) for k in range(p.degree() + 1))
-
-
-def _times(num: MPoly, a: int, b: int, f: tuple[int, ...]) -> MPoly:
-    """num times f(q^a t^b), num q,t-only."""
-    out: dict[tuple[int, int], Scalar] = {}
-    for (q, t), c in num.qt_terms().items():
-        for k, fk in enumerate(f):
-            qt = q + k * a, t + k * b
-            out[qt] = out.get(qt, 0) + fk * c
-    return MPoly._trusted(0, _kept({(): out}))
 
 
 @lru_cache(maxsize=1024)
@@ -73,5 +63,5 @@ def reduced(num: MPoly, den) -> tuple[MPoly, tuple[QtFactor, ...]]:
                     if left[e]:
                         left[e] -= 1
                     else:
-                        num = _times(num, a, b, piece(e))
+                        num = num * MPoly(0, {((), k * a, k * b): c for k, c in enumerate(piece(e))})
     return num, tuple(sorted(kept))

@@ -49,8 +49,7 @@ def hook_product_inc(alpha: Sequence[int]) -> MPoly:
     increasing diagram of alpha."""
     stats = composition_stats(alpha)
     shape = diagram(stats.inc)
-    hooks = (hook for below, hook in zip(shape.below, shape.hooks) if below is not None)
-    return times_binomials(pochhammer_prefactor(stats.mult), hooks)
+    return times_binomials(pochhammer_prefactor(stats.mult), (shape.hooks[i] for i, _, _ in shape.steps))
 
 
 @lru_cache(maxsize=4096)
@@ -59,8 +58,7 @@ def _j_factor_terms(heights: tuple, mask: tuple[bool, ...], pochhammer: tuple[in
     times, for each cell above row 1, 1 - q^(leg+1) t^(arm+1) where ``mask``
     says its entry repeats the one below and 1 - t where it differs."""
     shape = diagram(heights)
-    hooks = (hook for j, hook in zip(shape.below, shape.hooks) if j is not None)
-    cells = [hook if repeat else (0, 1) for repeat, hook in zip(mask, hooks)]
+    cells = [shape.hooks[i] if repeat else (0, 1) for repeat, (i, _, _) in zip(mask, shape.steps)]
     return times_binomials(MPoly.one(0), pochhammer_factors(pochhammer) + cells)
 
 

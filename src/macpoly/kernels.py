@@ -92,7 +92,7 @@ def repeats(shape) -> Callable:
 
 
 def nonattacking(shape) -> Callable:
-    tests = [_e(i) + " != " + _e(j) for i, j in shape.attack_pairs]
+    tests = [_e(i) + " != " + _e(j) for i, partners in enumerate(shape.attacks) for j in partners]
     pinned = ["%s not in b[:%d]" % (_e(i), col) for i, col, _ in shape.bottom if col]
     if pinned:
         tests.append("(not isinstance(b, tuple) or " + " and ".join(pinned) + ")")

@@ -11,7 +11,8 @@ mass, which is what makes the two routes agree.
 
 The compact sum over lam's conjugate diagram is H~_lam; over lam's own it is
 H~_lam'(x; q, t) = H~_lam(x; t, q) by q<->t duality (Macdonald, ch. VI), so
-swapping q and t there is exact and ``htilde_compact`` walks the smaller side.
+``htilde_compact`` walks the smaller side and, on lam's own, swaps q and t in
+the summed coefficient maps, once per representative x.
 
 ``iter_sorted_tableaux`` yields flat entry tuples in cell order, as
 ``shapes.iter_nonattacking`` does; ``htilde_compact`` tests the content of
@@ -30,7 +31,7 @@ from math import comb, prod
 from operator import add
 from typing import Iterator, Sequence
 
-from .polyring import SYMMETRIC, MPoly, expand_orbits, t_multinomial, tally
+from .polyring import SYMMETRIC, MPoly, expand_orbits, t_multinomial, tally_by_x
 from .shapes import (
     INF_BASEMENT,
     Diagram,
@@ -90,12 +91,6 @@ def _multiplicity_terms(signature: tuple[tuple[int, ...], ...]) -> MPoly:
     lengths, a polynomial in t alone; the key is the run signature alone,
     since the multinomials ignore column heights."""
     return prod((t_multinomial(sum(runs), runs) for runs in signature), start=MPoly.one(0))
-
-
-@lru_cache(maxsize=1024)
-def _swapped_multiplicity_terms(signature: tuple) -> MPoly:
-    """:func:`_multiplicity_terms` with q and t exchanged."""
-    return _multiplicity_terms(signature).swap_qt()
 
 
 def is_sorted_tableau(f: Filling) -> bool:
@@ -171,8 +166,9 @@ def htilde_plain(lam: Sequence[int], n: int) -> MPoly:
 
 
 def compact_side(lam: Sequence[int], n: int) -> tuple[Diagram, bool]:
-    """The diagram :func:`htilde_compact` sums over, and whether it then swaps q and t:
-    lam's own where that has strictly fewer sorted tableaux, else the conjugate one.
+    """The diagram :func:`htilde_compact` sums over, and whether it then swaps q and t in
+    the summed maps: lam's own where that has strictly fewer sorted tableaux, else the
+    conjugate one.
     A diagram has, per block of k columns of height h, C(v^h + k - 1, k) of them
     over the values 1..v, v = min(n, |lam|)."""
     lam, n = as_partition(lam), as_count(n)
@@ -191,19 +187,20 @@ def htilde_compact(lam: Sequence[int], n: int) -> MPoly:
 
     The tableaux are walked over the values 1..min(n, |lam|).  Each one of
     dominant content is built as a ``Filling`` and counted by (x, maj, inv, run
-    signature), each key is weighed once by :func:`tally` against the
-    multiplicity cached per run signature, and each term is written under
-    every rearrangement of x.  On the swapped side q and t are exchanged in
-    both key and weight.
+    signature), and each key is weighed once by :func:`tally_by_x` against the
+    multiplicity cached per run signature, on either side.  On lam's own side q
+    and t are then exchanged in each representative x's summed map, and every
+    rearrangement of x shares that map.
     """
     shape, swapped = compact_side(lam, n)
     content = content_plan(SYMMETRIC, n, len(shape.cells)).content
-    q, t = (inv, maj) if swapped else (maj, inv)
     counts: Counter = Counter()
     for e in iter_sorted_tableaux(shape, min(n, len(shape.cells))):
         x = content(e)
         if x is not None:
             f = Filling(shape, e, INF_BASEMENT)
-            counts[x, q(f), t(f), _block_runs(shape, e)] += 1
-    weigh = _swapped_multiplicity_terms if swapped else _multiplicity_terms
-    return tally(n, counts, weigh, SYMMETRIC)
+            counts[x, maj(f), inv(f), _block_runs(shape, e)] += 1
+    by_x = tally_by_x(counts, _multiplicity_terms, SYMMETRIC)
+    if swapped:
+        by_x = {x: {(t, q): c for (q, t), c in acc.items()} for x, acc in by_x.items()}
+    return MPoly._trusted(n, expand_orbits(by_x, SYMMETRIC.members))

@@ -29,10 +29,10 @@ import json
 from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import cache, lru_cache, reduce
-from itertools import accumulate, combinations
-from math import gcd, prod
-from operator import add, ge, lt, or_
+from functools import cache, lru_cache
+from itertools import combinations
+from math import gcd
+from operator import add, ge, lt
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -424,20 +424,6 @@ def _kept(by_x: dict) -> dict:
     return {x: kept for x, acc in by_x.items() if (kept := {qt: c for qt, c in acc.items() if c})}
 
 
-def poly_sum(n: int, polys: Iterable[MPoly]) -> MPoly:
-    """Sum of polynomials in ambient n, added into one grouped term map rather
-    than copying a running total once per summand."""
-    by_x: dict[tuple[int, ...], dict[tuple[int, int], Scalar]] = {}
-    for p in polys:
-        if p.n != n:
-            raise DimensionError(f"ambient mismatch: {p.n} vs {n}")
-        for x, terms in p.by_x.items():
-            acc = by_x.setdefault(x, {})
-            for qt, c in terms.items():
-                acc[qt] = acc.get(qt, 0) + c
-    return MPoly._trusted(n, _kept(by_x))
-
-
 def tally_by_x(counts: Mapping[tuple, int], weigh: Callable, orbit: Orbit | None = None) -> dict:
     """Sum over ((x, q, t, key), c) in ``counts`` of c x^x q^q t^t times the q,t-only
     polynomial ``weigh(key)`` (a route counts its fillings by key, so each key weighs
@@ -631,18 +617,17 @@ def gaussian_binomial(m: int, k: int) -> MPoly:
 
 
 def t_multinomial(total: int, parts: Sequence[int]) -> MPoly:
-    """Gaussian multinomial (total choose parts)_t as an honest polynomial.
-
-    Computed as a telescoping product of Gaussian binomials, each by exact
-    division; a zero remainder is guaranteed and enforced.
+    """Gaussian multinomial (total choose parts)_t as an honest polynomial:
+    (t;t)_total divided by the factors of each (t;t)_part, one chain division
+    on the ray y = t (:func:`divide_binomials`); a zero remainder is
+    guaranteed and enforced.
     """
     parts = list(parts)
     if any(p <= 0 for p in parts):
         raise ValueError(f"parts must be positive: {parts}")
     if sum(parts) != total:
         raise ValueError(f"parts {parts} do not sum to {total}")
-    tops = accumulate(parts)
-    return prod((gaussian_binomial(top, p) for top, p in zip(tops, parts)), start=MPoly.one(0))
+    return divide_binomials(pochhammer_tt(total), pochhammer_factors(parts))
 
 
 # -- factored q,t-rational functions -------------------------------------------
@@ -774,15 +759,6 @@ class QtRational:
         return out
 
     @classmethod
-    def sum(cls, parts: Iterable[tuple[Scalar, "QtRational"]]) -> "QtRational":
-        """The sum of c u over ``parts`` (c, u): each numerator brought to the lcm of
-        the dens by :func:`times_binomials`, added, and reduced once."""
-        parts = list(parts)
-        lcm = reduce(or_, (Counter(u.den) for _, u in parts), Counter())
-        nums = (times_binomials(u.num * c, (lcm - Counter(u.den)).elements()) for c, u in parts)
-        return cls(poly_sum(0, nums), lcm.elements())
-
-    @classmethod
     def from_int(cls, c: Scalar) -> "QtRational":
         return cls(MPoly.const(0, c))
 
@@ -808,9 +784,13 @@ class QtRational:
     __rmul__ = __mul__
 
     def __add__(self, other: "QtRational | MPoly | Scalar") -> "QtRational":
+        """Both numerators brought to the lcm of the dens by :func:`times_binomials`,
+        added, and reduced once."""
         if not isinstance(other := _as_rational(other), QtRational):
             return NotImplemented
-        return QtRational.sum([(1, self), (1, other)])
+        lcm = Counter(self.den) | Counter(other.den)
+        mine, theirs = (times_binomials(u.num, (lcm - Counter(u.den)).elements()) for u in (self, other))
+        return QtRational(mine + theirs, lcm.elements())
 
     def __neg__(self) -> "QtRational":
         return QtRational._trusted(-self.num, self.den)
@@ -819,9 +799,9 @@ class QtRational:
         return self + (-other)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = QtRational.from_int(other)
-        if not isinstance(other, QtRational):
+        if isinstance(other, MPoly) and other.n:
+            return False
+        if not isinstance(other := _as_rational(other), QtRational):
             return NotImplemented
         return self.num == other.num and self.den == other.den
 

@@ -91,8 +91,6 @@ class Diagram:
     steps: tuple[tuple[int, int, int], ...]
     #: (cell, 0-based column, leg + 1) for every row-1 cell, against the basement
     bottom: tuple[tuple[int, int, int], ...]
-    #: per cell, the cell below it, or None in row 1
-    below: tuple[int | None, ...]
     #: per cell, (leg + 1, arm + 1) with the composition arm
     hooks: tuple[tuple[int, int], ...]
     #: maximal runs of equal-height columns as (height, column slices)
@@ -100,8 +98,6 @@ class Diagram:
     #: per cell, the earlier cells it attacks: same row, or the row below in
     #: a column to its left
     attacks: tuple[tuple[int, ...], ...]
-    #: the (cell, earlier cell) pairs of ``attacks`` as one flat tuple
-    attack_pairs: tuple[tuple[int, int], ...]
     #: triples above row 1 that ``coinv`` tests: type A (v, r), (u, r),
     #: (u, r-1) and type B (u, r-1), (v, r), (v, r-1), for columns u < v
     coinv_triples: tuple[tuple[int, int, int], ...]
@@ -208,8 +204,7 @@ def _build_diagram(heights: tuple[int, ...]) -> Diagram:
                     coinv_bottom.append((index[v, 1], u - 1, v - 1))
     return Diagram(
         heights, cells, all(a >= b for a, b in zip(heights, heights[1:])),
-        tuple(steps), tuple(bottom), below, hooks, tuple(blocks), attacks,
-        tuple((i, j) for i, partners in enumerate(attacks) for j in partners),
+        tuple(steps), tuple(bottom), hooks, tuple(blocks), attacks,
         tuple(coinv_triples), tuple(coinv_pairs), tuple(coinv_bottom),
     )
 

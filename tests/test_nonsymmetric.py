@@ -42,7 +42,6 @@ from macpoly.polyring import (
     one_minus_qt,
     placements,
     pochhammer_tt,
-    poly_sum,
     tally_by_x,
     times_binomials,
 )
@@ -343,8 +342,8 @@ def test_integral_e_matches_the_filling_by_filling_j_sum():
     differ = []
     for alpha in SMALL_ALPHAS:
         n = len(alpha)
-        expected = pochhammer_prefactor(composition_stats(alpha).mult).extended(n) * poly_sum(
-            n, (j_weight_poly(f, n) for f in iter_basement_fillings(alpha))
+        expected = pochhammer_prefactor(composition_stats(alpha).mult).extended(n) * sum(
+            (j_weight_poly(f, n) for f in iter_basement_fillings(alpha)), MPoly.zero(n)
         )
         if integral_e(alpha) != expected:
             differ.append(alpha)
@@ -488,12 +487,12 @@ def test_cleared_and_specialized_keys_are_monomials():
 
 def cleared_one_by_one(e, multiplier):
     """Each coefficient times the multiplier, reduced, then summed."""
-    return poly_sum(
-        e.n,
+    return sum(
         (
             (value * multiplier).to_polynomial().extended(e.n).mul_monomial(x=exps)
             for exps, value in e.coeffs.items()
         ),
+        MPoly.zero(e.n),
     )
 
 

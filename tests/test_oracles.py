@@ -19,7 +19,7 @@ import pytest
 from macpoly.integral import j_compact, j_plain, p_poly
 from macpoly.modified import htilde_compact, htilde_plain
 from macpoly.nonsymmetric import EResult, e_permuted_basement, f_poly
-from macpoly.polyring import Monomial, MPoly, poly_sum
+from macpoly.polyring import Monomial, MPoly
 from macpoly.quasisym import g_poly, qs_schur, schur_ssyt
 from macpoly.shapes import conjugate
 from macpoly.verify import partitions_up_to, strong_compositions_up_to
@@ -164,10 +164,10 @@ def elementary(k, n):
 @lru_cache(maxsize=None)
 def h_one_minus_t(k, n):
     """h_k[X(1 - t)] in x_1..x_n: the sum over j of (-t)^j h_(k-j) e_j."""
-    return poly_sum(n, (
+    return sum((
         MPoly.monomial(n, t=j, coeff=(-1) ** j) * complete_homogeneous((k - j,), n) * elementary(j, n)
         for j in range(k + 1)
-    ))
+    ), MPoly.zero(n))
 
 
 @lru_cache(maxsize=None)
@@ -202,9 +202,9 @@ def kostka_qt(mu):
 
 def j_by_kostka(mu, n):
     """J_mu = the sum over lam of K_lam,mu(q, t) s_lam[X(1 - t)] (Macdonald, ch. VI (8.11))."""
-    return poly_sum(n, (
+    return sum((
         c.extended(n) * schur_one_minus_t(lam, n) for lam, c in kostka_qt(mu).items() if c
-    ))
+    ), MPoly.zero(n))
 
 
 def test_j_is_the_macdonald_kostka_expansion_of_htilde():

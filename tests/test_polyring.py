@@ -1,5 +1,6 @@
 """Arithmetic-layer unit and property tests."""
 
+import functools
 import json
 import math
 import operator
@@ -34,12 +35,11 @@ from macpoly.polyring import (
     one_minus_qt,
     pochhammer_factors,
     pochhammer_tt,
-    poly_sum,
     t_multinomial,
     tally,
+    tally_by_x,
     times_binomials,
 )
-from macpoly.cyclotomic import _times
 from macpoly.nonsymmetric import EResult
 from macpoly.shapes import composition_stats, conjugate, diagram
 from macpoly.verify import partitions_up_to
@@ -144,6 +144,19 @@ def test_qt_rational_adds_an_mpoly_as_it_multiplies_one():
         QtRational.one() + MPoly.one(1)
 
 
+def test_qt_rational_equals_a_q_t_only_mpoly_of_its_value():
+    # == converts as + and * do, in either operand order; an MPoly with x
+    # variables is unequal and raises nothing
+    half = QtRational(one_minus_qt(0, 1), [QtFactor(0, 2)])
+    for u, p in ((QtRational.one(), MPoly.one(0)), (QtRational(tpoly()), tpoly())):
+        assert u == p and p == u
+        assert not (u != p or p != u)
+        assert u != half and half != u and p != half and half != p
+    for p in (MPoly.one(1), MPoly.zero(2)):
+        assert QtRational.one() != p and p != QtRational.one()
+        assert QtRational.zero() != p and p != QtRational.zero()
+
+
 # -- Pochhammer / Gaussian multinomials ------------------------------------
 
 
@@ -195,6 +208,27 @@ def test_t_multinomial_at_t_one(total):
             parts = [p for p in (a, b, c) if p > 0]
             value = t_multinomial(total, parts).specialize(t=1).constant_term()
             assert value == multinomial(total, parts)
+
+
+def compositions(total):
+    """Every composition of ``total`` into positive parts; () for 0."""
+    if not total:
+        yield ()
+    for first in range(1, total + 1):
+        for rest in compositions(total - first):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("total", range(7))
+def test_t_multinomial_is_the_telescoping_product_of_gaussian_binomials(total):
+    # the product of (top choose part)_t over the running tops, each its own
+    # division, is an oracle for the one chain division by every part's (t;t)
+    for parts in compositions(total):
+        product_, top = MPoly.one(0), 0
+        for part in parts:
+            top += part
+            product_ = product_ * gaussian_binomial(top, part)
+        assert t_multinomial(total, parts) == product_, parts
 
 
 def test_gaussian_binomial_symmetry():
@@ -536,7 +570,7 @@ def test_qt_sums_print_alike_in_any_order(fractions, rng):
     shuffled = rng.sample(fractions, len(fractions))
     first = sum(fractions, QtRational.zero())
     assert qt_printed(sum(shuffled, QtRational.zero())) == qt_printed(first)
-    assert qt_printed(QtRational.sum((1, u) for u in shuffled)) == qt_printed(first)
+    assert qt_printed(functools.reduce(operator.add, shuffled)) == qt_printed(first)
 
 
 def test_qt_reduces_whole_numbers_held_as_fractions():
@@ -761,7 +795,7 @@ def test_divide_binomials_matches_exact_div(data):
 
 def qt_weight(terms):
     """The q,t-only polynomial with the given (q exponent, t exponent, coefficient) terms."""
-    return poly_sum(0, (MPoly.monomial(0, q=a, t=b, coeff=k) for a, b, k in terms))
+    return sum((MPoly.monomial(0, q=a, t=b, coeff=k) for a, b, k in terms), MPoly.zero(0))
 
 
 @st.composite
@@ -786,14 +820,14 @@ def tally_inputs(draw):
 @given(tally_inputs(), st.sampled_from([None, SYMMETRIC, QUASISYMMETRIC]))
 def test_tally_matches_expanding_every_key(data, orbit):
     counts, expansions = data
-    by_hand = poly_sum(
-        2,
+    by_hand = sum(
         (
             MPoly.monomial(2, x=x, q=q + a, t=t + b, coeff=c * k)
             for (x, q, t, key), c in counts.items()
             if orbit is None or orbit.is_rep(x)
             for (_, a, b), k in expansions[key].terms.items()
         ),
+        MPoly.zero(2),
     )
     if orbit is not None:
         by_x = expand_orbits(by_hand.qt_coefficients(), orbit.members)
@@ -853,21 +887,33 @@ def tally_by_comprehension(n, counts, weigh, orbit=None):
 
 @pytest.mark.parametrize("route", [htilde_compact, j_plain, j_compact], ids=lambda r: r.__name__)
 def test_route_tallies_match_the_comprehension(monkeypatch, route):
+    # the J routes sum by tally; htilde_compact by tally_by_x, as it swaps q and t
+    # in the representative maps before it expands the orbits
     zeros = calls = 0
 
-    def spy(n, counts, weigh, orbit=None):
+    def check(n, counts, weigh, orbit, out):
         nonlocal zeros, calls
         calls += 1
-        out = tally(n, counts, weigh, orbit)
         terms, dropped = tally_by_comprehension(n, counts, weigh, orbit)
         zeros += dropped
         # the same terms in the same order, keyed by Monomial instances
         assert list(out.terms.items()) == list(terms.items())
         assert all(type(m) is Monomial and (m.x, m.q, m.t) == tuple(m) for m in out.terms)
         assert 0 not in out.terms.values()
+
+    def spy(n, counts, weigh, orbit=None):
+        out = tally(n, counts, weigh, orbit)
+        check(n, counts, weigh, orbit, out)
         return out
 
-    monkeypatch.setattr(sys.modules[route.__module__], "tally", spy)
+    def spy_by_x(counts, weigh, orbit=None):
+        by_x = tally_by_x(counts, weigh, orbit)
+        expanded = by_x if orbit is None else expand_orbits(by_x, orbit.members)
+        check(n, counts, weigh, orbit, MPoly._trusted(n, expanded))  # n of the route call below
+        return by_x
+
+    name = "tally_by_x" if route is htilde_compact else "tally"
+    monkeypatch.setattr(sys.modules[route.__module__], name, spy_by_x if route is htilde_compact else spy)
     for mu in partitions_up_to(4):
         for n in range(4):
             route(mu, n)
@@ -925,13 +971,23 @@ def test_term_keys_are_monomials_built_without_a_product_per_pair(pair, a, b):
         "times_binomials": (times_binomials(p, [(a, b)]), per_pair_product(p, binomial)),
         "divide_chains": (divide_chains(MPoly(n, per_pair_product(p, binomial)), a, b, (1, -1)), p.terms),
     }
-    if n == 0:
-        # p times 1 + y + y^2 at y = q^a t^b
-        f = MPoly.one(0) + MPoly.monomial(0, q=a, t=b) + MPoly.monomial(0, q=2 * a, t=2 * b)
-        outs["cyclotomic._times"] = (_times(p, a, b, (1, 1, 1)), per_pair_product(p, f))
     for name, (got, expected) in outs.items():
         assert got.terms == expected, name
         assert monomial_keys_and_no_zero(got), name
+
+
+def test_reduction_multiplies_back_each_piece_a_rebuilt_binomial_uses_up(monkeypatch):
+    # 1 - t cancels from 1 - t^2, which is rebuilt from the piece 1 + t left: the
+    # numerator is multiplied back by 1 - t, the piece that did cancel
+    num = one_minus_qt(1, 1) * one_minus_qt(0, 1)
+    products = []
+    mul = MPoly.__mul__
+    monkeypatch.setattr(MPoly, "__mul__", lambda p, r: products.append(str(r)) or mul(p, r))
+    assert str(QtRational(one_minus_qt(0, 1), [(0, 2)])) == "(-t + 1) / (1-t^2)"
+    assert products == ["-t + 1"]
+    u = QtRational(num, [(2, 2), (0, 3)])
+    assert str(u) == "(q*t^2 - q*t - t + 1) / (1-t^3)*(1-q^2*t^2)"
+    assert products == ["-t + 1", "-t + 1", "-q*t + 1"]
 
 
 # -- one chain division per ray ---------------------------------------------------
@@ -953,7 +1009,7 @@ def pochhammer_and_hook_factors(mu):
     inc = diagram(stats.inc)
     pochhammer = pochhammer_factors(stats.mult.values())
     hooks = [(arm1 - 1, leg1) for leg1, arm1 in diagram(conjugate(mu)).hooks]
-    above = [hook for below, hook in zip(inc.below, inc.hooks) if below is not None]
+    above = [inc.hooks[i] for i, _, _ in inc.steps]
     return [pochhammer, hooks, above, pochhammer + above, hooks + above]
 
 

@@ -170,11 +170,13 @@ def test_arm_composition_agrees_on_partition_shapes():
 def test_plan_below_and_hooks():
     heights = (0, 2, 3, 1, 3)
     shape = diagram(heights)
-    for cell, below, hook in zip(shape.cells, shape.below, shape.hooks):
-        if cell.row == 1:
-            assert below is None
-        else:
-            assert shape.cells[below] == (cell.col, cell.row - 1)
+    assert [i for i, _, _ in shape.steps] == [i for i, cell in enumerate(shape.cells) if cell.row > 1]
+    assert [i for i, _, _ in shape.bottom] == [i for i, cell in enumerate(shape.cells) if cell.row == 1]
+    for i, below, weight in shape.steps:
+        cell = shape.cells[i]
+        assert shape.cells[below] == (cell.col, cell.row - 1)
+        assert weight == leg(heights, cell) + 1
+    for cell, hook in zip(shape.cells, shape.hooks):
         assert hook == (leg(heights, cell) + 1, arm_composition(heights, cell) + 1)
 
 
@@ -441,9 +443,10 @@ def repeats_loop(shape, e):
 
 
 def nonattacking_loop(shape, e, basement=None):
-    for i, j in shape.attack_pairs:
-        if e[i] == e[j]:
-            return False
+    for i, partners in enumerate(shape.attacks):
+        for j in partners:
+            if e[i] == e[j]:
+                return False
     b = basement
     return not isinstance(b, tuple) or all(e[i] not in b[:col] for i, col, _ in shape.bottom)
 
