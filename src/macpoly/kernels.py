@@ -10,7 +10,8 @@ compile it.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
+from itertools import product
 from typing import Callable
 
 
@@ -144,7 +145,10 @@ def walk(shape, kind: str = "tuples") -> Callable:
     the values that ``plan.lasts`` lists for the code of the prefix, with the
     content x each completes to, or, where row 1 pins its cell, reads x off
     the plan by s and skips a value whose x the plan does not keep.
-    Every 19 cells the loops go on in a chained function."""
+    Every 19 cells the loops go on in a chained function.  The kind "sorted"
+    is :func:`sorted_walk`."""
+    if kind == "sorted":
+        return sorted_walk(shape)
     args, stats, summed, leaf = _KINDS[kind]
     cells, words = range(len(shape.cells)), kind == "words"
     cols = {} if words else {i: col for i, col, _ in shape.bottom}
@@ -200,6 +204,74 @@ def walk(shape, kind: str = "tuples") -> Callable:
         _compile("walk%d" % k, params, lines, origin, namespace)
         sums = {c: c for c in summed}
     return namespace["walk0"]
+
+
+def sorted_walk(shape) -> Callable:
+    """The sorted-tableau walk of a partition ``shape``, ``walk(n, plan)``: one
+    ``for`` loop per column, left to right, over the indices into its height
+    block's alphabet (:func:`_alphabet`), each loop after a block's first
+    starting at the index of the column to its left, so that it meets every
+    sorted tableau with entries in 1..n once, in the lexicographic order of
+    the index tuples.  A loop adds its column's content code to the code s of
+    the prefix, and the leaf yields, per tableau, (e, x, runs) when
+    x = ``plan.reps[s]`` is not None, else (None, None, None): e the flat
+    entries and runs the run signature, which the :class:`_Memo` ``R`` reads
+    off whether each index equals the one to its left in its block.
+    Every 19 columns the loops go on in a chained function."""
+    blocks = [(b, h) for b, (h, slices) in enumerate(shape.blocks) for _ in slices]
+    columns = range(len(blocks))
+    follows = [c for c in columns if c and blocks[c - 1][0] == blocks[c][0]]
+    tables = "".join("A%d, W%d, N%d, " % (b, b, b) for b in range(len(shape.blocks)))
+    head = ["xs = plan.reps"]
+    head += ["A%d, W%d, N%d = alphabet(%d, n, plan.weights)" % (b, b, b, h) for b, (h, _) in enumerate(shape.blocks)]
+    runs = _Memo(partial(_runs, [len(slices) for _, slices in shape.blocks]))
+    namespace = {"alphabet": _alphabet, "SKIP": (None, None, None), "R": runs}
+    stages = [columns[k:k + _STAGE] for k in range(0, len(columns), _STAGE)] or [columns]
+    s = "0"
+    for k, stage in enumerate(stages):
+        params = "xs, " + tables + "".join("j%d, " % c for c in columns[:stage.start]) + "s" if k else "n, plan"
+        lines = [] if k else head
+        for depth, c in enumerate(stage):
+            pad, b = "    " * depth, blocks[c][0]
+            lines.append(pad + "for j%d in range(%sN%d):" % (c, "j%d, " % (c - 1) if c in follows else "", b))
+            lines.append(pad + "    s%d = %sW%d[j%d]" % (c, "" if s == "0" else s + " + ", b, c))
+            s = "s%d" % c
+        pad, done = "    " * len(stage), "".join("j%d, " % c for c in columns[:stage.stop])
+        if k + 1 == len(stages):
+            e = "".join("*A%d[j%d], " % (b, c) for c, (b, _) in enumerate(blocks))
+            equal = "".join("j%d == j%d, " % (c - 1, c) for c in follows)
+            lines += [pad + "x = xs[%s]" % s, pad + "yield SKIP if x is None else ((%s), x, R[%s])" % (e, equal or "()")]
+        else:
+            lines.append(pad + "yield from walk%d(xs, %s%s%s)" % (k + 1, tables, done, s))
+        _compile("walk%d" % k, params, lines, "<sorted walk%d of %r>" % (k, shape), namespace)
+        s = "s"
+    return namespace["walk0"]
+
+
+@lru_cache(maxsize=256)
+def _alphabet(h: int, n: int, weights: tuple[int, ...]) -> tuple[tuple, tuple[int, ...], int]:
+    """The columns of h entries in 1..n sorted by
+    :func:`macpoly.modified.column_sort_key`, the content code of each under
+    ``weights`` (those of a :class:`ContentPlan`), and their number."""
+    from .modified import column_sort_key  # the caller of the sorted walk, so loaded
+
+    columns = tuple(sorted(product(range(1, n + 1), repeat=h), key=column_sort_key))
+    return columns, tuple(sum(map(weights.__getitem__, col)) for col in columns), len(columns)
+
+
+def _runs(sizes: list[int], equal: tuple[bool, ...]) -> tuple[tuple[int, ...], ...]:
+    """The run signature of a sorted tableau whose blocks hold ``sizes`` columns,
+    from whether each column after a block's first equals the one to its left."""
+    signature, equal = [], iter(equal)
+    for k in sizes:
+        runs = [1]
+        for _ in range(k - 1):
+            if next(equal):
+                runs[-1] += 1
+            else:
+                runs.append(1)
+        signature.append(tuple(runs))
+    return tuple(signature)
 
 
 class ContentPlan:

@@ -14,11 +14,11 @@ H~_lam'(x; q, t) = H~_lam(x; t, q) by q<->t duality (Macdonald, ch. VI), so
 ``htilde_compact`` walks the smaller side and, on lam's own, swaps q and t in
 the summed coefficient maps, once per representative x.
 
-``iter_sorted_tableaux`` yields flat entry tuples in cell order, as
-``shapes.iter_nonattacking`` does; ``htilde_compact`` tests the content of
-each and builds a ``Filling`` only for a tableau of representative content,
-the ones it weighs.  Both routes walk the values 1..min(n, |lam|): a dominant
-content of m entries uses no value above m.
+``iter_sorted_tableaux`` walks a diagram's compiled sorted walk, which
+carries each tableau's content code and reads its content and run signature
+at the leaf; ``htilde_compact`` builds a ``Filling`` only for a tableau of
+representative content, the ones it weighs.  Both routes walk the values
+1..min(n, |lam|): a dominant content of m entries uses no value above m.
 """
 
 from __future__ import annotations
@@ -26,10 +26,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, product as iproduct, repeat, starmap
 from math import comb, prod
-from operator import add
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .polyring import SYMMETRIC, MPoly, expand_orbits, t_multinomial, tally_by_x
 from .shapes import (
@@ -46,6 +44,9 @@ from .shapes import (
     inv,
     maj,
 )
+
+if TYPE_CHECKING:
+    from .kernels import ContentPlan
 
 
 def column_sort_key(column: Sequence[int]) -> tuple:
@@ -104,28 +105,22 @@ def is_sorted_tableau(f: Filling) -> bool:
     )
 
 
-def iter_sorted_tableaux(shape: Diagram, n: int) -> Iterator[tuple[int, ...]]:
-    """Flat entry tuples (cell order) of the sorted tableaux of `shape` with
-    entries in 1..n; wrap one as ``Filling(shape, e, INF_BASEMENT)`` to read it
-    by cell.  A generator function, so a tracer counts its yields.
+def iter_sorted_tableaux(shape: Diagram, n: int, plan: ContentPlan) -> Iterator[tuple]:
+    """One item per sorted tableau of `shape` with entries in 1..n, the first
+    column's alphabet index varying slowest: (e, x, runs) when the content x of
+    the tableau is one that ``plan`` (a plan over 1..n or more) keeps, else
+    (None, None, None).  e is the flat entry tuple in cell order, which
+    ``Filling(shape, e, INF_BASEMENT)`` reads by cell, and runs the run
+    signature of :func:`_block_runs`; pass ``content_plan(None, n, m)`` to keep
+    every tableau.  A generator function, so a tracer counts its yields.
 
-    Generated directly: per height block, weakly increasing column sequences
-    are combinations-with-replacement over the key-sorted column alphabet,
-    each flattened once, so a tableau is one block's tuple, or one
-    concatenation of block tuples.
+    Read off the diagram's compiled sorted walk (:func:`macpoly.kernels.sorted_walk`):
+    per height block, column alphabet indices that never fall, each column's
+    content code added as the walk goes.
     """
     if not shape.is_partition:
         raise ShapeError("sorted tableaux live on partition shapes")
-    per_block = []
-    for h, slices in shape.blocks:
-        columns = sorted(iproduct(range(1, n + 1), repeat=h), key=column_sort_key)
-        per_block.append([sum(cols, ()) for cols in combinations_with_replacement(columns, len(slices))])
-    if len(per_block) == 1:
-        yield from per_block[0]
-    elif len(per_block) == 2:
-        yield from starmap(add, iproduct(*per_block))
-    else:
-        yield from map(sum, iproduct(*per_block), repeat(()))
+    yield from _walk(shape, "sorted")(n, plan)
 
 
 @dataclass(frozen=True)
@@ -185,21 +180,20 @@ def htilde_compact(lam: Sequence[int], n: int) -> MPoly:
     :func:`compact_side` picks: the conjugate one, or lam's own and then a q<->t
     swap, exact by duality (see the module docstring).
 
-    The tableaux are walked over the values 1..min(n, |lam|).  Each one of
-    dominant content is built as a ``Filling`` and counted by (x, maj, inv, run
+    The tableaux are walked over the values 1..min(n, |lam|), and the walk
+    hands over the content and run signature of each.  Each one of dominant
+    content is built as a ``Filling`` and counted by (x, maj, inv, run
     signature), and each key is weighed once by :func:`tally_by_x` against the
     multiplicity cached per run signature, on either side.  On lam's own side q
     and t are then exchanged in each representative x's summed map, and every
     rearrangement of x shares that map.
     """
     shape, swapped = compact_side(lam, n)
-    content = content_plan(SYMMETRIC, n, len(shape.cells)).content
-    counts: Counter = Counter()
-    for e in iter_sorted_tableaux(shape, min(n, len(shape.cells))):
-        x = content(e)
+    m, counts = len(shape.cells), Counter()
+    for e, x, runs in iter_sorted_tableaux(shape, min(n, m), content_plan(SYMMETRIC, n, m)):
         if x is not None:
             f = Filling(shape, e, INF_BASEMENT)
-            counts[x, maj(f), inv(f), _block_runs(shape, e)] += 1
+            counts[x, maj(f), inv(f), runs] += 1
     by_x = tally_by_x(counts, _multiplicity_terms, SYMMETRIC)
     if swapped:
         by_x = {x: {(t, q): c for (q, t), c in acc.items()} for x, acc in by_x.items()}

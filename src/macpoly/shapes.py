@@ -22,14 +22,16 @@ Compiled statistics.  A diagram's per-filling statistics (``inv``, ``maj``,
 are straight-line functions generated from its index tables, the way
 ``dataclasses`` generates ``__init__``: each unpacks the flat entry tuple
 into locals and returns one flat ``sum((...))`` of inlined comparisons, or
-one tuple or one conjunction of them.  Only ``htilde_compact``, the J routes
-and ``filling_weight`` (once per repeat mask) call these flat kernels.  The rest
-read a walk, one ``for`` loop per cell: the "tuples" walk skips the values of
-the cells each cell ``attacks``; the counting walks of ``htilde_plain`` and the
-basement routes add the comparisons whose latest cell is a loop's own and count
-keys at the leaf, and that of ``qs_schur`` leaves a branch at its first nonzero
-comparison; every counting walk adds up content as an integer code and leaves a
-branch whose code completes to no content its plan keeps.  All are compiled on
+one tuple or one conjunction of them.  Only ``htilde_compact`` (per tableau it
+weighs), the J routes and ``filling_weight`` (once per repeat mask) call these
+flat kernels.  The rest read a walk, one ``for`` loop per cell: the "tuples" walk
+skips the values of the cells each cell ``attacks``; the counting walks of
+``htilde_plain`` and the basement routes add the comparisons whose latest cell is
+a loop's own and count keys at the leaf, and that of ``qs_schur`` leaves a branch
+at its first nonzero comparison; every counting walk adds up content as an
+integer code and leaves a branch whose code completes to no content its plan
+keeps.  The "sorted" walk of ``htilde_compact`` loops once per column, over
+sorted column alphabets, and adds up content codes too.  All are compiled on
 first use, never at import, and cached per diagram (walks per (diagram, kind) by
 ``_walk``, content plans per (orbit, n, cell count)).  Routes read
 each per-filling rule from the kernels, plans and tables alone: content,
@@ -42,7 +44,8 @@ each per-filling rule from the kernels, plans and tables alone: content,
   on every diagram of at most 5 columns of height at most 3, the counts at
   each n <= 3 with at most 1,024 assignments); the walk yields the tuples of
   filtering every assignment, in the same order (every diagram of at most 3
-  columns of height at most 2, and five larger);
+  columns of height at most 2, and five larger), and the sorted walk those
+  of filtering by sortedness, in the order of their columns' sort keys;
 * the generated source holds only integers from the tables, each written
   with ``%d``, and fixed text.
 

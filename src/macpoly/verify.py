@@ -47,6 +47,7 @@ from .shapes import (
     arm_partition,
     composition_stats,
     coinv_comp,
+    content_plan,
     diagram,
     filling_from_fixture,
     inv,
@@ -178,7 +179,8 @@ def check_fixture_tableau_listing() -> CheckResult:
         for item in listing["tableaux"]:
             key = tuple(sorted((tuple(cell[:2]), cell[2]) for cell in item["entries"]))
             expected[key] = (item["inv"], item["maj"], tuple(item["multiplicity"]))
-        tableaux = [Filling(shape, e, INF_BASEMENT) for e in iter_sorted_tableaux(shape, n)]
+        every = iter_sorted_tableaux(shape, n, content_plan(None, n, len(shape.cells)))
+        tableaux = [Filling(shape, e, INF_BASEMENT) for e, _, _ in every]
         packed = [f for f in tableaux if is_packed(f)]
         assert len(packed) == len(expected) == 32, f"packed count {len(packed)}"
         total = MPoly.zero(n)

@@ -3,12 +3,15 @@
 import json
 from collections import Counter
 from importlib import resources
+from math import comb, prod
 
 import pytest
 
 import macpoly.modified as modified
+from macpoly import kernels
 from macpoly.modified import (
     SortedTableau,
+    _block_runs,
     _word_counts,
     column_leq,
     column_sort_key,
@@ -25,6 +28,7 @@ from macpoly.shapes import (
     Filling,
     ShapeError,
     conjugate,
+    content_plan,
     diagram,
     enumerate_fillings,
     filling_from_fixture,
@@ -50,7 +54,8 @@ def tableau_listing():
 
 def sorted_tableaux(shape, n):
     """The sorted tableaux of ``shape`` over 1..n as fillings on the infinity basement."""
-    return [Filling(shape, e, INF_BASEMENT) for e in iter_sorted_tableaux(shape, n)]
+    every = iter_sorted_tableaux(shape, n, content_plan(None, n, len(shape.cells)))
+    return [Filling(shape, e, INF_BASEMENT) for e, _, _ in every]
 
 
 # -- column order -----------------------------------------------------------------
@@ -124,19 +129,58 @@ def test_multiplicity_at_one_counts_rearrangements(sorted_tableau_fixture):
 # -- sorted tableau enumeration -----------------------------------------------------
 
 
-@pytest.mark.parametrize("heights", [(2,), (1, 1), (2, 1), (2, 2), (2, 1, 1), (3, 1)])
+#: partition diagrams whose sorted tableaux over 1..2 and 1..3 are checked against filtering
+SORTED_WINDOW = [(2,), (1, 1), (2, 1), (2, 2), (2, 1, 1), (3, 1)]
+
+
+def assert_sorted_walk_contract(walk, heights, n):
+    """``walk(n, plan)`` yields one item per sorted tableau of ``heights`` over 1..n, in
+    the order of their columns' sort keys, left column first: (e, x, runs) when x is the
+    content of e and a representative under the plan's orbit, else (None, None, None)."""
+    shape = diagram(heights)
+    m, values = len(shape.cells), range(1, n + 1)
+    columns = [slice_ for _, slices in shape.blocks for slice_ in slices]
+    filtered = sorted(
+        (f.flat for f in enumerate_fillings(shape, n, predicate=is_sorted_tableau, basement=INF_BASEMENT)),
+        key=lambda e: [column_sort_key(e[col]) for col in columns],
+    )
+    assert len(filtered) == prod(comb(n ** h + len(cols) - 1, len(cols)) for h, cols in shape.blocks)
+    for orbit in (None, SYMMETRIC):
+        expected = []
+        for e in filtered:
+            x = tuple(map(e.count, values))
+            kept = orbit is None or orbit.is_rep(x)
+            expected.append((e, x, _block_runs(shape, e)) if kept else (None, None, None))
+        assert list(walk(n, content_plan(orbit, n, m))) == expected, (heights, n, orbit)
+
+
+@pytest.mark.parametrize("heights", SORTED_WINDOW)
 @pytest.mark.parametrize("n", [2, 3])
 def test_direct_enumeration_matches_filtering(heights, n):
-    # flat entry tuples, each once
-    direct = list(iter_sorted_tableaux(diagram(heights), n))
-    assert all(type(e) is tuple for e in direct) and len(set(direct)) == len(direct)
-    filtered = {
-        f.flat
-        for f in enumerate_fillings(
-            diagram(heights), n, predicate=is_sorted_tableau, basement=INF_BASEMENT
-        )
-    }
-    assert set(direct) == filtered
+    # flat entry tuples, each once, with the content and run signature of each
+    assert_sorted_walk_contract(lambda *args: iter_sorted_tableaux(diagram(heights), *args), heights, n)
+    every = list(iter_sorted_tableaux(diagram(heights), n, content_plan(None, n, sum(heights))))
+    assert all(type(e) is tuple for e, _, _ in every) and len(set(every)) == len(every)
+
+
+def test_sorted_walk_chained_keeps_the_contract(monkeypatch):
+    # 2 loops per function, so that the walk crosses a stage boundary on every
+    # diagram of more than 2 columns
+    monkeypatch.setattr(kernels, "_STAGE", 2)
+    for heights in SORTED_WINDOW:
+        for n in (2, 3):
+            assert_sorted_walk_contract(kernels.walk(diagram(heights), "sorted"), heights, n)
+
+
+def test_sorted_walk_past_the_nesting_limit_and_on_empty_input():
+    # (22,) at n = 1 walks 22 columns of one block, which run as chained functions
+    assert htilde_compact((22,), 1) == htilde_plain((22,), 1)
+    assert htilde_compact((1,) * 22, 1) == htilde_plain((1,) * 22, 1)
+    row = diagram((1,) * 22)
+    assert list(iter_sorted_tableaux(row, 1, content_plan(SYMMETRIC, 1, 22))) == [((1,) * 22, (22,), ((22,),))]
+    # the empty diagram has one tableau, of empty content; no values give none
+    assert list(iter_sorted_tableaux(diagram(()), 0, content_plan(SYMMETRIC, 2, 0))) == [((), (0, 0), ())]
+    assert list(iter_sorted_tableaux(diagram((2, 1)), 0, content_plan(None, 0, 3))) == []
 
 
 def test_sorted_tableaux_partition_into_rearrangement_classes():
@@ -273,10 +317,12 @@ def test_compact_rejects_unsorted_enumeration(monkeypatch):
     import macpoly.modified as modified
     from macpoly.verify import check_htilde_equivalence
 
-    def unsorted(shape, n):
-        # every filling's flat entries, unsorted ones such as columns (2), (1) included
+    def unsorted(shape, n, plan):
+        # every filling, unsorted ones such as columns (2), (1) included, in the
+        # enumerator's item form
         for f in enumerate_fillings(shape, n, basement=INF_BASEMENT):
-            yield f.flat
+            x = plan.content(f.flat)
+            yield (None, None, None) if x is None else (f.flat, x, _block_runs(shape, f.flat))
 
     monkeypatch.setattr(modified, "iter_sorted_tableaux", unsorted)
     result = check_htilde_equivalence(max_size=2, max_n=2)
@@ -301,11 +347,11 @@ def test_compact_walks_the_side_with_fewer_tableaux(monkeypatch, lam, n, walked,
     walks = []
     enumerate_sorted = modified.iter_sorted_tableaux
 
-    def counted(shape, n):
+    def counted(shape, n, plan):
         walks.append([shape.heights, 0])
-        for e in enumerate_sorted(shape, n):
+        for item in enumerate_sorted(shape, n, plan):
             walks[-1][1] += 1
-            yield e
+            yield item
 
     monkeypatch.setattr(modified, "iter_sorted_tableaux", counted)
     result = htilde_compact(lam, n)
@@ -320,10 +366,10 @@ def test_compact_builds_a_filling_only_for_the_tableaux_it_weighs(monkeypatch):
     yielded, built = [], Counter()
     enumerate_sorted, check = modified.iter_sorted_tableaux, Filling.__post_init__
 
-    def counted(shape, n):
-        for e in enumerate_sorted(shape, n):
-            yielded.append(e)
-            yield e
+    def counted(*args):
+        for item in enumerate_sorted(*args):
+            yielded.append(item)
+            yield item
 
     def counted_check(self):
         built[self.flat] += 1
@@ -333,8 +379,11 @@ def test_compact_builds_a_filling_only_for_the_tableaux_it_weighs(monkeypatch):
     monkeypatch.setattr(Filling, "__post_init__", counted_check)
     result = htilde_compact((3, 3), 4)
     monkeypatch.undo()
-    dominant = [e for e in yielded if SYMMETRIC.is_rep(tuple(map(e.count, range(1, 5))))]
-    assert len(yielded) == 816 and len(dominant) == 101
+    # the dominant sorted tableaux of the conjugate (2, 2, 2), filtered from all 4^6 fillings
+    every = enumerate_fillings(diagram((2, 2, 2)), 4, predicate=is_sorted_tableau, basement=INF_BASEMENT)
+    dominant = [f.flat for f in every if SYMMETRIC.is_rep(tuple(map(f.flat.count, range(1, 5))))]
+    kept = [e for e, x, _ in yielded if x is not None]
+    assert len(yielded) == 816 and len(kept) == len(dominant) == 101
     assert built == Counter(dominant)
     assert result == htilde_plain((3, 3), 4)
 

@@ -4,7 +4,9 @@ that share no statistics code with the routes they check (specializations
 of the modified family and of P, the Schur positivity of the modified
 family, peeled off with the tableau oracle, and the q = 0 corner: E at
 q = t = 0 is Mason's Demazure atom, qs_schur the sum of atoms over a
-composition's placements, and P at q = 0 the Hall-Littlewood polynomial).
+composition's placements, and P at q = 0 the Hall-Littlewood polynomial),
+and two relations of F at generic q, t: the Hecke exchange and the cyclic
+shift.
 
 They run here rather than in the ``verify`` battery, whose check names and
 instance counts are pinned by ``perfbench/reference.json``.
@@ -404,3 +406,111 @@ def test_p_at_q_zero_is_hall_littlewood():
             assert sympy.Poly.from_dict(got, *gens) * sympy.Poly(v_lam, *gens) == expected, (lam, n)
             count += 1
     assert count == 22
+
+
+# -- F at generic q, t: the Hecke exchange and the cyclic shift -----------------------
+#
+# Both relations of the nonsymmetric Macdonald polynomials (Cantini-de Gier-Wheeler,
+# arXiv:1505.00287; Corteel-Mandelshtam-Williams, arXiv:1811.01024), checked on plain
+# {exponents: Fraction} dicts at two points (q, t): nothing from macpoly but f_poly.
+
+#: the points (q, t) at which F is read
+QT_POINTS = ((Fraction(2, 3), Fraction(-3, 5)), (Fraction(5, 7), Fraction(1, 4)))
+#: every nonzero weak composition of n = 2 parts of size at most 5 and of n = 3 of size at most 4
+F_WINDOW = [alpha for n, top in ((2, 5), (3, 4)) for d in range(1, top + 1) for alpha in weak_compositions(d, n)]
+
+
+@lru_cache(maxsize=None)
+def f_at(alpha, q, t):
+    """F_alpha(x; q, t) as {x: Fraction}."""
+    return {m.x: Fraction(c) for m, c in f_poly(alpha).specialize(q=q, t=t).terms.items()}
+
+
+def added(*scaled):
+    """The sum of the dicts f times c over the pairs (c, f) given, without zeros."""
+    out = {}
+    for c, f in scaled:
+        for x, v in f.items():
+            out[x] = out.get(x, 0) + c * v
+    return {x: v for x, v in out.items() if v}
+
+
+def divided_difference(i, f):
+    """(f - s_i f) / (x_i - x_(i+1)), i 0-based: with u = x_i, v = x_(i+1) and p > r,
+    (u^p v^r - u^r v^p) / (u - v) is the sum of u^(p-1-j) v^(r+j) over 0 <= j < p - r."""
+    out = {}
+    for x, c in f.items():
+        p, r = x[i], x[i + 1]
+        sign, (p, r) = (1, (p, r)) if p >= r else (-1, (r, p))
+        for j in range(p - r):
+            y = x[:i] + ((p - 1 - j, r + j) if sign > 0 else (r + j, p - 1 - j)) + x[i + 2:]
+            out[y] = out.get(y, 0) + sign * c
+    return {x: c for x, c in out.items() if c}
+
+
+def hecke(i, f, t):
+    """T_i f = t f - (t x_i - x_(i+1)) d_i f, i 0-based."""
+    d = divided_difference(i, f)
+
+    def times_x(k):
+        return {x[:k] + (x[k] + 1,) + x[k + 1:]: c for x, c in d.items()}
+
+    return added((t, f), (-t, times_x(i)), (1, times_x(i + 1)))
+
+
+def exchange_failures(read):
+    """The (alpha, i, q, t) of the window where T_i F_alpha is not F_(s_i alpha) for
+    alpha_i > alpha_(i+1), or not t F_alpha for alpha_i = alpha_(i+1), F_alpha at (q, t)
+    being ``read(alpha, q, t)``; and the number of cases checked."""
+    failures, cases = [], 0
+    for alpha in F_WINDOW:
+        for i in range(len(alpha) - 1):
+            if alpha[i] < alpha[i + 1]:
+                continue
+            swapped = alpha[:i] + (alpha[i + 1], alpha[i]) + alpha[i + 2:]
+            for q, t in QT_POINTS:
+                f = read(alpha, q, t)
+                expected = read(swapped, q, t) if alpha[i] > alpha[i + 1] else added((t, f))
+                cases += 1
+                if hecke(i, f, t) != expected:
+                    failures.append((alpha, i, q, t))
+    return failures, cases
+
+
+def cyclic_failures(read):
+    """The (alpha, q, t) of the window where F_(alpha_n, alpha_1, ..., alpha_(n-1))(x) is
+    not q^(alpha_n) F_alpha(x_2, ..., x_n, x_1 / q); and the number of cases checked."""
+    failures, cases = [], 0
+    for alpha in F_WINDOW:
+        for q, t in QT_POINTS:
+            # x^a at (x_2, ..., x_n, x_1 / q) is x^(a_n, a_1, ..., a_(n-1)) q^(-a_n)
+            shifted = {x[-1:] + x[:-1]: c * q ** (alpha[-1] - x[-1]) for x, c in read(alpha, q, t).items()}
+            cases += 1
+            if read(alpha[-1:] + alpha[:-1], q, t) != shifted:
+                failures.append((alpha, q, t))
+    return failures, cases
+
+
+def test_f_satisfies_the_hecke_exchange():
+    # T_i F_alpha = F_(s_i alpha) for alpha_i > alpha_(i+1), and t F_alpha for
+    # alpha_i = alpha_(i+1), with T_i = t - (t x_i - x_(i+1)) d_i
+    # with 35 exchanges at each point
+    assert len(F_WINDOW) == 20 + 34
+    failures, cases = exchange_failures(f_at)
+    assert cases == 106 and failures == []
+
+
+def test_f_satisfies_the_cyclic_shift():
+    failures, cases = cyclic_failures(f_at)
+    assert cases == 108 and failures == []
+
+
+@pytest.mark.parametrize("mutant, exchange, shift", [
+    (lambda alpha, q, t: f_at(alpha[::-1], q, t), 98, 102),
+    (lambda alpha, q, t: f_at(alpha, t, q), 52, 68),
+], ids=["alpha-reversed", "q-t-swapped"])
+def test_exchange_and_shift_oracles_tell_conventions_apart(mutant, exchange, shift):
+    # F read at the reversed composition, or with q and t exchanged, fails both
+    # relations, on this many of the 106 and 108 cases
+    assert len(exchange_failures(mutant)[0]) == exchange
+    assert len(cyclic_failures(mutant)[0]) == shift

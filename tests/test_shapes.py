@@ -465,14 +465,18 @@ def assert_kernels_match_loops(shape, e, basement):
     assert got is nonattacking_loop(shape, e, basement), (shape, e, basement)
 
 
+#: every height tuple of at most 5 columns of height at most 3: 1,365 diagrams,
+#: among them (), (1,) and those with zero-height columns
+SMALL_HEIGHTS = [h for k in range(6) for h in product(range(4), repeat=k)]
+#: their diagrams, built once for every sweep below: ``diagram`` caches only the
+#: latest 256, so each sweep would otherwise rebuild them and recompile their kernels
+SMALL_DIAGRAMS = {heights: diagram(heights) for heights in SMALL_HEIGHTS}
+
+
 def test_kernels_match_loops_on_every_small_diagram():
-    # every height tuple of at most 5 columns of height at most 3: 1,365
-    # diagrams, among them (), (1,) and those with zero-height columns
     rng = random.Random(21)
-    all_heights = [h for k in range(6) for h in product(range(4), repeat=k)]
-    assert len(all_heights) == 1365 and {(), (1,), (0, 2, 0)} <= set(all_heights)
-    for heights in all_heights:
-        shape = diagram(heights)
+    assert len(SMALL_DIAGRAMS) == 1365 and {(), (1,), (0, 2, 0)} <= set(SMALL_DIAGRAMS)
+    for heights, shape in SMALL_DIAGRAMS.items():
         columns = list(range(1, len(heights) + 1))
         for _ in range(4):
             e = tuple(rng.randint(1, 5) for _ in shape.cells)
@@ -714,11 +718,6 @@ def test_walks_past_the_nesting_limit():
     assert j_compact((25,), 1).value == j_plain((25,), 1)
 
 
-#: every diagram of at most 5 columns of height at most 3, as in
-#: test_kernels_match_loops_on_every_small_diagram
-SMALL_HEIGHTS = [h for k in range(6) for h in product(range(4), repeat=k)]
-
-
 def one_and_chained(shape, kind, monkeypatch):
     """The walk of ``kind`` compiled as one function, and with 2 loops per
     function, so that the partial sums cross every stage boundary."""
@@ -745,8 +744,7 @@ ORBITS = (None, SYMMETRIC, QUASISYMMETRIC)
 
 
 def test_word_walk_counts_match_filtering_every_assignment(monkeypatch):
-    for heights in SMALL_HEIGHTS:
-        shape = diagram(heights)
+    for heights, shape in SMALL_DIAGRAMS.items():
         walks = one_and_chained(shape, "words", monkeypatch)
         for n, assignments in assignments_by_n(shape):
             values = range(1, n + 1)
@@ -766,7 +764,7 @@ def basement_cases(heights):
     is the number of columns): ``keys`` maps each (x, maj, coinv, repeat mask) of the
     nonattacking assignments, in the order each first appears, to [count, first
     assignment].  Cached, so that the basement and zero walk tests filter once."""
-    shape, cases = diagram(heights), []
+    shape, cases = SMALL_DIAGRAMS[heights], []
     for n, assignments in assignments_by_n(shape):
         basements = [None]
         if all(a <= b for a, b in zip(heights, heights[1:])) and n == len(heights):
@@ -782,8 +780,7 @@ def basement_cases(heights):
 
 
 def test_basement_walk_counts_match_filtering_every_assignment(monkeypatch):
-    for heights in SMALL_HEIGHTS:
-        shape = diagram(heights)
+    for heights, shape in SMALL_DIAGRAMS.items():
         walks = one_and_chained(shape, "basement", monkeypatch)
         for n, b, keys in basement_cases(heights):
             for orbit in ORBITS:
@@ -799,8 +796,7 @@ def test_basement_walk_counts_match_filtering_every_assignment(monkeypatch):
 
 
 def test_zero_walk_counts_the_basement_walk_at_maj_and_coinv_zero(monkeypatch):
-    for heights in SMALL_HEIGHTS:
-        shape = diagram(heights)
+    for heights, shape in SMALL_DIAGRAMS.items():
         walks = one_and_chained(shape, "zero", monkeypatch)
         for n, b, keys in basement_cases(heights):
             for orbit in ORBITS:
@@ -934,9 +930,9 @@ def test_filling_checks_run_once_per_built_filling(monkeypatch):
     assert len(tested) == built == n ** 4 > len(accepted)
     items, built = checked(iter_basement_fillings((1, 0, 2)))
     assert items and built == len(items)
-    # the sorted tableaux come as flat tuples: drawing them builds no Filling
+    # the sorted walk hands over flat tuples: drawing them builds no Filling
     checks.clear()
-    assert list(iter_sorted_tableaux(diagram([2, 2, 1]), 3)) and not checks
+    assert list(iter_sorted_tableaux(diagram([2, 2, 1]), 3, content_plan(None, 3, 5))) and not checks
 
     drawn = []
 
