@@ -437,13 +437,14 @@ def added(*scaled):
 
 def divided_difference(i, f):
     """(f - s_i f) / (x_i - x_(i+1)), i 0-based: with u = x_i, v = x_(i+1) and p > r,
-    (u^p v^r - u^r v^p) / (u - v) is the sum of u^(p-1-j) v^(r+j) over 0 <= j < p - r."""
+    (u^p v^r - u^r v^p) / (u - v) is the sum of u^(p-1-j) v^(r+j) over 0 <= j < p - r,
+    and the term of u^r v^p is its negative."""
     out = {}
     for x, c in f.items():
-        p, r = x[i], x[i + 1]
-        sign, (p, r) = (1, (p, r)) if p >= r else (-1, (r, p))
+        sign = 1 if x[i] >= x[i + 1] else -1
+        p, r = max(x[i:i + 2]), min(x[i:i + 2])
         for j in range(p - r):
-            y = x[:i] + ((p - 1 - j, r + j) if sign > 0 else (r + j, p - 1 - j)) + x[i + 2:]
+            y = x[:i] + (p - 1 - j, r + j) + x[i + 2:]
             out[y] = out.get(y, 0) + sign * c
     return {x: c for x, c in out.items() if c}
 
