@@ -22,8 +22,11 @@ reductions run.  Then, for J on the shapes the integral
 benchmark pins, at n = 4: per route, the distinct (x, maj, coinv, repeat
 mask) keys its fillings are counted by, and the keys of dominant x that it
 expands, since J is symmetric.  Last, for H~ on the shapes the htilde benchmark
-pins, at n = 4: the terms of the output, its exponent vectors x, and the (q, t)
-coefficient maps it stores, one per orbit, which the members of the orbit share.
+pins, at n = 4: per column height, the columns that the words walk of
+``htilde_plain`` lists (those whose own content fits a dominant content of the
+shape's size) versus all v^h, v = min(n, |shape|); then the terms of the output,
+its exponent vectors x, and the (q, t) coefficient maps it stores, one per orbit,
+which the members of the orbit share.
 
     python scripts/term_counts.py --max-size 5 --n 3
 """
@@ -33,14 +36,14 @@ from functools import partial
 from itertools import permutations
 from math import gcd
 
-from macpoly import cyclotomic, modified
+from macpoly import cyclotomic, kernels, modified
 from macpoly.cli import parse_count
 from macpoly.integral import compositions_rearranging, j_keys
 from macpoly.modified import _word_counts, htilde_compact, htilde_plain
 from macpoly.nonsymmetric import _basement_counts, _e_sum, _numerators, iter_basement_fillings
 from macpoly.polyring import QUASISYMMETRIC, SYMMETRIC
 from macpoly.quasisym import compositions_with_support
-from macpoly.shapes import Filling, composition_stats, diagram, iter_nonattacking
+from macpoly.shapes import Filling, composition_stats, content_plan, diagram, iter_nonattacking
 from macpoly.verify import partitions_up_to
 
 #: the shapes whose P the symmetric benchmark pins, and its variable count
@@ -172,6 +175,13 @@ def main() -> None:
             dominant = sum(1 for key in keys if SYMMETRIC.is_rep(key[0]))
             line.append(f"{name} {len(keys):6d} counted, {dominant:5d} tallied")
         print(f"  shape {mu}: " + "; ".join(line))
+
+    print(f"\nH~, n = {HTILDE_N}: columns the words walk of htilde_plain lists per height vs v^h")
+    for lam in HTILDE_ANCHORS:
+        m = sum(lam)
+        v, plan = min(HTILDE_N, m), content_plan(SYMMETRIC, HTILDE_N, m)
+        listed = (f"height {h} {kernels._columns(h, v, plan)[3]:5d} vs {v ** h:5d}" for h in sorted(set(lam)))
+        print(f"  shape {lam}: " + "; ".join(listed))
 
     print(f"\nH~, n = {HTILDE_N}: output terms, exponent vectors x, and (q, t) maps stored")
     for lam in HTILDE_ANCHORS:

@@ -107,8 +107,6 @@ _STAGE = 19
 #: sums carried ("s" is the content code), leaf lines
 _KINDS = {
     "tuples": ("b=None, ordered=False", (), "", ["yield ({done})"]),
-    "words": ("plan, counts", (("inv", False), ("maj", False)), "sqt",
-              ["k = (x, {q}, {t})", "counts[k] = counts.get(k, 0) + 1"]),
     "basement": ("b, plan, counts, firsts", (("maj", None), ("coinv", None)), "sqt", [
         "k = (x, {q}, {t}, ({mask}))", "if k in counts: counts[k] += 1",
         "else: counts[k] = 1; firsts.setdefault(k[3], (({done}), b))",
@@ -132,9 +130,7 @@ def walk(shape, kind: str = "tuples") -> Callable:
     * "zero", ``walk(n, b, plan, counts)``, counts by x those of the
       basement walk with maj = coinv = 0: every term is 0 or more, so a
       partial sum never falls, and a loop skips a value as soon as one of the
-      terms it adds is nonzero;
-    * "words", ``walk(n, plan, counts)``, counts by (x, inv, maj) every word,
-      attacking or not, of a content x that ``plan`` keeps.
+      terms it adds is nonzero.
 
     A loop adds to the partial sums q and t the comparisons whose latest cell
     is its own, so a prefix's sums are shared by all of its completions (in
@@ -145,13 +141,12 @@ def walk(shape, kind: str = "tuples") -> Callable:
     the values that ``plan.lasts`` lists for the code of the prefix, with the
     content x each completes to, or, where row 1 pins its cell, reads x off
     the plan by s and skips a value whose x the plan does not keep.
-    Every 19 cells the loops go on in a chained function.  The kind "sorted"
-    is :func:`sorted_walk`."""
-    if kind == "sorted":
-        return sorted_walk(shape)
+    Every 19 cells the loops go on in a chained function.  The kinds "sorted"
+    and "words" loop once per column, not per cell: :func:`column_walk`."""
+    if kind in ("sorted", "words"):
+        return column_walk(shape, kind)
     args, stats, summed, leaf = _KINDS[kind]
-    cells, words = range(len(shape.cells)), kind == "words"
-    cols = {} if words else {i: col for i, col, _ in shape.bottom}
+    cells, cols = range(len(shape.cells)), {i: col for i, col, _ in shape.bottom}
     left = {b.start: a.start for h, slices in shape.blocks if h for a, b in zip(slices, slices[1:])}
     adds: dict = {}
     for letter, (name, based) in zip("qt", stats):
@@ -171,7 +166,7 @@ def walk(shape, kind: str = "tuples") -> Callable:
         params = carried + done + "".join(c + ", " for c in summed) if k else "n, " + args
         lines = ([] if k else head) + unpack
         for depth, i in enumerate(stage):
-            pad, e, attacks = "    " * (depth + 1), _e(i), () if words else shape.attacks[i]
+            pad, e, attacks = "    " * (depth + 1), _e(i), shape.attacks[i]
             last = "s" in summed and i + 1 == len(cells)  # reads x before the statistics
             if last and i not in cols:  # only the values that complete a content the plan keeps
                 lines.append(pad[4:] + "for %s, x in lasts[%s]:" % (e, sums["s"]))
@@ -206,45 +201,85 @@ def walk(shape, kind: str = "tuples") -> Callable:
     return namespace["walk0"]
 
 
-def sorted_walk(shape) -> Callable:
-    """The sorted-tableau walk of a partition ``shape``, ``walk(n, plan)``: one
-    ``for`` loop per column, left to right, over the indices into its height
-    block's alphabet (:func:`_alphabet`), each loop after a block's first
-    starting at the index of the column to its left, so that it meets every
-    sorted tableau with entries in 1..n once, in the lexicographic order of
-    the index tuples.  A loop adds its column's content code to the code s of
-    the prefix, and the leaf yields, per tableau, (e, x, runs) when
-    x = ``plan.reps[s]`` is not None, else (None, None, None): e the flat
-    entries and runs the run signature, which the :class:`_Memo` ``R`` reads
-    off whether each index equals the one to its left in its block.
+def column_walk(shape, kind: str) -> Callable:
+    """The column walk of ``shape``, one ``for`` loop per column, left to right,
+    over the indices into its alphabet, of one ``kind``:
+
+    * "sorted", ``walk(n, plan)``, on a partition shape, over its height block's
+      alphabet (:func:`_alphabet`), from the index of the column to its left
+      after a block's first: it meets every sorted tableau over 1..n once, in
+      the lexicographic order of the index tuples, and yields (e, x, runs) for
+      x = ``plan.reps[s]`` not None, else (None, None, None), e the flat entries
+      and runs the run signature that ``R`` reads off the equal indices;
+    * "words", ``walk(n, plan, counts)``, over the columns of its height whose
+      own code fits ``plan`` (:func:`_columns`; no loop for height 0): counts
+      by (x, inv, maj) the words over 1..n of a content x the plan keeps,
+      adding its column's maj and its inv against each column to its left
+      from the rows of :func:`_pair_inv` that those columns' loops fetched.
+
+    A loop adds its column's code to the content code s of the prefix; a words
+    loop leaves an s that completes to no content the plan keeps, and the last
+    runs only over the (index, x) pairs its alphabet's memo lists for s.
     Every 19 columns the loops go on in a chained function."""
-    blocks = [(b, h) for b, (h, slices) in enumerate(shape.blocks) for _ in slices]
-    columns = range(len(blocks))
-    follows = [c for c in columns if c and blocks[c - 1][0] == blocks[c][0]]
-    tables = "".join("A%d, W%d, N%d, " % (b, b, b) for b in range(len(shape.blocks)))
-    head = ["xs = plan.reps"]
-    head += ["A%d, W%d, N%d = alphabet(%d, n, plan.weights)" % (b, b, b, h) for b, (h, _) in enumerate(shape.blocks)]
-    runs = _Memo(partial(_runs, [len(slices) for _, slices in shape.blocks]))
-    namespace = {"alphabet": _alphabet, "SKIP": (None, None, None), "R": runs}
+    words = kind == "words"
+    if words:
+        keys = [h for h in shape.heights if h]
+        pairs = sorted({(keys[u], keys[v]) for v in range(len(keys)) for u in range(v)})
+        head = ["xs, ok = plan.reps, plan.fits"]
+        head += ["W%d, M%d, N%d, L%d = columns(%d, n, plan)[1:]" % ((h,) * 5) for h in sorted(set(keys))]
+        head += ["I%d_%d = pair_inv(%d, %d, n, plan)" % (pair * 2) for pair in pairs]
+        namespace = {"columns": _columns, "pair_inv": _pair_inv}
+    else:
+        keys = [b for b, (_, slices) in enumerate(shape.blocks) for _ in slices]
+        head = ["xs = plan.reps"]
+        head += ["A%d, W%d, N%d = alphabet(%d, n, plan.weights)" % (b, b, b, h) for b, (h, _) in enumerate(shape.blocks)]
+        runs = _Memo(partial(_runs, [len(slices) for _, slices in shape.blocks]))
+        namespace = {"alphabet": _alphabet, "SKIP": (None, None, None), "R": runs}
+    tables = "".join(line.split(" = ")[0] + ", " for line in head) + "counts, " * words
+    columns, summed = range(len(keys)), "sqt" if words else "s"
+    follows = [] if words else [c for c in columns if c and keys[c - 1] == keys[c]]
+    later = [sorted(set(keys[c + 1:])) for c in columns]  # the heights right of each column
     stages = [columns[k:k + _STAGE] for k in range(0, len(columns), _STAGE)] or [columns]
-    s = "0"
+
+    def state(stop: int) -> str:
+        """The indices before column ``stop`` and, in a words walk, their inv rows for the heights to come."""
+        rows = ["r%d_%d, " % (u, h) for u in columns[:stop] for h in later[stop - 1]] if words else []
+        return "".join(["j%d, " % c for c in columns[:stop]] + rows)
+
+    sums = dict.fromkeys(summed, "0")
     for k, stage in enumerate(stages):
-        params = "xs, " + tables + "".join("j%d, " % c for c in columns[:stage.start]) + "s" if k else "n, plan"
+        params = tables + state(stage.start) + ", ".join(summed) if k else "n, plan" + ", counts" * words
         lines = [] if k else head
         for depth, c in enumerate(stage):
-            pad, b = "    " * depth, blocks[c][0]
-            lines.append(pad + "for j%d in range(%sN%d):" % (c, "j%d, " % (c - 1) if c in follows else "", b))
-            lines.append(pad + "    s%d = %sW%d[j%d]" % (c, "" if s == "0" else s + " + ", b, c))
-            s = "s%d" % c
-        pad, done = "    " * len(stage), "".join("j%d, " % c for c in columns[:stage.stop])
-        if k + 1 == len(stages):
-            e = "".join("*A%d[j%d], " % (b, c) for c, (b, _) in enumerate(blocks))
-            equal = "".join("j%d == j%d, " % (c - 1, c) for c in follows)
-            lines += [pad + "x = xs[%s]" % s, pad + "yield SKIP if x is None else ((%s), x, R[%s])" % (e, equal or "()")]
+            pad, key, last = "    " * (depth + 1), keys[c], words and c + 1 == len(keys)
+            if last:
+                lines.append(pad[4:] + "for j%d, x in L%d[%s]:" % (c, key, sums["s"]))
+            else:
+                lines.append(pad[4:] + "for j%d in range(%sN%d):" % (c, "j%d, " % (c - 1) if c in follows else "", key))
+            # a column of height 1 has maj 0
+            adds = {"s": ["W%d[j%d]" % (key, c)] * (not last), "t": ["M%d[j%d]" % (key, c)] * (key > 1),
+                    "q": ["r%d_%d[j%d]" % (u, key, c) for u in range(c)]}
+            for letter in summed:
+                if adds[letter]:
+                    terms = [sums[letter]] * (sums[letter] != "0") + adds[letter]
+                    lines.append(pad + "%s%d = %s" % (letter, c, " + ".join(terms)))
+                    sums[letter] = "%s%d" % (letter, c)
+                if letter == "s" and words and c and not last:
+                    lines.append(pad + "if not ok[s%d]: continue" % c)
+            lines += [pad + "r%d_%d = I%d_%d[j%d]" % (c, h, key, h, c) for h in later[c] if words]
+        pad = "    " * len(stage)
+        if k + 1 < len(stages):
+            call = "walk%d(%s%s%s)" % (k + 1, tables, state(stage.stop), ", ".join(sums[c] for c in summed))
+            lines.append(pad + "yield from " * (not words) + call)
+        elif words:  # with no columns, the empty word is the whole walk
+            lines += ["x = xs[0]", "if x is None: return"] * (not keys)
+            lines += [pad + "k = (x, %s, %s)" % (sums["q"], sums["t"]), pad + "counts[k] = counts.get(k, 0) + 1"]
         else:
-            lines.append(pad + "yield from walk%d(xs, %s%s%s)" % (k + 1, tables, done, s))
-        _compile("walk%d" % k, params, lines, "<sorted walk%d of %r>" % (k, shape), namespace)
-        s = "s"
+            e = "".join("*A%d[j%d], " % (b, c) for c, b in enumerate(keys))
+            equal = "".join("j%d == j%d, " % (c - 1, c) for c in follows)
+            lines += [pad + "x = xs[%s]" % sums["s"], pad + "yield SKIP if x is None else ((%s), x, R[%s])" % (e, equal or "()")]
+        _compile("walk%d" % k, params, lines, "<%s walk%d of %r>" % (kind, k, shape), namespace)
+        sums = {c: c for c in summed}
     return namespace["walk0"]
 
 
@@ -257,6 +292,33 @@ def _alphabet(h: int, n: int, weights: tuple[int, ...]) -> tuple[tuple, tuple[in
 
     columns = tuple(sorted(product(range(1, n + 1), repeat=h), key=column_sort_key))
     return columns, tuple(sum(map(weights.__getitem__, col)) for col in columns), len(columns)
+
+
+@lru_cache(maxsize=256)
+def _columns(h: int, n: int, plan: ContentPlan) -> tuple[tuple, tuple[int, ...], tuple[int, ...], int, _Memo]:
+    """The alphabet of a words walk: the columns of h entries in 1..n whose own
+    content code fits ``plan``, built cell by cell, never as all n^h tuples; the
+    code and maj of each, their number, and a memo of the (index, x) pairs whose
+    column completes the code s of a prefix to a content x the plan keeps."""
+    from .shapes import diagram  # the caller of the walks, so loaded
+
+    level, fits, weights = [((), 0)], plan.fits, plan.weights[1:n + 1]
+    for _ in range(h):
+        level = [(col + (v,), s + w) for col, s in level for v, w in enumerate(weights, 1) if fits[s + w]]
+    columns, codes = tuple(col for col, _ in level), tuple(s for _, s in level)
+    lasts = _Memo(lambda s: tuple((j, x) for j, w in enumerate(codes) if (x := plan.reps[s + w]) is not None))
+    return columns, codes, tuple(map(diagram((h,)).maj, columns)), len(columns), lasts
+
+
+@lru_cache(maxsize=256)
+def _pair_inv(hu: int, hv: int, n: int, plan: ContentPlan) -> _Memo:
+    """inv between columns of heights hu and hv, left to right, which depends on
+    nothing else: per index into the :func:`_columns` alphabet of hu, a memo of
+    the inv kernel of the diagram (hu, hv) per index into that of hv."""
+    from .shapes import diagram
+
+    inv, left, right = diagram((hu, hv)).inv, _columns(hu, n, plan)[0], _columns(hv, n, plan)[0]
+    return _Memo(lambda ju: _Memo(lambda jv: inv(left[ju] + right[jv])))
 
 
 def _runs(sizes: list[int], equal: tuple[bool, ...]) -> tuple[tuple[int, ...], ...]:

@@ -14,11 +14,11 @@ H~_lam'(x; q, t) = H~_lam(x; t, q) by q<->t duality (Macdonald, ch. VI), so
 ``htilde_compact`` walks the smaller side and, on lam's own, swaps q and t in
 the summed coefficient maps, once per representative x.
 
-``iter_sorted_tableaux`` walks a diagram's compiled sorted walk, which
-carries each tableau's content code and reads its content and run signature
-at the leaf; ``htilde_compact`` builds a ``Filling`` only for a tableau of
-representative content, the ones it weighs.  Both routes walk the values
-1..min(n, |lam|): a dominant content of m entries uses no value above m.
+Both routes read a column walk (:func:`macpoly.kernels.column_walk`) over the
+values 1..min(n, |lam|), as a dominant content of m entries uses no value above m:
+``htilde_compact`` the sorted walk, building a ``Filling`` only for the tableaux
+of dominant content, and ``htilde_plain`` the words walk, which reads inv and
+maj, sums over column pairs and columns, off tables per pair and per column.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ def iter_sorted_tableaux(shape: Diagram, n: int, plan: ContentPlan) -> Iterator[
     signature of :func:`_block_runs`; pass ``content_plan(None, n, m)`` to keep
     every tableau.  A generator function, so a tracer counts its yields.
 
-    Read off the diagram's compiled sorted walk (:func:`macpoly.kernels.sorted_walk`):
+    Read off the diagram's compiled sorted walk (:func:`macpoly.kernels.column_walk`):
     per height block, column alphabet indices that never fall, each column's
     content code added as the walk goes.
     """
@@ -143,7 +143,8 @@ class SortedTableau:
 
 def _word_counts(shape: Diagram, n: int) -> dict:
     """The words over 1..n of weakly decreasing content x, read in ``shape``, counted by
-    (x, inv, maj): one compiled walk over the values 1..min(n, m), m the cell count,
+    (x, inv, maj): one compiled words walk over the values 1..min(n, m), m the cell
+    count, one loop per column over the columns whose own content fits such an x,
     that leaves a prefix as soon as it completes to no such x of m entries."""
     m, counts = len(shape.cells), {}
     _walk(shape, "words")(min(n, m), content_plan(SYMMETRIC, n, m), counts)
@@ -153,7 +154,8 @@ def _word_counts(shape: Diagram, n: int) -> dict:
 def htilde_plain(lam: Sequence[int], n: int) -> MPoly:
     """Sum of x^sigma q^inv t^maj over all fillings with entries in 1..n: over
     those of dominant content, each x's map (q, t) -> count then shared by
-    every rearrangement of x, since the value is symmetric."""
+    every rearrangement of x, since the value is symmetric; the words walk reads
+    their inv and maj off tables per column pair and per column."""
     n, by_x = as_count(n), {}
     for (x, q, t), c in _word_counts(diagram(as_partition(lam)), n).items():
         by_x.setdefault(x, {})[q, t] = c

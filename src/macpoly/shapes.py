@@ -24,16 +24,17 @@ are straight-line functions generated from its index tables, the way
 into locals and returns one flat ``sum((...))`` of inlined comparisons, or
 one tuple or one conjunction of them.  Only ``htilde_compact`` (per tableau it
 weighs), the J routes and ``filling_weight`` (once per repeat mask) call these
-flat kernels.  The rest read a walk, one ``for`` loop per cell: the "tuples" walk
-skips the values of the cells each cell ``attacks``; the counting walks of
-``htilde_plain`` and the basement routes add the comparisons whose latest cell is
-a loop's own and count keys at the leaf, and that of ``qs_schur`` leaves a branch
-at its first nonzero comparison; every counting walk adds up content as an
-integer code and leaves a branch whose code completes to no content its plan
-keeps.  The "sorted" walk of ``htilde_compact`` loops once per column, over
-sorted column alphabets, and adds up content codes too.  All are compiled on
-first use, never at import, and cached per diagram (walks per (diagram, kind) by
-``_walk``, content plans per (orbit, n, cell count)).  Routes read
+flat kernels on fillings.  The rest read a walk.  The cell walks loop once per
+cell: the "tuples" walk skips the values of the cells each cell ``attacks``; the
+basement walks add the comparisons whose latest cell is a loop's own and count
+keys at the leaf, and that of ``qs_schur`` leaves a branch at its first nonzero
+comparison.  The column walks loop once per column over column alphabets: the
+"sorted" walk of ``htilde_compact``, and the "words" walk of ``htilde_plain``,
+which adds maj per column and inv per column pair from tables of the kernels
+of one column and of two.  Every counting walk adds up content as an integer
+code and leaves a branch whose code completes to no content its plan keeps.
+All are compiled on first use, never at import, and cached per diagram (walks
+per (diagram, kind) by ``_walk``, content plans per (orbit, n, cell count)).  Routes read
 each per-filling rule from the kernels, plans and tables alone: content,
 ``repeats`` over ``steps`` above row 1, and row 1 against a basement by
 ``bottom``.  The contract:

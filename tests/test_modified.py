@@ -393,6 +393,27 @@ def test_plain_words_walk_only_the_values_of_dominant_contents():
     # give 1 + 3 + 6 words at any n >= 3
     shape = diagram((2, 1))
     assert sum(_word_counts(shape, 60).values()) == sum(_word_counts(shape, 3).values()) == 10
+    # the words walk lists a column only if its own content fits such a content:
+    # 3 of height 1 and 7 of height 2 ((2, 2) and (3, 3) do not fit 3 entries),
+    # given the values 1..60 as given 1..3, not 60 and 3,600
+    for n in (3, 60):
+        plan, counts = content_plan(SYMMETRIC, n, 3), {}
+        kernels.walk(shape, "words")(n, plan, counts)
+        assert [kernels._columns(h, n, plan)[3] for h in (1, 2)] == [3, 7]
+        assert counts == _word_counts(shape, n)
+
+
+def test_words_walk_builds_a_tall_column_alphabet_cell_by_cell():
+    # one column of 8 cells at n = 8 lists its 95,503 words of dominant content,
+    # built cell by cell, never as the 8^8 = 16,777,216 columns over 1..8; the
+    # counts are those of the cell-by-cell walk that the column walk replaced
+    counts = _word_counts(diagram((8,)), 8)
+    assert kernels._columns(8, 8, content_plan(SYMMETRIC, 8, 8))[3] == 95_503
+    assert sum(counts.values()) == 95_503 and len(counts) == 447
+    assert sum(q * c for (_, q, _), c in counts.items()) == 0
+    assert sum(t * c for (_, _, t), c in counts.items()) == 1_262_912
+    value = htilde_plain((8,), 8)
+    assert len(value.terms) == 146_575 and sum(value.terms.values()) == 8 ** 8
 
 
 def test_compact_degenerate_inputs():

@@ -5,8 +5,8 @@ of the modified family and of P, the Schur positivity of the modified
 family, peeled off with the tableau oracle, and the q = 0 corner: E at
 q = t = 0 is Mason's Demazure atom, qs_schur the sum of atoms over a
 composition's placements, and P at q = 0 the Hall-Littlewood polynomial),
-and two relations of F at generic q, t: the Hecke exchange and the cyclic
-shift.
+two relations of F at generic q, t: the Hecke exchange and the cyclic
+shift, and P as the eigenvector of Macdonald's operator D at generic q, t.
 
 They run here rather than in the ``verify`` battery, whose check names and
 instance counts are pinned by ``perfbench/reference.json``.
@@ -515,3 +515,120 @@ def test_exchange_and_shift_oracles_tell_conventions_apart(mutant, exchange, shi
     # relations, on this many of the 106 and 108 cases
     assert len(exchange_failures(mutant)[0]) == exchange
     assert len(cyclic_failures(mutant)[0]) == shift
+
+
+# -- P at generic q, t: Macdonald's operator D ----------------------------------------
+#
+# D = sum_i prod_(j != i) (t x_i - x_j) / (x_i - x_j) T_(q, x_i), with T_(q, x_i) scaling
+# x_i by q, has P_lam for eigenvector with eigenvalue sum_i q^(lam_i) t^(n - i)
+# (Macdonald, Symmetric Functions and Hall Polynomials, ch. VI section 3).  Checked
+# multiplied through by the Vandermonde, so nothing is divided, on {exponents: Fraction}
+# dicts at the points of QT_POINTS; with the coefficient of x^lam 1 and every exponent
+# dominated by lam, that singles out P_lam at generic q, t, and P is symmetric by the
+# battery.  Nothing from macpoly but p_poly.
+
+#: every partition of size at most 5 with at most n parts, n <= 3, and of size at most 4 at n = 4
+D_WINDOW = [
+    (tuple(part for part in x if part), n)
+    for n in range(1, 5) for d in range(1, 6 - (n == 4))
+    for x in weak_compositions(d, n) if list(x) == sorted(x, reverse=True)
+]
+
+
+def times(f, g):
+    """The product of two {x: c} dicts, without zeros."""
+    out = {}
+    for x, a in f.items():
+        for y, b in g.items():
+            z = tuple(map(sum, zip(x, y)))
+            out[z] = out.get(z, 0) + a * b
+    return {z: c for z, c in out.items() if c}
+
+
+def linear(n, a, i, b, j):
+    """a x_i + b x_j in n variables, i and j 0-based."""
+    return {tuple(int(k == i) for k in range(n)): a, tuple(int(k == j) for k in range(n)): b}
+
+
+def vandermonde(n, skip=None):
+    """The product of x_a - x_b over a < b, neither of them ``skip``."""
+    out = {(0,) * n: 1}
+    for a, b in combinations([k for k in range(n) if k != skip], 2):
+        out = times(out, linear(n, 1, a, -1, b))
+    return out
+
+
+def vandermonde_times_d(f, n, q, t):
+    """Delta D f, Delta the Vandermonde of x_1..x_n: Delta over prod_(j != i) (x_i - x_j)
+    is (-1)^i times the Vandermonde of the variables other than x_i, i 0-based."""
+    out = {}
+    for i in range(n):
+        term = times({x: c * q ** x[i] for x, c in f.items()}, vandermonde(n, skip=i))
+        for j in range(n):
+            if j != i:
+                term = times(term, linear(n, t, i, -1, j))
+        out = added((1, out), ((-1) ** i, term))
+    return out
+
+
+def dominated(mu, lam):
+    """Whether the partition mu is at most lam in dominance order, at equal size."""
+    return all(sum(mu[:k]) <= sum(lam[:k]) for k in range(1, len(mu) + 1))
+
+
+def operator_failures(read, window=D_WINDOW):
+    """The (lam, n, q, t) of ``window`` where P_lam at (q, t), read as
+    ``read(lam, n, q, t)``, fails D P = (sum_i q^(lam_i) t^(n - i)) P times the
+    Vandermonde, has x^lam's coefficient other than 1, or has an exponent that
+    sorts to a partition lam does not dominate; and the number of cases checked."""
+    failures, cases = [], 0
+    for lam, n in window:
+        parts = lam + (0,) * (n - len(lam))
+        for q, t in QT_POINTS:
+            p = read(lam, n, q, t)
+            eigenvalue = sum(q ** part * t ** (n - 1 - i) for i, part in enumerate(parts))
+            delta_p = times(vandermonde(n), p)
+            cases += 1
+            if (
+                vandermonde_times_d(p, n, q, t) != added((eigenvalue, delta_p))
+                or p.get(parts) != 1
+                or not all(dominated(sorted(x, reverse=True), parts) for x in p)
+            ):
+                failures.append((lam, n, q, t))
+    return failures, cases
+
+
+@lru_cache(maxsize=None)
+def p_at(lam, n, q, t):
+    """P_lam(x_1..x_n; q, t) as {x: Fraction}."""
+    return {m.x: Fraction(c) for m, c in p_poly(lam, n).specialize(q=q, t=t).terms.items()}
+
+
+def test_p_is_the_eigenvector_of_macdonalds_operator():
+    assert len(D_WINDOW) == 42
+    failures, cases = operator_failures(p_at)
+    assert cases == 84 and failures == []
+
+
+def test_operator_oracle_tells_conventions_apart(monkeypatch):
+    # P read with q and t exchanged fails on this many of the 84 cases, and so does P
+    # computed with every leg one too long: that mutation is applied to macpoly.shapes
+    # in this process, with the caches of diagrams and of their walks cleared before
+    # and after, so that no other test reads a mutated diagram
+    import macpoly.shapes as shapes
+
+    assert len(operator_failures(lambda lam, n, q, t: p_at(lam, n, t, q))[0]) == 46
+    leg = shapes.leg
+    caches = (shapes._build_diagram, shapes._walk)
+    try:
+        for cache in caches:
+            cache.cache_clear()
+        monkeypatch.setattr(shapes, "leg", lambda heights, cell: leg(heights, cell) + 1)
+        failures, _ = operator_failures(
+            lambda lam, n, q, t: {m.x: Fraction(c) for m, c in p_poly(lam, n).specialize(q=q, t=t).terms.items()}
+        )
+        assert len(failures) == 46
+    finally:
+        monkeypatch.undo()
+        for cache in caches:
+            cache.cache_clear()

@@ -744,6 +744,10 @@ ORBITS = (None, SYMMETRIC, QUASISYMMETRIC)
 
 
 def test_word_walk_counts_match_filtering_every_assignment(monkeypatch):
+    # the words walk loops once per column of nonzero height: chained with 2
+    # loops per function, 5 such columns take 3 functions, not one per 2 cells
+    walk = one_and_chained(diagram((3, 0, 3, 3, 3, 3)), "words", monkeypatch)[1]
+    assert sorted(name for name in walk.__globals__ if name.startswith("walk")) == ["walk0", "walk1", "walk2"]
     for heights, shape in SMALL_DIAGRAMS.items():
         walks = one_and_chained(shape, "words", monkeypatch)
         for n, assignments in assignments_by_n(shape):
