@@ -404,9 +404,10 @@ def test_plain_words_walk_only_the_values_of_dominant_contents():
 
 
 def test_words_walk_builds_a_tall_column_alphabet_cell_by_cell():
-    # one column of 8 cells at n = 8 lists its 95,503 words of dominant content,
-    # built cell by cell, never as the 8^8 = 16,777,216 columns over 1..8; the
-    # counts are those of the cell-by-cell walk that the column walk replaced
+    # one column of 8 cells at n = 8 lists its words of dominant content, the
+    # sum over the 22 partitions mu of 8 of 8! / prod(mu_i!) = 95,503, built cell
+    # by cell, never as the 8^8 = 16,777,216 columns over 1..8; they have inv 0,
+    # and their total maj and the expanded value's terms are pinned
     counts = _word_counts(diagram((8,)), 8)
     assert kernels._columns(8, 8, content_plan(SYMMETRIC, 8, 8))[3] == 95_503
     assert sum(counts.values()) == 95_503 and len(counts) == 447
