@@ -14,7 +14,9 @@ for P on the shapes the symmetric benchmark pins, at n = 5: the basement
 fillings enumerated over every composition, those of dominant content that
 ``p_poly`` keeps, and the weights it builds for them, one per repeat mask,
 which the compositions of one call share.  Then, for those P and for G on the
-rearrangements of (3, 2, 1), also at n = 5: the coefficients summed (one per
+rearrangements of (3, 2, 1), also at n = 5: the compositions summed, the walks
+run per call (one, row 1 looping over every composition's basement) and the
+leaves they keep; then the coefficients summed (one per
 representative x), the distinct numerators among them (each reduced once), the
 pieces of hooks cancelled before the sum (summed over the coefficients: the hooks
 of the cells that every key of x repeats) and those cancelled by division in the
@@ -36,13 +38,12 @@ from functools import partial
 from itertools import permutations
 from math import gcd
 
-from macpoly import cyclotomic, kernels, modified
+from macpoly import cyclotomic, kernels, modified, nonsymmetric
 from macpoly.cli import parse_count
 from macpoly.integral import compositions_rearranging, j_keys
 from macpoly.modified import _word_counts, htilde_compact, htilde_plain
 from macpoly.nonsymmetric import _basement_counts, _e_sum, _numerators, iter_basement_fillings
 from macpoly.polyring import QUASISYMMETRIC, SYMMETRIC
-from macpoly.quasisym import compositions_with_support
 from macpoly.shapes import Filling, composition_stats, content_plan, diagram, iter_nonattacking
 from macpoly.verify import partitions_up_to
 
@@ -82,6 +83,27 @@ def exact_divisions(run) -> int:
     finally:
         cyclotomic.divide_chains = divide_chains
     return exact
+
+
+def walk_calls(run) -> int:
+    """The compiled walks that ``run()`` runs, fetched through ``nonsymmetric._walk``."""
+    fetch, calls = nonsymmetric._walk, 0
+
+    def counted(*args):
+        walk = fetch(*args)
+
+        def call(*walk_args):
+            nonlocal calls
+            calls += 1
+            return walk(*walk_args)
+        return call
+
+    nonsymmetric._walk = counted
+    try:
+        run()
+    finally:
+        nonsymmetric._walk = fetch
+    return calls
 
 
 def compact_work(lam, n: int) -> tuple[int, int]:
@@ -143,25 +165,31 @@ def main() -> None:
     for lam in SYMMETRIC_ANCHORS:
         alphas = compositions_rearranging(lam, SYMMETRIC_N)
         enumerated = sum(1 for alpha in alphas for _ in iter_basement_fillings(alpha))
-        counts, fillings = _basement_counts(alphas, SYMMETRIC_N, SYMMETRIC)
+        counts, fillings = _basement_counts(lam, SYMMETRIC_N, SYMMETRIC, SYMMETRIC)
         kept = sum(counts.values())
         # one weight per repeat mask over the whole call, shifted by each key's (maj, coinv)
         built = len(fillings)
         print(f"  shape {lam}: {enumerated:6d} enumerated, {kept:6d} kept, {built:6d} weights")
 
+    cases = [(f"P {lam}", lam, SYMMETRIC) for lam in SYMMETRIC_ANCHORS]
+    cases += [(f"G {gamma}", gamma, QUASISYMMETRIC) for gamma in permutations((3, 2, 1))]
+    print(f"\nP and G, n = {SYMMETRIC_N}: compositions summed, walks run per call, leaves kept")
+    for name, parts, orbit in cases:
+        compositions = len(orbit.of(parts, SYMMETRIC_N))
+        walks = walk_calls(lambda: _e_sum(parts, SYMMETRIC_N, orbit, orbit))
+        kept = sum(_basement_counts(parts, SYMMETRIC_N, orbit, orbit)[0].values())
+        print(f"  {name}: {compositions:4d} compositions in {walks:2d} walk, {kept:6d} leaves kept")
+
     print(f"\nP and G, n = {SYMMETRIC_N}: coefficients reduced, distinct numerators, hook pieces"
           " cancelled before the sum, and by division")
-    cases = [(f"P {lam}", compositions_rearranging(lam, SYMMETRIC_N), SYMMETRIC) for lam in SYMMETRIC_ANCHORS]
-    cases += [(f"G {gamma}", compositions_with_support(gamma, SYMMETRIC_N), QUASISYMMETRIC)
-              for gamma in permutations((3, 2, 1))]
-    for name, alphas, orbit in cases:
-        numerators = _numerators(alphas, SYMMETRIC_N, orbit)
-        shape = diagram(sorted(alphas[0]))
+    for name, parts, orbit in cases:
+        numerators = _numerators(parts, SYMMETRIC_N, orbit, orbit)
+        shape = diagram(sorted(parts))
         full = pieces(shape.hooks[i] for i, _, _ in shape.steps)
         before = sum(full - pieces(den) for _, den in numerators.values())
         distinct = len({(frozenset(acc.items()), den) for acc, den in numerators.values()})
-        _e_sum(alphas, SYMMETRIC_N, orbit)  # builds the cached pieces, which divide too
-        by_division = exact_divisions(lambda: _e_sum(alphas, SYMMETRIC_N, orbit))
+        _e_sum(parts, SYMMETRIC_N, orbit, orbit)  # builds the cached pieces, which divide too
+        by_division = exact_divisions(lambda: _e_sum(parts, SYMMETRIC_N, orbit, orbit))
         print(f"  {name}: {len(numerators):4d} reduced, {distinct:4d} distinct,"
               f" {before:4d} cancelled before the sum, {by_division:4d} by division")
 

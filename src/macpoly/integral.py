@@ -129,7 +129,7 @@ def integral_e(alpha: Sequence[int]) -> MPoly:
     """
     stats = composition_stats(alpha)
     n = len(stats.inc)
-    counts, _ = _basement_counts([alpha], n)
+    counts, _ = _basement_counts(alpha, n)
     return tally(n, counts, _j_weigh(stats.inc, stats.mult.values()))
 
 
@@ -143,4 +143,4 @@ def p_poly(lam: Sequence[int], n: int) -> EResult:
     """Monic symmetric value: the sum of f_poly over all weak compositions of
     length n that sort to lam, 0 in fewer than len(lam) variables.  P is
     symmetric, so the sum weighs one exponent vector per orbit."""
-    return _e_sum(compositions_rearranging(as_partition(lam), n), n, SYMMETRIC)
+    return _e_sum(as_partition(lam), as_count(n), SYMMETRIC, SYMMETRIC)

@@ -58,10 +58,11 @@ def _cw(a: str, b: str, c: str) -> str:
     return f"({a} > {b} > {c} or {c} > {a} > {b} or {b} > {c} > {a})"
 
 
-def _terms(shape, stat: str, basement: bool | None) -> list[tuple[int, str]]:
+def _terms(shape, stat: str, basement: bool | str | None) -> list[tuple[int, str]]:
     """(latest cell, comparison) for each term of ``stat``, "inv", "maj" or "coinv", with a
     permutation basement ``b`` when ``basement`` is True, without when False; when None, b is
-    None or pins row 1, so that each term against b has two equal entries and is 0."""
+    None or pins row 1, so that each term against b has two equal entries and is 0; when
+    "pinned", row 1 spells a basement that pins it, and the terms against it are left out."""
     if stat == "inv":
         terms = [(j, _e(i) + " > " + _e(j)) for i, j, _ in shape.coinv_pairs]
         return terms + [(max(abc), _ccw(*map(_e, abc))) for abc in shape.coinv_triples]
@@ -74,7 +75,7 @@ def _terms(shape, stat: str, basement: bool | None) -> list[tuple[int, str]]:
         low += [(j, "0", _cw(_b(left), _e(j), _b(right))) for j, left, right in shape.coinv_bottom]
     for i, plain, based in low:
         pinned = "(%s) if b is None else 0" % plain if plain != "0" else "0"
-        text = based if basement else plain if basement is False else pinned
+        text = "0" if basement == "pinned" else based if basement else plain if basement is False else pinned
         terms += [(i, text)] * (text != "0")
     return terms
 
@@ -103,19 +104,19 @@ def nonattacking(shape) -> Callable:
 #: loops per generated function, as CPython refuses more than 20 nested blocks
 _STAGE = 19
 
-#: per kind of walk: parameters after n, (statistic, reads b) summed as q and t, the partial
-#: sums carried ("s" is the content code), leaf lines
+#: per kind of walk: parameters after n, statistics summed as q and t, the partial sums
+#: carried ("s" is the content code), leaf lines
 _KINDS = {
     "tuples": ("b=None, ordered=False", (), "", ["yield ({done})"]),
-    "basement": ("b, plan, counts, firsts", (("maj", None), ("coinv", None)), "sqt", [
+    "basement": ("b, plan, counts, firsts", ("maj", "coinv"), "sqt", [
         "k = (x, {q}, {t}, ({mask}))", "if k in counts: counts[k] += 1",
-        "else: counts[k] = 1; firsts.setdefault(k[3], (({done}), b))",
+        "else: counts[k] = 1; firsts.setdefault(k[3], ({done}))",
     ]),
-    "zero": ("b, plan, counts", (("maj", None), ("coinv", None)), "s", ["counts[x] = counts.get(x, 0) + 1"]),
+    "zero": ("b, plan, counts", ("maj", "coinv"), "s", ["counts[x] = counts.get(x, 0) + 1"]),
 }
 
 
-def walk(shape, kind: str = "tuples") -> Callable:
+def walk(shape, kind: str = "tuples", order: str | tuple[int, ...] | None = None) -> Callable:
     """The loop nest of ``shape``, one ``for`` loop per cell in cell order and
     values rising, of one ``kind``:
 
@@ -125,12 +126,23 @@ def walk(shape, kind: str = "tuples") -> Callable:
       at the entry to its left in its block;
     * "basement", ``walk(n, b, plan, counts, firsts)``, counts those with
       basement b by (x, maj, coinv, repeat mask), for x a content that the
-      :class:`ContentPlan` ``plan`` keeps, and keeps in ``firsts`` (e, b) of
-      the first per repeat mask;
+      :class:`ContentPlan` ``plan`` keeps, and keeps in ``firsts`` the
+      entries e of the first per repeat mask;
     * "zero", ``walk(n, b, plan, counts)``, counts by x those of the
       basement walk with maj = coinv = 0: every term is 0 or more, so a
       partial sum never falls, and a loop skips a value as soon as one of the
       terms it adds is nonzero.
+
+    Given an ``order``, the counting kinds do not read b: on a weakly increasing
+    diagram of n columns, row 1 runs over 1..n with distinct entries, falling
+    inside each equal-height block when ``order`` is "blocks", and rising along
+    the parts of ``order`` when it is a composition gamma of the positive
+    heights, ties in the order :func:`~macpoly.shapes.sorting_permutation` breaks
+    them (:func:`_chains`).  Each such row 1 spells the composition with a part
+    at each position its entries name, every rearrangement of the heights or
+    every placement of gamma in order, whose sorting permutation as basement
+    pins row 1.  So one walk counts the fillings of all those compositions,
+    and every term against a basement, 0 on them, is left out.
 
     A loop adds to the partial sums q and t the comparisons whose latest cell
     is its own, so a prefix's sums are shared by all of its completions (in
@@ -146,17 +158,27 @@ def walk(shape, kind: str = "tuples") -> Callable:
     if kind in ("sorted", "words"):
         return column_walk(shape, kind)
     args, stats, summed, leaf = _KINDS[kind]
-    cells, cols = range(len(shape.cells)), {i: col for i, col, _ in shape.bottom}
+    cells, cols = range(len(shape.cells)), {i: col for i, col, _ in shape.bottom} if order is None else {}
     left = {b.start: a.start for h, slices in shape.blocks if h for a, b in zip(slices, slices[1:])}
+    # per row-1 cell of an order: the earlier cell its entry is above, or below, and how many
+    # cells of its chain lie below and above it, which bound its values to 1 + low..n - high
+    above, below, rank = {}, {}, {}
+    for chain in _chains(shape, order):
+        rank.update((i, (low, len(chain) - 1 - low)) for low, i in enumerate(chain))
+        for lo, hi in zip(chain, chain[1:]):
+            if lo < hi:
+                above[hi] = lo
+            else:
+                below[lo] = hi
     adds: dict = {}
-    for letter, (name, based) in zip("qt", stats):
-        for i, text in _terms(shape, name, based):
+    for letter, name in zip("qt", stats):
+        for i, text in _terms(shape, name, None if order is None else "pinned"):
             adds.setdefault((letter, i), []).append("(%s)" % text)
     adds.update((("s", i), ["w[%s]" % _e(i)]) for i in cells if "s" in summed)
     rows, pins = "".join("r%d, " % i for i in cols), "".join(_b(col) + ", " for col in cols.values())
     pin = "(%s) = [top] * %d if b is None else [(v,) if 0 < v <= n else () for v in (%s)]"
     head = ["top = range(1, n + 1)"] + ([pin % (rows, len(cols), pins)] if cols else [])
-    carried = "top, " + args.replace("=None", "").replace("=False", "") + ", " + rows
+    carried = "n, top, " + args.replace("=None", "").replace("=False", "") + ", " + rows
     stages = [cells[k:k + _STAGE] for k in range(0, len(cells), _STAGE)] or [cells]
     sums, namespace = dict.fromkeys(summed, "0"), {}
     unpack = ["w, ok, xs, lasts = plan.weights, plan.fits, plan.reps, plan.lasts"] * ("s" in summed)
@@ -166,12 +188,20 @@ def walk(shape, kind: str = "tuples") -> Callable:
         params = carried + done + "".join(c + ", " for c in summed) if k else "n, " + args
         lines = ([] if k else head) + unpack
         for depth, i in enumerate(stage):
-            pad, e, attacks = "    " * (depth + 1), _e(i), shape.attacks[i]
+            pad, e = "    " * (depth + 1), _e(i)
+            attacks = [j for j in shape.attacks[i] if j not in (above.get(i), below.get(i))]
             last = "s" in summed and i + 1 == len(cells)  # reads x before the statistics
             if last and i not in cols:  # only the values that complete a content the plan keeps
                 lines.append(pad[4:] + "for %s, x in lasts[%s]:" % (e, sums["s"]))
+                if i in above:
+                    lines.append(pad + "if %s <= %s: continue" % (e, _e(above[i])))
+            elif i in rank:
+                start = _e(above[i]) + " + 1" if i in above else "%d" % (rank[i][0] + 1)
+                lines.append(pad[4:] + "for %s in range(%s, n%+d):" % (e, start, 1 - rank[i][1]))
             else:
                 lines.append(pad[4:] + "for %s in %s:" % (e, "r%d" % i if i in cols else "top"))
+            if i in below:
+                lines.append(pad + "if %s >= %s: break" % (e, _e(below[i])))
             if kind == "tuples" and i in left:
                 lines.append(pad + "if ordered and %s >= %s: break" % (e, _e(left[i])))
             if attacks:
@@ -199,6 +229,19 @@ def walk(shape, kind: str = "tuples") -> Callable:
         _compile("walk%d" % k, params, lines, origin, namespace)
         sums = {c: c for c in summed}
     return namespace["walk0"]
+
+
+def _chains(shape, order: str | tuple[int, ...] | None) -> list[tuple[int, ...]]:
+    """The chains of row-1 cells along which the entries of a walk in ``order`` rise:
+    each block's from right to left ("blocks"), or all in the order of gamma's parts."""
+    if order is None:
+        return []
+    if order == "blocks":
+        return [tuple(s.start for s in slices[::-1]) for h, slices in shape.blocks if h]
+    from .shapes import sorting_permutation
+
+    cells, rank = [i for i, _, _ in shape.bottom], sorting_permutation(order)
+    return [tuple(cells[c] for c in sorted(range(len(order)), key=rank.__getitem__))]
 
 
 def column_walk(shape, kind: str) -> Callable:

@@ -10,16 +10,16 @@ cells above; a test cross-checks this against brute-force filtering.
 
 Coefficients are :class:`QtRational` values: each cell whose entry differs
 from the one below contributes (1-t) over (1 - q^(leg+1) t^(arm+1)).  E, P,
-G and the integral form of E read the compiled basement walk of each
-composition of one orbit, which counts each kept filling by (x, maj, coinv,
-repeat mask); the compositions share one increasing diagram, whose walk and
-content plan are built once per call, each composition giving only its
-basement.  So every weight is over D, the product of the hooks of the cells
-above row 1, and the mask fixes the numerator up to q^maj t^coinv.  The hook
-of a cell that every key of x repeats divides every weight of x, so it leaves
-x's weights and x's denominator before the sum; E, P and G then sum
-numerators by :func:`~macpoly.polyring.tally_by_x` and reduce each distinct
-(numerator, denominator) once per call.
+G and the integral form of E each run one compiled basement walk per call,
+which counts each kept filling by (x, maj, coinv, repeat mask).  The
+compositions that P and G sum over share one increasing diagram, and their
+walk loops row 1 over the basement of each in turn, in one order.  So every
+weight is over D, the product of the hooks of the cells above row 1, and the
+mask fixes the numerator up to q^maj t^coinv.  The hook of a cell that every
+key of x repeats divides every weight of x, so it leaves x's weights and x's
+denominator before the sum; E, P and G then sum numerators by
+:func:`~macpoly.polyring.tally_by_x` and reduce each distinct (numerator,
+denominator) once per call.
 """
 
 from __future__ import annotations
@@ -28,15 +28,14 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress, repeat
 from operator import and_, gt
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .polyring import (
-    DimensionError, MPoly, NonPolynomialError, Orbit, QtFactor, QtRational, Scalar,
+    SYMMETRIC, DimensionError, MPoly, NonPolynomialError, Orbit, QtFactor, QtRational, Scalar,
     divide_binomials, expand_orbits, one_minus_qt, swapped_keys, tally_by_x, times_binomials,
 )
 from .shapes import (
     INF_BASEMENT,
-    Diagram,
     Filling,
     ShapeError,
     _walk,
@@ -164,46 +163,48 @@ def filling_weight(f: Filling) -> QtRational:
 
 def e_permuted_basement(alpha: Sequence[int]) -> EResult:
     """Sum of x^sigma wt(sigma) over the nonattacking basement fillings."""
-    return _e_sum([alpha], len(alpha))
+    return _e_sum(alpha, len(alpha))
 
 
-def _walk_orbit(kind: str, alphas: Iterable[Sequence[int]], n: int, orbit: Orbit | None, *out) -> Diagram | None:
-    """Run the compiled walk of ``kind``, "basement" or "zero", into ``out`` once per
-    composition of ``alphas``, over 1..n with ``orbit``'s content plan.  The compositions
-    must rearrange the parts of the first (one orbit), so that they share one increasing
-    diagram: it, its walk and the plan are built once, and each composition gives only
-    its basement.  Returns the diagram, None for no compositions."""
-    shape = None
-    for alpha in alphas:
-        if shape is None:
-            inc, beta, _ = composition_stats(alpha)
-            shape = diagram(inc)
-            walk, plan = _walk(shape, kind), content_plan(orbit, n, sum(inc))
-        else:
-            beta = sorting_permutation(alpha)
-            if tuple(map((0, *alpha).__getitem__, beta)) != shape.heights:
-                raise ShapeError(f"{tuple(alpha)} does not rearrange the parts {shape.heights}")
-        walk(n, beta, plan, *out)
+def _walk_orbit(kind: str, parts: Sequence[int], n: int, orbit: Orbit | None, spread: Orbit | None, *out):
+    """Run the compiled walk of ``kind``, "basement" or "zero", into ``out`` over 1..n with
+    ``orbit``'s content plan, once for all the compositions of ``spread.of(parts, n)`` on
+    their shared increasing diagram, row 1 in the order "blocks" for :data:`SYMMETRIC` and
+    in the order of ``parts`` for :data:`QUASISYMMETRIC`; with no ``spread``, pinned to the
+    basement of ``parts`` alone, of length n.  Returns the diagram, None for no composition."""
+    if spread is None:
+        inc, b, _ = composition_stats(parts)
+    elif not all(p > 0 for p in parts):
+        raise ShapeError(f"{tuple(parts)} must have positive parts only")
+    elif len(parts) > n:
+        return None
+    else:
+        inc, b = (0,) * (n - len(parts)) + tuple(sorted(parts)), None
+    order = None if spread is None else "blocks" if spread is SYMMETRIC else tuple(parts)
+    shape = diagram(inc)
+    _walk(shape, kind, order)(n, b, content_plan(orbit, n, sum(inc)), *out)
     return shape
 
 
-def _basement_counts(alphas: Iterable[Sequence[int]], n: int, orbit: Orbit | None = None) -> tuple:
-    """The basement fillings of each of ``alphas``, one orbit as in :func:`_walk_orbit`,
-    whose content x over 1..n is a representative of ``orbit`` (any x without one),
-    counted by (x, maj, coinv, repeat mask), and the :class:`Filling` arguments of the
-    first per mask: the mask, over ``shape.steps`` of the shared diagram, fixes a weight's
-    hooks."""
-    counts, firsts = {}, {}
-    shape = _walk_orbit("basement", alphas, n, orbit, counts, firsts)
-    return counts, {mask: (shape, e, b) for mask, (e, b) in firsts.items()}
+def _basement_counts(parts: Sequence[int], n: int, orbit: Orbit | None = None, spread: Orbit | None = None) -> tuple:
+    """The basement fillings of the compositions of :func:`_walk_orbit` whose content x over
+    1..n is a representative of ``orbit`` (any x without one), counted by (x, maj, coinv,
+    repeat mask), and the :class:`Filling` arguments of the first per mask, which fixes a
+    weight's hooks; its basement sorts the composition that its row 1 spells."""
+    counts, firsts, fillings = {}, {}, {}
+    shape = _walk_orbit("basement", parts, n, orbit, spread, counts, firsts)
+    for mask, e in firsts.items():
+        spelled = {e[i]: shape.heights[col] for i, col, _ in shape.bottom}  # entry -> part
+        fillings[mask] = (shape, e, sorting_permutation([spelled.get(v, 0) for v in range(1, n + 1)]))
+    return counts, fillings
 
 
-def _numerators(alphas: Iterable[Sequence[int]], n: int, orbit: Orbit | None = None) -> dict:
+def _numerators(parts: Sequence[int], n: int, orbit: Orbit | None = None, spread: Orbit | None = None) -> dict:
     """Each summed x's coefficient in :func:`_e_sum` as (numerator terms (q, t) -> c,
     sorted hooks): the hooks are those of the cells above row 1 that some key of x
     does not repeat, since the hook of a cell that every key of x repeats divides
     every weight of x and is cancelled before the sum."""
-    counts, fillings = _basement_counts(alphas, n, orbit)
+    counts, fillings = _basement_counts(parts, n, orbit, spread)
     always = {}  # x -> the mask of the cells that every key of x repeats
     for x, _, _, mask in counts:
         always[x] = tuple(map(and_, always.get(x, mask), mask))
@@ -223,14 +224,13 @@ def _numerators(alphas: Iterable[Sequence[int]], n: int, orbit: Orbit | None = N
     return {x: (acc, dens[always[x]]) for x, acc in tally_by_x(keyed, weights.__getitem__).items()}
 
 
-def _e_sum(alphas: Iterable[Sequence[int]], n: int, orbit: Orbit | None = None) -> EResult:
-    """The sum of :func:`e_permuted_basement` over ``alphas``, one orbit as in
-    :func:`_walk_orbit`: each mask's weight, stripped of its q^maj t^coinv, weighs the
-    keys of each x into one numerator over the hooks of :func:`_numerators`, and each
-    distinct (numerator, hooks) is reduced once.  With an ``orbit``, only
-    representatives are summed, then expanded."""
+def _e_sum(parts: Sequence[int], n: int, orbit: Orbit | None = None, spread: Orbit | None = None) -> EResult:
+    """The sum of :func:`e_permuted_basement` over the compositions of :func:`_walk_orbit`:
+    each mask's weight, stripped of its q^maj t^coinv, weighs the keys of each x into one
+    numerator over the hooks of :func:`_numerators`, and each distinct (numerator, hooks)
+    is reduced once.  With an ``orbit``, only representatives are summed, then expanded."""
     coeffs, reduced = {}, {}
-    for x, (acc, den) in _numerators(alphas, n, orbit).items():
+    for x, (acc, den) in _numerators(parts, n, orbit, spread).items():
         key = (frozenset(acc.items()), den)
         if key not in reduced:
             reduced[key] = QtRational(MPoly._trusted(0, {(): acc}), den)

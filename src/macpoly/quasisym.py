@@ -24,7 +24,7 @@ def g_poly(gamma: Sequence[int], n: int) -> EResult:
     """Sum of f_poly over every placement of gamma's parts among n slots, 0 in
     fewer than len(gamma) variables.  G is quasisymmetric, so the sum weighs
     one exponent vector per orbit: the one with its support first."""
-    return _e_sum(compositions_with_support(gamma, n), n, QUASISYMMETRIC)
+    return _e_sum(gamma, as_count(n), QUASISYMMETRIC, QUASISYMMETRIC)
 
 
 @dataclass
@@ -92,9 +92,9 @@ def schur_ssyt(lam: Sequence[int], n: int) -> MPoly:
 
 
 def qs_schur(gamma: Sequence[int], n: int) -> MPoly:
-    """:func:`g_poly` at q = t = 0, where every denominator 1 - q^a t^b (b >= 1) is 1:
-    the basement fillings with maj = coinv = 0 counted by content at prefix supports,
-    in a walk that leaves a branch at its first nonzero term, then expanded."""
+    """:func:`g_poly` at q = t = 0, where every denominator 1 - q^a t^b (b >= 1) is 1: the
+    basement fillings of every placement of gamma with maj = coinv = 0, counted by content at
+    prefix supports in one walk that leaves a branch at its first nonzero term, expanded."""
     counts = {}
-    _walk_orbit("zero", compositions_with_support(gamma, n := as_count(n)), n, QUASISYMMETRIC, counts)
+    _walk_orbit("zero", gamma, n := as_count(n), QUASISYMMETRIC, QUASISYMMETRIC, counts)
     return MPoly._trusted(n, expand_orbits({x: {(0, 0): c} for x, c in counts.items()}, QUASISYMMETRIC.members))

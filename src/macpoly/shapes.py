@@ -20,37 +20,37 @@ cross-formula identities exercised by the acceptance suite.
 Compiled statistics.  A diagram's per-filling statistics (``inv``, ``maj``,
 ``coinv``, the repeat mask ``repeats`` and the attack test ``nonattacking``)
 are straight-line functions generated from its index tables, the way
-``dataclasses`` generates ``__init__``: each unpacks the flat entry tuple
-into locals and returns one flat ``sum((...))`` of inlined comparisons, or
-one tuple or one conjunction of them.  Only ``htilde_compact`` (per tableau it
+``dataclasses`` generates ``__init__``: each unpacks the flat entry tuple into
+locals and returns one flat ``sum((...))`` of inlined comparisons, or one
+tuple or one conjunction of them.  Only ``htilde_compact`` (per tableau it
 weighs), the J routes and ``filling_weight`` (once per repeat mask) call these
 flat kernels on fillings.  The rest read a walk.  The cell walks loop once per
-cell: the "tuples" walk skips the values of the cells each cell ``attacks``; the
-basement walks add the comparisons whose latest cell is a loop's own and count
-keys at the leaf, and that of ``qs_schur`` leaves a branch at its first nonzero
-comparison.  The column walks loop once per column over column alphabets: the
+cell: the "tuples" walk skips the values of the cells each cell ``attacks``;
+the basement walks add the comparisons whose latest cell is a loop's own and
+count keys at the leaf (that of ``qs_schur`` leaves a branch at its first
+nonzero comparison), row 1 pinned to a basement or looping, in one order, over
+the basements of a P or G call.  The column walks loop once per column: the
 "sorted" walk of ``htilde_compact``, and the "words" walk of ``htilde_plain``,
 which adds maj per column and inv per column pair from tables of the kernels
 of one column and of two.  Every counting walk adds up content as an integer
 code and leaves a branch whose code completes to no content its plan keeps.
-All are compiled on first use, never at import, and cached per diagram (walks
-per (diagram, kind) by ``_walk``, content plans per (orbit, n, cell count)).  Routes read
-each per-filling rule from the kernels, plans and tables alone: content,
-``repeats`` over ``steps`` above row 1, and row 1 against a basement by
-``bottom``.  The contract:
+All are compiled on first use, never at import, by :mod:`macpoly.kernels`, and
+cached (walks per (diagram, kind, order) by ``_walk``, content plans per
+(orbit, n, cell count)).  Routes read each per-filling rule from the kernels,
+plans and tables alone: content, ``repeats`` over ``steps`` above row 1, and
+row 1 against a basement by ``bottom``.  The contract:
 
 * on every filling of the diagram, a kernel's value equals that of the loop
-  over the tables it replaces, and a counting walk's counts equal those of
-  the flat kernels over every assignment (``tests/test_shapes.py`` compares
-  on every diagram of at most 5 columns of height at most 3, the counts at
-  each n <= 3 with at most 1,024 assignments); the walk yields the tuples of
-  filtering every assignment, in the same order (every diagram of at most 3
-  columns of height at most 2, and five larger), and the sorted walk those
-  of filtering by sortedness, in the order of their columns' sort keys;
-* the generated source holds only integers from the tables, each written
-  with ``%d``, and fixed text.
-
-The generator, :mod:`macpoly.kernels`, is imported with the first kernel.
+  over the tables it replaces, and a counting walk's counts equal those of the
+  flat kernels over every assignment (``tests/test_shapes.py`` compares on
+  every diagram of at most 5 columns of height at most 3, the counts at each
+  n <= 3 with at most 1,024 assignments), in an order the sum of the pinned
+  walks' over its compositions; the walk yields the tuples of filtering every
+  assignment, in the same order (every diagram of at most 3 columns of height
+  at most 2, and five larger), and the sorted walk those of filtering by
+  sortedness, in the order of their columns' sort keys;
+* the generated source holds only integers from the tables, each written with
+  ``%d``, and fixed text.
 """
 
 from __future__ import annotations
@@ -424,9 +424,9 @@ def content_plan(orbit: Orbit | None, n: int, m: int) -> ContentPlan:
 
 
 @lru_cache(maxsize=256)
-def _walk(shape: Diagram, kind: str) -> Callable:
-    """The compiled :func:`macpoly.kernels.walk` of ``kind``, cached per (diagram, kind)."""
-    return _kernels().walk(shape, kind)
+def _walk(shape: Diagram, kind: str, order: tuple | None = None) -> Callable:
+    """The compiled :func:`macpoly.kernels.walk` of ``kind`` in ``order``, cached per (diagram, kind, order)."""
+    return _kernels().walk(shape, kind, order)
 
 
 def is_ordered(f: Filling) -> bool:

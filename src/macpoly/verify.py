@@ -32,10 +32,10 @@ from .integral import (
 from .modified import SortedTableau, htilde_compact, htilde_plain, iter_sorted_tableaux
 from .nonsymmetric import EResult, _e_sum, e_permuted_basement, f_poly, iter_basement_fillings
 from .polyring import (
-    MPoly, Monomial, QtFactor, QtRational, distinct_permutations, one_minus_qt, t_multinomial,
+    QUASISYMMETRIC, SYMMETRIC, MPoly, Monomial, QtFactor, QtRational, distinct_permutations,
+    one_minus_qt, t_multinomial,
 )
 from .quasisym import (
-    compositions_with_support,
     g_poly,
     qs_schur,
     qsym_decompose,
@@ -312,7 +312,7 @@ def check_integrality(max_size: int = 5, max_n: int = 4) -> CheckResult:
 
 def check_p_symmetry(max_size: int = 5, max_n: int = 4) -> CheckResult:
     def test(lam, n):
-        return _swaps_fix(_e_sum(compositions_rearranging(lam, n), n), n, f"lam={lam}, n={n}")
+        return _swaps_fix(_e_sum(lam, n, spread=SYMMETRIC), n, f"lam={lam}, n={n}")
 
     return _each("monic symmetric value symmetry", "adjacent transposition invariance",
                  _by_n(partitions_up_to(max_size), max_n, len), test)
@@ -323,7 +323,7 @@ def check_p_symmetry(max_size: int = 5, max_n: int = 4) -> CheckResult:
 
 def check_quasisymmetry(max_size: int = 5, max_n: int = 5) -> CheckResult:
     def test(gamma, n):
-        result = qsym_decompose(_e_sum(compositions_with_support(gamma, n), n))
+        result = qsym_decompose(_e_sum(gamma, n, spread=QUASISYMMETRIC))
         assert result.is_quasisymmetric, f"gamma={gamma}, n={n}: {result.witness}"
 
     return _each("quasisymmetry of G", f"|shape| <= {max_size}, n <= {max_n}",

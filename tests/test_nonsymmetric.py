@@ -407,13 +407,13 @@ def test_p_and_g_print_as_the_filling_order_sum_up_to_size_4():
     assert differ == [] and checked == 33 + 43
 
 
-def coefficients_over_d(alphas, n, orbit=None):
+def coefficients_over_d(parts, n, orbit=None, spread=None):
     """The coefficients of ``_e_sum`` summed over D, the product of the hooks of
     every cell above row 1: each mask's weight brought over D and stripped of its
     q^maj t^coinv, one numerator per x and one fraction over D per x, built by
     ``QtRational``.  The reference for cancelling, per x, the hooks that every key
     of x repeats before the sum."""
-    counts, fillings = _basement_counts(alphas, n, orbit)
+    counts, fillings = _basement_counts(parts, n, orbit, spread)
     weights, den = {}, ()
     for mask, (shape, e, b) in fillings.items():
         num = filling_weight(Filling(shape, e, b)).num
@@ -427,24 +427,30 @@ def coefficients_over_d(alphas, n, orbit=None):
 
 
 def test_hooks_cancelled_per_x_leave_every_coefficient_as_over_d():
-    cases = [(compositions_rearranging(lam, n), n, SYMMETRIC)
-             for lam in partitions_up_to(6) for n in range(len(lam), 5)]
-    cases += [(compositions_with_support(gamma, n), n, QUASISYMMETRIC)
+    # P and G summed over every composition of the orbit in one walk, and E of one
+    cases = [(lam, n, SYMMETRIC, SYMMETRIC) for lam in partitions_up_to(6) for n in range(len(lam), 5)]
+    cases += [(gamma, n, QUASISYMMETRIC, QUASISYMMETRIC)
               for gamma in set(strong_compositions_up_to(5)) for n in range(len(gamma), 5)]
-    cases += [([alpha], len(alpha), None) for k in range(1, 6) for alpha in weak_compositions_up_to(5, k)]
-    differ = [(alphas[:1], n) for alphas, n, orbit in cases
-              if _e_sum(alphas, n, orbit).coeffs != coefficients_over_d(alphas, n, orbit)]
+    cases += [(alpha, len(alpha), None, None) for k in range(1, 6) for alpha in weak_compositions_up_to(5, k)]
+    differ = [(parts, n) for parts, n, orbit, spread in cases
+              if _e_sum(parts, n, orbit, spread).coeffs != coefficients_over_d(parts, n, orbit, spread)]
     assert differ == [] and len(cases) == 69 + 75 + 461
 
 
-def test_basement_counts_refuse_compositions_of_other_parts():
-    with pytest.raises(ShapeError, match="does not rearrange the parts"):
-        _basement_counts([(2, 1, 0), (1, 1, 1)], 3)
-    with pytest.raises(ShapeError, match="does not rearrange the parts"):
-        _basement_counts([(2, 1), (1, 2, 0)], 3)
-    with pytest.raises(ShapeError, match="does not rearrange the parts"):
-        _e_sum([(0, 2), (2, 0), (1, 0)], 2)
-    assert _basement_counts([], 3) == ({}, {})
+def test_basement_counts_refuse_wrong_parts():
+    # one composition takes any nonnegative parts; the compositions of a spread
+    # place positive parts only, so a part 0 is refused there too
+    with pytest.raises(ShapeError, match="negative part"):
+        _basement_counts((2, -1, 1), 3)
+    for spread in (SYMMETRIC, QUASISYMMETRIC):
+        for parts in ((2, -1, 1), (2, 0)):
+            with pytest.raises(ShapeError, match="must have positive parts only"):
+                _basement_counts(parts, 3, spread=spread)
+            with pytest.raises(ShapeError, match="must have positive parts only"):
+                _e_sum(parts, 3, spread=spread)
+    # more parts than variables: no composition, so nothing is counted
+    assert _basement_counts((1, 1, 1, 1), 3, spread=SYMMETRIC) == ({}, {})
+    assert _basement_counts((2, 1), 1, spread=QUASISYMMETRIC) == ({}, {})
 
 
 def test_weight_over_the_hook_product_is_the_j_factor():

@@ -1,18 +1,25 @@
 """Symmetry-reduced evaluation: the orbit expander, and each route that sums
 one representative per orbit against the sum over every exponent vector."""
 
+import importlib.util
+import sys
 from itertools import permutations
 from math import comb, factorial, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from macpoly.integral import compositions_rearranging, p_poly
+import macpoly
+from macpoly import shapes
+from macpoly.integral import p_poly
 from macpoly.modified import htilde_compact, htilde_plain
 from macpoly.nonsymmetric import _e_sum
 from macpoly.polyring import (
     Monomial,
+    QUASISYMMETRIC,
+    SYMMETRIC,
     QtRational,
     distinct_permutations,
     expand_orbits,
@@ -20,8 +27,10 @@ from macpoly.polyring import (
     is_dominant,
     placements,
 )
-from macpoly.quasisym import compositions_with_support, g_poly, qs_schur
-from macpoly.verify import htilde_all_words, partitions_up_to, strong_compositions_up_to
+from macpoly.quasisym import g_poly, qs_schur
+from macpoly.verify import htilde_all_words, partitions_up_to, run_suite, strong_compositions_up_to
+
+ROOT = Path(__file__).resolve().parents[1]
 
 vectors = st.lists(st.integers(0, 3), max_size=6).map(tuple)
 
@@ -80,7 +89,7 @@ def test_p_equals_its_full_content_sum():
     count = 0
     for lam in partitions_up_to(5):
         for n in range(len(lam), 6):
-            assert p_poly(lam, n) == _e_sum(compositions_rearranging(lam, n), n), (lam, n)
+            assert p_poly(lam, n) == _e_sum(lam, n, spread=SYMMETRIC), (lam, n)
             count += 1
     assert count == 66
 
@@ -90,7 +99,30 @@ def test_g_and_qs_schur_equal_their_full_content_sums():
     for gamma in sorted(set(strong_compositions_up_to(5))):
         for n in range(len(gamma), 6):
             value = g_poly(gamma, n)
-            assert value == _e_sum(compositions_with_support(gamma, n), n), (gamma, n)
+            assert value == _e_sum(gamma, n, spread=QUASISYMMETRIC), (gamma, n)
             assert qs_schur(gamma, n) == value.specialize(q=0, t=0), (gamma, n)
             count += 1
     assert count == 106
+
+
+def load_workloads():
+    """perfbench/workloads.py, loaded by path; nothing under ``perfbench/`` is written."""
+    spec = importlib.util.spec_from_file_location("orbits_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_second_pass_adds_no_cache_misses():
+    # each P and G order has its own walk in the 256 entries of shapes._walk, beside the
+    # other walks: a pass that overflowed that cache, or the diagram or plan caches,
+    # would rebuild and recompile on every pass
+    workloads = load_workloads()
+    symmetric = [(workloads.resolve(macpoly, case), case.args) for case in workloads.pinned_cases("symmetric")]
+    caches = (shapes._walk, shapes.content_plan, shapes._build_diagram)
+    for run in (lambda: run_suite("all", 4, 4), lambda: [fn(*args) for fn, args in symmetric]):
+        run()
+        misses = [cache.cache_info().misses for cache in caches]
+        run()
+        assert [cache.cache_info().misses for cache in caches] == misses

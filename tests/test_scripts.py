@@ -38,6 +38,10 @@ def test_term_counts_runs():
     # P((3,2,1)) at n = 5 weighs only the fillings of dominant content, and
     # fillings with one repeat mask share one weight across every composition
     assert "  shape (3, 2, 1):   2160 enumerated,    217 kept,      8 weights" in lines
+    # P((3,2,1)) at n = 5 counts its 60 compositions' fillings in one walk, row 1
+    # looping over their basements, and keeps those of dominant content
+    assert "  P (3, 2, 1):   60 compositions in  1 walk,    217 leaves kept" in lines
+    assert "  G (1, 3, 2):   10 compositions in  1 walk,    182 leaves kept" in lines
     # P((3,2,1)) at n = 5 sums 5 coefficients with 4 distinct numerators; of the
     # 8 hook pieces that cancel from its coefficients, 7 repeat in every key of their
     # x and leave before the sum, and the 4 reductions divide out 1

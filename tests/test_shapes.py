@@ -22,7 +22,7 @@ from macpoly.integral import (
 )
 from macpoly.modified import htilde_compact, htilde_plain, iter_sorted_tableaux
 from macpoly.nonsymmetric import e_permuted_basement, iter_basement_fillings
-from macpoly.polyring import QUASISYMMETRIC, SYMMETRIC, MPoly, QtRational
+from macpoly.polyring import QUASISYMMETRIC, SYMMETRIC, MPoly, QtRational, distinct_permutations
 from macpoly.quasisym import compositions_with_support, g_poly, qs_schur, schur_ssyt
 from macpoly.shapes import (
     INF_BASEMENT,
@@ -47,6 +47,7 @@ from macpoly.shapes import (
     iter_nonattacking,
     leg,
     maj,
+    sorting_permutation,
 )
 
 
@@ -718,13 +719,29 @@ def test_walks_past_the_nesting_limit():
     assert j_compact((25,), 1).value == j_plain((25,), 1)
 
 
-def one_and_chained(shape, kind, monkeypatch):
-    """The walk of ``kind`` compiled as one function, and with 2 loops per
-    function, so that the partial sums cross every stage boundary."""
-    one = kernels.walk(shape, kind)
-    with monkeypatch.context() as patch:
-        patch.setattr(kernels, "_STAGE", 2)
-        return one, kernels.walk(shape, kind)
+@cache
+def compiled_source(source, mode):
+    """``source`` compiled: walks of the same source (those of one function and of 2
+    loops per function have the same where at most 2 loops run, and zero-height
+    columns have no loop in a words walk) share one code object."""
+    return compile(source, "<walk source>", mode)
+
+
+@cache
+def compiled_walk(shape, kind, order=None, stage=None):
+    """The walk of ``kind`` in ``order`` compiled with ``stage`` loops per function
+    (None: as one function), cached, so that the walk tests compile each once."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "compile", lambda source, _, mode: compiled_source(source, mode), raising=False)
+        if stage is not None:
+            patch.setattr(kernels, "_STAGE", stage)
+        return kernels.walk(shape, kind, order)
+
+
+def one_and_chained(shape, kind, order=None):
+    """The walk of ``kind`` in ``order`` compiled as one function, and with 2 loops
+    per function, so that the partial sums cross every stage boundary."""
+    return compiled_walk(shape, kind, order), compiled_walk(shape, kind, order, 2)
 
 
 #: the most assignments filtered per diagram and n: every small diagram is
@@ -743,13 +760,13 @@ def assignments_by_n(shape):
 ORBITS = (None, SYMMETRIC, QUASISYMMETRIC)
 
 
-def test_word_walk_counts_match_filtering_every_assignment(monkeypatch):
+def test_word_walk_counts_match_filtering_every_assignment():
     # the words walk loops once per column of nonzero height: chained with 2
     # loops per function, 5 such columns take 3 functions, not one per 2 cells
-    walk = one_and_chained(diagram((3, 0, 3, 3, 3, 3)), "words", monkeypatch)[1]
+    walk = one_and_chained(diagram((3, 0, 3, 3, 3, 3)), "words")[1]
     assert sorted(name for name in walk.__globals__ if name.startswith("walk")) == ["walk0", "walk1", "walk2"]
     for heights, shape in SMALL_DIAGRAMS.items():
-        walks = one_and_chained(shape, "words", monkeypatch)
+        walks = one_and_chained(shape, "words")
         for n, assignments in assignments_by_n(shape):
             values = range(1, n + 1)
             every = Counter((tuple(map(e.count, values)), shape.inv(e), shape.maj(e)) for e in assignments)
@@ -783,25 +800,25 @@ def basement_cases(heights):
     return cases
 
 
-def test_basement_walk_counts_match_filtering_every_assignment(monkeypatch):
+def test_basement_walk_counts_match_filtering_every_assignment():
     for heights, shape in SMALL_DIAGRAMS.items():
-        walks = one_and_chained(shape, "basement", monkeypatch)
+        walks = one_and_chained(shape, "basement")
         for n, b, keys in basement_cases(heights):
             for orbit in ORBITS:
                 expected, firsts = {}, {}
                 for (x, q, t, mask), (count, e) in keys.items():
                     if orbit is None or orbit.is_rep(x):
                         expected[x, q, t, mask] = count
-                        firsts.setdefault(mask, (e, b))
+                        firsts.setdefault(mask, e)
                 for walk in walks:
                     got = {}, {}
                     walk(n, b, content_plan(orbit, n, len(shape.cells)), *got)
                     assert got == (expected, firsts), (heights, n, b, orbit)
 
 
-def test_zero_walk_counts_the_basement_walk_at_maj_and_coinv_zero(monkeypatch):
+def test_zero_walk_counts_the_basement_walk_at_maj_and_coinv_zero():
     for heights, shape in SMALL_DIAGRAMS.items():
-        walks = one_and_chained(shape, "zero", monkeypatch)
+        walks = one_and_chained(shape, "zero")
         for n, b, keys in basement_cases(heights):
             for orbit in ORBITS:
                 expected = Counter()
@@ -812,6 +829,44 @@ def test_zero_walk_counts_the_basement_walk_at_maj_and_coinv_zero(monkeypatch):
                     got = {}
                     walk(n, b, content_plan(orbit, n, len(shape.cells)), got)
                     assert got == expected, (heights, n, b, orbit)
+
+
+#: every weakly increasing diagram of at most 4 columns and height at most 3: the
+#: positive heights padded with zero columns up to n, n <= 4
+ORDERED_HEIGHTS = [h for h in SMALL_HEIGHTS if len(h) <= 4 and list(h) == sorted(h)]
+
+
+def test_ordered_walks_sum_the_pinned_walks_of_their_orbit():
+    # row 1 in the order "blocks" spells every rearrangement of the positive heights
+    # among n positions, and in the order of gamma every placement of gamma in order:
+    # each composition once, with its sorting permutation as the basement that pins it
+    assert len(ORDERED_HEIGHTS) == 70
+    for heights in ORDERED_HEIGHTS:
+        shape, n, parts = SMALL_DIAGRAMS[heights], len(heights), tuple(h for h in heights if h)
+        orders = [("blocks", SYMMETRIC.of(parts, n))]
+        orders += [(gamma, QUASISYMMETRIC.of(gamma, n)) for gamma in distinct_permutations(parts)]
+        (basement, _), (zero, _) = one_and_chained(shape, "basement"), one_and_chained(shape, "zero")
+        for order, alphas in orders:
+            assert alphas and {composition_stats(alpha).inc for alpha in alphas} == {heights}
+            for orbit in ORBITS:
+                plan = content_plan(orbit, n, len(shape.cells))
+                counts, firsts, zeros = Counter(), {}, {}
+                for alpha in alphas:
+                    b, each, first = sorting_permutation(alpha), {}, {}
+                    basement(n, b, plan, each, first)
+                    zero(n, b, plan, zeros)
+                    counts.update(each)
+                    # both walks visit fillings in lexicographic order
+                    for mask, e in first.items():
+                        firsts[mask] = min(firsts.get(mask, e), e)
+                for walk in one_and_chained(shape, "basement", order):
+                    got = {}, {}
+                    walk(n, None, plan, *got)
+                    assert got == (counts, firsts), (heights, order, orbit)
+                for walk in one_and_chained(shape, "zero", order):
+                    got = {}
+                    walk(n, None, plan, got)
+                    assert got == zeros, (heights, order, orbit)
 
 
 def test_counting_walks_past_the_nesting_limit_and_on_empty_input():
